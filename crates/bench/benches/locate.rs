@@ -5,15 +5,12 @@
 //! complementing the `repro` binary which measures *virtual-time* location
 //! latencies.
 
-// The legacy `run*` entry points are deprecated shims over `Scenario::run_with`;
-// these tests deliberately keep exercising them until the shims are removed.
-#![allow(deprecated)]
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use agentrack_core::{
     CentralizedScheme, ForwardingScheme, HashedScheme, HomeRegistryScheme, LocationConfig,
 };
-use agentrack_workload::Scenario;
+use agentrack_workload::{RunOptions, Scenario};
 
 fn mini_scenario(seed: u64) -> Scenario {
     Scenario::new("bench")
@@ -33,15 +30,37 @@ fn bench_scenario_per_scheme(c: &mut Criterion) {
                 seed += 1;
                 let scenario = mini_scenario(seed);
                 let report = match *kind {
-                    "hashed" => scenario.run(&mut HashedScheme::new(LocationConfig::default())),
+                    "hashed" => {
+                        scenario
+                            .run_with(
+                                &mut HashedScheme::new(LocationConfig::default()),
+                                RunOptions::new(),
+                            )
+                            .report
+                    }
                     "centralized" => {
-                        scenario.run(&mut CentralizedScheme::new(LocationConfig::default()))
+                        scenario
+                            .run_with(
+                                &mut CentralizedScheme::new(LocationConfig::default()),
+                                RunOptions::new(),
+                            )
+                            .report
                     }
                     "home-registry" => {
-                        scenario.run(&mut HomeRegistryScheme::new(LocationConfig::default()))
+                        scenario
+                            .run_with(
+                                &mut HomeRegistryScheme::new(LocationConfig::default()),
+                                RunOptions::new(),
+                            )
+                            .report
                     }
                     "forwarding" => {
-                        scenario.run(&mut ForwardingScheme::new(LocationConfig::default()))
+                        scenario
+                            .run_with(
+                                &mut ForwardingScheme::new(LocationConfig::default()),
+                                RunOptions::new(),
+                            )
+                            .report
                     }
                     _ => unreachable!(),
                 };

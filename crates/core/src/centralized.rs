@@ -13,15 +13,15 @@
 use std::collections::HashMap;
 
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, Spawner, TimerId};
-use agentrack_sim::{CorrId, GiveUpCause, MetricsRegistry, TraceEvent};
+use agentrack_sim::{CorrId, MetricsRegistry};
 
 use crate::config::LocationConfig;
 use crate::mailbox::Mailbox;
-use crate::retry::{LocateTracker, Retry};
+use crate::retry::LocateCore;
 use crate::scheme::{
-    ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SchemeStats, SharedSchemeStats,
+    ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SharedSchemeStats,
 };
-use crate::wire::Wire;
+use crate::wire::{send_traced, Freshness, Wire};
 
 /// Behaviour of the single central tracker.
 #[derive(Debug, Default)]
@@ -52,77 +52,19 @@ impl CentralBehavior {
         self
     }
 
-    /// Buffers mail for `target`, counting the buffering in the metrics
-    /// registry and the event trace.
-    fn buffer_mail(
-        &mut self,
-        ctx: &mut AgentCtx<'_>,
-        target: AgentId,
-        from: AgentId,
-        data: Vec<u8>,
-    ) {
-        self.mailbox.push(ctx.now(), target, from, data);
-        let occupancy = self.mailbox.len();
-        let me = ctx.self_id().raw();
-        self.shared.registry().update_tracker(me, |t| {
-            t.mail_buffered += 1;
-            t.observe_mailbox(occupancy);
-        });
-        ctx.trace().emit(ctx.now(), || TraceEvent::MailBuffered {
-            tracker: me,
-            target: target.raw(),
-            occupancy,
-        });
-    }
-
     /// Wipes the tracker's soft state after a crash that lost it: every
-    /// record and all buffered mail, with the mail loss accounted in the
-    /// metrics and the event trace. Records repair themselves as agents
-    /// keep sending movement updates.
+    /// record and all buffered mail (accounted as lost). Records repair
+    /// themselves as agents keep sending movement updates.
     pub(crate) fn drop_soft_state(&mut self, ctx: &mut AgentCtx<'_>) {
-        let lost = self.mailbox.len();
-        if lost > 0 {
-            let me = ctx.self_id().raw();
-            self.shared
-                .registry()
-                .update_tracker(me, |t| t.mail_lost += lost as u64);
-            ctx.trace()
-                .emit(ctx.now(), || TraceEvent::MailExpired { tracker: me, lost });
-        }
-        self.mailbox.drain_if(|_| true);
+        self.mailbox.wipe(ctx, self.shared.registry());
         self.records.clear();
     }
 
+    /// Mail can flow the moment a record (re)appears for `agent`.
     fn flush_mail_for(&mut self, ctx: &mut AgentCtx<'_>, agent: AgentId) {
-        if self.mailbox.is_empty() {
-            return;
-        }
         if let Some(&node) = self.records.get(&agent) {
-            let items = self.mailbox.take_for(agent);
-            if items.is_empty() {
-                return;
-            }
-            let count = items.len();
-            let me = ctx.self_id().raw();
-            self.shared
-                .registry()
-                .update_tracker(me, |t| t.mail_flushed += count as u64);
-            ctx.trace().emit(ctx.now(), || TraceEvent::MailFlushed {
-                tracker: me,
-                target: agent.raw(),
-                count,
-            });
-            for item in items {
-                ctx.send(
-                    agent,
-                    node,
-                    Wire::MailDrop {
-                        from: item.from,
-                        data: item.data,
-                    }
-                    .payload(),
-                );
-            }
+            self.mailbox
+                .flush_for(ctx, self.shared.registry(), agent, node);
         }
     }
 }
@@ -142,16 +84,7 @@ impl Agent for CentralBehavior {
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _timer: agentrack_platform::TimerId) {
         let me = ctx.self_id().raw();
-        let lost = self.mailbox.expire(ctx.now());
-        if lost > 0 {
-            // Guaranteed delivery just failed silently for `lost` messages:
-            // make the loss visible to the registry and the event trace.
-            self.shared
-                .registry()
-                .update_tracker(me, |t| t.mail_lost += lost as u64);
-            ctx.trace()
-                .emit(ctx.now(), || TraceEvent::MailExpired { tracker: me, lost });
-        }
+        self.mailbox.expire_lost(ctx, self.shared.registry());
         let requests = self.requests_seen;
         let records_held = self.records.len();
         let mailbox_occupancy = self.mailbox.len();
@@ -174,26 +107,15 @@ impl Agent for CentralBehavior {
         // the next update (the delivery guarantee).
         if let Some(Wire::MailDrop { from, data }) = Wire::from_payload(payload) {
             self.records.remove(&to);
-            self.buffer_mail(ctx, to, from, data);
+            self.mailbox
+                .buffer(ctx, self.shared.registry(), to, from, data);
         }
     }
 
     fn on_message(&mut self, ctx: &mut AgentCtx<'_>, from: AgentId, payload: &Payload) {
-        let Some(msg) = Wire::from_payload(payload) else {
+        let Some(msg) = Wire::recv_traced(ctx, payload) else {
             return;
         };
-        {
-            let me = ctx.self_id();
-            let here = ctx.node();
-            let queued = ctx.queued();
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
         self.requests_seen += 1;
         match msg {
             Wire::Register { agent, node } => {
@@ -216,7 +138,9 @@ impl Agent for CentralBehavior {
                     node,
                     Wire::MailDrop { from: origin, data }.payload(),
                 ),
-                None => self.buffer_mail(ctx, target, origin, data),
+                None => self
+                    .mailbox
+                    .buffer(ctx, self.shared.registry(), target, origin, data),
             },
             Wire::Deregister { agent, .. } => {
                 self.records.remove(&agent);
@@ -245,16 +169,7 @@ impl Agent for CentralBehavior {
                         corr,
                     },
                 };
-                let me = ctx.self_id();
-                let here = ctx.node();
-                ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                    kind: answer.kind(),
-                    corr: answer.corr(),
-                    from: me.raw(),
-                    to: from.raw(),
-                    node: here,
-                });
-                ctx.send(from, reply_node, answer.payload());
+                send_traced(ctx, from, reply_node, &answer);
             }
             _ => {}
         }
@@ -308,50 +223,36 @@ impl LocationScheme for CentralizedScheme {
         let config = self.config.clone();
         let registry = self.shared.registry().clone();
         std::sync::Arc::new(move || {
-            Box::new(
-                CentralizedClient::new(config.clone(), central).with_registry(registry.clone()),
-            )
+            Box::new(CentralizedClient::new(&config, central, registry.clone()))
         })
     }
 
-    fn stats(&self) -> SchemeStats {
-        self.shared.snapshot()
-    }
-
-    fn registry(&self) -> MetricsRegistry {
-        self.shared.registry().clone()
+    fn shared(&self) -> &SharedSchemeStats {
+        &self.shared
     }
 }
 
-/// Client-side state machine of the centralized scheme.
+/// Client-side state machine of the centralized scheme: every attempt is a
+/// `Locate` to the one central tracker.
 #[derive(Debug)]
 pub struct CentralizedClient {
-    config: LocationConfig,
     central: (AgentId, NodeId),
-    registered: bool,
-    tracker: LocateTracker,
-    registry: MetricsRegistry,
+    core: LocateCore,
 }
 
 impl CentralizedClient {
-    /// Creates a client of the given central tracker.
+    /// Creates a client of the given central tracker, reporting locate
+    /// latencies and give-ups into `registry` (the scheme's shared one).
     #[must_use]
-    pub fn new(config: LocationConfig, central: (AgentId, NodeId)) -> Self {
+    pub fn new(
+        config: &LocationConfig,
+        central: (AgentId, NodeId),
+        registry: MetricsRegistry,
+    ) -> Self {
         CentralizedClient {
-            config,
             central,
-            registered: false,
-            tracker: LocateTracker::new(),
-            registry: MetricsRegistry::new(),
+            core: LocateCore::new(config, registry),
         }
-    }
-
-    /// Reports locate latencies into the given registry (the scheme's
-    /// shared one) instead of a detached default.
-    #[must_use]
-    pub fn with_registry(mut self, registry: MetricsRegistry) -> Self {
-        self.registry = registry;
-        self
     }
 
     fn send_central(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
@@ -359,85 +260,15 @@ impl CentralizedClient {
     }
 
     fn send_locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
-        let here = ctx.node();
-        let me = ctx.self_id();
         let msg = Wire::Locate {
             target,
             token,
-            reply_node: here,
-            corr: Some(CorrId::new(me.raw(), token)),
-            freshness: self.tracker.freshness(token).unwrap_or_default(),
+            reply_node: ctx.node(),
+            corr: Some(CorrId::new(ctx.self_id().raw(), token)),
+            freshness: self.core.freshness(token),
         };
-        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-            kind: msg.kind(),
-            corr: msg.corr(),
-            from: me.raw(),
-            to: self.central.0.raw(),
-            node: here,
-        });
-        self.send_central(ctx, &msg);
-        self.tracker
-            .note_tracker(token, self.central.0.raw(), self.central.1);
-        self.tracker
-            .arm_timer(ctx, self.config.locate_retry_timeout, token);
-    }
-
-    fn act(&mut self, ctx: &mut AgentCtx<'_>, decision: Retry) -> ClientEvent {
-        let me = ctx.self_id();
-        match decision {
-            Retry::Again { token, target } => {
-                let attempt = self.tracker.attempts(token).unwrap_or(0);
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryAttempt {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempt,
-                });
-                self.send_locate(ctx, target, token);
-                ClientEvent::Consumed
-            }
-            Retry::GiveUp {
-                token,
-                target,
-                cause,
-                tracker,
-                tracker_node,
-            } => {
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryGiveUp {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempts: self.config.max_locate_attempts,
-                    cause,
-                });
-                if let Some(tracker) = tracker {
-                    let remote = tracker_node.is_some_and(|n| n != ctx.node());
-                    self.registry.update_tracker(tracker, |t| match cause {
-                        GiveUpCause::Timeout => {
-                            t.giveup_timeout += 1;
-                            if remote {
-                                t.giveup_timeout_remote += 1;
-                            }
-                        }
-                        GiveUpCause::Negative => {
-                            t.giveup_negative += 1;
-                            if remote {
-                                t.giveup_negative_remote += 1;
-                            }
-                        }
-                    });
-                }
-                ClientEvent::Failed { token, target }
-            }
-            Retry::Nothing => ClientEvent::Consumed,
-        }
-    }
-
-    fn retry_locate(&mut self, ctx: &mut AgentCtx<'_>, token: u64) -> ClientEvent {
-        let decision = self
-            .tracker
-            .on_negative(token, self.config.max_locate_attempts);
-        self.act(ctx, decision)
+        send_traced(ctx, self.central.0, self.central.1, &msg);
+        self.core.sent(ctx, token, Some(self.central));
     }
 }
 
@@ -457,7 +288,7 @@ impl DirectoryClient for CentralizedClient {
     fn moved(&mut self, ctx: &mut AgentCtx<'_>) {
         let me = ctx.self_id();
         let here = ctx.node();
-        if self.registered {
+        if self.core.registered() {
             self.send_central(
                 ctx,
                 &Wire::Update {
@@ -475,76 +306,30 @@ impl DirectoryClient for CentralizedClient {
         self.send_central(ctx, &Wire::Deregister { agent: me, ttl: 0 });
     }
 
-    fn locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
-        self.locate_with(ctx, target, token, crate::wire::Freshness::Any);
-    }
-
     fn locate_with(
         &mut self,
         ctx: &mut AgentCtx<'_>,
         target: AgentId,
         token: u64,
-        freshness: crate::wire::Freshness,
+        freshness: Freshness,
     ) {
-        self.tracker.start_with(token, target, ctx.now(), freshness);
+        self.core.start(ctx, token, target, freshness);
         self.send_locate(ctx, target, token);
     }
 
     fn on_message(
         &mut self,
-        _ctx: &mut AgentCtx<'_>,
+        ctx: &mut AgentCtx<'_>,
         _from: AgentId,
         payload: &Payload,
     ) -> ClientEvent {
-        let Some(msg) = Wire::from_payload(payload) else {
-            return ClientEvent::NotMine;
-        };
-        {
-            let me = _ctx.self_id();
-            let here = _ctx.node();
-            let queued = _ctx.queued();
-            _ctx.trace().emit(_ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
-        match msg {
-            Wire::RegisterAck { agent } => {
-                if agent == _ctx.self_id() && !self.registered {
-                    self.registered = true;
-                    ClientEvent::Registered
-                } else {
-                    ClientEvent::Consumed
-                }
-            }
-            Wire::Located {
-                target,
-                node,
-                stale,
-                age_ms,
-                token,
-                ..
-            } => {
-                if let Some(started) = self.tracker.complete(token) {
-                    self.registry
-                        .record_locate(_ctx.now().saturating_since(started));
-                    ClientEvent::Located {
-                        token,
-                        target,
-                        node,
-                        stale,
-                        age_ms,
-                    }
-                } else {
-                    ClientEvent::Consumed
-                }
-            }
-            Wire::MailDrop { from, data } => ClientEvent::Mail { from, data },
-            Wire::NotFound { token, .. } => self.retry_locate(_ctx, token),
-            _ => ClientEvent::NotMine,
+        match Wire::recv_traced(ctx, payload) {
+            Some(Wire::MailDrop { from, data }) => ClientEvent::Mail { from, data },
+            Some(msg) => self
+                .core
+                .on_answer(ctx, msg)
+                .then_resend(|token, target| self.send_locate(ctx, target, token)),
+            None => ClientEvent::NotMine,
         }
     }
 
@@ -569,13 +354,9 @@ impl DirectoryClient for CentralizedClient {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
-        match self
-            .tracker
-            .on_timer(timer, self.config.max_locate_attempts)
-        {
-            Some(decision) => self.act(ctx, decision),
-            None => ClientEvent::NotMine,
-        }
+        self.core
+            .on_timer(ctx, timer)
+            .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 
     fn send_via(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, data: Vec<u8>) -> bool {

@@ -15,17 +15,16 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, Spawner, TimerId};
-use agentrack_sim::{CorrId, GiveUpCause, MetricsRegistry, TraceEvent};
+use agentrack_sim::{CorrId, MetricsRegistry};
 
 use crate::config::LocationConfig;
-use crate::retry::{LocateTracker, Retry};
+use crate::home::NameTable;
+use crate::retry::LocateCore;
 use crate::scheme::{
-    ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SchemeStats, SharedSchemeStats,
+    ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SharedSchemeStats,
 };
-use crate::wire::Wire;
+use crate::wire::{send_traced, Freshness, Wire};
 
 /// Longest pointer chain a locate will follow before giving up the
 /// attempt (the client retries from the birth node).
@@ -77,6 +76,10 @@ impl Agent for ForwarderBehavior {
         let Some(msg) = Wire::from_payload(payload) else {
             return;
         };
+        // Only the chain walk is part of a locate's traced path.
+        if matches!(msg, Wire::ChainLocate { .. }) {
+            msg.trace_recv(ctx);
+        }
         match msg {
             // "I am here": an agent arrived at this node.
             Wire::Register { agent, node } | Wire::Update { agent, node } => {
@@ -97,96 +100,43 @@ impl Agent for ForwarderBehavior {
                 reply_node,
                 hops,
                 corr,
-            } => {
-                let me = ctx.self_id();
-                {
-                    let here = ctx.node();
-                    let queued = ctx.queued();
-                    ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                        kind: "ChainLocate",
+            } => match self.pointers.get(&target) {
+                Some(Pointer::Here) => {
+                    let answer = Wire::Located {
+                        target,
+                        node: ctx.node(),
+                        stale: false,
+                        age_ms: 0,
+                        token,
                         corr,
-                        by: me.raw(),
-                        node: here,
-                        queued,
-                    });
+                    };
+                    send_traced(ctx, reply_to, reply_node, &answer);
                 }
-                match self.pointers.get(&target) {
-                    Some(Pointer::Here) => {
-                        let here = ctx.node();
-                        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                            kind: "Located",
-                            corr,
-                            from: me.raw(),
-                            to: reply_to.raw(),
-                            node: reply_node,
-                        });
-                        ctx.send(
-                            reply_to,
-                            reply_node,
-                            Wire::Located {
-                                target,
-                                node: here,
-                                stale: false,
-                                age_ms: 0,
-                                token,
-                                corr,
-                            }
-                            .payload(),
-                        );
-                    }
-                    Some(Pointer::MovedTo(next)) if hops < MAX_CHAIN_HOPS => {
-                        self.shared.update(|s| s.chain_hops += 1);
-                        let next_fw = self.forwarders[next.index()];
-                        let next_node = *next;
-                        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                            kind: "ChainLocate",
-                            corr,
-                            from: me.raw(),
-                            to: next_fw.raw(),
-                            node: next_node,
-                        });
-                        ctx.send(
-                            next_fw,
-                            next_node,
-                            Wire::ChainLocate {
-                                target,
-                                token,
-                                reply_to,
-                                reply_node,
-                                hops: hops + 1,
-                                corr,
-                            }
-                            .payload(),
-                        );
-                    }
-                    _ => {
-                        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                            kind: "NotFound",
-                            corr,
-                            from: me.raw(),
-                            to: reply_to.raw(),
-                            node: reply_node,
-                        });
-                        ctx.send(
-                            reply_to,
-                            reply_node,
-                            Wire::NotFound {
-                                target,
-                                token,
-                                corr,
-                            }
-                            .payload(),
-                        );
-                    }
+                Some(&Pointer::MovedTo(next)) if hops < MAX_CHAIN_HOPS => {
+                    self.shared.update(|s| s.chain_hops += 1);
+                    let onward = Wire::ChainLocate {
+                        target,
+                        token,
+                        reply_to,
+                        reply_node,
+                        hops: hops + 1,
+                        corr,
+                    };
+                    send_traced(ctx, self.forwarders[next.index()], next, &onward);
                 }
-            }
+                _ => {
+                    let answer = Wire::NotFound {
+                        target,
+                        token,
+                        corr,
+                    };
+                    send_traced(ctx, reply_to, reply_node, &answer);
+                }
+            },
             _ => {}
         }
     }
 }
-
-/// Birth-node table standing in for name-embedded origin information.
-type NameTable = Arc<RwLock<HashMap<AgentId, NodeId>>>;
 
 /// The forwarding-pointers location scheme: one forwarder per node.
 #[derive(Debug)]
@@ -249,58 +199,49 @@ impl LocationScheme for ForwardingScheme {
         let names = Arc::clone(&self.names);
         let registry = self.shared.registry().clone();
         Arc::new(move || {
-            Box::new(
-                ForwardingClient::new(config.clone(), Arc::clone(&forwarders), Arc::clone(&names))
-                    .with_registry(registry.clone()),
-            )
+            Box::new(ForwardingClient::new(
+                &config,
+                Arc::clone(&forwarders),
+                Arc::clone(&names),
+                registry.clone(),
+            ))
         })
     }
 
-    fn stats(&self) -> SchemeStats {
-        self.shared.snapshot()
-    }
-
-    fn registry(&self) -> MetricsRegistry {
-        self.shared.registry().clone()
+    fn shared(&self) -> &SharedSchemeStats {
+        &self.shared
     }
 }
 
-/// Client-side state machine of the forwarding scheme.
+/// Client-side state machine of the forwarding scheme: every attempt is a
+/// `ChainLocate` to the forwarder at the target's birth node.
 #[derive(Debug)]
 pub struct ForwardingClient {
-    config: LocationConfig,
     forwarders: Arc<Vec<AgentId>>,
     names: NameTable,
     birth: Option<NodeId>,
     prev_node: Option<NodeId>,
-    registered: bool,
-    tracker: LocateTracker,
-    registry: MetricsRegistry,
+    core: LocateCore,
 }
 
 impl ForwardingClient {
     /// Creates a client over the per-node forwarders and the shared birth
-    /// table.
+    /// table, reporting locate latencies and give-ups into `registry`
+    /// (the scheme's shared one).
     #[must_use]
-    pub fn new(config: LocationConfig, forwarders: Arc<Vec<AgentId>>, names: NameTable) -> Self {
+    pub fn new(
+        config: &LocationConfig,
+        forwarders: Arc<Vec<AgentId>>,
+        names: NameTable,
+        registry: MetricsRegistry,
+    ) -> Self {
         ForwardingClient {
-            config,
             forwarders,
             names,
             birth: None,
             prev_node: None,
-            registered: false,
-            tracker: LocateTracker::new(),
-            registry: MetricsRegistry::new(),
+            core: LocateCore::new(config, registry),
         }
-    }
-
-    /// Reports locate latencies into the given registry (the scheme's
-    /// shared one) instead of a detached default.
-    #[must_use]
-    pub fn with_registry(mut self, registry: MetricsRegistry) -> Self {
-        self.registry = registry;
-        self
     }
 
     fn forwarder_at(&self, node: NodeId) -> (AgentId, NodeId) {
@@ -311,7 +252,7 @@ impl ForwardingClient {
         let me = ctx.self_id();
         let here = ctx.node();
         let (fw, node) = self.forwarder_at(here);
-        let msg = if self.registered {
+        let msg = if self.core.registered() {
             Wire::Update {
                 agent: me,
                 node: here,
@@ -326,89 +267,23 @@ impl ForwardingClient {
     }
 
     fn send_locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
+        // An unregistered target has no birth node yet; the retry timer
+        // tries again later.
         let birth = self.names.read().get(&target).copied();
-        if let Some(birth) = birth {
-            let (fw, node) = self.forwarder_at(birth);
+        let forwarder = birth.map(|birth| self.forwarder_at(birth));
+        if let Some((fw, node)) = forwarder {
             let me = ctx.self_id();
-            let here = ctx.node();
             let msg = Wire::ChainLocate {
                 target,
                 token,
                 reply_to: me,
-                reply_node: here,
+                reply_node: ctx.node(),
                 hops: 0,
                 corr: Some(CorrId::new(me.raw(), token)),
             };
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                from: me.raw(),
-                to: fw.raw(),
-                node: here,
-            });
-            ctx.send(fw, node, msg.payload());
-            self.tracker.note_tracker(token, fw.raw(), node);
+            send_traced(ctx, fw, node, &msg);
         }
-        self.tracker
-            .arm_timer(ctx, self.config.locate_retry_timeout, token);
-    }
-
-    fn act(&mut self, ctx: &mut AgentCtx<'_>, decision: Retry) -> ClientEvent {
-        let me = ctx.self_id();
-        match decision {
-            Retry::Again { token, target } => {
-                let attempt = self.tracker.attempts(token).unwrap_or(0);
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryAttempt {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempt,
-                });
-                self.send_locate(ctx, target, token);
-                ClientEvent::Consumed
-            }
-            Retry::GiveUp {
-                token,
-                target,
-                cause,
-                tracker,
-                tracker_node,
-            } => {
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryGiveUp {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempts: self.config.max_locate_attempts,
-                    cause,
-                });
-                if let Some(tracker) = tracker {
-                    let remote = tracker_node.is_some_and(|n| n != ctx.node());
-                    self.registry.update_tracker(tracker, |t| match cause {
-                        GiveUpCause::Timeout => {
-                            t.giveup_timeout += 1;
-                            if remote {
-                                t.giveup_timeout_remote += 1;
-                            }
-                        }
-                        GiveUpCause::Negative => {
-                            t.giveup_negative += 1;
-                            if remote {
-                                t.giveup_negative_remote += 1;
-                            }
-                        }
-                    });
-                }
-                ClientEvent::Failed { token, target }
-            }
-            Retry::Nothing => ClientEvent::Consumed,
-        }
-    }
-
-    fn retry_locate(&mut self, ctx: &mut AgentCtx<'_>, token: u64) -> ClientEvent {
-        let decision = self
-            .tracker
-            .on_negative(token, self.config.max_locate_attempts);
-        self.act(ctx, decision)
+        self.core.sent(ctx, token, forwarder);
     }
 }
 
@@ -425,7 +300,7 @@ impl DirectoryClient for ForwardingClient {
     }
 
     fn moved(&mut self, ctx: &mut AgentCtx<'_>) {
-        if !self.registered {
+        if !self.core.registered() {
             self.register(ctx);
             return;
         }
@@ -465,20 +340,16 @@ impl DirectoryClient for ForwardingClient {
         self.names.write().remove(&me);
     }
 
-    fn locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
-        self.locate_with(ctx, target, token, crate::wire::Freshness::Any);
-    }
-
     fn locate_with(
         &mut self,
         ctx: &mut AgentCtx<'_>,
         target: AgentId,
         token: u64,
-        freshness: crate::wire::Freshness,
+        freshness: Freshness,
     ) {
         // A chain walk always ends at the node the target is resident on,
         // so every answer is authoritative (age 0) and any bound holds.
-        self.tracker.start_with(token, target, ctx.now(), freshness);
+        self.core.start(ctx, token, target, freshness);
         self.send_locate(ctx, target, token);
     }
 
@@ -488,55 +359,12 @@ impl DirectoryClient for ForwardingClient {
         _from: AgentId,
         payload: &Payload,
     ) -> ClientEvent {
-        let Some(msg) = Wire::from_payload(payload) else {
+        let Some(msg) = Wire::recv_traced(ctx, payload) else {
             return ClientEvent::NotMine;
         };
-        {
-            let me = ctx.self_id();
-            let here = ctx.node();
-            let queued = ctx.queued();
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
-        match msg {
-            Wire::RegisterAck { agent } => {
-                if agent == ctx.self_id() && !self.registered {
-                    self.registered = true;
-                    ClientEvent::Registered
-                } else {
-                    ClientEvent::Consumed
-                }
-            }
-            Wire::Located {
-                target,
-                node,
-                stale,
-                age_ms,
-                token,
-                ..
-            } => {
-                if let Some(started) = self.tracker.complete(token) {
-                    self.registry
-                        .record_locate(ctx.now().saturating_since(started));
-                    ClientEvent::Located {
-                        token,
-                        target,
-                        node,
-                        stale,
-                        age_ms,
-                    }
-                } else {
-                    ClientEvent::Consumed
-                }
-            }
-            Wire::NotFound { token, .. } => self.retry_locate(ctx, token),
-            _ => ClientEvent::NotMine,
-        }
+        self.core
+            .on_answer(ctx, msg)
+            .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 
     fn on_delivery_failed(
@@ -557,12 +385,8 @@ impl DirectoryClient for ForwardingClient {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
-        match self
-            .tracker
-            .on_timer(timer, self.config.max_locate_attempts)
-        {
-            Some(decision) => self.act(ctx, decision),
-            None => ClientEvent::NotMine,
-        }
+        self.core
+            .on_timer(ctx, timer)
+            .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 }

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use agentrack_platform::{AgentCtx, AgentId, NodeId, Payload, Spawner, TimerId};
-use agentrack_sim::{CorrId, GiveUpCause, MetricsRegistry, TraceEvent};
+use agentrack_sim::{CorrId, SimDuration};
 
 use crate::config::LocationConfig;
 use crate::geo::ReachabilityMap;
@@ -24,12 +24,11 @@ use crate::hagent::{HAgentBehavior, StandbyHAgentBehavior};
 use crate::iagent::IAgentBehavior;
 use crate::lhagent::LHAgentBehavior;
 use crate::mailbox::MAIL_MAX_HOPS;
-use crate::retry::{LocateTracker, Retry};
+use crate::retry::{LocateCore, Outcome};
 use crate::scheme::{
-    ClientEvent, ClientFactory, CopyRole, DirectoryClient, LocationScheme, SchemeStats,
-    SharedSchemeStats,
+    ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SharedSchemeStats,
 };
-use crate::wire::{Freshness, HashFunction, Wire};
+use crate::wire::{send_traced, Freshness, HashFunction, Wire};
 
 /// The hash-based location scheme: one HAgent, one initial IAgent, one
 /// LHAgent per node.
@@ -205,52 +204,42 @@ impl LocationScheme for HashedScheme {
         assert!(self.bootstrapped, "client_factory before bootstrap");
         let config = self.config.clone();
         let lhagents = self.lhagents();
-        let registry = self.shared.registry().clone();
         let shared = self.shared.clone();
         Arc::new(move || {
-            Box::new(
-                HashedClient::new(config.clone(), Arc::clone(&lhagents))
-                    .with_registry(registry.clone())
-                    .with_shared(shared.clone()),
-            )
+            Box::new(HashedClient::new(
+                &config,
+                Arc::clone(&lhagents),
+                shared.clone(),
+            ))
         })
     }
 
-    fn stats(&self) -> SchemeStats {
-        self.shared.snapshot()
-    }
-
-    fn registry(&self) -> MetricsRegistry {
-        self.shared.registry().clone()
-    }
-
-    fn hash_versions(&self) -> Vec<(u64, CopyRole, u64)> {
-        self.shared.versions()
-    }
-
-    fn set_adaptation_frozen(&self, frozen: bool) {
-        self.shared.set_adaptation_frozen(frozen);
+    fn shared(&self) -> &SharedSchemeStats {
+        &self.shared
     }
 }
 
-/// Client-side state machine of the hashed scheme (one per mobile agent).
+/// Client-side state machine of the hashed scheme (one per mobile agent):
+/// every attempt is a resolve through the LHAgent at the client's own node,
+/// whose answer names the IAgent the `Locate` then goes to.
 #[derive(Debug)]
 pub struct HashedClient {
-    config: LocationConfig,
+    /// How long the registration handshake may take before it restarts.
+    register_timeout: SimDuration,
+    /// Backoff before retrying a locate that bounced off its IAgent.
+    bounce_retry_delay: SimDuration,
     /// LHAgent at each node (index = node id).
     lhagents: Arc<Vec<AgentId>>,
     /// Cached responsible IAgent for the *owning* agent.
     my_iagent: Option<(AgentId, NodeId)>,
-    registered: bool,
     /// Watchdog for the registration handshake: any leg of
     /// resolve → register → ack can be lost to the network, and an
     /// unregistered agent is unlocatable, so the handshake restarts until
     /// the ack lands.
     register_watchdog: Option<TimerId>,
-    tracker: LocateTracker,
-    registry: MetricsRegistry,
+    core: LocateCore,
     /// Scheme-wide counters (hedges, bound violations) shared with the
-    /// behaviours; a detached default when the client is built directly.
+    /// behaviours.
     shared: SharedSchemeStats,
     /// Per-destination reachability, fed by locate outcomes; drives
     /// hedging of freshness-bounded locates.
@@ -258,58 +247,33 @@ pub struct HashedClient {
 }
 
 impl HashedClient {
-    /// Creates a client talking to the given per-node LHAgents.
+    /// Creates a client talking to the given per-node LHAgents, reporting
+    /// into the scheme's shared statistics.
     #[must_use]
-    pub fn new(config: LocationConfig, lhagents: Arc<Vec<AgentId>>) -> Self {
-        let health = ReachabilityMap::new(config.geo_degrade_after, config.geo_heal_after);
+    pub fn new(
+        config: &LocationConfig,
+        lhagents: Arc<Vec<AgentId>>,
+        shared: SharedSchemeStats,
+    ) -> Self {
         HashedClient {
-            config,
+            register_timeout: config.locate_retry_timeout,
+            bounce_retry_delay: config.bounce_retry_delay,
             lhagents,
             my_iagent: None,
-            registered: false,
             register_watchdog: None,
-            tracker: LocateTracker::new(),
-            registry: MetricsRegistry::new(),
-            shared: SharedSchemeStats::new(),
-            health,
+            core: LocateCore::new(config, shared.registry().clone()),
+            shared,
+            health: ReachabilityMap::new(config.geo_degrade_after, config.geo_heal_after),
         }
     }
 
-    /// Reports locate latencies into the given registry (the scheme's
-    /// shared one) instead of a detached default.
-    #[must_use]
-    pub fn with_registry(mut self, registry: MetricsRegistry) -> Self {
-        self.registry = registry;
-        self
-    }
-
-    /// Reports scheme-wide counters into the given shared stats (the
-    /// scheme's) instead of a detached default.
-    #[must_use]
-    pub fn with_shared(mut self, shared: SharedSchemeStats) -> Self {
-        self.shared = shared;
-        self
-    }
-
-    fn local_lhagent(&self, ctx: &AgentCtx<'_>) -> AgentId {
-        self.lhagents[ctx.node().index()]
-    }
-
     fn send_local_resolve(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
-        let lh = self.local_lhagent(ctx);
-        let here = ctx.node();
-        let me = ctx.self_id();
-        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-            kind: msg.kind(),
-            corr: msg.corr(),
-            from: me.raw(),
-            to: lh.raw(),
-            node: here,
-        });
-        ctx.send(lh, here, msg.payload());
+        let lh = self.lhagents[ctx.node().index()];
+        send_traced(ctx, lh, ctx.node(), msg);
     }
 
-    /// Starts (or retries) the locate identified by `token`.
+    /// Sends one attempt of the locate identified by `token`: a resolve
+    /// from the local copy the first time, a fresh one on retries.
     fn resolve_for_locate(
         &mut self,
         ctx: &mut AgentCtx<'_>,
@@ -332,80 +296,34 @@ impl HashedClient {
             }
         };
         self.send_local_resolve(ctx, &msg);
-        self.tracker
-            .arm_timer(ctx, self.config.locate_retry_timeout, token);
+        // The tracker is noted when the resolve names it.
+        self.core.sent(ctx, token, None);
     }
 
-    /// Acts on a retry decision from the tracker.
-    fn act(&mut self, ctx: &mut AgentCtx<'_>, decision: Retry) -> ClientEvent {
-        let me = ctx.self_id();
-        match decision {
-            Retry::Again { token, target } => {
-                let attempt = self.tracker.attempts(token).unwrap_or(0);
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryAttempt {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempt,
-                });
-                self.resolve_for_locate(ctx, target, token, true);
-                ClientEvent::Consumed
-            }
-            Retry::GiveUp {
-                token,
-                target,
-                cause,
-                tracker,
-                tracker_node,
-            } => {
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryGiveUp {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempts: self.config.max_locate_attempts,
-                    cause,
-                });
-                // A final timeout is one more unreachability signal for
-                // that destination; a final negative proves it reachable.
-                if let Some(node) = tracker_node {
-                    match cause {
-                        GiveUpCause::Timeout => self.health.on_timeout(node),
-                        GiveUpCause::Negative => self.health.on_success(node),
-                    }
-                }
-                // Charge the give-up to the tracker the final attempt hit,
-                // split by cause (timeout = it never answered; negative =
-                // it answered NotFound/NotResponsible). The remote
-                // counters tally the subset whose tracker sat on another
-                // node than the querier.
-                if let Some(tracker) = tracker {
-                    let remote = tracker_node.is_some_and(|n| n != ctx.node());
-                    self.registry.update_tracker(tracker, |t| {
-                        match cause {
-                            GiveUpCause::Timeout => t.giveup_timeout += 1,
-                            GiveUpCause::Negative => t.giveup_negative += 1,
-                        }
-                        if remote {
-                            match cause {
-                                GiveUpCause::Timeout => t.giveup_timeout_remote += 1,
-                                GiveUpCause::Negative => t.giveup_negative_remote += 1,
-                            }
-                        }
-                    });
-                }
-                ClientEvent::Failed { token, target }
-            }
-            Retry::Nothing => ClientEvent::Consumed,
+    /// Sends the retry a negative answer or a timeout called for, if any.
+    fn retry(&mut self, ctx: &mut AgentCtx<'_>, outcome: Outcome) -> ClientEvent {
+        outcome.then_resend(|token, target| self.resolve_for_locate(ctx, target, token, true))
+    }
+
+    /// A negative answer (`NotFound` / `NotResponsible`) to the locate
+    /// `token` arrived from `from`.
+    fn on_negative(&mut self, ctx: &mut AgentCtx<'_>, from: AgentId, token: u64) -> ClientEvent {
+        match self.core.noted_tracker(token) {
+            // It still proves its sender's node reachable.
+            Some((tracker, node)) if tracker == from.raw() => self.health.on_success(node),
+            // A negative from anyone but the op's noted tracker is a
+            // hedged buddy (or a stale straggler) saying "I don't know" —
+            // not authoritative, so it must not burn the primary attempt's
+            // retry budget.
+            Some(_) => return ClientEvent::Consumed,
+            None => {}
         }
-    }
-
-    /// Retries a locate after a negative answer; reports failure once the
-    /// budget is exhausted.
-    fn retry_locate(&mut self, ctx: &mut AgentCtx<'_>, token: u64) -> ClientEvent {
-        let decision = self
-            .tracker
-            .on_negative(token, self.config.max_locate_attempts);
-        self.act(ctx, decision)
+        let outcome = self.core.on_negative(ctx, token);
+        // A final negative proves the tracker reachable once more.
+        if let (ClientEvent::Failed { .. }, Some((_, node))) = (&outcome.event, outcome.tracker) {
+            self.health.on_success(node);
+        }
+        self.retry(ctx, outcome)
     }
 
     fn send_own_update(&self, ctx: &mut AgentCtx<'_>) {
@@ -421,16 +339,6 @@ impl HashedClient {
                 }
                 .payload(),
             );
-        }
-    }
-
-    /// A negative answer still proves its sender's node reachable: feed
-    /// the reachability map when the sender is the op's noted tracker.
-    fn note_reachable(&mut self, from: AgentId, token: u64) {
-        if let Some((tracker, node)) = self.tracker.noted_tracker(token) {
-            if tracker == from.raw() {
-                self.health.on_success(node);
-            }
         }
     }
 
@@ -458,11 +366,11 @@ impl DirectoryClient for HashedClient {
                 corr: None,
             },
         );
-        self.register_watchdog = Some(ctx.set_timer(self.config.locate_retry_timeout));
+        self.register_watchdog = Some(ctx.set_timer(self.register_timeout));
     }
 
     fn moved(&mut self, ctx: &mut AgentCtx<'_>) {
-        if self.registered {
+        if self.core.registered() {
             self.send_own_update(ctx);
         } else {
             // Moved before registration completed: restart it from the new
@@ -486,10 +394,6 @@ impl DirectoryClient for HashedClient {
         );
     }
 
-    fn locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
-        self.locate_with(ctx, target, token, Freshness::Any);
-    }
-
     fn locate_with(
         &mut self,
         ctx: &mut AgentCtx<'_>,
@@ -497,31 +401,19 @@ impl DirectoryClient for HashedClient {
         token: u64,
         freshness: Freshness,
     ) {
-        self.tracker.start_with(token, target, ctx.now(), freshness);
+        self.core.start(ctx, token, target, freshness);
         self.resolve_for_locate(ctx, target, token, false);
     }
 
     fn on_message(
         &mut self,
         ctx: &mut AgentCtx<'_>,
-        _from: AgentId,
+        from: AgentId,
         payload: &Payload,
     ) -> ClientEvent {
-        let Some(msg) = Wire::from_payload(payload) else {
+        let Some(msg) = Wire::recv_traced(ctx, payload) else {
             return ClientEvent::NotMine;
         };
-        {
-            let me = ctx.self_id();
-            let here = ctx.node();
-            let queued = ctx.queued();
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
         match msg {
             // Phase-1 answer for one of our locates.
             Wire::Resolved {
@@ -532,27 +424,17 @@ impl DirectoryClient for HashedClient {
                 corr,
                 ..
             } => {
-                if let Some(target) = self.tracker.target(token) {
-                    let here = ctx.node();
-                    let me = ctx.self_id();
-                    self.tracker.note_tracker(token, iagent.raw(), node);
-                    self.tracker.note_buddy(token, buddy);
-                    let freshness = self.tracker.freshness(token).unwrap_or_default();
+                if let Some(target) = self.core.target(token) {
+                    self.core.note_tracker(token, iagent, node);
+                    let freshness = self.core.freshness(token);
                     let locate = Wire::Locate {
                         target,
                         token,
-                        reply_node: here,
+                        reply_node: ctx.node(),
                         freshness,
-                        corr: corr.or_else(|| Some(CorrId::new(me.raw(), token))),
+                        corr: corr.or_else(|| Some(CorrId::new(ctx.self_id().raw(), token))),
                     };
-                    ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                        kind: locate.kind(),
-                        corr: locate.corr(),
-                        from: me.raw(),
-                        to: iagent.raw(),
-                        node: here,
-                    });
-                    ctx.send(iagent, node, locate.payload());
+                    send_traced(ctx, iagent, node, &locate);
                     // Hedge: a bounded read toward a destination that has
                     // been timing out goes to the tracker's buddy replica
                     // in parallel, so the answer can come from this side
@@ -562,21 +444,7 @@ impl DirectoryClient for HashedClient {
                     {
                         if let Some((b, b_node)) = buddy.filter(|&(b, _)| b != iagent) {
                             self.shared.update(|s| s.hedged_locates += 1);
-                            let hedge = Wire::Locate {
-                                target,
-                                token,
-                                reply_node: here,
-                                freshness,
-                                corr: corr.or_else(|| Some(CorrId::new(me.raw(), token))),
-                            };
-                            ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                                kind: hedge.kind(),
-                                corr: hedge.corr(),
-                                from: me.raw(),
-                                to: b.raw(),
-                                node: here,
-                            });
-                            ctx.send(b, b_node, hedge.payload());
+                            send_traced(ctx, b, b_node, &locate);
                         }
                     }
                 }
@@ -595,7 +463,7 @@ impl DirectoryClient for HashedClient {
                     return ClientEvent::Consumed;
                 }
                 self.my_iagent = Some((iagent, node));
-                if self.registered {
+                if self.core.registered() {
                     self.send_own_update(ctx);
                 } else {
                     let me = ctx.self_id();
@@ -613,58 +481,30 @@ impl DirectoryClient for HashedClient {
                 ClientEvent::Consumed
             }
             Wire::RegisterAck { agent } if agent == ctx.self_id() => {
-                let was_new = !self.registered;
-                self.registered = true;
                 self.register_watchdog = None;
-                if was_new {
-                    ClientEvent::Registered
-                } else {
-                    ClientEvent::Consumed
-                }
+                self.core.on_register_ack()
             }
-            Wire::Located {
-                target,
-                node,
-                stale,
-                age_ms,
-                token,
-                ..
-            } => {
-                let declared = self.tracker.freshness(token);
-                let noted = self.tracker.noted_tracker(token);
-                if let Some(started) = self.tracker.complete(token) {
-                    // An answer from the tracker itself is a reachability
-                    // signal for its node (a hedged buddy answering for
-                    // it is not).
-                    if let Some((tracker, t_node)) = noted {
-                        if tracker == _from.raw() {
-                            self.health.on_success(t_node);
-                        }
-                    }
-                    // Audit the contract this PR introduces: no answer
-                    // may exceed the bound its locate declared. The
-                    // invariant checker requires this count to stay 0.
-                    if declared.is_some_and(|f| !f.admits(age_ms)) {
-                        self.shared.update(|s| s.bound_violations += 1);
-                    }
-                    self.registry
-                        .record_locate(ctx.now().saturating_since(started));
-                    ClientEvent::Located {
-                        token,
-                        target,
-                        node,
-                        stale,
-                        age_ms,
-                    }
-                } else {
-                    ClientEvent::Consumed
+            Wire::Located { age_ms, .. } => {
+                let outcome = self.core.on_answer(ctx, msg);
+                // An answer from the tracker itself is a reachability
+                // signal for its node (a hedged buddy answering for it is
+                // not).
+                if let Some((_, node)) = outcome.tracker.filter(|&(t, _)| t == from.raw()) {
+                    self.health.on_success(node);
                 }
+                // Audit the freshness contract: no answer may exceed the
+                // bound its locate declared. The invariant checker
+                // requires this count to stay 0.
+                if outcome.declared.is_some_and(|f| !f.admits(age_ms)) {
+                    self.shared.update(|s| s.bound_violations += 1);
+                }
+                outcome.event
             }
             Wire::SolicitReregister => {
                 // A recovering tracker resurrected our record from a
                 // replica and wants it reconfirmed from where we really
                 // are.
-                if self.registered {
+                if self.core.registered() {
                     if self.my_iagent.is_some() {
                         self.send_own_update(ctx);
                     } else {
@@ -676,36 +516,10 @@ impl DirectoryClient for HashedClient {
                 ClientEvent::Consumed
             }
             Wire::MailDrop { from, data } => ClientEvent::Mail { from, data },
-            Wire::NotFound { token, .. } => {
-                self.note_reachable(_from, token);
-                // A negative from anyone but the op's noted tracker is a
-                // hedged buddy (or a stale straggler) saying "I don't
-                // know" — not authoritative, so it must not burn the
-                // primary attempt's retry budget.
-                if self
-                    .tracker
-                    .noted_tracker(token)
-                    .is_some_and(|(t, _)| t != _from.raw())
-                {
-                    ClientEvent::Consumed
-                } else {
-                    self.retry_locate(ctx, token)
-                }
-            }
-            Wire::NotResponsible {
+            Wire::NotFound { token, .. }
+            | Wire::NotResponsible {
                 token: Some(token), ..
-            } => {
-                self.note_reachable(_from, token);
-                if self
-                    .tracker
-                    .noted_tracker(token)
-                    .is_some_and(|(t, _)| t != _from.raw())
-                {
-                    ClientEvent::Consumed
-                } else {
-                    self.retry_locate(ctx, token)
-                }
-            }
+            } => self.on_negative(ctx, from, token),
             Wire::NotResponsible {
                 about, token: None, ..
             } => {
@@ -739,8 +553,7 @@ impl DirectoryClient for HashedClient {
             // short backoff (an immediate retry would burn the budget
             // inside the outage window).
             Wire::Locate { token, .. } => {
-                self.tracker
-                    .arm_timer(ctx, self.config.bounce_retry_delay, token);
+                self.core.arm_after(ctx, self.bounce_retry_delay, token);
                 ClientEvent::Consumed
             }
             Wire::Resolve { .. } | Wire::ResolveFresh { .. } => {
@@ -755,29 +568,19 @@ impl DirectoryClient for HashedClient {
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
         if self.register_watchdog == Some(timer) {
             self.register_watchdog = None;
-            if !self.registered {
+            if !self.core.registered() {
                 // Some leg of the handshake was lost: start over.
                 self.register(ctx);
             }
             return ClientEvent::Consumed;
         }
-        match self
-            .tracker
-            .on_timer(timer, self.config.max_locate_attempts)
-        {
-            Some(decision) => {
-                // A live timer firing means the attempt got no answer:
-                // one unreachability signal against the tracker it was
-                // sent to. (The give-up case feeds the map inside `act`.)
-                if let Retry::Again { token, .. } = decision {
-                    if let Some((_, node)) = self.tracker.noted_tracker(token) {
-                        self.health.on_timeout(node);
-                    }
-                }
-                self.act(ctx, decision)
-            }
-            None => ClientEvent::NotMine,
+        let outcome = self.core.on_timer(ctx, timer);
+        // A live timer firing means the attempt got no answer: one
+        // unreachability signal against the tracker it was sent to.
+        if let Some((_, node)) = outcome.tracker {
+            self.health.on_timeout(node);
         }
+        self.retry(ctx, outcome)
     }
 
     fn send_via(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, data: Vec<u8>) -> bool {

@@ -19,15 +19,15 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, Spawner, TimerId};
-use agentrack_sim::{CorrId, GiveUpCause, MetricsRegistry, TraceEvent};
+use agentrack_sim::{CorrId, MetricsRegistry};
 
 use crate::centralized::CentralBehavior;
 use crate::config::LocationConfig;
-use crate::retry::{LocateTracker, Retry};
+use crate::retry::LocateCore;
 use crate::scheme::{
-    ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SchemeStats, SharedSchemeStats,
+    ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SharedSchemeStats,
 };
-use crate::wire::Wire;
+use crate::wire::{send_traced, Freshness, Wire};
 
 /// Behaviour of a per-node home registry.
 ///
@@ -69,9 +69,10 @@ impl Agent for HomeRegistryBehavior {
     }
 }
 
-/// Names standing in for Ajanta's registry-encoding agent names: agent →
-/// home node.
-type NameTable = Arc<RwLock<HashMap<AgentId, NodeId>>>;
+/// Names standing in for the origin information Ajanta's and Voyager's
+/// agent names embed: agent → the node it was created on (its home
+/// registry's node, or its birth forwarder's).
+pub(crate) type NameTable = Arc<RwLock<HashMap<AgentId, NodeId>>>;
 
 /// The home-registry location scheme: one registry per node.
 #[derive(Debug)]
@@ -124,60 +125,47 @@ impl LocationScheme for HomeRegistryScheme {
         let names = Arc::clone(&self.names);
         let registry = self.shared.registry().clone();
         Arc::new(move || {
-            Box::new(
-                HomeRegistryClient::new(
-                    config.clone(),
-                    Arc::clone(&registries),
-                    Arc::clone(&names),
-                )
-                .with_registry(registry.clone()),
-            )
+            Box::new(HomeRegistryClient::new(
+                &config,
+                Arc::clone(&registries),
+                Arc::clone(&names),
+                registry.clone(),
+            ))
         })
     }
 
-    fn stats(&self) -> SchemeStats {
-        self.shared.snapshot()
-    }
-
-    fn registry(&self) -> MetricsRegistry {
-        self.shared.registry().clone()
+    fn shared(&self) -> &SharedSchemeStats {
+        &self.shared
     }
 }
 
-/// Client-side state machine of the home-registry scheme.
+/// Client-side state machine of the home-registry scheme: every attempt is
+/// a `Locate` to the registry of the target's home node.
 #[derive(Debug)]
 pub struct HomeRegistryClient {
-    config: LocationConfig,
     registries: Arc<Vec<AgentId>>,
     names: NameTable,
     home: Option<NodeId>,
-    registered: bool,
-    tracker: LocateTracker,
-    registry: MetricsRegistry,
+    core: LocateCore,
 }
 
 impl HomeRegistryClient {
     /// Creates a client over the per-node registries and the shared name
-    /// table.
+    /// table, reporting locate latencies and give-ups into `registry`
+    /// (the scheme's shared one).
     #[must_use]
-    pub fn new(config: LocationConfig, registries: Arc<Vec<AgentId>>, names: NameTable) -> Self {
+    pub fn new(
+        config: &LocationConfig,
+        registries: Arc<Vec<AgentId>>,
+        names: NameTable,
+        registry: MetricsRegistry,
+    ) -> Self {
         HomeRegistryClient {
-            config,
             registries,
             names,
             home: None,
-            registered: false,
-            tracker: LocateTracker::new(),
-            registry: MetricsRegistry::new(),
+            core: LocateCore::new(config, registry),
         }
-    }
-
-    /// Reports locate latencies into the given registry (the scheme's
-    /// shared one) instead of a detached default.
-    #[must_use]
-    pub fn with_registry(mut self, registry: MetricsRegistry) -> Self {
-        self.registry = registry;
-        self
     }
 
     fn registry_at(&self, node: NodeId) -> (AgentId, NodeId) {
@@ -192,91 +180,21 @@ impl HomeRegistryClient {
 
     fn send_locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
         // The target's home comes from its name (zero-cost lookup). An
-        // unregistered target has no name to parse yet; retry later.
+        // unregistered target has no name to parse yet; the retry timer
+        // tries again later.
         let home = self.names.read().get(&target).copied();
-        // An unregistered target has no home yet; the retry timer tries
-        // again later.
-        if let Some(home) = home {
-            let (registry, node) = self.registry_at(home);
-            let here = ctx.node();
-            let me = ctx.self_id();
+        let registry = home.map(|home| self.registry_at(home));
+        if let Some((registry, node)) = registry {
             let msg = Wire::Locate {
                 target,
                 token,
-                reply_node: here,
-                corr: Some(CorrId::new(me.raw(), token)),
-                freshness: self.tracker.freshness(token).unwrap_or_default(),
+                reply_node: ctx.node(),
+                corr: Some(CorrId::new(ctx.self_id().raw(), token)),
+                freshness: self.core.freshness(token),
             };
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                from: me.raw(),
-                to: registry.raw(),
-                node: here,
-            });
-            ctx.send(registry, node, msg.payload());
-            self.tracker.note_tracker(token, registry.raw(), node);
+            send_traced(ctx, registry, node, &msg);
         }
-        self.tracker
-            .arm_timer(ctx, self.config.locate_retry_timeout, token);
-    }
-
-    fn act(&mut self, ctx: &mut AgentCtx<'_>, decision: Retry) -> ClientEvent {
-        let me = ctx.self_id();
-        match decision {
-            Retry::Again { token, target } => {
-                let attempt = self.tracker.attempts(token).unwrap_or(0);
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryAttempt {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempt,
-                });
-                self.send_locate(ctx, target, token);
-                ClientEvent::Consumed
-            }
-            Retry::GiveUp {
-                token,
-                target,
-                cause,
-                tracker,
-                tracker_node,
-            } => {
-                ctx.trace().emit(ctx.now(), || TraceEvent::RetryGiveUp {
-                    corr: Some(CorrId::new(me.raw(), token)),
-                    client: me.raw(),
-                    target: target.raw(),
-                    attempts: self.config.max_locate_attempts,
-                    cause,
-                });
-                if let Some(tracker) = tracker {
-                    let remote = tracker_node.is_some_and(|n| n != ctx.node());
-                    self.registry.update_tracker(tracker, |t| match cause {
-                        GiveUpCause::Timeout => {
-                            t.giveup_timeout += 1;
-                            if remote {
-                                t.giveup_timeout_remote += 1;
-                            }
-                        }
-                        GiveUpCause::Negative => {
-                            t.giveup_negative += 1;
-                            if remote {
-                                t.giveup_negative_remote += 1;
-                            }
-                        }
-                    });
-                }
-                ClientEvent::Failed { token, target }
-            }
-            Retry::Nothing => ClientEvent::Consumed,
-        }
-    }
-
-    fn retry_locate(&mut self, ctx: &mut AgentCtx<'_>, token: u64) -> ClientEvent {
-        let decision = self
-            .tracker
-            .on_negative(token, self.config.max_locate_attempts);
-        self.act(ctx, decision)
+        self.core.sent(ctx, token, registry);
     }
 }
 
@@ -298,7 +216,7 @@ impl DirectoryClient for HomeRegistryClient {
     }
 
     fn moved(&mut self, ctx: &mut AgentCtx<'_>) {
-        if !self.registered {
+        if !self.core.registered() {
             self.register(ctx);
             return;
         }
@@ -321,18 +239,14 @@ impl DirectoryClient for HomeRegistryClient {
         }
     }
 
-    fn locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
-        self.locate_with(ctx, target, token, crate::wire::Freshness::Any);
-    }
-
     fn locate_with(
         &mut self,
         ctx: &mut AgentCtx<'_>,
         target: AgentId,
         token: u64,
-        freshness: crate::wire::Freshness,
+        freshness: Freshness,
     ) {
-        self.tracker.start_with(token, target, ctx.now(), freshness);
+        self.core.start(ctx, token, target, freshness);
         self.send_locate(ctx, target, token);
     }
 
@@ -342,55 +256,12 @@ impl DirectoryClient for HomeRegistryClient {
         _from: AgentId,
         payload: &Payload,
     ) -> ClientEvent {
-        let Some(msg) = Wire::from_payload(payload) else {
+        let Some(msg) = Wire::recv_traced(ctx, payload) else {
             return ClientEvent::NotMine;
         };
-        {
-            let me = ctx.self_id();
-            let here = ctx.node();
-            let queued = ctx.queued();
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
-        match msg {
-            Wire::RegisterAck { agent } => {
-                if agent == ctx.self_id() && !self.registered {
-                    self.registered = true;
-                    ClientEvent::Registered
-                } else {
-                    ClientEvent::Consumed
-                }
-            }
-            Wire::Located {
-                target,
-                node,
-                stale,
-                age_ms,
-                token,
-                ..
-            } => {
-                if let Some(started) = self.tracker.complete(token) {
-                    self.registry
-                        .record_locate(ctx.now().saturating_since(started));
-                    ClientEvent::Located {
-                        token,
-                        target,
-                        node,
-                        stale,
-                        age_ms,
-                    }
-                } else {
-                    ClientEvent::Consumed
-                }
-            }
-            Wire::NotFound { token, .. } => self.retry_locate(ctx, token),
-            _ => ClientEvent::NotMine,
-        }
+        self.core
+            .on_answer(ctx, msg)
+            .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 
     fn on_delivery_failed(
@@ -413,12 +284,8 @@ impl DirectoryClient for HomeRegistryClient {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
-        match self
-            .tracker
-            .on_timer(timer, self.config.max_locate_attempts)
-        {
-            Some(decision) => self.act(ctx, decision),
-            None => ClientEvent::NotMine,
-        }
+        self.core
+            .on_timer(ctx, timer)
+            .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 }

@@ -29,7 +29,7 @@ use crate::mailbox::{Mailbox, MAIL_MAX_HOPS};
 use crate::replica::{replica_usable, RecoveryPhase, RecoveryState, ReplicaStore, Replicator};
 use crate::scheme::{CopyRole, SharedSchemeStats};
 use crate::stats::LoadStats;
-use crate::wire::{DenyReason, Freshness, HashFunction, Wire};
+use crate::wire::{send_traced, DenyReason, Freshness, HashFunction, Wire};
 
 #[derive(Debug, Clone)]
 struct PendingLocate {
@@ -232,20 +232,6 @@ impl IAgentBehavior {
         ctx.send(self.hagent, self.hagent_node, msg.payload());
     }
 
-    /// Sends a wire message, emitting a `MessageSend` trace event.
-    fn send_traced(&self, ctx: &mut AgentCtx<'_>, to: AgentId, node: NodeId, msg: &Wire) {
-        let me = ctx.self_id();
-        let here = ctx.node();
-        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-            kind: msg.kind(),
-            corr: msg.corr(),
-            from: me.raw(),
-            to: to.raw(),
-            node: here,
-        });
-        ctx.send(to, node, msg.payload());
-    }
-
     /// Records where a request came from, for locality decisions.
     fn note_origin(&mut self, node: NodeId) {
         if self.config.locality_migration {
@@ -373,7 +359,7 @@ impl IAgentBehavior {
                 );
             }
             for p in std::mem::take(&mut self.pending) {
-                self.send_traced(
+                send_traced(
                     ctx,
                     p.requester,
                     p.reply_node,
@@ -434,7 +420,7 @@ impl IAgentBehavior {
             .partition(|p| hf.is_responsible(self_id, p.target));
         self.pending = stay;
         for p in bounce {
-            self.send_traced(
+            send_traced(
                 ctx,
                 p.requester,
                 p.reply_node,
@@ -475,65 +461,11 @@ impl IAgentBehavior {
         self.shared.update(|s| s.records_handed_off += total);
     }
 
-    /// Final mail leg: wrap as `MailDrop` and send to the recipient's
-    /// recorded node.
-    fn forward_mail(
-        &self,
-        ctx: &mut AgentCtx<'_>,
-        target: AgentId,
-        node: NodeId,
-        from: AgentId,
-        data: Vec<u8>,
-    ) {
-        ctx.send(target, node, Wire::MailDrop { from, data }.payload());
-    }
-
-    /// Buffers mail for `target`, counting the buffering in the metrics
-    /// registry and the event trace.
-    fn buffer_mail(
-        &mut self,
-        ctx: &mut AgentCtx<'_>,
-        target: AgentId,
-        from: AgentId,
-        data: Vec<u8>,
-    ) {
-        self.mailbox.push(ctx.now(), target, from, data);
-        let occupancy = self.mailbox.len();
-        let me = ctx.self_id().raw();
-        self.shared.registry().update_tracker(me, |t| {
-            t.mail_buffered += 1;
-            t.observe_mailbox(occupancy);
-        });
-        ctx.trace().emit(ctx.now(), || TraceEvent::MailBuffered {
-            tracker: me,
-            target: target.raw(),
-            occupancy,
-        });
-    }
-
     /// Mail can flow the moment a record (re)appears for `agent`.
     fn flush_mail_for(&mut self, ctx: &mut AgentCtx<'_>, agent: AgentId) {
-        if self.mailbox.is_empty() {
-            return;
-        }
         if let Some(&node) = self.records.get(&agent) {
-            let items = self.mailbox.take_for(agent);
-            if items.is_empty() {
-                return;
-            }
-            let count = items.len();
-            let me = ctx.self_id().raw();
-            self.shared
-                .registry()
-                .update_tracker(me, |t| t.mail_flushed += count as u64);
-            ctx.trace().emit(ctx.now(), || TraceEvent::MailFlushed {
-                tracker: me,
-                target: agent.raw(),
-                count,
-            });
-            for item in items {
-                self.forward_mail(ctx, agent, node, item.from, item.data);
-            }
+            self.mailbox
+                .flush_for(ctx, self.shared.registry(), agent, node);
         }
     }
 
@@ -573,7 +505,7 @@ impl IAgentBehavior {
                     p.corr,
                 );
             } else if ctx.now() >= p.deadline {
-                self.send_traced(
+                send_traced(
                     ctx,
                     p.requester,
                     p.reply_node,
@@ -615,7 +547,7 @@ impl IAgentBehavior {
                 target: target.raw(),
             });
         }
-        self.send_traced(
+        send_traced(
             ctx,
             requester,
             reply_node,
@@ -795,16 +727,7 @@ impl Agent for IAgentBehavior {
             // buffered mail this tracker held. The records repair
             // themselves as agents keep sending movement updates; the
             // mail is lost for good, which must show in the metrics.
-            let lost = self.mailbox.len();
-            if lost > 0 {
-                let me = ctx.self_id().raw();
-                self.shared
-                    .registry()
-                    .update_tracker(me, |t| t.mail_lost += lost as u64);
-                ctx.trace()
-                    .emit(ctx.now(), || TraceEvent::MailExpired { tracker: me, lost });
-            }
-            self.mailbox.drain_if(|_| true);
+            self.mailbox.wipe(ctx, self.shared.registry());
             self.records.clear();
             self.pending.clear();
             self.preinstall.clear();
@@ -842,17 +765,7 @@ impl Agent for IAgentBehavior {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _timer: TimerId) {
-        let lost = self.mailbox.expire(ctx.now());
-        if lost > 0 {
-            // Guaranteed delivery just failed silently for `lost` messages:
-            // make the loss visible to the registry and the event trace.
-            let me = ctx.self_id().raw();
-            self.shared
-                .registry()
-                .update_tracker(me, |t| t.mail_lost += lost as u64);
-            ctx.trace()
-                .emit(ctx.now(), || TraceEvent::MailExpired { tracker: me, lost });
-        }
+        self.mailbox.expire_lost(ctx, self.shared.registry());
         // Expire old tombstones: any straggler from the dead sender has
         // long since drained, and the key may be reused.
         let now = ctx.now();
@@ -946,21 +859,9 @@ impl Agent for IAgentBehavior {
     }
 
     fn on_message(&mut self, ctx: &mut AgentCtx<'_>, from: AgentId, payload: &Payload) {
-        let Some(msg) = Wire::from_payload(payload) else {
+        let Some(msg) = Wire::recv_traced(ctx, payload) else {
             return;
         };
-        {
-            let me = ctx.self_id();
-            let here = ctx.node();
-            let queued = ctx.queued();
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
         // Client traffic that beats the first install is buffered, not
         // bounced: answering NotResponsible here would send freshly-resolved
         // clients into a refresh loop against the already-committed tree.
@@ -989,7 +890,8 @@ impl Agent for IAgentBehavior {
         // an Update may have refreshed it while the mail was in flight,
         // and a stale record corrects itself on the next update anyway.
         if let Some(Wire::MailDrop { from, data }) = Wire::from_payload(payload) {
-            self.buffer_mail(ctx, _to, from, data);
+            self.mailbox
+                .buffer(ctx, self.shared.registry(), _to, from, data);
             return;
         }
         // A re-registration solicit bounced: the resurrected record points
@@ -1155,7 +1057,7 @@ impl IAgentBehavior {
                                     tracker: me,
                                     target: target.raw(),
                                 });
-                                self.send_traced(
+                                send_traced(
                                     ctx,
                                     from,
                                     reply_node,
@@ -1176,7 +1078,7 @@ impl IAgentBehavior {
                     }
                     if !replied {
                         self.shared.update(|s| s.stale_hits += 1);
-                        self.send_traced(
+                        send_traced(
                             ctx,
                             from,
                             reply_node,
@@ -1200,10 +1102,17 @@ impl IAgentBehavior {
                 self.stats.record(ctx.now(), target);
                 if self.is_mine(ctx, target) {
                     match self.records.get(&target) {
-                        Some(&node) => self.forward_mail(ctx, target, node, origin, data),
+                        Some(&node) => ctx.send(
+                            target,
+                            node,
+                            Wire::MailDrop { from: origin, data }.payload(),
+                        ),
                         // Unknown right now (mid-handoff or mid-flight):
                         // hold it; the next update releases it.
-                        None => self.buffer_mail(ctx, target, origin, data),
+                        None => {
+                            self.mailbox
+                                .buffer(ctx, self.shared.registry(), target, origin, data);
+                        }
                     }
                 } else if ttl > 0 {
                     // Stale sender copy: chase toward the responsible

@@ -13,7 +13,7 @@ use agentrack_sim::{CorrId, SimDuration, SimTime, TraceEvent};
 
 use crate::config::LocationConfig;
 use crate::scheme::{CopyRole, SharedSchemeStats};
-use crate::wire::{HashFunction, Wire};
+use crate::wire::{send_traced, HashFunction, Wire};
 
 /// Behaviour of an LHAgent.
 #[derive(Debug)]
@@ -121,29 +121,16 @@ impl LHAgentBehavior {
         // can hedge freshness-bounded locates cross-region when the
         // tracker itself looks unreachable.
         let buddy = self.hf.buddy_of(iagent);
-        let here = ctx.node();
-        let me = ctx.self_id();
-        ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
-            kind: "Resolved",
+        let resolved = Wire::Resolved {
+            target,
+            iagent,
+            node,
+            buddy,
+            version: self.hf.version,
+            token,
             corr,
-            from: me.raw(),
-            to: requester.raw(),
-            node: here,
-        });
-        ctx.send(
-            requester,
-            here,
-            Wire::Resolved {
-                target,
-                iagent,
-                node,
-                buddy,
-                version: self.hf.version,
-                token,
-                corr,
-            }
-            .payload(),
-        );
+        };
+        send_traced(ctx, requester, ctx.node(), &resolved);
     }
 
     /// Re-routes deregisters that bounced off merged-away trackers, under
@@ -214,21 +201,9 @@ impl Agent for LHAgentBehavior {
     }
 
     fn on_message(&mut self, ctx: &mut AgentCtx<'_>, from: AgentId, payload: &Payload) {
-        let Some(msg) = Wire::from_payload(payload) else {
+        let Some(msg) = Wire::recv_traced(ctx, payload) else {
             return;
         };
-        {
-            let me = ctx.self_id();
-            let here = ctx.node();
-            let queued = ctx.queued();
-            ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
-                kind: msg.kind(),
-                corr: msg.corr(),
-                by: me.raw(),
-                node: here,
-                queued,
-            });
-        }
         match msg {
             Wire::Resolve {
                 target,

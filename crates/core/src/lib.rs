@@ -68,7 +68,6 @@ pub use plan::{plan_split, PlanError, SplitPlan};
 pub use replica::{
     replica_usable, RecoveryPhase, RecoveryState, ReplicaEntry, ReplicaStore, Replicator,
 };
-pub use retry::{LocateTracker, Retry};
 pub use scheme::{
     ClientEvent, ClientFactory, CopyRole, DirectoryClient, LocationScheme, SchemeStats,
     SharedSchemeStats,

@@ -13,9 +13,20 @@
 //! message waits in the tracker's [`Mailbox`] and rides out on the
 //! agent's very next location update. The agent's updates are the one
 //! signal that always outruns the agent.
+//!
+//! The [`Mailbox`] is also the tracker's mail desk: `buffer`, `flush_for`,
+//! `expire_lost` and `wipe` do the buffering together with its books —
+//! the `mail_buffered` / `mail_flushed` / `mail_lost` counters of the
+//! tracker's metrics row and the `MailBuffered` / `MailFlushed` /
+//! `MailExpired` trace events — so every tracker that holds mail (IAgent,
+//! central tracker, home registry) accounts for it identically. A tracker
+//! still decides *when*: which requests reveal a location, whether a
+//! bounce drops the record, where mail for a key that hashed away goes.
 
-use agentrack_platform::AgentId;
-use agentrack_sim::{SimDuration, SimTime};
+use agentrack_platform::{AgentCtx, AgentId, NodeId};
+use agentrack_sim::{MetricsRegistry, SimDuration, SimTime, TraceEvent};
+
+use crate::wire::Wire;
 
 /// One buffered message awaiting its recipient's next location update.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,6 +109,89 @@ impl Mailbox {
         let before = self.items.len();
         self.items.retain(|m| m.deadline > now);
         before - self.items.len()
+    }
+
+    /// Buffers mail for `target` on behalf of the tracker `ctx` runs,
+    /// counting it (and the resulting occupancy) in the tracker's metrics
+    /// row and the event trace.
+    pub(crate) fn buffer(
+        &mut self,
+        ctx: &AgentCtx<'_>,
+        registry: &MetricsRegistry,
+        target: AgentId,
+        from: AgentId,
+        data: Vec<u8>,
+    ) {
+        self.push(ctx.now(), target, from, data);
+        let occupancy = self.len();
+        let me = ctx.self_id().raw();
+        registry.update_tracker(me, |t| {
+            t.mail_buffered += 1;
+            t.observe_mailbox(occupancy);
+        });
+        ctx.trace().emit(ctx.now(), || TraceEvent::MailBuffered {
+            tracker: me,
+            target: target.raw(),
+            occupancy,
+        });
+    }
+
+    /// `agent` just turned up at `node`: sends it everything buffered for
+    /// it as `MailDrop`s, counted as flushed.
+    pub(crate) fn flush_for(
+        &mut self,
+        ctx: &mut AgentCtx<'_>,
+        registry: &MetricsRegistry,
+        agent: AgentId,
+        node: NodeId,
+    ) {
+        if self.is_empty() {
+            return;
+        }
+        let items = self.take_for(agent);
+        if items.is_empty() {
+            return;
+        }
+        let count = items.len();
+        let me = ctx.self_id().raw();
+        registry.update_tracker(me, |t| t.mail_flushed += count as u64);
+        ctx.trace().emit(ctx.now(), || TraceEvent::MailFlushed {
+            tracker: me,
+            target: agent.raw(),
+            count,
+        });
+        for item in items {
+            let drop = Wire::MailDrop {
+                from: item.from,
+                data: item.data,
+            };
+            ctx.send(agent, node, drop.payload());
+        }
+    }
+
+    /// Drops expired items. Guaranteed delivery just failed silently for
+    /// each of them, so the loss is made visible to the registry and the
+    /// event trace.
+    pub(crate) fn expire_lost(&mut self, ctx: &AgentCtx<'_>, registry: &MetricsRegistry) {
+        let lost = self.expire(ctx.now());
+        Self::account_lost(ctx, registry, lost);
+    }
+
+    /// The tracker lost its soft state: everything buffered is gone for
+    /// good, and counted as lost.
+    pub(crate) fn wipe(&mut self, ctx: &AgentCtx<'_>, registry: &MetricsRegistry) {
+        let lost = std::mem::take(&mut self.items).len();
+        Self::account_lost(ctx, registry, lost);
+    }
+
+    fn account_lost(ctx: &AgentCtx<'_>, registry: &MetricsRegistry, lost: usize) {
+        if lost == 0 {
+            return;
+        }
+        let me = ctx.self_id().raw();
+        registry.update_tracker(me, |t| t.mail_lost += lost as u64);
+        ctx.trace()
+            .emit(ctx.now(), || TraceEvent::MailExpired { tracker: me, lost });
     }
 
     /// Number of buffered items.

@@ -81,26 +81,24 @@ pub trait DirectoryClient: Send {
     /// `on_dispose` when the agent dies.
     fn deregister(&mut self, ctx: &mut AgentCtx<'_>);
 
-    /// Starts locating `target`; the outcome arrives later as
+    /// Starts locating `target` with no freshness requirement
+    /// ([`crate::Freshness::Any`]); the outcome arrives later as
     /// [`ClientEvent::Located`] or [`ClientEvent::Failed`] carrying `token`.
-    fn locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64);
+    fn locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
+        self.locate_with(ctx, target, token, crate::Freshness::Any);
+    }
 
     /// Like [`locate`](DirectoryClient::locate), but the query declares
-    /// how fresh the answer must be. The default ignores the requirement
-    /// and behaves like a plain locate ([`crate::Freshness::Any`]) —
-    /// correct for schemes without replicated records, where every
-    /// answer is authoritative; the hashed scheme overrides it to thread
-    /// the bound through the wire.
+    /// how fresh the answer must be. Every attempt carries the bound on
+    /// the wire; schemes without replicated records satisfy any bound,
+    /// because every answer of theirs is authoritative.
     fn locate_with(
         &mut self,
         ctx: &mut AgentCtx<'_>,
         target: AgentId,
         token: u64,
         freshness: crate::Freshness,
-    ) {
-        let _ = freshness;
-        self.locate(ctx, target, token);
-    }
+    );
 
     /// Offers an incoming message to the client.
     fn on_message(
@@ -162,14 +160,18 @@ pub trait LocationScheme {
         (self.client_factory())()
     }
 
-    /// Scheme-level statistics accumulated so far.
-    fn stats(&self) -> SchemeStats;
+    /// The shared statistics handle the scheme's behaviours and clients
+    /// report into.
+    fn shared(&self) -> &SharedSchemeStats;
 
-    /// The per-tracker metrics registry behaviours report into. The
-    /// default is a detached, always-empty registry; schemes that track
-    /// per-tracker metrics return their shared one.
+    /// Scheme-level statistics accumulated so far.
+    fn stats(&self) -> SchemeStats {
+        self.shared().snapshot()
+    }
+
+    /// The per-tracker metrics registry behaviours report into.
     fn registry(&self) -> MetricsRegistry {
-        MetricsRegistry::new()
+        self.shared().registry().clone()
     }
 
     /// Hash-function version held by every copy holder, as
@@ -177,7 +179,7 @@ pub trait LocationScheme {
     /// without replicated hash functions; the invariant checker uses it
     /// to assert post-fault convergence.
     fn hash_versions(&self) -> Vec<(u64, CopyRole, u64)> {
-        Vec::new()
+        self.shared().versions()
     }
 
     /// Administratively freezes (or thaws) directory adaptation: while
@@ -186,9 +188,11 @@ pub trait LocationScheme {
     /// though leases already in flight still commit. The post-quiesce
     /// invariant audit uses this to drain adaptation before sampling
     /// hash-function versions — otherwise a cascade still adapting at the
-    /// sampling instant looks like a convergence failure. No-op for
-    /// schemes without an adaptive directory.
-    fn set_adaptation_frozen(&self, _frozen: bool) {}
+    /// sampling instant looks like a convergence failure. Nothing reads
+    /// the flag in schemes without an adaptive directory.
+    fn set_adaptation_frozen(&self, frozen: bool) {
+        self.shared().set_adaptation_frozen(frozen);
+    }
 }
 
 /// Which replica of the hash function an agent holds.

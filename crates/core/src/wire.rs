@@ -8,8 +8,8 @@
 use std::collections::HashMap;
 
 use agentrack_hashtree::{AgentKey, CompiledDirectory, HashTree, IAgentId};
-use agentrack_platform::{AgentId, NodeId, Payload};
-use agentrack_sim::CorrId;
+use agentrack_platform::{AgentCtx, AgentId, NodeId, Payload};
+use agentrack_sim::{CorrId, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 /// Derives the hash key of a platform agent id.
@@ -667,6 +667,32 @@ impl Wire {
         payload.decode().ok()
     }
 
+    /// Decodes a payload as a protocol message and records its handling
+    /// as a `MessageRecv` trace event (kind, correlation id, receiver,
+    /// queueing delay). With [`send_traced`] this is the crate's one
+    /// emission point for message events: span reconstruction pairs the
+    /// two by kind and correlation id.
+    pub(crate) fn recv_traced(ctx: &AgentCtx<'_>, payload: &Payload) -> Option<Wire> {
+        let msg = Wire::from_payload(payload)?;
+        msg.trace_recv(ctx);
+        Some(msg)
+    }
+
+    /// The tracing half of [`Wire::recv_traced`], for a receiver that
+    /// traces only some of the kinds it decodes.
+    pub(crate) fn trace_recv(&self, ctx: &AgentCtx<'_>) {
+        let me = ctx.self_id().raw();
+        let here = ctx.node();
+        let queued = ctx.queued();
+        ctx.trace().emit(ctx.now(), || TraceEvent::MessageRecv {
+            kind: self.kind(),
+            corr: self.corr(),
+            by: me,
+            node: here,
+            queued,
+        });
+    }
+
     /// The message's variant name, as a static string (trace labels).
     #[must_use]
     pub fn kind(&self) -> &'static str {
@@ -720,6 +746,22 @@ impl Wire {
             _ => None,
         }
     }
+}
+
+/// Sends `msg` to agent `to` at `node`, recording a `MessageSend` trace
+/// event stamped with that destination node. The event is built inside
+/// the sink's closure, so a disabled sink costs one branch and no
+/// allocation.
+pub(crate) fn send_traced(ctx: &mut AgentCtx<'_>, to: AgentId, node: NodeId, msg: &Wire) {
+    let me = ctx.self_id().raw();
+    ctx.trace().emit(ctx.now(), || TraceEvent::MessageSend {
+        kind: msg.kind(),
+        corr: msg.corr(),
+        from: me,
+        to: to.raw(),
+        node,
+    });
+    ctx.send(to, node, msg.payload());
 }
 
 #[cfg(test)]

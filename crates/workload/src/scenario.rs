@@ -306,8 +306,8 @@ impl Scenario {
     }
 
     /// Runs the scenario against a scheme with the given [`RunOptions`] —
-    /// the single entry point behind every `run_*` convenience wrapper,
-    /// and the one the spec-driven trial runner drives.
+    /// the single entry point, the one the spec-driven trial runner
+    /// drives.
     ///
     /// The options choose the optional instruments (message tracer,
     /// structured [`TraceSink`]) and whether to audit the post-quiesce
@@ -349,134 +349,6 @@ impl Scenario {
             samples,
             invariants,
         }
-    }
-
-    /// Runs the scenario against a scheme and reports the results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scenario is degenerate (no agents, no queriers with
-    /// queries, zero nodes).
-    #[deprecated(since = "0.2.0", note = "use `Scenario::run_with` with `RunOptions`")]
-    pub fn run(&self, scheme: &mut dyn LocationScheme) -> ScenarioReport {
-        self.run_with(scheme, RunOptions::new()).report
-    }
-
-    /// Like [`Scenario::run`] but also returns the per-locate samples
-    /// `(issue time, target, elapsed)` for tail analyses.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Scenario::run`].
-    #[deprecated(since = "0.2.0", note = "use `Scenario::run_with` with `RunOptions`")]
-    pub fn run_with_samples(
-        &self,
-        scheme: &mut dyn LocationScheme,
-    ) -> (
-        ScenarioReport,
-        Vec<(
-            agentrack_sim::SimTime,
-            agentrack_platform::AgentId,
-            SimDuration,
-        )>,
-    ) {
-        let out = self.run_with(scheme, RunOptions::new());
-        (out.report, out.samples)
-    }
-
-    /// Like [`Scenario::run_with_samples`] with a message tracer installed
-    /// on the platform (diagnostics; identical seed ⇒ identical run, so a
-    /// slow operation found in one run can be traced in a second).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Scenario::run_with` with `RunOptions::new().with_tracer(..)`"
-    )]
-    pub fn run_traced(
-        &self,
-        scheme: &mut dyn LocationScheme,
-        tracer: agentrack_platform::MsgTracer,
-    ) -> (
-        ScenarioReport,
-        Vec<(
-            agentrack_sim::SimTime,
-            agentrack_platform::AgentId,
-            SimDuration,
-        )>,
-    ) {
-        let out = self.run_with(scheme, RunOptions::new().with_tracer(tracer));
-        (out.report, out.samples)
-    }
-
-    /// Like [`Scenario::run`] with a structured [`TraceSink`] installed on
-    /// the platform: protocol agents emit [`agentrack_sim::TraceEvent`]s
-    /// into it, so a locate's multi-hop path can be reconstructed by
-    /// correlation id after the run.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Scenario::run_with` with `RunOptions::new().with_sink(..)`"
-    )]
-    pub fn run_observed(&self, scheme: &mut dyn LocationScheme, sink: TraceSink) -> ScenarioReport {
-        self.run_with(scheme, RunOptions::new().with_sink(sink))
-            .report
-    }
-
-    /// Runs the scenario (typically one with a fault plan) and then checks
-    /// the post-quiesce invariants: every reachable TAgent is locatable
-    /// through the scheme, hash-function versions converge across live
-    /// copies, no record is owned by two trackers, and mail loss is
-    /// accounted for.
-    ///
-    /// `strict_versions` demands *every* live hash-function copy match the
-    /// primary's version — only sound when the scheme runs with a
-    /// [`version audit`](agentrack_core::LocationConfig::version_audit),
-    /// since the paper's propagation is deliberately lazy.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Scenario::run`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Scenario::run_with` with `RunOptions::new().with_audit(..)`"
-    )]
-    pub fn run_chaos(
-        &self,
-        scheme: &mut dyn LocationScheme,
-        strict_versions: bool,
-    ) -> (ScenarioReport, InvariantReport) {
-        let out = self.run_with(
-            scheme,
-            RunOptions::new().with_audit(AuditOptions { strict_versions }),
-        );
-        (out.report, out.invariants.expect("audit was requested"))
-    }
-
-    /// Like [`Scenario::run_chaos`] with a structured [`TraceSink`]
-    /// installed for the whole run (fault phase and audit alike). Keep a
-    /// clone of the sink to read the records afterwards — e.g. pair
-    /// [`agentrack_sim::TraceEvent::RecoveryStart`] /
-    /// [`agentrack_sim::TraceEvent::RecoveryEnd`] per tracker to measure
-    /// recovery times, or count `StaleAnswer` events per scheme.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Scenario::run`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Scenario::run_with` with `RunOptions::new().with_sink(..).with_audit(..)`"
-    )]
-    pub fn run_chaos_traced(
-        &self,
-        scheme: &mut dyn LocationScheme,
-        strict_versions: bool,
-        sink: TraceSink,
-    ) -> (ScenarioReport, InvariantReport) {
-        let out = self.run_with(
-            scheme,
-            RunOptions::new()
-                .with_sink(sink)
-                .with_audit(AuditOptions { strict_versions }),
-        );
-        (out.report, out.invariants.expect("audit was requested"))
     }
 
     #[allow(clippy::type_complexity)]

@@ -1,12 +1,9 @@
 //! End-to-end tests: full scenarios against every scheme.
 
-// The legacy `run*` entry points are deprecated shims over `Scenario::run_with`;
-// these tests deliberately keep exercising them until the shims are removed.
-#![allow(deprecated)]
 use agentrack_core::{
     CentralizedScheme, ForwardingScheme, HashedScheme, HomeRegistryScheme, LocationConfig,
 };
-use agentrack_workload::Scenario;
+use agentrack_workload::{RunOptions, Scenario};
 
 fn quick() -> Scenario {
     Scenario::new("e2e")
@@ -18,7 +15,7 @@ fn quick() -> Scenario {
 #[test]
 fn hashed_scheme_locates_agents() {
     let mut scheme = HashedScheme::new(LocationConfig::default());
-    let report = quick().run(&mut scheme);
+    let report = quick().run_with(&mut scheme, RunOptions::new()).report;
     eprintln!("{report:#?}");
     assert_eq!(report.registrations, 40, "all TAgents register");
     assert!(report.locates_completed >= 58, "{report:#?}");
@@ -30,7 +27,7 @@ fn hashed_scheme_locates_agents() {
 #[test]
 fn centralized_scheme_locates_agents() {
     let mut scheme = CentralizedScheme::new(LocationConfig::default());
-    let report = quick().run(&mut scheme);
+    let report = quick().run_with(&mut scheme, RunOptions::new()).report;
     assert_eq!(report.registrations, 40);
     assert!(report.locates_completed >= 58, "{report:#?}");
     assert_eq!(report.trackers, 1);
@@ -40,7 +37,7 @@ fn centralized_scheme_locates_agents() {
 #[test]
 fn home_registry_scheme_locates_agents() {
     let mut scheme = HomeRegistryScheme::new(LocationConfig::default());
-    let report = quick().run(&mut scheme);
+    let report = quick().run_with(&mut scheme, RunOptions::new()).report;
     assert_eq!(report.registrations, 40);
     assert!(report.locates_completed >= 58, "{report:#?}");
     assert_eq!(report.trackers, 16, "one registry per node");
@@ -49,7 +46,7 @@ fn home_registry_scheme_locates_agents() {
 #[test]
 fn forwarding_scheme_locates_agents() {
     let mut scheme = ForwardingScheme::new(LocationConfig::default());
-    let report = quick().run(&mut scheme);
+    let report = quick().run_with(&mut scheme, RunOptions::new()).report;
     assert_eq!(report.registrations, 40);
     // Forwarding chains race with movement; a small shortfall is expected,
     // outright failure is not.
@@ -67,7 +64,7 @@ fn hashed_scheme_splits_under_load() {
         .with_queries(100)
         .with_seconds(12.0, 4.0);
     let mut scheme = HashedScheme::new(LocationConfig::default());
-    let report = scenario.run(&mut scheme);
+    let report = scenario.run_with(&mut scheme, RunOptions::new()).report;
     eprintln!("{report:#?}");
     assert!(report.splits >= 5, "tree must grow: {report:#?}");
     assert!(report.trackers > 4);
@@ -94,7 +91,7 @@ fn hashed_scheme_merges_when_load_vanishes() {
         ..LocationConfig::default().with_thresholds(30.0, 10.0)
     };
     let mut scheme = HashedScheme::new(config);
-    let report = scenario.run(&mut scheme);
+    let report = scenario.run_with(&mut scheme, RunOptions::new()).report;
     eprintln!("{report:#?}");
     assert!(report.splits > 0);
     // Mobility stays constant here, so merges are not guaranteed — this
@@ -107,7 +104,7 @@ fn same_seed_same_report() {
     let scenario = quick();
     let run = || {
         let mut scheme = HashedScheme::new(LocationConfig::default());
-        scenario.run(&mut scheme)
+        scenario.run_with(&mut scheme, RunOptions::new()).report
     };
     assert_eq!(run(), run());
 }
@@ -116,7 +113,10 @@ fn same_seed_same_report() {
 fn different_seeds_still_complete() {
     for seed in [1u64, 7, 1234] {
         let mut scheme = HashedScheme::new(LocationConfig::default());
-        let report = quick().with_seed(seed).run(&mut scheme);
+        let report = quick()
+            .with_seed(seed)
+            .run_with(&mut scheme, RunOptions::new())
+            .report;
         assert!(report.completion_ratio() > 0.95, "seed {seed}: {report:#?}");
     }
 }

@@ -5,15 +5,12 @@
 //! reproducible: the same seed replays the identical `TraceEvent`
 //! sequence, which the last test pins.
 
-// The legacy `run*` entry points are deprecated shims over `Scenario::run_with`;
-// these tests deliberately keep exercising them until the shims are removed.
-#![allow(deprecated)]
 use agentrack::core::{
     CentralizedScheme, ForwardingScheme, HashedScheme, HomeRegistryScheme, LocationConfig,
     LocationScheme,
 };
 use agentrack::sim::{ChaosConfig, SimDuration, TraceEvent, TraceSink};
-use agentrack::workload::Scenario;
+use agentrack::workload::{AuditOptions, RunOptions, Scenario};
 
 /// Pinned seeds: each generates a different fault plan (CI runs exactly
 /// these, so a regression here is a regression there).
@@ -51,7 +48,11 @@ fn assert_chaos_clean(mut make: impl FnMut() -> Box<dyn LocationScheme>, strict_
     for &seed in SEEDS {
         let scenario = chaos_scenario(seed);
         let mut scheme = make();
-        let (report, invariants) = scenario.run_chaos(scheme.as_mut(), strict_versions);
+        let out = scenario.run_with(
+            scheme.as_mut(),
+            RunOptions::new().with_audit(AuditOptions { strict_versions }),
+        );
+        let (report, invariants) = (out.report, out.invariants.expect("audit was requested"));
         assert!(
             invariants.ok(),
             "seed {seed}, scheme {}: invariant violations {:?}",
@@ -101,7 +102,7 @@ fn fault_events_appear_in_the_trace() {
     let scenario = chaos_scenario(SEEDS[0]);
     let sink = TraceSink::bounded(500_000);
     let mut scheme = HashedScheme::new(config()).with_standby();
-    let _ = scenario.run_observed(&mut scheme, sink.clone());
+    let _ = scenario.run_with(&mut scheme, RunOptions::new().with_sink(sink.clone()));
     let records = sink.snapshot();
     let fault_records = records
         .iter()
@@ -133,7 +134,7 @@ fn same_seed_replays_the_identical_trace() {
         let scenario = chaos_scenario(SEEDS[0]);
         let sink = TraceSink::bounded(500_000);
         let mut scheme = HashedScheme::new(config()).with_standby();
-        let _ = scenario.run_observed(&mut scheme, sink.clone());
+        let _ = scenario.run_with(&mut scheme, RunOptions::new().with_sink(sink.clone()));
         assert_eq!(sink.dropped(), 0, "trace buffer overflowed; raise the cap");
         runs.push(sink.snapshot());
     }

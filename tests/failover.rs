@@ -1,15 +1,13 @@
 //! Fault-tolerance tests: crashing the HAgent (the paper's acknowledged
 //! "vulnerability point") with and without the standby extension.
 
-// The legacy `run*` entry points are deprecated shims over `Scenario::run_with`;
-// these tests deliberately keep exercising them until the shims are removed.
-#![allow(deprecated)]
 use agentrack::core::{HashedScheme, LocationConfig, LocationScheme};
 use agentrack::platform::NodeId;
 use agentrack::platform::{PlatformConfig, SimPlatform};
 use agentrack::sim::{DurationDist, SimDuration, Topology};
 use agentrack::workload::{
-    Metrics, NodeSelector, QuerierBehavior, Scenario, TAgentBehavior, TargetSelector, Targets,
+    Metrics, NodeSelector, QuerierBehavior, RunOptions, Scenario, TAgentBehavior, TargetSelector,
+    Targets,
 };
 
 /// Builds a running system with TAgents and returns everything needed to
@@ -157,9 +155,18 @@ fn standby_is_transparent_when_healthy() {
         .with_agents(60)
         .with_queries(100)
         .with_seconds(10.0, 5.0);
-    let plain = scenario.run(&mut HashedScheme::new(LocationConfig::default()));
-    let with_standby =
-        scenario.run(&mut HashedScheme::new(LocationConfig::default()).with_standby());
+    let plain = scenario
+        .run_with(
+            &mut HashedScheme::new(LocationConfig::default()),
+            RunOptions::new(),
+        )
+        .report;
+    let with_standby = scenario
+        .run_with(
+            &mut HashedScheme::new(LocationConfig::default()).with_standby(),
+            RunOptions::new(),
+        )
+        .report;
     assert_eq!(plain.locate_failures, 0);
     assert_eq!(with_standby.locate_failures, 0);
     assert!((plain.mean_locate_ms - with_standby.mean_locate_ms).abs() < 2.0);

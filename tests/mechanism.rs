@@ -1,9 +1,6 @@
 //! Cross-crate integration tests: the full mechanism (hash tree + platform
 //! + protocol agents) exercised end to end.
 
-// The legacy `run*` entry points are deprecated shims over `Scenario::run_with`;
-// these tests deliberately keep exercising them until the shims are removed.
-#![allow(deprecated)]
 use std::sync::{Arc, Mutex};
 
 use agentrack::core::{HashedScheme, LocationConfig, LocationScheme, Wire};
@@ -11,7 +8,7 @@ use agentrack::platform::{
     Agent, AgentCtx, AgentId, NodeId, Payload, PlatformConfig, SimPlatform, TimerId,
 };
 use agentrack::sim::{DurationDist, SimDuration, Topology};
-use agentrack::workload::Scenario;
+use agentrack::workload::{RunOptions, Scenario};
 
 /// Drives synthetic tracker load: sends `Locate` requests for random
 /// targets at a fixed rate for a while, then goes quiet. (The IAgent's
@@ -305,7 +302,7 @@ fn survives_message_loss_and_duplication() {
         ..LocationConfig::default()
     };
     let mut scheme = HashedScheme::new(config);
-    let report = scenario.run(&mut scheme);
+    let report = scenario.run_with(&mut scheme, RunOptions::new()).report;
     assert!(
         report.completion_ratio() > 0.9,
         "losses must be retried through: {report:#?}"
@@ -323,7 +320,7 @@ fn full_stack_determinism() {
         .with_seed(99);
     let run = || {
         let mut scheme = HashedScheme::new(LocationConfig::default());
-        scenario.run(&mut scheme)
+        scenario.run_with(&mut scheme, RunOptions::new()).report
     };
     let a = run();
     let b = run();
@@ -340,7 +337,7 @@ fn load_spreads_over_iagents() {
         .with_queries(100)
         .with_seconds(12.0, 5.0);
     let mut scheme = HashedScheme::new(LocationConfig::default());
-    let report = scenario.run(&mut scheme);
+    let report = scenario.run_with(&mut scheme, RunOptions::new()).report;
     assert!(
         report.trackers >= 4,
         "expected several IAgents: {report:#?}"
@@ -370,7 +367,7 @@ fn registration_survives_heavy_message_loss() {
         ..LocationConfig::default()
     };
     let mut scheme = HashedScheme::new(config);
-    let report = scenario.run(&mut scheme);
+    let report = scenario.run_with(&mut scheme, RunOptions::new()).report;
     assert_eq!(
         report.registrations, 30,
         "every stationary agent must register despite loss: {report:#?}"

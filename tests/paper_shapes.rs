@@ -6,11 +6,8 @@
 //! `EXPERIMENTS.md` and regenerate with `cargo run -p agentrack-bench
 //! --bin repro --release`.
 
-// The legacy `run*` entry points are deprecated shims over `Scenario::run_with`;
-// these tests deliberately keep exercising them until the shims are removed.
-#![allow(deprecated)]
 use agentrack::core::{CentralizedScheme, HashedScheme, LocationConfig};
-use agentrack::workload::Scenario;
+use agentrack::workload::{RunOptions, Scenario};
 
 fn scenario(agents: usize, residence_ms: u64) -> Scenario {
     Scenario::new(format!("shape-{agents}-{residence_ms}"))
@@ -21,7 +18,11 @@ fn scenario(agents: usize, residence_ms: u64) -> Scenario {
 }
 
 fn run_hashed(s: &Scenario) -> agentrack::workload::ScenarioReport {
-    s.run(&mut HashedScheme::new(LocationConfig::default()))
+    s.run_with(
+        &mut HashedScheme::new(LocationConfig::default()),
+        RunOptions::new(),
+    )
+    .report
 }
 
 fn run_centralized(s: &Scenario) -> agentrack::workload::ScenarioReport {
@@ -29,7 +30,8 @@ fn run_centralized(s: &Scenario) -> agentrack::workload::ScenarioReport {
         max_locate_attempts: 20,
         ..LocationConfig::default()
     };
-    s.run(&mut CentralizedScheme::new(config))
+    s.run_with(&mut CentralizedScheme::new(config), RunOptions::new())
+        .report
 }
 
 /// Figure 7's shape: growing the population degrades the centralized
@@ -99,10 +101,18 @@ fn mobility_growth_hurts_centralized_not_hashed() {
 #[test]
 fn complex_splits_shorten_prefixes() {
     let s = scenario(250, 150);
-    let complex = s.run(&mut HashedScheme::new(LocationConfig::default()));
-    let simple = s.run(&mut HashedScheme::new(
-        LocationConfig::default().simple_splits_only(),
-    ));
+    let complex = s
+        .run_with(
+            &mut HashedScheme::new(LocationConfig::default()),
+            RunOptions::new(),
+        )
+        .report;
+    let simple = s
+        .run_with(
+            &mut HashedScheme::new(LocationConfig::default().simple_splits_only()),
+            RunOptions::new(),
+        )
+        .report;
     // Merges create multi-bit labels; complex splits reuse those bits,
     // simple-only splitting keeps extending the prefix instead.
     assert!(
@@ -118,14 +128,22 @@ fn complex_splits_shorten_prefixes() {
 #[test]
 fn lazy_propagation_repairs_staleness_on_demand() {
     let s = scenario(200, 200);
-    let lazy = s.run(&mut HashedScheme::new(LocationConfig::default()));
+    let lazy = s
+        .run_with(
+            &mut HashedScheme::new(LocationConfig::default()),
+            RunOptions::new(),
+        )
+        .report;
     assert!(lazy.stale_hits > 0);
     assert!(lazy.hf_fetches > 0);
     assert_eq!(lazy.locate_failures, 0);
 
-    let eager = s.run(&mut HashedScheme::new(
-        LocationConfig::default().with_eager_propagation(),
-    ));
+    let eager = s
+        .run_with(
+            &mut HashedScheme::new(LocationConfig::default().with_eager_propagation()),
+            RunOptions::new(),
+        )
+        .report;
     assert!(
         eager.stale_hits < lazy.stale_hits,
         "eager push must reduce stale hits: {} vs {}",

@@ -4,9 +4,6 @@
 //! and the locate answer-vs-timeout race (a stale retry timer must not
 //! burn budget for a completed locate).
 
-// The legacy `run*` entry points are deprecated shims over `Scenario::run_with`;
-// these tests deliberately keep exercising them until the shims are removed.
-#![allow(deprecated)]
 use agentrack::core::{CentralizedScheme, DirectoryClient, HashedScheme, LocationConfig};
 use agentrack::platform::{
     Agent, AgentCtx, AgentId, NodeId, Payload, PlatformConfig, SimPlatform, TimerId,
@@ -15,7 +12,9 @@ use agentrack::sim::{
     DurationDist, FaultEvent, FaultKind, FaultPlan, SimDuration, SimTime, Topology, TraceEvent,
     TraceSink,
 };
-use agentrack::workload::{Metrics, QuerierBehavior, Scenario, TargetSelector, Targets};
+use agentrack::workload::{
+    AuditOptions, Metrics, QuerierBehavior, RunOptions, Scenario, TargetSelector, Targets,
+};
 
 /// Crashes `nodes` at `at` with soft-state loss, restarting each 500 ms
 /// later.
@@ -38,6 +37,13 @@ fn replicated_config() -> LocationConfig {
     LocationConfig::default()
         .with_version_audit(SimDuration::from_secs(1))
         .with_replication(SimDuration::from_millis(250))
+}
+
+/// Run options for a strict-versions post-quiesce audit.
+fn audited() -> RunOptions {
+    RunOptions::new().with_audit(AuditOptions {
+        strict_versions: true,
+    })
 }
 
 fn recovery_scenario(seed: u64) -> Scenario {
@@ -63,7 +69,8 @@ fn replicated_hashed_recovers_from_double_tracker_crash() {
     let scenario = recovery_scenario(11);
     let sink = TraceSink::bounded(500_000);
     let mut scheme = HashedScheme::new(replicated_config()).with_standby();
-    let (report, invariants) = scenario.run_chaos_traced(&mut scheme, true, sink.clone());
+    let out = scenario.run_with(&mut scheme, audited().with_sink(sink.clone()));
+    let (report, invariants) = (out.report, out.invariants.expect("audit was requested"));
     assert!(
         invariants.ok(),
         "invariant violations after recovery: {:?}",
@@ -102,7 +109,7 @@ fn replicated_recovery_replays_the_identical_trace() {
         let scenario = recovery_scenario(23);
         let sink = TraceSink::bounded(500_000);
         let mut scheme = HashedScheme::new(replicated_config()).with_standby();
-        let _ = scenario.run_chaos_traced(&mut scheme, true, sink.clone());
+        let _ = scenario.run_with(&mut scheme, audited().with_sink(sink.clone()));
         assert_eq!(sink.dropped(), 0, "trace buffer overflowed; raise the cap");
         runs.push(sink.snapshot());
     }
@@ -134,7 +141,10 @@ fn no_stale_answers_after_replica_reconvergence() {
     let mut scenario = recovery_scenario(31);
     scenario = scenario.with_freshness(agentrack::core::Freshness::BoundedMs(2000));
     let mut scheme = HashedScheme::new(replicated_config()).with_standby();
-    let (_, invariants) = scenario.run_chaos(&mut scheme, true);
+    let invariants = scenario
+        .run_with(&mut scheme, audited())
+        .invariants
+        .expect("audit was requested");
     assert!(
         invariants.ok(),
         "invariant violations after recovery: {:?}",

@@ -2,9 +2,6 @@
 //! under the forwarding scheme, folded into a causal span tree whose
 //! child phases exactly account for the end-to-end latency.
 
-// The legacy `run*` entry points are deprecated shims over `Scenario::run_with`;
-// these tests deliberately keep exercising them until the shims are removed.
-#![allow(deprecated)]
 use std::sync::{Arc, Mutex};
 
 use agentrack::core::{
@@ -185,7 +182,10 @@ fn span_exports_are_deterministic_across_runs() {
             .with_seed(77);
         let sink = TraceSink::bounded(65_536);
         let mut scheme = ForwardingScheme::new(LocationConfig::default());
-        scenario.run_observed(&mut scheme, sink.clone());
+        scenario.run_with(
+            &mut scheme,
+            agentrack::workload::RunOptions::new().with_sink(sink.clone()),
+        );
         let trees = agentrack::trace_analysis::build_spans(&sink.snapshot());
         (to_perfetto_json(&trees), to_folded(&trees, "forwarding"))
     };
