@@ -6,7 +6,10 @@
 //!        ablation-propagation|sweep-thresholds|skew|baselines|all]...
 //! ```
 //!
-//! With no experiment arguments, everything runs. `--quick` shrinks
+//! A name with a `specs/<name>.json` (`exp1`, `exp2`, the three
+//! ablations, `sweep-thresholds`, `chaos`, `rehash-spike`) runs that
+//! spec, embedded at build time; the others call their hand-coded
+//! function. With no experiment arguments, everything runs. `--quick` shrinks
 //! populations and spans for a fast smoke pass; the recorded results in
 //! `EXPERIMENTS.md` come from full-fidelity runs. `--csv DIR` additionally
 //! writes one CSV per experiment into `DIR`. `--jobs N` runs the

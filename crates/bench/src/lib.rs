@@ -1,10 +1,11 @@
 //! # agentrack-bench
 //!
-//! The experiment harness: one function per figure of the paper's
-//! evaluation, plus the extension experiments (ablations, sensitivity
-//! sweeps, a baseline panel). The `repro` binary dispatches to these and
-//! prints the tables recorded in `EXPERIMENTS.md`; the Criterion benches
-//! under `benches/` cover the micro-level costs.
+//! The experiment harness: the paper's evaluation (E1, E2) and the
+//! extension experiments. A trial grid the declarative [`ScenarioSpec`]
+//! can express lives only as `specs/<name>.json` and runs through
+//! [`run_spec`]; the rest are one function each here. The `repro` binary
+//! dispatches by name ([`run_experiment`]) and prints the tables recorded
+//! in `EXPERIMENTS.md`.
 //!
 //! Every experiment takes a [`Fidelity`]: [`Fidelity::Full`] reproduces the
 //! paper's parameters (reconstructed where the source text lost digits —
@@ -246,242 +247,6 @@ fn run_scheme(scenario: &Scenario, kind: &str, config: LocationConfig) -> Scenar
     scenario.run_with(scheme.as_mut(), RunOptions::new()).report
 }
 
-/// **E1 / Figure 7 (Experiment I)** — location time vs. number of TAgents,
-/// centralized vs. hash-based. Residence fixed at 500 ms per node.
-#[must_use]
-pub fn exp1(fidelity: Fidelity, jobs: usize) -> Table {
-    let populations: &[usize] = &[100, 200, 300, 500, 1000];
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E1 (Figure 7): location time vs number of TAgents",
-        &[
-            "agents",
-            "centralized_ms",
-            "hashed_ms",
-            "hashed_p95_ms",
-            "iagents",
-            "splits",
-            "cen_done",
-            "hash_done",
-        ],
-    );
-    let cells: Vec<Cell> = populations
-        .iter()
-        .map(|&n| {
-            let agents = fidelity.scale_agents(n);
-            Box::new(move || {
-                let mut scenario = Scenario::new(format!("exp1-{agents}"))
-                    .with_agents(agents)
-                    .with_residence_ms(500)
-                    .with_queries(fidelity.queries())
-                    .with_seconds(warmup, measure);
-                scenario.grace = agentrack_sim::SimDuration::from_secs(45);
-                let cen = run_scheme(&scenario, "centralized", patient(LocationConfig::default()));
-                let hash = run_scheme(&scenario, "hashed", patient(LocationConfig::default()));
-                vec![
-                    agents.to_string(),
-                    ms_or_dnf(&cen),
-                    ms(hash.mean_locate_ms),
-                    ms(hash.p95_locate_ms),
-                    hash.trackers.to_string(),
-                    hash.splits.to_string(),
-                    cen.locates_completed.to_string(),
-                    hash.locates_completed.to_string(),
-                ]
-            }) as Cell
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
-/// **E2 / Figure 8 (Experiment II)** — location time vs. mobility rate
-/// (residence time per node), 200 TAgents.
-#[must_use]
-pub fn exp2(fidelity: Fidelity, jobs: usize) -> Table {
-    let residences: &[u64] = &[100, 200, 500, 1000, 2000];
-    let agents = fidelity.scale_agents(200);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E2 (Figure 8): location time vs residence time per node",
-        &[
-            "residence_ms",
-            "centralized_ms",
-            "hashed_ms",
-            "hashed_p95_ms",
-            "iagents",
-            "cen_done",
-            "hash_done",
-        ],
-    );
-    let cells: Vec<Cell> = residences
-        .iter()
-        .map(|&res| {
-            Box::new(move || {
-                let mut scenario = Scenario::new(format!("exp2-{res}"))
-                    .with_agents(agents)
-                    .with_residence_ms(res)
-                    .with_queries(fidelity.queries())
-                    .with_seconds(warmup, measure);
-                scenario.grace = agentrack_sim::SimDuration::from_secs(45);
-                let cen = run_scheme(&scenario, "centralized", patient(LocationConfig::default()));
-                let hash = run_scheme(&scenario, "hashed", patient(LocationConfig::default()));
-                vec![
-                    res.to_string(),
-                    ms_or_dnf(&cen),
-                    ms(hash.mean_locate_ms),
-                    ms(hash.p95_locate_ms),
-                    hash.trackers.to_string(),
-                    cen.locates_completed.to_string(),
-                    hash.locates_completed.to_string(),
-                ]
-            }) as Cell
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
-/// **E3** — split-strategy ablation: the paper's complex-first splitting
-/// vs. simple-only, under the Experiment-I workload.
-#[must_use]
-pub fn ablation_split(fidelity: Fidelity, jobs: usize) -> Table {
-    let agents = fidelity.scale_agents(500);
-    let (warmup, measure) = fidelity.spans();
-    let scenario = Scenario::new("ablation-split")
-        .with_agents(agents)
-        .with_residence_ms(300)
-        .with_queries(fidelity.queries())
-        .with_seconds(warmup, measure);
-    let mut table = Table::new(
-        "E3: split-strategy ablation (complex-first vs simple-only)",
-        &[
-            "strategy",
-            "locate_ms",
-            "iagents",
-            "splits",
-            "merges",
-            "tree_height",
-            "mean_prefix_bits",
-        ],
-    );
-    let cells: Vec<Cell> = [
-        ("complex-first", LocationConfig::default()),
-        (
-            "simple-only",
-            LocationConfig::default().simple_splits_only(),
-        ),
-    ]
-    .into_iter()
-    .map(|(label, config)| {
-        let scenario = scenario.clone();
-        Box::new(move || {
-            let report = run_scheme(&scenario, "hashed", config);
-            vec![
-                label.to_owned(),
-                ms(report.mean_locate_ms),
-                report.trackers.to_string(),
-                report.splits.to_string(),
-                report.merges.to_string(),
-                report.tree_height.to_string(),
-                format!("{:.2}", report.mean_prefix_bits),
-            ]
-        }) as Cell
-    })
-    .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
-/// **E4** — hash-function propagation ablation: the paper's lazy on-demand
-/// secondary copies vs. eager push to every LHAgent.
-#[must_use]
-pub fn ablation_propagation(fidelity: Fidelity, jobs: usize) -> Table {
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let scenario = Scenario::new("ablation-propagation")
-        .with_agents(agents)
-        .with_residence_ms(200)
-        .with_queries(fidelity.queries())
-        .with_seconds(warmup, measure);
-    let mut table = Table::new(
-        "E4: propagation ablation (lazy on-demand vs eager push)",
-        &[
-            "propagation",
-            "locate_ms",
-            "stale_hits",
-            "hf_fetches",
-            "messages",
-        ],
-    );
-    let cells: Vec<Cell> = [
-        ("lazy", LocationConfig::default()),
-        ("eager", LocationConfig::default().with_eager_propagation()),
-    ]
-    .into_iter()
-    .map(|(label, config)| {
-        let scenario = scenario.clone();
-        Box::new(move || {
-            let report = run_scheme(&scenario, "hashed", config);
-            vec![
-                label.to_owned(),
-                ms(report.mean_locate_ms),
-                report.stale_hits.to_string(),
-                report.hf_fetches.to_string(),
-                report.messages_sent.to_string(),
-            ]
-        }) as Cell
-    })
-    .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
-/// **E5** — threshold sensitivity: sweep `T_max` (with `T_min = T_max/10`).
-#[must_use]
-pub fn sweep_thresholds(fidelity: Fidelity, jobs: usize) -> Table {
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let scenario = Scenario::new("sweep-thresholds")
-        .with_agents(agents)
-        .with_residence_ms(300)
-        .with_queries(fidelity.queries())
-        .with_seconds(warmup, measure);
-    let mut table = Table::new(
-        "E5: T_max sensitivity (T_min = T_max / 10)",
-        &[
-            "t_max",
-            "locate_ms",
-            "iagents",
-            "splits",
-            "merges",
-            "denied",
-        ],
-    );
-    let cells: Vec<Cell> = [10.0, 25.0, 50.0, 100.0, 200.0]
-        .into_iter()
-        .map(|t_max| {
-            let scenario = scenario.clone();
-            Box::new(move || {
-                let config = LocationConfig::default().with_thresholds(t_max, t_max / 10.0);
-                let mut scheme = HashedScheme::new(config);
-                let report = scenario.run_with(&mut scheme, RunOptions::new()).report;
-                let denied = scheme.stats().rehash_denied;
-                vec![
-                    format!("{t_max}"),
-                    ms(report.mean_locate_ms),
-                    report.trackers.to_string(),
-                    report.splits.to_string(),
-                    report.merges.to_string(),
-                    denied.to_string(),
-                ]
-            }) as Cell
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
 /// **E6** — skewed workloads: Zipf query popularity and Zipf node
 /// popularity. The paper balances *workload*, not item counts (its stated
 /// contrast with consistent hashing); this shows the load-driven splits
@@ -579,57 +344,6 @@ pub fn baselines(fidelity: Fidelity, jobs: usize) -> Table {
         row.push(failures.to_string());
         table.push_row(row);
     }
-    table
-}
-
-/// **E10** — split-planning ablation: the paper's statistics-driven even
-/// split vs. a blind `m = 1` split, under a workload where the blind
-/// choice is bad: query load Zipf-concentrated on a few agents, so the
-/// first bit rarely divides the *load* evenly even when it divides the
-/// *population* evenly.
-#[must_use]
-pub fn ablation_planning(fidelity: Fidelity, jobs: usize) -> Table {
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E10: split planning (statistics-driven vs blind m=1)",
-        &[
-            "planner",
-            "locate_ms",
-            "p95_ms",
-            "iagents",
-            "splits",
-            "denied",
-        ],
-    );
-    let cells: Vec<Cell> = [
-        ("even-split", LocationConfig::default()),
-        ("blind-m1", LocationConfig::default().with_blind_splits()),
-    ]
-    .into_iter()
-    .map(|(label, config)| {
-        Box::new(move || {
-            let mut scenario = Scenario::new(format!("planning-{label}"))
-                .with_agents(agents)
-                .with_residence_ms(300)
-                .with_queries(fidelity.queries())
-                .with_seconds(warmup, measure);
-            scenario.query_skew = Some(1.2);
-            let mut scheme = HashedScheme::new(patient(config));
-            let report = scenario.run_with(&mut scheme, RunOptions::new()).report;
-            let denied = scheme.stats().rehash_denied;
-            vec![
-                label.to_owned(),
-                ms(report.mean_locate_ms),
-                ms(report.p95_locate_ms),
-                report.trackers.to_string(),
-                report.splits.to_string(),
-                denied.to_string(),
-            ]
-        }) as Cell
-    })
-    .collect();
-    table.rows = run_cells(cells, jobs);
     table
 }
 
@@ -795,93 +509,6 @@ pub fn trackers_registry(fidelity: Fidelity) -> (Table, String) {
         ]);
     }
     (table, snapshot.to_json())
-}
-
-/// **E13** — fault injection: locate success rate and tail latency for
-/// all four schemes as randomized chaos (partitions, tracker crashes and
-/// restarts, latency spikes, loss bursts, blackholes) rises from none to
-/// full intensity. Every cell runs the post-quiesce invariant audit; the
-/// `violations` column counts what it found (0 = the scheme recovered
-/// everything the fault model allows it to).
-#[must_use]
-pub fn chaos(fidelity: Fidelity, jobs: usize) -> Table {
-    use agentrack_sim::{ChaosConfig, SimDuration};
-    let agents = fidelity.scale_agents(200);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E13: locate success and tail latency under randomized faults",
-        &[
-            "intensity",
-            "scheme",
-            "issued",
-            "completed",
-            "success_pct",
-            "p95_ms",
-            "mail_lost",
-            "violations",
-        ],
-    );
-    let cells: Vec<Cell> = [0.0f64, 0.3, 0.6, 1.0]
-        .into_iter()
-        .flat_map(|intensity| {
-            ["hashed", "centralized", "home-registry", "forwarding"]
-                .into_iter()
-                .map(move |kind| {
-                    Box::new(move || {
-                        let mut scenario = Scenario::new(format!("chaos-{kind}-{intensity}"))
-                            .with_agents(agents)
-                            .with_residence_ms(400)
-                            .with_queries(fidelity.queries())
-                            .with_seconds(warmup, measure);
-                        if intensity > 0.0 {
-                            scenario.faults = ChaosConfig {
-                                seed: 0xC4A0_5EED,
-                                intensity,
-                            }
-                            .generate(scenario.nodes, scenario.duration());
-                        }
-                        // The audit lets stale hash-function copies
-                        // converge after heal, making the strict version
-                        // check sound for the hashed scheme.
-                        let config = patient(LocationConfig::default())
-                            .with_version_audit(SimDuration::from_secs(1));
-                        let (report, invariants) =
-                            run_chaos_scheme(&scenario, kind, config, kind == "hashed");
-                        let success = if report.locates_issued == 0 {
-                            100.0
-                        } else {
-                            100.0 * report.locates_completed as f64 / report.locates_issued as f64
-                        };
-                        vec![
-                            format!("{intensity:.1}"),
-                            kind.to_owned(),
-                            report.locates_issued.to_string(),
-                            report.locates_completed.to_string(),
-                            format!("{success:.1}"),
-                            ms(report.p95_locate_ms),
-                            report.mail_lost.to_string(),
-                            invariants.violations.len().to_string(),
-                        ]
-                    }) as Cell
-                })
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
-fn run_chaos_scheme(
-    scenario: &Scenario,
-    kind: &str,
-    config: LocationConfig,
-    strict_versions: bool,
-) -> (ScenarioReport, agentrack_workload::InvariantReport) {
-    let mut scheme = boxed_scheme(kind, config, false);
-    let out = scenario.run_with(
-        scheme.as_mut(),
-        RunOptions::new().with_audit(AuditOptions { strict_versions }),
-    );
-    (out.report, out.invariants.expect("audit was requested"))
 }
 
 /// **E14** — critical-path latency attribution: where a locate's
@@ -1152,112 +779,6 @@ pub fn recovery(fidelity: Fidelity, jobs: usize) -> Table {
     table
 }
 
-/// **E17** — flash-crowd adaptation: a 100× query-rate spike hits shortly
-/// after the measured window opens, and the directory must scale out fast
-/// enough to absorb it. The sweep crosses the rehash pipeline width —
-/// `rehash_concurrency = 1` is the single-flight ablation, the paper's
-/// serial protocol — and reports:
-///
-/// * `reconverge_ms` — time from spike start to the *last* committed
-///   split: how long the scale-out cascade takes to finish. The serial
-///   pipeline commits one rehash per commit-plus-cooldown period, so its
-///   cascade is still running when the spike ends; the pipelined arms
-///   split every overloaded subtree concurrently and converge early.
-/// * `p99_ms` — the locate tail the spike creates while trackers are
-///   saturated (the longer the scale-out, the deeper the queues).
-/// * `denied` — rehash requests bounced (`Busy`/`Cooldown`): the denial
-///   traffic the serial pipeline generates by serialising disjoint work.
-///
-/// Every cell runs the post-quiesce invariant audit (locatability,
-/// strict version convergence under a 1 s audit, single ownership).
-#[must_use]
-pub fn rehash_spike(fidelity: Fidelity, jobs: usize) -> Table {
-    use agentrack_sim::{SimTime, TraceEvent, TraceSink};
-    use agentrack_workload::QuerySpike;
-
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E17: 100x flash-crowd spike vs. rehash pipeline width",
-        &[
-            "concurrency",
-            "splits",
-            "merges",
-            "denied",
-            "reconverge_ms",
-            "p50_ms",
-            "p99_ms",
-            "success_pct",
-            "peak_trackers",
-            "violations",
-        ],
-    );
-    let cells: Vec<Cell> = [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|concurrency| {
-            Box::new(move || {
-                let mut scenario = Scenario::new(format!("rehash-spike-c{concurrency}"))
-                    .with_agents(agents)
-                    .with_residence_ms(400)
-                    .with_queries(fidelity.queries())
-                    .with_seconds(warmup, measure);
-                // 100× the steady query rate, sustained for a fifth of the
-                // measurement span: the same per-second rate would take the
-                // whole span to issue 20× the steady budget.
-                let spike_at = scenario.warmup + scenario.measure.mul_f64(0.2);
-                let spike_span = scenario.measure.mul_f64(0.2);
-                let spike = QuerySpike {
-                    at: spike_at,
-                    span: spike_span,
-                    queries: scenario.queries_total * 20,
-                    queriers: 64,
-                };
-                scenario = scenario.with_spike(spike);
-                let config = patient(LocationConfig::default())
-                    .with_rehash_concurrency(concurrency)
-                    .with_version_audit(agentrack_sim::SimDuration::from_secs(1));
-                let sink = TraceSink::bounded(1_048_576);
-                let mut scheme = HashedScheme::new(config);
-                let out = scenario.run_with(
-                    &mut scheme,
-                    RunOptions::new()
-                        .with_sink(sink.clone())
-                        .with_audit(AuditOptions {
-                            strict_versions: true,
-                        }),
-                );
-                let (report, invariants) =
-                    (out.report, out.invariants.expect("audit was requested"));
-                let denied = scheme.stats().rehash_denied;
-                let spike_start = SimTime::ZERO + spike_at;
-                let reconverge = sink
-                    .snapshot()
-                    .iter()
-                    .filter(|r| {
-                        matches!(r.event, TraceEvent::RehashSplit { .. }) && r.at >= spike_start
-                    })
-                    .map(|r| r.at)
-                    .max()
-                    .map(|at| at.saturating_since(spike_start).as_millis_f64());
-                vec![
-                    concurrency.to_string(),
-                    report.splits.to_string(),
-                    report.merges.to_string(),
-                    denied.to_string(),
-                    reconverge.map_or_else(|| "dnf".to_owned(), ms),
-                    ms(report.p50_locate_ms),
-                    ms(report.p99_locate_ms),
-                    format!("{:.1}", 100.0 * report.completion_ratio()),
-                    report.peak_trackers.to_string(),
-                    invariants.violations.len().to_string(),
-                ]
-            }) as Cell
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
 /// All experiment names accepted by the `repro` binary, in order.
 pub const EXPERIMENTS: &[&str] = &[
     "exp1",
@@ -1278,69 +799,60 @@ pub const EXPERIMENTS: &[&str] = &[
     "rehash-spike",
 ];
 
-/// Dispatches an experiment by name.
+/// The experiments that run from `specs/*.json`, embedded so `repro` works
+/// from any directory; a spec's `name` is its `repro` name. Every other
+/// name in [`EXPERIMENTS`] is a hand-coded function.
+const SPECS: &[&str] = &[
+    include_str!("../../../specs/exp1.json"),
+    include_str!("../../../specs/exp2.json"),
+    include_str!("../../../specs/ablation-split.json"),
+    include_str!("../../../specs/ablation-propagation.json"),
+    include_str!("../../../specs/sweep-thresholds.json"),
+    include_str!("../../../specs/ablation-planning.json"),
+    include_str!("../../../specs/chaos.json"),
+    include_str!("../../../specs/rehash-spike.json"),
+];
+
+fn embedded_spec(name: &str) -> Option<ScenarioSpec> {
+    SPECS
+        .iter()
+        .map(|source| {
+            ScenarioSpec::load_str(source).unwrap_or_else(|e| panic!("embedded spec: {e}"))
+        })
+        .find(|spec| spec.name == name)
+}
+
+/// The experiments `ScenarioSpec` cannot express yet: two co-varying axes
+/// (skew), exponential lifespans (churn), a transposed table (baselines),
+/// a mobility-skew axis (locality), or bespoke outputs.
+fn hand_coded(name: &str) -> Option<fn(Fidelity, usize) -> Table> {
+    let run: fn(Fidelity, usize) -> Table = match name {
+        "skew" => skew,
+        "baselines" => baselines,
+        "churn" => churn,
+        "locality" => locality,
+        "delivery" => delivery,
+        "trackers" => |fidelity, _| trackers_registry(fidelity).0,
+        "attribution" => |fidelity, jobs| attribution(fidelity, jobs).0,
+        "recovery" => recovery,
+        _ => return None,
+    };
+    Some(run)
+}
+
+/// Dispatches an experiment by name: spec-backed names run their embedded
+/// spec through [`run_spec`], the rest call their function.
 ///
 /// # Panics
 ///
 /// Panics if the name is unknown (the binary validates first).
 #[must_use]
 pub fn run_experiment(name: &str, fidelity: Fidelity, jobs: usize) -> Table {
-    match name {
-        "exp1" => exp1(fidelity, jobs),
-        "exp2" => exp2(fidelity, jobs),
-        "ablation-split" => ablation_split(fidelity, jobs),
-        "ablation-propagation" => ablation_propagation(fidelity, jobs),
-        "sweep-thresholds" => sweep_thresholds(fidelity, jobs),
-        "skew" => skew(fidelity, jobs),
-        "baselines" => baselines(fidelity, jobs),
-        "churn" => churn(fidelity, jobs),
-        "locality" => locality(fidelity, jobs),
-        "ablation-planning" => ablation_planning(fidelity, jobs),
-        "delivery" => delivery(fidelity, jobs),
-        "trackers" => trackers_registry(fidelity).0,
-        "chaos" => chaos(fidelity, jobs),
-        "attribution" => attribution(fidelity, jobs).0,
-        "recovery" => recovery(fidelity, jobs),
-        "rehash-spike" => rehash_spike(fidelity, jobs),
-        other => panic!("unknown experiment {other}"),
+    if let Some(spec) = embedded_spec(name) {
+        return run_spec(&spec, fidelity, jobs).table;
     }
-}
-
-/// Diagnostic deep-dive on the heaviest Experiment-I point (not part of the
-/// recorded tables; used to understand tail latencies).
-#[must_use]
-pub fn diagnose(fidelity: Fidelity) -> Table {
-    let (warmup, measure) = fidelity.spans();
-    let mut scenario = Scenario::new("diagnose-1000")
-        .with_agents(fidelity.scale_agents(1000))
-        .with_residence_ms(500)
-        .with_queries(fidelity.queries())
-        .with_seconds(warmup, measure);
-    scenario.grace = agentrack_sim::SimDuration::from_secs(45);
-    let report = run_scheme(&scenario, "hashed", patient(LocationConfig::default()));
-    let mut table = Table::new(
-        "diagnose: hashed at the heaviest point",
-        &["metric", "value"],
-    );
-    for (k, v) in [
-        ("mean_ms", format!("{:.2}", report.mean_locate_ms)),
-        ("p50_ms", format!("{:.2}", report.p50_locate_ms)),
-        ("p95_ms", format!("{:.2}", report.p95_locate_ms)),
-        ("max_ms", format!("{:.2}", report.max_locate_ms)),
-        ("completed", report.locates_completed.to_string()),
-        ("failures", report.locate_failures.to_string()),
-        ("registrations", report.registrations.to_string()),
-        ("splits", report.splits.to_string()),
-        ("merges", report.merges.to_string()),
-        ("iagents", report.trackers.to_string()),
-        ("stale_hits", report.stale_hits.to_string()),
-        ("hf_fetches", report.hf_fetches.to_string()),
-        ("handoffs", report.records_handed_off.to_string()),
-        ("msgs_failed", report.messages_failed.to_string()),
-    ] {
-        table.push_row(vec![k.to_owned(), v]);
-    }
-    table
+    let run = hand_coded(name).unwrap_or_else(|| panic!("unknown experiment {name}"));
+    run(fidelity, jobs)
 }
 
 /// **E11** — guaranteed delivery (paper §6 open problem): success rate of
@@ -1525,5 +1037,23 @@ mod tests {
     fn row_arity_is_checked() {
         let mut t = Table::new("demo", &["a"]);
         t.push_row(vec!["1".into(), "2".into()]);
+    }
+
+    #[test]
+    fn every_experiment_has_exactly_one_path() {
+        for name in EXPERIMENTS {
+            assert_ne!(
+                embedded_spec(name).is_some(),
+                hand_coded(name).is_some(),
+                "{name}: needs a spec or a function, never both"
+            );
+        }
+        for source in SPECS {
+            let name = ScenarioSpec::load_str(source).expect("embedded spec").name;
+            assert!(
+                EXPERIMENTS.contains(&name.as_str()),
+                "{name}: not in EXPERIMENTS"
+            );
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Golden-file tests for the spec-only workloads (E18a–E18d).
+//! Golden-file tests for every committed spec that `repro` or the CI
+//! smoke jobs run at quick fidelity.
 //!
 //! Each committed CSV under `tests/golden/` is the quick-fidelity table
 //! of one spec in `specs/`. The simulation is deterministic and none of
@@ -8,15 +9,22 @@
 //! spec, the runner, or the protocol changed behaviour — regenerate
 //! with `scenario_lab --quick` only after deciding the change is
 //! intended.
+//!
+//! The eight experiments `repro` runs from a spec (E1–E5, E10, E13,
+//! E17) had hand-coded twins until they were deleted; their goldens are
+//! those functions' `repro --quick` tables, recorded before the deletion.
 
-use agentrack_bench::{run_spec, Fidelity, ScenarioSpec};
+use agentrack_bench::{run_spec, Fidelity, ScenarioSpec, TrialRecord};
+
+fn load_spec(name: &str) -> ScenarioSpec {
+    let path = format!("{}/specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+    ScenarioSpec::load_str(&text).unwrap_or_else(|e| panic!("loading {path}: {e}"))
+}
 
 fn check_golden(name: &str) {
+    let spec = load_spec(name);
     let root = env!("CARGO_MANIFEST_DIR");
-    let spec_text = std::fs::read_to_string(format!("{root}/specs/{name}.json"))
-        .unwrap_or_else(|e| panic!("reading specs/{name}.json: {e}"));
-    let spec = ScenarioSpec::load_str(&spec_text)
-        .unwrap_or_else(|e| panic!("loading specs/{name}.json: {e}"));
     let golden = std::fs::read_to_string(format!("{root}/tests/golden/{name}.quick.csv"))
         .unwrap_or_else(|e| panic!("reading tests/golden/{name}.quick.csv: {e}"));
 
@@ -53,6 +61,46 @@ fn check_golden(name: &str) {
 }
 
 #[test]
+fn golden_exp1() {
+    check_golden("exp1");
+}
+
+#[test]
+fn golden_exp2() {
+    check_golden("exp2");
+}
+
+#[test]
+fn golden_ablation_split() {
+    check_golden("ablation-split");
+}
+
+#[test]
+fn golden_ablation_propagation() {
+    check_golden("ablation-propagation");
+}
+
+#[test]
+fn golden_sweep_thresholds() {
+    check_golden("sweep-thresholds");
+}
+
+#[test]
+fn golden_ablation_planning() {
+    check_golden("ablation-planning");
+}
+
+#[test]
+fn golden_chaos() {
+    check_golden("chaos");
+}
+
+#[test]
+fn golden_rehash_spike() {
+    check_golden("rehash-spike");
+}
+
+#[test]
 fn golden_diurnal() {
     check_golden("diurnal");
 }
@@ -70,4 +118,34 @@ fn golden_regional_partition() {
 #[test]
 fn golden_hot_key_churn() {
     check_golden("hot_key_churn");
+}
+
+#[test]
+fn spec_runner_is_deterministic_across_job_counts() {
+    let all_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    // Two spec-only workloads, a wide table over two arms (exp2), and
+    // spikes read back from a trace (rehash-spike).
+    for name in ["diurnal", "hot_key_churn", "exp2", "rehash-spike"] {
+        let spec = load_spec(name);
+        let sequential = run_spec(&spec, Fidelity::Quick, 1);
+        let parallel = run_spec(&spec, Fidelity::Quick, all_cores);
+        assert_eq!(
+            sequential.table.to_csv(),
+            parallel.table.to_csv(),
+            "{name}: table differs between jobs=1 and jobs=all"
+        );
+        // Trial records must agree too, modulo the one wall-clock field.
+        let strip = |trials: &[TrialRecord]| {
+            let mut trials = trials.to_vec();
+            for t in &mut trials {
+                t.wall_ms = 0.0;
+            }
+            serde_json::to_string(&trials).unwrap()
+        };
+        assert_eq!(
+            strip(&sequential.trials),
+            strip(&parallel.trials),
+            "{name}: trials differ between jobs=1 and jobs=all"
+        );
+    }
 }
