@@ -13,8 +13,28 @@
 //! The eight experiments `repro` runs from a spec (E1–E5, E10, E13,
 //! E17) had hand-coded twins until they were deleted; their goldens are
 //! those functions' `repro --quick` tables, recorded before the deletion.
+//!
+//! The eight experiments `repro` still runs from a hand-coded function
+//! (E6–E9, E11, E12, E14, E15) are pinned the same way through
+//! [`run_experiment`], together with the registry JSON of `trackers` and
+//! the Perfetto and folded-stack exports of `attribution`.
 
-use agentrack_bench::{run_spec, Fidelity, ScenarioSpec, TrialRecord};
+use agentrack_bench::{
+    attribution, run_experiment, run_spec, trackers_registry, Fidelity, ScenarioSpec, TrialRecord,
+};
+
+fn read_golden(file: &str) -> String {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"))
+}
+
+fn assert_golden(actual: &str, file: &str) {
+    assert_eq!(
+        actual,
+        read_golden(file),
+        "quick-fidelity output diverged from tests/golden/{file}"
+    );
+}
 
 fn load_spec(name: &str) -> ScenarioSpec {
     let path = format!("{}/specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
@@ -24,16 +44,8 @@ fn load_spec(name: &str) -> ScenarioSpec {
 
 fn check_golden(name: &str) {
     let spec = load_spec(name);
-    let root = env!("CARGO_MANIFEST_DIR");
-    let golden = std::fs::read_to_string(format!("{root}/tests/golden/{name}.quick.csv"))
-        .unwrap_or_else(|e| panic!("reading tests/golden/{name}.quick.csv: {e}"));
-
     let outcome = run_spec(&spec, Fidelity::Quick, 1);
-    assert_eq!(
-        outcome.table.to_csv(),
-        golden,
-        "{name}: quick-fidelity table diverged from tests/golden/{name}.quick.csv"
-    );
+    assert_golden(&outcome.table.to_csv(), &format!("{name}.quick.csv"));
 
     // Every spec run carries the post-quiesce invariant audit; golden
     // workloads must stay audit-green trial by trial.
@@ -118,6 +130,57 @@ fn golden_regional_partition() {
 #[test]
 fn golden_hot_key_churn() {
     check_golden("hot_key_churn");
+}
+
+/// A hand-coded experiment's quick table, as `repro --quick` prints it.
+fn check_experiment_golden(name: &str) {
+    let table = run_experiment(name, Fidelity::Quick, 1);
+    assert_golden(&table.to_csv(), &format!("{name}.quick.csv"));
+}
+
+#[test]
+fn golden_skew() {
+    check_experiment_golden("skew");
+}
+
+#[test]
+fn golden_baselines() {
+    check_experiment_golden("baselines");
+}
+
+#[test]
+fn golden_churn() {
+    check_experiment_golden("churn");
+}
+
+#[test]
+fn golden_locality() {
+    check_experiment_golden("locality");
+}
+
+#[test]
+fn golden_delivery() {
+    check_experiment_golden("delivery");
+}
+
+#[test]
+fn golden_recovery() {
+    check_experiment_golden("recovery");
+}
+
+#[test]
+fn golden_trackers() {
+    let (table, json) = trackers_registry(Fidelity::Quick);
+    assert_golden(&table.to_csv(), "trackers.quick.csv");
+    assert_golden(&json, "trackers.quick.json");
+}
+
+#[test]
+fn golden_attribution() {
+    let (table, perfetto, folded) = attribution(Fidelity::Quick, 1);
+    assert_golden(&table.to_csv(), "attribution.quick.csv");
+    assert_golden(&perfetto, "attribution.quick.perfetto.json");
+    assert_golden(&folded, "attribution.quick.folded");
 }
 
 #[test]
