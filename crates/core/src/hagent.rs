@@ -153,40 +153,14 @@ impl Agent for StandbyHAgentBehavior {
                 reply_node,
             } => {
                 // Fallback buddy duty (single-leaf tree): hold the copy.
-                self.replica_store
-                    .apply_sync(from, epoch, seq, records, rate, ctx.now());
-                ctx.send(
-                    from,
-                    reply_node,
-                    Wire::RecordSyncAck { epoch, seq }.payload(),
-                );
+                let ack = self
+                    .replica_store
+                    .store_sync(from, epoch, seq, records, rate, ctx.now());
+                ctx.send(from, reply_node, ack.payload());
             }
-            Wire::ReplicaPull {
-                epoch: _,
-                reply_node,
-            } => {
-                let (epoch, seq, records, rate, age_ms) = match self.replica_store.get(from) {
-                    Some(e) => (
-                        e.epoch,
-                        e.seq,
-                        e.records.iter().map(|(&a, &n)| (a, n)).collect(),
-                        e.rate,
-                        e.age_ms(ctx.now()),
-                    ),
-                    None => (0, 0, Vec::new(), 0.0, 0),
-                };
-                ctx.send(
-                    from,
-                    reply_node,
-                    Wire::ReplicaSet {
-                        epoch,
-                        seq,
-                        records,
-                        rate,
-                        age_ms,
-                    }
-                    .payload(),
-                );
+            Wire::ReplicaPull { reply_node, .. } => {
+                let set = self.replica_store.answer_pull(from, ctx.now());
+                ctx.send(from, reply_node, set.payload());
             }
             _ => {}
         }

@@ -48,6 +48,7 @@ mod iagent;
 mod lhagent;
 mod mailbox;
 mod plan;
+mod records;
 mod replica;
 mod retry;
 mod scheme;

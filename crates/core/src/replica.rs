@@ -21,7 +21,9 @@
 use std::collections::{BTreeMap, HashMap};
 
 use agentrack_platform::{AgentId, NodeId};
-use agentrack_sim::SimTime;
+use agentrack_sim::{SimDuration, SimTime};
+
+use crate::wire::Wire;
 
 /// Outbound replication state of one IAgent.
 #[derive(Debug, Default)]
@@ -64,12 +66,7 @@ impl Replicator {
     /// either dirty records have waited out the sync interval, or the
     /// in-flight batch is overdue for a retry.
     #[must_use]
-    pub fn due(
-        &self,
-        now: SimTime,
-        interval: agentrack_sim::SimDuration,
-        retry: agentrack_sim::SimDuration,
-    ) -> bool {
+    pub fn due(&self, now: SimTime, interval: SimDuration, retry: SimDuration) -> bool {
         if self.buddy.is_none() {
             return false;
         }
@@ -82,14 +79,10 @@ impl Replicator {
     /// Cuts a batch: returns the seq to stamp it with and records it as
     /// in flight.
     pub fn cut_batch(&mut self, now: SimTime) -> u64 {
-        let seq = match self.in_flight {
-            // A retry re-sends under a fresh seq so a late ack of the
-            // lost batch cannot be mistaken for the retry's.
-            Some(_) | None => {
-                self.next_seq += 1;
-                self.next_seq
-            }
-        };
+        // A retry re-sends under a fresh seq too, so a late ack of the
+        // lost batch cannot be mistaken for the retry's.
+        self.next_seq += 1;
+        let seq = self.next_seq;
         self.in_flight = Some((seq, now));
         self.last_sync = now;
         self.dirty = false;
@@ -180,6 +173,39 @@ impl ReplicaStore {
             },
         );
         true
+    }
+
+    /// Buddy duty for a `RecordSync` from `owner`: applies the batch (see
+    /// [`Self::apply_sync`]) and returns the `RecordSyncAck` to send back.
+    /// A stale batch is acked too, so the owner stops retrying it.
+    pub fn store_sync(
+        &mut self,
+        owner: AgentId,
+        epoch: u64,
+        seq: u64,
+        records: Vec<(AgentId, NodeId)>,
+        rate: f64,
+        now: SimTime,
+    ) -> Wire {
+        self.apply_sync(owner, epoch, seq, records, rate, now);
+        Wire::RecordSyncAck { epoch, seq }
+    }
+
+    /// Buddy duty for a `ReplicaPull` from `owner`: the `ReplicaSet` of
+    /// whatever is held for it, stamped as written (the puller fences
+    /// against its fresh epoch), or an empty epoch-0 set.
+    #[must_use]
+    pub fn answer_pull(&self, owner: AgentId, now: SimTime) -> Wire {
+        let held = self.get(owner);
+        Wire::ReplicaSet {
+            epoch: held.map_or(0, |e| e.epoch),
+            seq: held.map_or(0, |e| e.seq),
+            records: held.map_or_else(Vec::new, |e| {
+                e.records.iter().map(|(&a, &n)| (a, n)).collect()
+            }),
+            rate: held.map_or(0.0, |e| e.rate),
+            age_ms: held.map_or(0, |e| e.age_ms(now)),
+        }
     }
 
     /// The replica held for `owner`, if any.
@@ -284,7 +310,6 @@ pub fn replica_usable(replica_epoch: u64, my_epoch: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agentrack_sim::SimDuration;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -389,6 +414,43 @@ mod tests {
         // A newer batch refreshes it.
         assert!(store.apply_sync(owner, 1, 2, vec![], 1.0, t(500)));
         assert_eq!(store.get(owner).unwrap().age_ms(t(600)), 100);
+    }
+
+    #[test]
+    fn buddy_duty_acks_every_sync_and_answers_pulls() {
+        let mut store = ReplicaStore::default();
+        let owner = AgentId::new(4);
+        let rec = vec![(AgentId::new(7), NodeId::new(2))];
+        assert_eq!(
+            store.store_sync(owner, 1, 2, rec.clone(), 3.0, t(100)),
+            Wire::RecordSyncAck { epoch: 1, seq: 2 }
+        );
+        assert_eq!(
+            store.store_sync(owner, 0, 9, Vec::new(), 1.0, t(200)),
+            Wire::RecordSyncAck { epoch: 0, seq: 9 },
+            "a stale batch is acked but not applied"
+        );
+        assert_eq!(
+            store.answer_pull(owner, t(350)),
+            Wire::ReplicaSet {
+                epoch: 1,
+                seq: 2,
+                records: rec,
+                rate: 3.0,
+                age_ms: 250,
+            }
+        );
+        assert_eq!(
+            store.answer_pull(AgentId::new(5), t(350)),
+            Wire::ReplicaSet {
+                epoch: 0,
+                seq: 0,
+                records: Vec::new(),
+                rate: 0.0,
+                age_ms: 0,
+            },
+            "nothing held: an empty epoch-0 set"
+        );
     }
 
     #[test]

@@ -934,3 +934,225 @@ fn deliver_via_chases_across_a_stale_tracker() {
         Wire::DeliverVia { target, ttl: 7, .. } if *target == not_mine
     )));
 }
+
+// ---------------------------------------------------------------------
+// Tombstones (deregistered agents stay dead)
+// ---------------------------------------------------------------------
+
+fn locate_any(h: &Harness, ia: AgentId, target: AgentId, token: u64) {
+    h.send(
+        ia,
+        NodeId::new(1),
+        Wire::Locate {
+            target,
+            token,
+            reply_node: h.puppet_node,
+            corr: None,
+            freshness: Freshness::Any,
+        },
+    );
+}
+
+fn was_located(h: &Harness, token: u64) -> bool {
+    h.received()
+        .iter()
+        .any(|m| matches!(m, Wire::Located { token: t, .. } if *t == token))
+}
+
+fn was_not_found(h: &Harness, token: u64) -> bool {
+    h.received()
+        .iter()
+        .any(|m| matches!(m, Wire::NotFound { token: t, .. } if *t == token))
+}
+
+/// Registers `agent` at the puppet's node, then deregisters it.
+fn register_then_deregister(h: &mut Harness, ia: AgentId, agent: AgentId) {
+    h.send(
+        ia,
+        NodeId::new(1),
+        Wire::Register {
+            agent,
+            node: h.puppet_node,
+        },
+    );
+    h.run_ms(30);
+    h.send(ia, NodeId::new(1), Wire::Deregister { agent, ttl: 0 });
+    h.run_ms(30);
+    h.clear();
+}
+
+#[test]
+fn iagent_tombstone_drops_straggling_update_and_register() {
+    let mut h = Harness::new(2);
+    let ia = spawn_sole_iagent(&mut h, config());
+    let agent = AgentId::new(700);
+    register_then_deregister(&mut h, ia, agent);
+
+    // The dead agent's last Update and a duplicate Register were still in
+    // flight when the Deregister landed.
+    h.send(
+        ia,
+        NodeId::new(1),
+        Wire::Update {
+            agent,
+            node: h.puppet_node,
+        },
+    );
+    h.send(
+        ia,
+        NodeId::new(1),
+        Wire::Register {
+            agent,
+            node: h.puppet_node,
+        },
+    );
+    h.run_ms(30);
+    locate_any(&h, ia, agent, 1);
+    h.run_ms(1500);
+    assert!(
+        !h.received()
+            .iter()
+            .any(|m| matches!(m, Wire::RegisterAck { .. })),
+        "a straggling Register must not land: {:?}",
+        h.received()
+    );
+    assert!(!was_located(&h, 1), "{:?}", h.received());
+    assert!(was_not_found(&h, 1), "{:?}", h.received());
+}
+
+#[test]
+fn iagent_filters_tombstoned_keys_out_of_handoffs() {
+    let mut h = Harness::new(2);
+    let ia = spawn_sole_iagent(&mut h, config());
+    let (dead, alive) = (AgentId::new(701), AgentId::new(702));
+    register_then_deregister(&mut h, ia, dead);
+
+    // A handoff computed before the deregister still carries the dead
+    // agent next to a live one.
+    h.send(
+        ia,
+        NodeId::new(1),
+        Wire::Handoff {
+            records: vec![(dead, NodeId::new(0)), (alive, NodeId::new(0))],
+        },
+    );
+    h.run_ms(30);
+    locate_any(&h, ia, dead, 1);
+    locate_any(&h, ia, alive, 2);
+    h.run_ms(1500);
+    assert!(was_located(&h, 2), "{:?}", h.received());
+    assert!(!was_located(&h, 1), "{:?}", h.received());
+    assert!(was_not_found(&h, 1), "{:?}", h.received());
+}
+
+#[test]
+fn iagent_tombstone_expires_and_a_fresh_register_lands() {
+    let mut h = Harness::new(2);
+    let ia = spawn_sole_iagent(&mut h, config());
+    let agent = AgentId::new(703);
+    let register = Wire::Register {
+        agent,
+        node: h.puppet_node,
+    };
+    register_then_deregister(&mut h, ia, agent);
+
+    // Halfway through the tombstone's 10 s lifetime the key is still shut.
+    h.run_ms(5_000);
+    h.send(ia, NodeId::new(1), register.clone());
+    h.run_ms(30);
+    assert!(h.received().is_empty(), "{:?}", h.received());
+
+    // Past it, the key may be reused: the periodic timer expired the
+    // tombstone and the registration is acknowledged and answered.
+    h.run_ms(6_000);
+    h.send(ia, NodeId::new(1), register);
+    h.run_ms(30);
+    locate_any(&h, ia, agent, 3);
+    h.run_ms(30);
+    assert!(h
+        .received()
+        .iter()
+        .any(|m| matches!(m, Wire::RegisterAck { agent: a } if *a == agent)));
+    assert!(was_located(&h, 3), "{:?}", h.received());
+}
+
+/// A soft-state-losing crash right after a deregister: the buddy's replica
+/// was written before the deregister and still lists the agent. Recovery
+/// must not bring the record back — no stale answer for a dead agent, and
+/// no `SolicitReregister` sent to it.
+#[test]
+fn iagent_recovery_does_not_resurrect_a_deregistered_agent() {
+    use agentrack_sim::{FaultEvent, FaultKind, FaultPlan};
+
+    let mut h = Harness::new(2);
+    let expected = AgentId::new(h.platform.next_agent_id());
+    let hf = HashFunction::initial(expected, NodeId::new(1));
+    // The puppet plays the HAgent and the standby buddy.
+    let cfg = config().with_replication(SimDuration::from_millis(250));
+    let ia = h.platform.spawn(
+        Box::new(
+            IAgentBehavior::initial(cfg, h.puppet, h.puppet_node, hf, SharedSchemeStats::new())
+                .with_standby(Some((h.puppet, h.puppet_node))),
+        ),
+        NodeId::new(1),
+    );
+    assert_eq!(ia, expected);
+    // The tracked agent is the puppet itself, so a solicit would land in
+    // our inbox.
+    let agent = h.puppet;
+    register_then_deregister(&mut h, ia, agent);
+
+    let crash_at = h.platform.now() + SimDuration::from_millis(10);
+    let mut plan = FaultPlan::new();
+    plan.push(FaultEvent {
+        at: crash_at,
+        kind: FaultKind::NodeCrash {
+            node: NodeId::new(1),
+            lose_soft_state: true,
+            restart_at: Some(crash_at + SimDuration::from_millis(100)),
+        },
+    });
+    h.platform.set_fault_plan(&plan);
+    h.run_ms(200);
+    assert!(
+        h.received().iter().any(|m| matches!(m, Wire::EpochRequest)),
+        "the restarted tracker enters recovery: {:?}",
+        h.received()
+    );
+
+    h.send(
+        ia,
+        NodeId::new(1),
+        Wire::EpochGrant {
+            epoch: 1,
+            buddy: Some((h.puppet, h.puppet_node)),
+        },
+    );
+    h.run_ms(30);
+    assert!(h
+        .received()
+        .iter()
+        .any(|m| matches!(m, Wire::ReplicaPull { epoch: 1, .. })));
+    h.clear();
+
+    h.send(
+        ia,
+        NodeId::new(1),
+        Wire::ReplicaSet {
+            epoch: 0,
+            seq: 1,
+            records: vec![(agent, h.puppet_node)],
+            rate: 0.0,
+            age_ms: 0,
+        },
+    );
+    h.run_ms(30);
+    locate_any(&h, ia, agent, 4);
+    h.run_ms(30);
+    let got = h.received();
+    assert!(
+        !got.iter().any(|m| matches!(m, Wire::SolicitReregister)),
+        "solicited a deregistered agent: {got:?}"
+    );
+    assert!(!was_located(&h, 4), "answered for a dead agent: {got:?}");
+}
