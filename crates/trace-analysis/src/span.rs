@@ -310,7 +310,15 @@ fn marker_label(event: &TraceEvent) -> Option<String> {
     }
 }
 
-fn build_tree(corr: CorrId, events: &[TraceRecord], all: &[TraceRecord]) -> SpanTree {
+/// The background markers of a time-sorted record stream, in time order.
+fn markers_of(sorted: &[TraceRecord]) -> Vec<Marker> {
+    sorted
+        .iter()
+        .filter_map(|r| marker_label(&r.event).map(|label| Marker { at: r.at, label }))
+        .collect()
+}
+
+fn build_tree(corr: CorrId, events: &[TraceRecord], markers: &[Marker]) -> SpanTree {
     let start = events.first().map_or(SimTime::ZERO, |r| r.at);
     let end = events.last().map_or(SimTime::ZERO, |r| r.at);
     let mut children = Vec::new();
@@ -319,11 +327,11 @@ fn build_tree(corr: CorrId, events: &[TraceRecord], all: &[TraceRecord]) -> Span
         classify(prev_at, record, &mut children);
         prev_at = record.at;
     }
-    let markers = all
-        .iter()
-        .filter(|r| r.at >= start && r.at <= end)
-        .filter_map(|r| marker_label(&r.event).map(|label| Marker { at: r.at, label }))
-        .collect();
+    // `markers` is time-sorted, so the window's inclusive slice is two
+    // binary searches rather than a pass over the whole trace.
+    let lo = markers.partition_point(|m| m.at < start);
+    let hi = markers.partition_point(|m| m.at <= end);
+    let markers = markers[lo..hi].to_vec();
     SpanTree {
         corr,
         start,
@@ -349,9 +357,10 @@ pub fn build_spans(records: &[TraceRecord]) -> Vec<SpanTree> {
             groups.entry(corr).or_default().push(record.clone());
         }
     }
+    let markers = markers_of(&sorted);
     groups
         .into_iter()
-        .map(|(corr, events)| build_tree(corr, &events, &sorted))
+        .map(|(corr, events)| build_tree(corr, &events, &markers))
         .collect()
 }
 
@@ -369,7 +378,7 @@ pub fn build_span(records: &[TraceRecord], corr: CorrId) -> Option<SpanTree> {
     if events.is_empty() {
         return None;
     }
-    Some(build_tree(corr, &events, &sorted))
+    Some(build_tree(corr, &events, &markers_of(&sorted)))
 }
 
 /// Per-phase latency aggregation across many operations.
@@ -622,6 +631,57 @@ mod tests {
         assert!(b.share(Phase::QueueWait) > 0.3);
         assert_eq!(b.histogram(Phase::QueueWait).len(), 2);
         assert_eq!(b.end_to_end().len(), 2);
+    }
+
+    #[test]
+    fn marker_windows_match_the_naive_filter() {
+        let (a, b) = (CorrId::new(6, 1), CorrId::new(7, 1));
+        let split = |at: u64, version: u64| TraceRecord {
+            at: SimTime::from_nanos(at),
+            event: TraceEvent::RehashSplit {
+                version,
+                from_tracker: 1,
+                to_tracker: 2,
+            },
+        };
+        // Markers just outside, exactly at, and inside each window.
+        let records = vec![
+            split(999, 1),
+            send(1_000, "Locate", a),
+            split(1_000, 2),
+            split(2_000, 3),
+            send(2_500, "Locate", b),
+            recv(3_000, "Locate", a, 0),
+            split(3_000, 4),
+            split(3_001, 5),
+            recv(4_000, "Locate", b, 0),
+            split(4_000, 6),
+            split(4_001, 7),
+        ];
+        let trees = build_spans(&records);
+        assert_eq!(trees.len(), 2);
+        for tree in &trees {
+            let naive: Vec<Marker> = records
+                .iter()
+                .filter(|r| r.at >= tree.start && r.at <= tree.end)
+                .filter_map(|r| marker_label(&r.event).map(|label| Marker { at: r.at, label }))
+                .collect();
+            assert_eq!(tree.markers, naive, "corr {:?}", tree.corr);
+            assert_eq!(
+                Some(&tree.markers),
+                build_span(&records, tree.corr).map(|t| t.markers).as_ref()
+            );
+        }
+        let labels =
+            |t: &SpanTree| -> Vec<String> { t.markers.iter().map(|m| m.label.clone()).collect() };
+        assert_eq!(
+            labels(&trees[0]),
+            ["rehash:split v2", "rehash:split v3", "rehash:split v4"]
+        );
+        assert_eq!(
+            labels(&trees[1]),
+            ["rehash:split v4", "rehash:split v5", "rehash:split v6"]
+        );
     }
 
     #[test]
