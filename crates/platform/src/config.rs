@@ -88,17 +88,16 @@ impl PlatformConfig {
 
 /// Tuning knobs of the live (threaded) runtime's hot paths.
 ///
-/// These control throughput mechanics only — *semantics* (delivery,
-/// bounce, migration, timers) are identical at every setting, which is
-/// what lets the million-agent bench flip them per arm and attribute the
-/// difference to the mechanism rather than the workload.
+/// `shards` and `batch_max` control throughput mechanics only —
+/// *semantics* (delivery, bounce, migration, timers) are identical at
+/// every setting. The rest switch telemetry on and tune it.
 ///
 /// # Examples
 ///
 /// ```
 /// use agentrack_platform::LiveConfig;
 ///
-/// // The pre-sharding, pre-batching runtime, as a bench ablation arm:
+/// // The pre-sharding, pre-batching runtime:
 /// let flat = LiveConfig::default().with_shards(1).with_batch_max(1);
 /// assert_eq!(flat.effective_shards(), 1);
 /// ```
@@ -116,15 +115,6 @@ pub struct LiveConfig {
     /// Batches always flush when a sender goes idle, so a lone message
     /// never waits for the cap.
     pub batch_max: usize,
-    /// Upper bound on messages a node thread drains per wake-up before
-    /// it flushes its own outgoing batches and re-checks timers
-    /// (default 256). Bounds both timer latency and batch residency.
-    pub drain_budget: usize,
-    /// log2 of the per-handle route-cache slot count (default 20, i.e.
-    /// 2^20 packed 16-byte `(agent, node, generation)` slots arranged as
-    /// 2-way sets — 16 MiB). `0` disables the cache so every lookup
-    /// takes the sharded-lock path.
-    pub route_cache_bits: u8,
     /// Enables live telemetry (default off): latency histograms, queue
     /// depth and drain accounting, heartbeat stall detection, and the
     /// background snapshot aggregator. Off, every instrumented site
@@ -149,8 +139,6 @@ impl Default for LiveConfig {
         LiveConfig {
             shards: 0,
             batch_max: 64,
-            drain_budget: 256,
-            route_cache_bits: 20,
             telemetry: false,
             flight_recorder: 0,
             telemetry_interval_ms: 200,
@@ -171,20 +159,6 @@ impl LiveConfig {
     #[must_use]
     pub fn with_batch_max(mut self, batch_max: usize) -> Self {
         self.batch_max = batch_max.max(1);
-        self
-    }
-
-    /// Sets the per-wake-up drain budget.
-    #[must_use]
-    pub fn with_drain_budget(mut self, drain_budget: usize) -> Self {
-        self.drain_budget = drain_budget.max(1);
-        self
-    }
-
-    /// Sets the route-cache size as a power of two (`0` disables it).
-    #[must_use]
-    pub fn with_route_cache_bits(mut self, bits: u8) -> Self {
-        self.route_cache_bits = bits.min(30);
         self
     }
 

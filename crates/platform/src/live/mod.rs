@@ -6,9 +6,9 @@
 //! threads, migrations really move the boxed behaviour to another thread,
 //! and timers fire on the wall clock. The paper's implementation ran on
 //! Aglets over a real LAN; this runtime is the analogous "for real"
-//! deployment mode, sized for millions of registered agents (see the
-//! `live_bench` binary in `agentrack-bench` for the headline
-//! locates/sec + moves/sec numbers and `DESIGN.md` §13 for the design).
+//! deployment mode, sized for millions of registered agents (see
+//! `DESIGN.md` §13 for the design and `benchmark/` for protocol-level
+//! locate and move numbers).
 //!
 //! Semantics match the simulated runtime:
 //!
@@ -27,28 +27,28 @@
 //! experiments that must reproduce bit-for-bit — but every run obeys the
 //! delivery/bounce/migration semantics above at every tuning setting.
 //!
-//! ## Scaling machinery and its knobs ([`LiveConfig`])
+//! ## Scaling machinery
 //!
-//! Three mechanisms keep the hot paths off global synchronisation; all
-//! are tunable through [`LiveConfig`] and none changes semantics:
+//! Three mechanisms keep the hot paths off global synchronisation; none
+//! changes semantics. The first two are tunable through [`LiveConfig`]:
 //!
 //! * **Sharded registry** (`shards`, default auto = 1024): the
 //!   `AgentId -> Whereabouts` map is split into power-of-two shards
 //!   picked by [`AgentId::shard_of`], each under its own lock with a
 //!   generation stamp ([`registry::ShardedRegistry`]). `shards = 1`
 //!   reproduces the old single-`RwLock` registry.
-//! * **Batched channels** (`batch_max`, default 64; `drain_budget`,
-//!   default 256): senders coalesce per-destination `Deliver` bursts
-//!   into one `DeliverBatch` channel op, flushed at the size cap or as
-//!   soon as the sender goes idle — a lone message never waits
-//!   ([`batch::OutBatch`]). Node threads drain up to `drain_budget`
-//!   queued messages per wake-up before flushing their own output.
-//!   `batch_max = 1` reproduces one-channel-op-per-message.
-//! * **Route caching** (`route_cache_bits`, default 20): each
+//! * **Batched channels** (`batch_max`, default 64): senders coalesce
+//!   per-destination `Deliver` bursts into one `DeliverBatch` channel
+//!   op, flushed at the size cap or as soon as the sender goes idle — a
+//!   lone message never waits ([`batch::OutBatch`]). Node threads drain
+//!   up to [`DRAIN_BUDGET`] (256) queued messages per wake-up before
+//!   flushing their own output. `batch_max = 1` reproduces
+//!   one-channel-op-per-message.
+//! * **Route caching** ([`ROUTE_CACHE_BITS`], 2^20 slots): each
 //!   [`LiveHandle`] revalidates cached `(agent, node)` routes against
 //!   the owning shard's generation with a single atomic load, so
 //!   steady-state lookups of agents that haven't moved take zero locks
-//!   ([`route_cache::RouteCache`]). `route_cache_bits = 0` disables it.
+//!   ([`route_cache::RouteCache`]).
 //!
 //! A node thread whose behaviour panics is contained, not leaked: the
 //! panic is caught at the node loop, the node is marked dead, its queued
@@ -89,6 +89,16 @@ pub use telemetry::{NodeHealth, OpKind, SlowOp, TelemetrySnapshot};
 /// The `from` id used for messages injected from outside the agent world
 /// (no failure notice can be routed back to it).
 const EXTERNAL: AgentId = AgentId::new(u64::MAX);
+
+/// Upper bound on messages a node thread drains per wake-up before it
+/// flushes its own outgoing batches and re-checks timers. Bounds both
+/// timer latency and batch residency.
+const DRAIN_BUDGET: usize = 256;
+
+/// log2 of each [`LiveHandle`]'s route-cache slot count: 2^20 packed
+/// 16-byte `(agent, node, generation)` slots arranged as 2-way sets,
+/// 16 MiB per handle.
+const ROUTE_CACHE_BITS: u8 = 20;
 
 /// Why a behaviour is being handed to a node thread.
 enum WelcomeKind {
@@ -506,7 +516,7 @@ impl LivePlatform {
     #[must_use]
     pub fn handle(&self) -> LiveHandle {
         LiveHandle {
-            cache: RouteCache::new(self.shared.config.route_cache_bits),
+            cache: RouteCache::new(ROUTE_CACHE_BITS),
             out: OutBatch::new(self.node_count as usize, self.shared.config.batch_max),
             telemetry_on: self.shared.telemetry.enabled,
             locate_tick: 0,
@@ -977,7 +987,7 @@ fn node_loop(node: NodeId, rx: Receiver<NodeMsg>, shared: Arc<Shared>) -> Receiv
         };
 
         // Drain a bounded burst: the first (blocking) receive plus up to
-        // `drain_budget - 1` already-queued messages, coalescing channel
+        // `DRAIN_BUDGET - 1` already-queued messages, coalescing channel
         // wake-ups. The budget bounds how long timers and our own output
         // batches can sit while a flood keeps the queue non-empty.
         let mut msg = first;
@@ -1002,7 +1012,7 @@ fn node_loop(node: NodeId, rx: Receiver<NodeMsg>, shared: Arc<Shared>) -> Receiv
                     return die(&shared, state, rx);
                 }
             }
-            if drained >= shared.config.drain_budget {
+            if drained >= DRAIN_BUDGET {
                 if tele {
                     shared.telemetry.nodes[node.index()]
                         .drain_exhausted

@@ -76,7 +76,7 @@ pub(crate) struct NodeCells {
     pub(crate) chan_out: AtomicU64,
     /// Node-loop wake-ups (message bursts or timer deadlines).
     pub(crate) wakeups: AtomicU64,
-    /// Wake-ups that consumed the entire `drain_budget` — sustained
+    /// Wake-ups that consumed the entire drain budget — sustained
     /// saturation shows up here first.
     pub(crate) drain_exhausted: AtomicU64,
     /// Nanoseconds since platform start at the node loop's last wake-up.

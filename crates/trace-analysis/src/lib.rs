@@ -50,12 +50,10 @@
 #![forbid(unsafe_code)]
 
 mod export;
-mod flight;
 mod span;
 
 pub use agentrack_sim::CorrId;
 pub use export::{render_breakdown, slowest, to_folded, to_perfetto_json};
-pub use flight::{to_flight_json, to_flight_perfetto, FlightOp};
 pub use span::{
     build_span, build_spans, Attribution, Marker, Phase, PhaseBreakdown, Span, SpanKind, SpanTree,
 };
