@@ -2,14 +2,13 @@
 //! experiments.
 //!
 //! ```text
-//! repro [--quick] [--csv DIR] [--jobs N] [exp1|exp2|ablation-split|
-//!        ablation-propagation|sweep-thresholds|skew|baselines|all]...
+//! repro [--quick] [--csv DIR] [--jobs N] [EXPERIMENT|all]...
 //! ```
 //!
-//! A name with a `specs/<name>.json` (`exp1`, `exp2`, the three
-//! ablations, `sweep-thresholds`, `chaos`, `rehash-spike`) runs that
-//! spec, embedded at build time; the others call their hand-coded
-//! function. With no experiment arguments, everything runs. `--quick` shrinks
+//! `repro --help` lists the experiment names. Most run their
+//! `specs/<name>.json`, embedded at build time; `baselines`, `delivery`,
+//! `trackers` and `attribution` call their hand-coded function. With no
+//! experiment arguments, everything runs. `--quick` shrinks
 //! populations and spans for a fast smoke pass; the recorded results in
 //! `EXPERIMENTS.md` come from full-fidelity runs. `--csv DIR` additionally
 //! writes one CSV per experiment into `DIR`. `--jobs N` runs the

@@ -1,11 +1,13 @@
 //! # agentrack-bench
 //!
 //! The experiment harness: the paper's evaluation (E1, E2) and the
-//! extension experiments. A trial grid the declarative [`ScenarioSpec`]
-//! can express lives only as `specs/<name>.json` and runs through
-//! [`run_spec`]; the rest are one function each here. The `repro` binary
-//! dispatches by name ([`run_experiment`]) and prints the tables recorded
-//! in `EXPERIMENTS.md`.
+//! extension experiments. Twelve of the sixteen `repro` names are trial
+//! grids the declarative [`ScenarioSpec`] expresses: they live only as
+//! `specs/<name>.json` and run through [`run_spec`]. The other four
+//! (baselines, delivery, trackers, attribution) are not grids of scenario
+//! reports and stay one function each here. The `repro` binary dispatches
+//! by name ([`run_experiment`]) and prints the tables recorded in
+//! `EXPERIMENTS.md`.
 //!
 //! Every experiment takes a [`Fidelity`]: [`Fidelity::Full`] reproduces the
 //! paper's parameters (reconstructed where the source text lost digits —
@@ -24,7 +26,7 @@ use agentrack_core::{
     CentralizedScheme, ForwardingScheme, HashedScheme, HomeRegistryScheme, LocationConfig,
     LocationScheme,
 };
-use agentrack_workload::{AuditOptions, RunOptions, Scenario, ScenarioReport};
+use agentrack_workload::{RunOptions, Scenario, ScenarioReport};
 
 pub mod spec;
 
@@ -247,52 +249,6 @@ fn run_scheme(scenario: &Scenario, kind: &str, config: LocationConfig) -> Scenar
     scenario.run_with(scheme.as_mut(), RunOptions::new()).report
 }
 
-/// **E6** — skewed workloads: Zipf query popularity and Zipf node
-/// popularity. The paper balances *workload*, not item counts (its stated
-/// contrast with consistent hashing); this shows the load-driven splits
-/// coping with skew.
-#[must_use]
-pub fn skew(fidelity: Fidelity, jobs: usize) -> Table {
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E6: Zipf skew (query popularity and node popularity)",
-        &[
-            "skew_s",
-            "locate_ms",
-            "p95_ms",
-            "iagents",
-            "splits",
-            "failures",
-        ],
-    );
-    let cells: Vec<Cell> = [0.0, 0.5, 0.9, 1.2]
-        .into_iter()
-        .map(|s| {
-            Box::new(move || {
-                let mut scenario = Scenario::new(format!("skew-{s}"))
-                    .with_agents(agents)
-                    .with_residence_ms(300)
-                    .with_queries(fidelity.queries())
-                    .with_seconds(warmup, measure);
-                scenario.query_skew = Some(s);
-                scenario.mobility_skew = Some(s);
-                let report = run_scheme(&scenario, "hashed", LocationConfig::default());
-                vec![
-                    format!("{s}"),
-                    ms(report.mean_locate_ms),
-                    ms(report.p95_locate_ms),
-                    report.trackers.to_string(),
-                    report.splits.to_string(),
-                    report.locate_failures.to_string(),
-                ]
-            }) as Cell
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
 /// **E7** — baseline panel: all four schemes under the Experiment-I
 /// workload at two populations and under fast mobility.
 #[must_use]
@@ -344,115 +300,6 @@ pub fn baselines(fidelity: Fidelity, jobs: usize) -> Table {
         row.push(failures.to_string());
         table.push_row(row);
     }
-    table
-}
-
-/// **E8** — population churn: agents die and are replaced throughout the
-/// run (the paper's "open system" motivation). Lifespans are exponential;
-/// the mean sweeps from heavy churn to none.
-#[must_use]
-pub fn churn(fidelity: Fidelity, jobs: usize) -> Table {
-    use agentrack_sim::{DurationDist, SimDuration};
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E8: population churn (exponential lifespans)",
-        &[
-            "mean_lifespan_s",
-            "locate_ms",
-            "births",
-            "deaths",
-            "completed",
-            "failures",
-            "iagents",
-        ],
-    );
-    let cells: Vec<Cell> = [5u64, 15, 60, 0]
-        .into_iter()
-        .map(|lifespan_s| {
-            Box::new(move || {
-                let mut scenario = Scenario::new(format!("churn-{lifespan_s}"))
-                    .with_agents(agents)
-                    .with_residence_ms(300)
-                    .with_queries(fidelity.queries())
-                    .with_seconds(warmup, measure);
-                if lifespan_s > 0 {
-                    scenario.churn_lifespan = Some(DurationDist::Exponential {
-                        mean: SimDuration::from_secs(lifespan_s),
-                    });
-                }
-                let report = run_scheme(&scenario, "hashed", patient(LocationConfig::default()));
-                vec![
-                    if lifespan_s == 0 {
-                        "static".to_owned()
-                    } else {
-                        lifespan_s.to_string()
-                    },
-                    ms(report.mean_locate_ms),
-                    report.births.to_string(),
-                    report.deaths.to_string(),
-                    report.locates_completed.to_string(),
-                    report.locate_failures.to_string(),
-                    report.trackers.to_string(),
-                ]
-            }) as Cell
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
-/// **E9** — locality extension (paper §7): IAgents migrate toward the
-/// node that originates most of their traffic. Under skewed mobility the
-/// tracked agents cluster, so a mobile IAgent can turn remote update
-/// traffic into node-local traffic.
-#[must_use]
-pub fn locality(fidelity: Fidelity, jobs: usize) -> Table {
-    let agents = fidelity.scale_agents(300);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E9: IAgent locality migration under skewed mobility",
-        &[
-            "locality",
-            "mobility_skew",
-            "locate_ms",
-            "iagent_moves",
-            "remote_msgs",
-            "total_msgs",
-            "failures",
-        ],
-    );
-    let cells: Vec<Cell> = [2.5f64, 0.0]
-        .into_iter()
-        .flat_map(|skew| {
-            [false, true].into_iter().map(move |enabled| {
-                Box::new(move || {
-                    let mut scenario = Scenario::new(format!("locality-{enabled}-{skew}"))
-                        .with_agents(agents)
-                        .with_residence_ms(300)
-                        .with_queries(fidelity.queries())
-                        .with_seconds(warmup, measure);
-                    scenario.mobility_skew = Some(skew);
-                    let config = if enabled {
-                        patient(LocationConfig::default()).with_locality_migration()
-                    } else {
-                        patient(LocationConfig::default())
-                    };
-                    let report = run_scheme(&scenario, "hashed", config);
-                    vec![
-                        if enabled { "on" } else { "off" }.to_owned(),
-                        format!("{skew}"),
-                        ms(report.mean_locate_ms),
-                        report.iagent_moves.to_string(),
-                        report.messages_remote.to_string(),
-                        report.messages_sent.to_string(),
-                        report.locate_failures.to_string(),
-                    ]
-                }) as Cell
-            })
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
     table
 }
 
@@ -632,153 +479,6 @@ fn run_observed_scheme(
         .report
 }
 
-/// **E15** — record durability and recovery: two nodes crash with
-/// soft-state loss and restart half a second later, wiping the records of
-/// every tracker they hosted. The sweep crosses the crash time (early in
-/// the run, while the tree is still splitting, vs. late in steady state)
-/// with the hashed scheme's replication interval — `off` is the ablation,
-/// recovery by client re-registration only — and runs the centralized and
-/// home-registry baselines under the identical plan for contrast.
-///
-/// Recovery times are measured from the trace: each
-/// [`agentrack_sim::TraceEvent::RecoveryStart`] is paired with the same
-/// tracker's `RecoveryEnd`, and the p50/p95 of those spans reported.
-/// `stale_answers` counts the degraded-mode `Located{stale}` answers
-/// served while converging — availability the ablation does not have.
-/// Every cell runs the post-quiesce invariant audit (locatability,
-/// version convergence, single ownership, recovery convergence).
-#[must_use]
-pub fn recovery(fidelity: Fidelity, jobs: usize) -> Table {
-    use agentrack_sim::{
-        FaultEvent, FaultKind, FaultPlan, NodeId, SimDuration, SimTime, TraceEvent, TraceSink,
-    };
-    use std::collections::HashMap;
-
-    let agents = fidelity.scale_agents(200);
-    let (warmup, measure) = fidelity.spans();
-    let mut table = Table::new(
-        "E15: recovery after tracker crashes with soft-state loss",
-        &[
-            "crash_frac",
-            "repl",
-            "scheme",
-            "recoveries",
-            "rec_p50_ms",
-            "rec_p95_ms",
-            "stale_answers",
-            "record_syncs",
-            "success_pct",
-            "mail_lost",
-            "violations",
-        ],
-    );
-    // (scheme, replication interval in ms): `None` on a hashed row is the
-    // durability-off ablation; the baselines have no replication at all.
-    let variants: [(&str, Option<u64>); 5] = [
-        ("hashed", None),
-        ("hashed", Some(250)),
-        ("hashed", Some(1000)),
-        ("centralized", None),
-        ("home-registry", None),
-    ];
-    let cells: Vec<Cell> = [0.35f64, 0.65]
-        .into_iter()
-        .flat_map(|crash_frac| {
-            variants.into_iter().map(move |(kind, repl_ms)| {
-                Box::new(move || {
-                    let repl_label = repl_ms.map_or_else(|| "off".to_owned(), |v| format!("{v}ms"));
-                    let mut scenario =
-                        Scenario::new(format!("recovery-{kind}-{repl_label}-{crash_frac}"))
-                            .with_agents(agents)
-                            .with_residence_ms(400)
-                            .with_queries(fidelity.queries())
-                            .with_seconds(warmup, measure);
-                    // Crash two nodes at once — with the population spread
-                    // round-robin and the tree split by then, both the
-                    // initial tracker's node and a split target go down —
-                    // and restart them 500 ms later with soft state gone.
-                    let crash_at = SimTime::ZERO + scenario.duration().mul_f64(crash_frac);
-                    let restart_at = crash_at + SimDuration::from_millis(500);
-                    let mut plan = FaultPlan::new();
-                    for node in 0..2u32 {
-                        plan.push(FaultEvent {
-                            at: crash_at,
-                            kind: FaultKind::NodeCrash {
-                                node: NodeId::new(node),
-                                lose_soft_state: true,
-                                restart_at: Some(restart_at),
-                            },
-                        });
-                    }
-                    scenario.faults = plan;
-                    let mut config = patient(LocationConfig::default())
-                        .with_version_audit(SimDuration::from_secs(1));
-                    if let Some(v) = repl_ms {
-                        config = config.with_replication(SimDuration::from_millis(v));
-                    }
-                    let sink = TraceSink::bounded(524_288);
-                    let mut scheme = boxed_scheme(kind, config, kind == "hashed");
-                    let out = scenario.run_with(
-                        scheme.as_mut(),
-                        RunOptions::new()
-                            .with_sink(sink.clone())
-                            .with_audit(AuditOptions {
-                                strict_versions: kind == "hashed",
-                            }),
-                    );
-                    let (report, invariants) =
-                        (out.report, out.invariants.expect("audit was requested"));
-                    // Pair RecoveryStart/RecoveryEnd per tracker into spans.
-                    let mut open: HashMap<u64, SimTime> = HashMap::new();
-                    let mut spans_ms: Vec<f64> = Vec::new();
-                    for record in sink.snapshot() {
-                        match record.event {
-                            TraceEvent::RecoveryStart { tracker } => {
-                                open.insert(tracker, record.at);
-                            }
-                            TraceEvent::RecoveryEnd { tracker, .. } => {
-                                if let Some(started) = open.remove(&tracker) {
-                                    spans_ms
-                                        .push(record.at.saturating_since(started).as_millis_f64());
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    spans_ms.sort_by(f64::total_cmp);
-                    let pct = |p: f64| -> f64 {
-                        if spans_ms.is_empty() {
-                            return 0.0;
-                        }
-                        let idx = ((p / 100.0) * (spans_ms.len() - 1) as f64).round() as usize;
-                        spans_ms[idx]
-                    };
-                    let success = if report.locates_issued == 0 {
-                        100.0
-                    } else {
-                        100.0 * report.locates_completed as f64 / report.locates_issued as f64
-                    };
-                    vec![
-                        format!("{crash_frac:.2}"),
-                        repl_label,
-                        kind.to_owned(),
-                        report.recoveries_completed.to_string(),
-                        ms(pct(50.0)),
-                        ms(pct(95.0)),
-                        report.stale_answers.to_string(),
-                        report.record_syncs.to_string(),
-                        format!("{success:.1}"),
-                        report.mail_lost.to_string(),
-                        invariants.violations.len().to_string(),
-                    ]
-                }) as Cell
-            })
-        })
-        .collect();
-    table.rows = run_cells(cells, jobs);
-    table
-}
-
 /// All experiment names accepted by the `repro` binary, in order.
 pub const EXPERIMENTS: &[&str] = &[
     "exp1",
@@ -808,8 +508,12 @@ const SPECS: &[&str] = &[
     include_str!("../../../specs/ablation-split.json"),
     include_str!("../../../specs/ablation-propagation.json"),
     include_str!("../../../specs/sweep-thresholds.json"),
+    include_str!("../../../specs/skew.json"),
+    include_str!("../../../specs/churn.json"),
+    include_str!("../../../specs/locality.json"),
     include_str!("../../../specs/ablation-planning.json"),
     include_str!("../../../specs/chaos.json"),
+    include_str!("../../../specs/recovery.json"),
     include_str!("../../../specs/rehash-spike.json"),
 ];
 
@@ -822,19 +526,16 @@ fn embedded_spec(name: &str) -> Option<ScenarioSpec> {
         .find(|spec| spec.name == name)
 }
 
-/// The experiments `ScenarioSpec` cannot express yet: two co-varying axes
-/// (skew), exponential lifespans (churn), a transposed table (baselines),
-/// a mobility-skew axis (locality), or bespoke outputs.
+/// The four experiments that are not a (grid point × scheme arm) sweep of
+/// scenario reports: a transposed table with a summed column
+/// (baselines), custom agents on a bare platform (delivery), one run's
+/// metrics registry (trackers), and trace exports (attribution).
 fn hand_coded(name: &str) -> Option<fn(Fidelity, usize) -> Table> {
     let run: fn(Fidelity, usize) -> Table = match name {
-        "skew" => skew,
         "baselines" => baselines,
-        "churn" => churn,
-        "locality" => locality,
         "delivery" => delivery,
         "trackers" => |fidelity, _| trackers_registry(fidelity).0,
         "attribution" => |fidelity, jobs| attribution(fidelity, jobs).0,
-        "recovery" => recovery,
         _ => return None,
     };
     Some(run)

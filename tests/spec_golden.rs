@@ -10,12 +10,13 @@
 //! with `scenario_lab --quick` only after deciding the change is
 //! intended.
 //!
-//! The eight experiments `repro` runs from a spec (E1–E5, E10, E13,
-//! E17) had hand-coded twins until they were deleted; their goldens are
-//! those functions' `repro --quick` tables, recorded before the deletion.
+//! The twelve experiments `repro` runs from a spec (E1–E6, E8–E10, E13,
+//! E15, E17) had hand-coded twins until they were deleted; their goldens
+//! are those functions' `repro --quick` tables, recorded before the
+//! deletion.
 //!
-//! The eight experiments `repro` still runs from a hand-coded function
-//! (E6–E9, E11, E12, E14, E15) are pinned the same way through
+//! The four experiments `repro` still runs from a hand-coded function
+//! (E7, E11, E12, E14) are pinned the same way through
 //! [`run_experiment`], together with the registry JSON of `trackers` and
 //! the Perfetto and folded-stack exports of `attribution`.
 
@@ -132,15 +133,30 @@ fn golden_hot_key_churn() {
     check_golden("hot_key_churn");
 }
 
+#[test]
+fn golden_skew() {
+    check_golden("skew");
+}
+
+#[test]
+fn golden_churn() {
+    check_golden("churn");
+}
+
+#[test]
+fn golden_locality() {
+    check_golden("locality");
+}
+
+#[test]
+fn golden_recovery() {
+    check_golden("recovery");
+}
+
 /// A hand-coded experiment's quick table, as `repro --quick` prints it.
 fn check_experiment_golden(name: &str) {
     let table = run_experiment(name, Fidelity::Quick, 1);
     assert_golden(&table.to_csv(), &format!("{name}.quick.csv"));
-}
-
-#[test]
-fn golden_skew() {
-    check_experiment_golden("skew");
 }
 
 #[test]
@@ -149,23 +165,8 @@ fn golden_baselines() {
 }
 
 #[test]
-fn golden_churn() {
-    check_experiment_golden("churn");
-}
-
-#[test]
-fn golden_locality() {
-    check_experiment_golden("locality");
-}
-
-#[test]
 fn golden_delivery() {
     check_experiment_golden("delivery");
-}
-
-#[test]
-fn golden_recovery() {
-    check_experiment_golden("recovery");
 }
 
 #[test]
@@ -186,9 +187,18 @@ fn golden_attribution() {
 #[test]
 fn spec_runner_is_deterministic_across_job_counts() {
     let all_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    // Two spec-only workloads, a wide table over two arms (exp2), and
-    // spikes read back from a trace (rehash-spike).
-    for name in ["diurnal", "hot_key_churn", "exp2", "rehash-spike"] {
+    // Two spec-only workloads, a wide table over two arms (exp2), spikes
+    // read back from a trace (rehash-spike), one axis driving two
+    // parameters (skew), and crash faults with trace-derived recovery
+    // columns (recovery).
+    for name in [
+        "diurnal",
+        "hot_key_churn",
+        "exp2",
+        "rehash-spike",
+        "skew",
+        "recovery",
+    ] {
         let spec = load_spec(name);
         let sequential = run_spec(&spec, Fidelity::Quick, 1);
         let parallel = run_spec(&spec, Fidelity::Quick, all_cores);
