@@ -46,7 +46,46 @@ use crate::iagent::IAgentBehavior;
 use crate::plan::plan_split;
 use crate::replica::ReplicaStore;
 use crate::scheme::{CopyRole, SharedSchemeStats};
+use crate::view::TrackerView;
 use crate::wire::{DenyReason, HashFunction, Wire};
+
+/// The two messages that carry a whole hash-function copy, each encoded at
+/// most once per version however many recipients it has. Keyed by the
+/// version alone: every change to a copy bumps it.
+#[derive(Debug, Default)]
+struct CopyPayloads {
+    version: u64,
+    install: Option<Payload>,
+    copy: Option<Payload>,
+}
+
+impl CopyPayloads {
+    /// Forgets the payloads of an older version.
+    fn sync(&mut self, hf: &HashFunction) {
+        if self.version != hf.version {
+            *self = CopyPayloads {
+                version: hf.version,
+                ..CopyPayloads::default()
+            };
+        }
+    }
+
+    /// `hf` as an [`Wire::InstallHashFn`] payload.
+    fn install(&mut self, hf: &HashFunction) -> Payload {
+        self.sync(hf);
+        self.install
+            .get_or_insert_with(|| Wire::InstallHashFn { hf: hf.clone() }.payload())
+            .clone()
+    }
+
+    /// `hf` as a [`Wire::HashFnCopy`] payload.
+    fn copy(&mut self, hf: &HashFunction) -> Payload {
+        self.sync(hf);
+        self.copy
+            .get_or_insert_with(|| Wire::HashFnCopy { hf: hf.clone() }.payload())
+            .clone()
+    }
+}
 
 /// A granted, in-flight split: the HAgent holds the affected subtree's
 /// region until the new IAgent reports ready (commit) or the lease times
@@ -83,6 +122,8 @@ struct RehashLease {
 #[derive(Debug)]
 pub struct StandbyHAgentBehavior {
     hf: HashFunction,
+    /// `hf` encoded for fetches.
+    payloads: CopyPayloads,
     shared: SharedSchemeStats,
     /// Replica copies held as the fallback buddy: when the tree has a
     /// single leaf there is no sibling IAgent, so the lone tracker
@@ -96,6 +137,7 @@ impl StandbyHAgentBehavior {
     pub fn new(hf: HashFunction, shared: SharedSchemeStats) -> Self {
         StandbyHAgentBehavior {
             hf,
+            payloads: CopyPayloads::default(),
             shared,
             replica_store: ReplicaStore::default(),
         }
@@ -120,14 +162,7 @@ impl Agent for StandbyHAgentBehavior {
             }
             Wire::FetchHashFn { reply_node, .. } => {
                 self.shared.update(|s| s.hf_fetches += 1);
-                ctx.send(
-                    from,
-                    reply_node,
-                    Wire::HashFnCopy {
-                        hf: self.hf.clone(),
-                    }
-                    .payload(),
-                );
+                ctx.send(from, reply_node, self.payloads.copy(&self.hf));
             }
             Wire::SplitRequest { .. } | Wire::MergeRequest { .. } => {
                 // Read-only replica: rehashing waits for the primary. The
@@ -180,6 +215,8 @@ impl Agent for StandbyHAgentBehavior {
 pub struct HAgentBehavior {
     config: LocationConfig,
     hf: HashFunction,
+    /// The primary copy encoded for installs, pushes and fetches.
+    payloads: CopyPayloads,
     /// LHAgent directory, for eager propagation: `(agent, node)` pairs.
     lhagents: Vec<(AgentId, NodeId)>,
     shared: SharedSchemeStats,
@@ -220,6 +257,7 @@ impl HAgentBehavior {
         HAgentBehavior {
             config,
             hf,
+            payloads: CopyPayloads::default(),
             lhagents,
             shared,
             leases: Vec::new(),
@@ -303,7 +341,7 @@ impl HAgentBehavior {
 
     /// Installs the (just bumped) primary copy on the involved IAgents and,
     /// when eager propagation is on, pushes it to every LHAgent.
-    fn distribute(&self, ctx: &mut AgentCtx<'_>, involved: &[IAgentId]) {
+    fn distribute(&mut self, ctx: &mut AgentCtx<'_>, involved: &[IAgentId]) {
         self.shared
             .record_version(ctx.self_id().raw(), CopyRole::Primary, self.hf.version);
         for &ia in involved {
@@ -312,37 +350,16 @@ impl HAgentBehavior {
             // was merged away (no directory entry any more) — the merge
             // handler passes its node explicitly instead.
             if let Some(node) = self.node_of_iagent(agent) {
-                ctx.send(
-                    agent,
-                    node,
-                    Wire::InstallHashFn {
-                        hf: self.hf.clone(),
-                    }
-                    .payload(),
-                );
+                ctx.send(agent, node, self.payloads.install(&self.hf));
             }
         }
         if self.config.eager_propagation {
             for &(lh, node) in &self.lhagents {
-                ctx.send(
-                    lh,
-                    node,
-                    Wire::HashFnCopy {
-                        hf: self.hf.clone(),
-                    }
-                    .payload(),
-                );
+                ctx.send(lh, node, self.payloads.copy(&self.hf));
             }
         }
         if let Some((standby, node)) = self.standby {
-            ctx.send(
-                standby,
-                node,
-                Wire::HashFnCopy {
-                    hf: self.hf.clone(),
-                }
-                .payload(),
-            );
+            ctx.send(standby, node, self.payloads.copy(&self.hf));
         }
     }
 
@@ -405,7 +422,7 @@ impl HAgentBehavior {
                     self.config.clone(),
                     ctx.self_id(),
                     ctx.node(),
-                    self.hf.clone(),
+                    TrackerView::new(&self.hf, None),
                     self.shared.clone(),
                 )
                 .with_standby(self.standby)
@@ -538,14 +555,7 @@ impl HAgentBehavior {
         self.hf.refresh_compiled(&applied.absorbers);
         self.distribute(ctx, &applied.absorbers);
         if let Some(node) = merged_node {
-            ctx.send(
-                from,
-                node,
-                Wire::InstallHashFn {
-                    hf: self.hf.clone(),
-                }
-                .payload(),
-            );
+            ctx.send(from, node, self.payloads.install(&self.hf));
         }
         self.recent.push((
             self.cooldown_region(region),
@@ -589,14 +599,7 @@ impl Agent for HAgentBehavior {
             // from the bounce-triggering version and retired already (its
             // own install-or-timeout handles it).
             if let Some(node) = self.node_of_iagent(agent) {
-                ctx.send(
-                    agent,
-                    node,
-                    Wire::InstallHashFn {
-                        hf: self.hf.clone(),
-                    }
-                    .payload(),
-                );
+                ctx.send(agent, node, self.payloads.install(&self.hf));
             }
         }
         // Abort leases whose new IAgent never reported (lost message /
@@ -660,14 +663,7 @@ impl Agent for HAgentBehavior {
             }
             Wire::FetchHashFn { reply_node, .. } => {
                 self.shared.update(|s| s.hf_fetches += 1);
-                ctx.send(
-                    from,
-                    reply_node,
-                    Wire::HashFnCopy {
-                        hf: self.hf.clone(),
-                    }
-                    .payload(),
-                );
+                ctx.send(from, reply_node, self.payloads.copy(&self.hf));
             }
             Wire::EpochRequest => {
                 // A restarted tracker wants a fresh epoch before it may

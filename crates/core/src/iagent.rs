@@ -18,7 +18,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use agentrack_hashtree::IAgentId;
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, TimerId};
 use agentrack_sim::{CorrId, SimTime, TraceEvent};
 
@@ -28,6 +27,7 @@ use crate::records::{Outcome, Record, RecordStore, Source};
 use crate::replica::{replica_usable, RecoveryPhase, RecoveryState, ReplicaStore, Replicator};
 use crate::scheme::{CopyRole, SharedSchemeStats};
 use crate::stats::LoadStats;
+use crate::view::TrackerView;
 use crate::wire::{send_traced, DenyReason, Freshness, HashFunction, Wire};
 
 /// A locate being served: answered at once, or buffered until its record
@@ -74,7 +74,11 @@ pub struct IAgentBehavior {
     config: LocationConfig,
     hagent: AgentId,
     hagent_node: NodeId,
-    hf: HashFunction,
+    /// The installed hash-function version, as this tracker needs it.
+    view: TrackerView,
+    /// The bootstrap IAgent's copy, kept only until `on_create` learns
+    /// this tracker's id and binds the view's own-leaf facts to it.
+    boot: Option<Box<HashFunction>>,
     /// The records this tracker owns, with their staleness, tombstones
     /// and bounced handoffs.
     book: RecordStore,
@@ -144,27 +148,31 @@ impl IAgentBehavior {
         hf: HashFunction,
         shared: SharedSchemeStats,
     ) -> Self {
-        Self::build(config, hagent, hagent_node, hf, shared, false)
+        let view = TrackerView::new(&hf, None);
+        let mut iagent = Self::build(config, hagent, hagent_node, view, shared, false);
+        iagent.boot = Some(Box::new(hf));
+        iagent
     }
 
     /// An IAgent created by the HAgent during a split; reports ready and
-    /// waits for its install.
+    /// waits for its install. Until then it routes what reaches it (early
+    /// handoffs, mail) under `view`, the HAgent's copy at creation.
     #[must_use]
     pub fn fresh(
         config: LocationConfig,
         hagent: AgentId,
         hagent_node: NodeId,
-        hf: HashFunction,
+        view: TrackerView,
         shared: SharedSchemeStats,
     ) -> Self {
-        Self::build(config, hagent, hagent_node, hf, shared, true)
+        Self::build(config, hagent, hagent_node, view, shared, true)
     }
 
     fn build(
         config: LocationConfig,
         hagent: AgentId,
         hagent_node: NodeId,
-        hf: HashFunction,
+        view: TrackerView,
         shared: SharedSchemeStats,
         fresh: bool,
     ) -> Self {
@@ -178,7 +186,8 @@ impl IAgentBehavior {
             config,
             hagent,
             hagent_node,
-            hf,
+            view,
+            boot: None,
             book: RecordStore::default(),
             stats,
             shared,
@@ -223,7 +232,7 @@ impl IAgentBehavior {
     /// Whether `agent` hashes here. Never before the first install: a
     /// fresh IAgent's bootstrap view predates its own leaf.
     fn is_mine(&self, ctx: &AgentCtx<'_>, agent: AgentId) -> bool {
-        self.installed && self.hf.is_responsible(ctx.self_id(), agent)
+        self.installed && self.view.is_responsible(ctx.self_id(), agent)
     }
 
     fn send_hagent(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
@@ -233,7 +242,7 @@ impl IAgentBehavior {
     /// Asks the HAgent for its primary copy of the hash function.
     fn fetch_hash_fn(&self, ctx: &mut AgentCtx<'_>) {
         let fetch = Wire::FetchHashFn {
-            have_version: self.hf.version,
+            have_version: self.view.version(),
             reply_node: ctx.node(),
         };
         self.send_hagent(ctx, &fetch);
@@ -305,7 +314,7 @@ impl IAgentBehavior {
             || ctx.now() < self.rehash_backoff_until
             || !self.installed
             || ctx.now().saturating_since(self.created_at) < self.config.merge_warmup
-            || self.hf.tree.iagent_count() <= 1
+            || self.view.leaf_count() <= 1
         {
             return;
         }
@@ -319,23 +328,23 @@ impl IAgentBehavior {
     /// Installs a new hash-function version: hand off records that no
     /// longer hash here; dispose if this leaf was merged away.
     fn install(&mut self, ctx: &mut AgentCtx<'_>, hf: HashFunction) {
-        if hf.version <= self.hf.version && self.installed {
+        if hf.version <= self.view.version() && self.installed {
             return; // stale or duplicate install
         }
         let first_install = !self.installed;
-        let me = IAgentId::new(ctx.self_id().raw());
-        let label_before = self.hf.tree.hyper_label(me).ok().filter(|_| !first_install);
-        self.hf = hf;
+        let label_before = self.view.own_label().cloned().filter(|_| !first_install);
+        self.view = TrackerView::new(&hf, Some(ctx.self_id()));
+        drop(hf); // the whole copy is not kept
         self.installed = true;
         self.shared
-            .record_version(ctx.self_id().raw(), CopyRole::Tracker, self.hf.version);
+            .record_version(ctx.self_id().raw(), CopyRole::Tracker, self.view.version());
         // The post-install cooldown is scoped to versions that changed
         // *this tracker's* partition (its hyper-label moved, it was merged
         // away, or this is its first view). A rehash in a distant subtree
         // changes nothing here: the observed rate still describes the
         // current partition, and an overdue split request must not be
         // silenced by it.
-        if first_install || self.hf.tree.hyper_label(me).ok() != label_before {
+        if first_install || self.view.own_label() != label_before.as_ref() {
             self.rehash_request = None;
             self.rehash_backoff_until = ctx.now() + self.config.rehash_cooldown;
             // Fresh epoch: rate observed against the old partition must
@@ -353,8 +362,8 @@ impl IAgentBehavior {
         // merged away: records are handed off, buffered mail chases its
         // key's new tracker, and pending queries bounce back.
         let self_id = ctx.self_id();
-        let hf = &self.hf;
-        let mine = |agent| hf.is_responsible(self_id, agent);
+        let view = &self.view;
+        let mine = |agent| view.is_responsible(self_id, agent);
         let moved = self.book.take_foreign(mine);
         let moved_mail = self.mailbox.drain_if(|item| !mine(item.target));
         let (stay, bounce): (Vec<_>, Vec<_>) = self.pending.drain(..).partition(|p| mine(p.target));
@@ -370,14 +379,14 @@ impl IAgentBehavior {
             p.reply(ctx, &p.not_responsible());
         }
 
-        if !self.hf.tree.contains(me) {
+        if self.view.own_label().is_none() {
             ctx.dispose(); // merged away: everything is handed off
             return;
         }
         // Replication duty follows ownership: the sibling leaf may have
         // changed, and the (possibly shrunk or grown) record set should
         // reach the buddy under the new partition promptly.
-        self.refresh_buddy(ctx);
+        self.refresh_buddy();
         self.replicator.mark_dirty();
     }
 
@@ -388,7 +397,7 @@ impl IAgentBehavior {
         }
         let mut by_owner: BTreeMap<AgentId, (NodeId, Vec<(AgentId, NodeId)>)> = BTreeMap::new();
         for (agent, node) in records {
-            let (owner, owner_node) = self.hf.resolve(agent);
+            let (owner, owner_node) = self.view.resolve(agent);
             by_owner
                 .entry(owner)
                 .or_insert_with(|| (owner_node, Vec::new()))
@@ -412,7 +421,7 @@ impl IAgentBehavior {
         data: Vec<u8>,
         ttl: u32,
     ) {
-        let (owner, node) = self.hf.resolve(target);
+        let (owner, node) = self.view.resolve(target);
         let mail = Wire::DeliverVia {
             target,
             from,
@@ -476,11 +485,11 @@ impl IAgentBehavior {
     /// leaf under the current tree, falling back to the standby. A buddy
     /// change marks the set dirty, so splits and merges transfer
     /// replication duty with a prompt full snapshot.
-    fn refresh_buddy(&mut self, ctx: &AgentCtx<'_>) {
+    fn refresh_buddy(&mut self) {
         if self.config.replication_interval.is_none() {
             return;
         }
-        let buddy = self.hf.buddy_of(ctx.self_id()).or(self.standby);
+        let buddy = self.view.buddy().or(self.standby);
         self.replicator.set_buddy(buddy);
     }
 
@@ -501,7 +510,7 @@ impl IAgentBehavior {
         {
             return;
         }
-        self.refresh_buddy(ctx);
+        self.refresh_buddy();
         if !self
             .replicator
             .due(ctx.now(), interval, self.config.replication_retry)
@@ -612,9 +621,12 @@ impl Agent for IAgentBehavior {
     fn on_create(&mut self, ctx: &mut AgentCtx<'_>) {
         self.created_at = ctx.now();
         self.last_audit = ctx.now();
+        if let Some(hf) = self.boot.take() {
+            self.view = TrackerView::new(&hf, Some(ctx.self_id()));
+        }
         if self.installed {
             self.shared
-                .record_version(ctx.self_id().raw(), CopyRole::Tracker, self.hf.version);
+                .record_version(ctx.self_id().raw(), CopyRole::Tracker, self.view.version());
         }
         if self.fresh {
             let lease = self.lease;
@@ -958,7 +970,7 @@ impl IAgentBehavior {
                     // there is nobody to bounce NotResponsible to — chase
                     // toward the responsible tracker ourselves, or its
                     // record leaks forever.
-                    let (owner, node) = self.hf.resolve(agent);
+                    let (owner, node) = self.view.resolve(agent);
                     if owner != ctx.self_id() {
                         let chase = Wire::Deregister {
                             agent,
@@ -1016,7 +1028,7 @@ impl IAgentBehavior {
                 // to the destination that just bounced (hot loop); the
                 // periodic check refetches until the view advances.
                 self.refetch_in_flight = false;
-                if hf.version > self.hf.version {
+                if hf.version > self.view.version() {
                     self.install(ctx, hf);
                     let unplaced = self.book.take_unplaced();
                     self.dispatch_handoffs(ctx, unplaced);

@@ -53,6 +53,7 @@ mod replica;
 mod retry;
 mod scheme;
 mod stats;
+mod view;
 mod wire;
 
 pub use centralized::{CentralBehavior, CentralizedClient, CentralizedScheme};
@@ -74,4 +75,5 @@ pub use scheme::{
     SharedSchemeStats,
 };
 pub use stats::LoadStats;
+pub use view::TrackerView;
 pub use wire::{key_of, DenyReason, Freshness, HashFunction, Wire};

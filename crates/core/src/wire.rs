@@ -24,8 +24,8 @@ pub fn key_of(agent: AgentId) -> AgentKey {
 }
 
 /// The complete hash-function artifact: what the HAgent owns (primary
-/// copy), LHAgents cache (secondary copies), and IAgents keep to check
-/// responsibility.
+/// copy) and LHAgents cache (secondary copies). IAgents receive it too,
+/// but keep only a [`TrackerView`](crate::TrackerView) of it.
 ///
 /// Besides the tree this carries the IAgent *directory* — the current node
 /// of every IAgent — because resolving an agent must yield both "which

@@ -2,8 +2,10 @@
 //! payload encoding, and the hash-function artifact stays consistent under
 //! random rehash histories.
 
-use agentrack_core::{key_of, plan_split, Freshness, HashFunction, LocationConfig, Wire};
-use agentrack_hashtree::{IAgentId, Side, SplitKind};
+use agentrack_core::{
+    key_of, plan_split, Freshness, HashFunction, LocationConfig, TrackerView, Wire,
+};
+use agentrack_hashtree::{IAgentId, Side, SplitKind, MAX_COMPILED_DEPTH};
 use agentrack_platform::{AgentId, CorrId, NodeId};
 use proptest::prelude::*;
 
@@ -108,7 +110,176 @@ fn arb_wire() -> impl Strategy<Value = Wire> {
     ]
 }
 
+/// One rehash of a random history: split or merge the leaf serving
+/// `key_of(seed)`.
+#[derive(Debug, Clone, Copy)]
+enum Rehash {
+    /// A simple split on the `m`-th free bit.
+    Simple { seed: u64, m: usize },
+    /// A complex split on the leaf's first unused label bit, if any.
+    Complex { seed: u64 },
+    /// Merge the leaf away; with two leaves left this is a root merge.
+    Merge { seed: u64 },
+}
+
+fn arb_rehash() -> impl Strategy<Value = Rehash> {
+    prop_oneof![
+        (any::<u64>(), 1usize..4).prop_map(|(seed, m)| Rehash::Simple { seed, m }),
+        any::<u64>().prop_map(|seed| Rehash::Complex { seed }),
+        any::<u64>().prop_map(|seed| Rehash::Merge { seed }),
+    ]
+}
+
+/// Applies `op` the way the HAgent does: bump the version, keep the
+/// directory in step and refresh the compiled table incrementally. Ops
+/// that do not apply (no complex candidate, merging the last leaf) are
+/// skipped.
+fn apply(hf: &mut HashFunction, op: Rehash, next: &mut u64) {
+    let leaf_for = |hf: &HashFunction, seed| hf.tree.lookup(key_of(AgentId::new(seed)));
+    let involved = match op {
+        Rehash::Simple { seed, .. } | Rehash::Complex { seed } => {
+            let leaf = leaf_for(hf, seed);
+            let Some(cand) = hf
+                .tree
+                .split_candidates(leaf)
+                .unwrap()
+                .into_iter()
+                .find(|c| match (op, c.kind) {
+                    (Rehash::Simple { m, .. }, SplitKind::Simple { m: cm }) => m == cm,
+                    (Rehash::Complex { .. }, SplitKind::Complex { .. }) => true,
+                    _ => false,
+                })
+            else {
+                return;
+            };
+            let new = IAgentId::new(*next);
+            let Ok(applied) = hf.tree.apply_split(&cand, new, Side::Right) else {
+                return;
+            };
+            hf.locations.insert(new, NodeId::new((*next % 16) as u32));
+            *next += 1;
+            let mut involved = applied.affected;
+            involved.push(new);
+            involved
+        }
+        Rehash::Merge { seed } => {
+            let leaf = leaf_for(hf, seed);
+            let Ok(applied) = hf.tree.apply_merge(leaf) else {
+                return;
+            };
+            hf.locations.remove(&leaf);
+            applied.absorbers
+        }
+    };
+    hf.version += 1;
+    hf.refresh_compiled(&involved);
+}
+
+/// Checks every answer a tracker view gives against the full copy, for
+/// each leaf of `hf` and for one id that is not a leaf.
+fn assert_view_agrees(hf: &HashFunction, probes: &[u64]) {
+    let trackers: Vec<AgentId> = hf
+        .tree
+        .iagents()
+        .map(|ia| AgentId::new(ia.raw()))
+        .chain([AgentId::new(u64::MAX)])
+        .collect();
+    // Built from the primary copy's (incrementally refreshed) table and
+    // from a decoded copy's freshly built one.
+    let decoded = match Wire::from_payload(&Wire::InstallHashFn { hf: hf.clone() }.payload()) {
+        Some(Wire::InstallHashFn { hf }) => hf,
+        other => panic!("install did not round-trip: {other:?}"),
+    };
+    for source in [hf, &decoded] {
+        for &me in &trackers {
+            let view = TrackerView::new(source, Some(me));
+            assert_eq!(view.version(), hf.version);
+            assert_eq!(view.leaf_count(), hf.tree.iagent_count());
+            let label = hf.tree.hyper_label(IAgentId::new(me.raw())).ok();
+            assert_eq!(view.own_label(), label.as_ref(), "own label of {me:?}");
+            assert_eq!(view.buddy(), hf.buddy_of(me), "buddy of {me:?}");
+            for &raw in probes {
+                let agent = AgentId::new(raw);
+                assert_eq!(view.resolve(agent), hf.resolve(agent), "resolve {raw}");
+                assert_eq!(view.is_responsible(me, agent), hf.is_responsible(me, agent));
+            }
+        }
+    }
+}
+
+/// A tracker view answers exactly like the full copy on a tree whose
+/// branch depth is past `MAX_COMPILED_DEPTH`, where both walk the tree.
+#[test]
+fn tracker_view_walks_a_tree_too_deep_to_compile() {
+    let mut hf = HashFunction::initial(AgentId::new(0), NodeId::new(0));
+    let mut next = 1u64;
+    // Each split of the leaf holding one fixed key branches one bit
+    // deeper: go one past the cap, then add some bushiness.
+    for _ in 0..=MAX_COMPILED_DEPTH {
+        apply(&mut hf, Rehash::Simple { seed: 7, m: 1 }, &mut next);
+    }
+    for seed in 0..16 {
+        apply(&mut hf, Rehash::Simple { seed, m: 2 }, &mut next);
+    }
+    hf.validate().unwrap();
+    assert!(hf.compiled().slots().is_none(), "the tree must be too deep");
+    let probes: Vec<u64> = (0..512).collect();
+    assert_view_agrees(&hf, &probes);
+}
+
+/// A 512-IAgent copy survives `InstallHashFn` encode/decode exactly, and
+/// the decoded copy's compiled table is current.
+#[test]
+fn install_of_a_512_iagent_tree_round_trips() {
+    let mut hf = HashFunction::initial(AgentId::new(0), NodeId::new(0));
+    let mut next = 1u64;
+    let mut seed = 0u64;
+    while hf.tree.iagent_count() < 512 {
+        apply(
+            &mut hf,
+            Rehash::Simple {
+                seed: seed * 77,
+                m: 1,
+            },
+            &mut next,
+        );
+        seed += 1;
+    }
+    let msg = Wire::InstallHashFn { hf: hf.clone() };
+    let decoded = Wire::from_payload(&msg.payload());
+    assert_eq!(decoded.as_ref(), Some(&msg));
+    let Some(Wire::InstallHashFn { hf: copy }) = decoded else {
+        unreachable!()
+    };
+    assert!(copy.compiled().is_current(&copy.tree));
+    copy.validate().unwrap();
+    for raw in 0..2048 {
+        assert_eq!(
+            copy.resolve(AgentId::new(raw)),
+            hf.resolve(AgentId::new(raw))
+        );
+    }
+}
+
 proptest! {
+    /// A tracker view answers exactly like the full hash function —
+    /// `resolve`, `is_responsible`, the buddy, the own hyper-label and
+    /// membership — over trees grown by simple and complex splits and
+    /// shrunk by merges, root merges included.
+    #[test]
+    fn tracker_view_answers_like_the_full_copy(
+        ops in prop::collection::vec(arb_rehash(), 0..40),
+        probes in prop::collection::vec(any::<u64>(), 64..65),
+    ) {
+        let mut hf = HashFunction::initial(AgentId::new(0), NodeId::new(0));
+        let mut next = 1u64;
+        for op in ops {
+            apply(&mut hf, op, &mut next);
+        }
+        hf.validate().unwrap();
+        assert_view_agrees(&hf, &probes);
+    }
+
     /// Every protocol message survives encode/decode exactly.
     #[test]
     fn wire_round_trips(msg in arb_wire()) {

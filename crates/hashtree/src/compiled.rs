@@ -208,6 +208,13 @@ impl CompiledDirectory {
         self.slots.len()
     }
 
+    /// The `2^depth` slots in key-prefix order, or `None` when the tree
+    /// was too deep to compile.
+    #[must_use]
+    pub fn slots(&self) -> Option<&[IAgentId]> {
+        self.compiled.then_some(self.slots.as_slice())
+    }
+
     /// Approximate heap footprint of the table in bytes.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
