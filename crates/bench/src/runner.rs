@@ -160,6 +160,11 @@ pub fn run_spec(spec: &ScenarioSpec, fidelity: Fidelity, jobs: usize) -> SpecOut
     }
     let trials = run_cells(cells, jobs);
 
+    let formats: Vec<_> = spec
+        .columns
+        .iter()
+        .map(|c| column(&c.field).expect("validated column field"))
+        .collect();
     let headers: Vec<String> = spec.columns.iter().map(|c| c.header()).collect();
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut table = Table::new(spec.title.clone(), &header_refs);
@@ -168,11 +173,7 @@ pub fn run_spec(spec: &ScenarioSpec, fidelity: Fidelity, jobs: usize) -> SpecOut
         let block = &trials[point_idx * per_point..(point_idx + 1) * per_point];
         if spec.scheme_rows() {
             for trial in block {
-                let row = spec
-                    .columns
-                    .iter()
-                    .map(|c| format_field(&c.field, trial))
-                    .collect();
+                let row = formats.iter().map(|format| format(trial)).collect();
                 table.push_row(row);
             }
         } else {
@@ -191,7 +192,8 @@ pub fn run_spec(spec: &ScenarioSpec, fidelity: Fidelity, jobs: usize) -> SpecOut
                 let row = spec
                     .columns
                     .iter()
-                    .map(|c| format_field(&c.field, arm(c.scheme.as_ref())))
+                    .zip(&formats)
+                    .map(|(c, format)| format(arm(c.scheme.as_ref())))
                     .collect();
                 table.push_row(row);
             }
@@ -542,94 +544,99 @@ fn recovery_percentiles(records: &[TraceRecord]) -> [f64; 2] {
     })
 }
 
-/// Formats one column field from a trial, replicating the hand-coded
-/// experiments' formatting exactly (latencies `{:.2}`, percentages and
-/// intensities `{:.1}`, counters as integers, `dnf` for starved or
-/// unsettled metrics).
-fn format_field(field: &str, trial: &TrialRecord) -> String {
-    let r = &trial.report;
-    match field {
-        "agents" => trial.agents.to_string(),
-        "residence_ms" => trial
-            .residence_ms
-            .map_or_else(|| format!("{}", r.residence_ms as u64), |v| v.to_string()),
-        "intensity" => format!("{:.1}", trial.intensity.unwrap_or(0.0)),
-        "rehash_concurrency" => trial
-            .rehash_concurrency
-            .map_or_else(|| "-".to_owned(), |v| v.to_string()),
-        "query_skew" => format!("{:.1}", trial.query_skew.unwrap_or(0.0)),
-        "mobility_skew" => format!("{}", trial.mobility_skew.unwrap_or(0.0)),
-        // `any` marks the unbounded default so a swept 0 (Fresh) stays
-        // distinguishable in the table.
-        "freshness_ms" => trial
-            .freshness_ms
-            .map_or_else(|| "any".to_owned(), |v| v.to_string()),
-        "churn_lifespan_s" => trial
-            .churn_lifespan_ms
-            .map_or_else(|| "static".to_owned(), |v| format!("{}", v as f64 / 1000.0)),
-        "crash_frac" => format!("{:.2}", trial.crash_frac.unwrap_or(0.0)),
-        "scheme" => trial.scheme.clone(),
-        "kind" => trial.kind.clone(),
-        "replication" => trial
-            .replication_ms
-            .map_or_else(|| "off".to_owned(), |v| format!("{v}ms")),
-        "seed" => trial.seed.to_string(),
-        "issued" => r.locates_issued.to_string(),
-        "completed" => r.locates_completed.to_string(),
-        "failures" => r.locate_failures.to_string(),
-        "success_pct" => format!("{:.1}", 100.0 * r.completion_ratio()),
-        "mean_ms" => ms(r.mean_locate_ms),
-        "mean_ms_or_dnf" => ms_or_dnf(r),
-        "p50_ms" => ms(r.p50_locate_ms),
-        "p95_ms" => ms(r.p95_locate_ms),
-        "p99_ms" => ms(r.p99_locate_ms),
-        "max_ms" => ms(r.max_locate_ms),
-        "trackers" => r.trackers.to_string(),
-        "peak_trackers" => r.peak_trackers.to_string(),
-        "splits" => r.splits.to_string(),
-        "merges" => r.merges.to_string(),
-        "denied" => trial.rehash_denied.to_string(),
-        "tree_height" => r.tree_height.to_string(),
-        "mean_prefix_bits" => format!("{:.2}", r.mean_prefix_bits),
-        "reconverge_ms" => trial.reconverge_ms.map_or_else(|| "dnf".to_owned(), ms),
-        "messages_sent" => r.messages_sent.to_string(),
-        "messages_remote" => r.messages_remote.to_string(),
-        "messages_failed" => r.messages_failed.to_string(),
-        "mail_buffered" => r.mail_buffered.to_string(),
-        "mail_flushed" => r.mail_flushed.to_string(),
-        "mail_lost" => r.mail_lost.to_string(),
-        "record_syncs" => r.record_syncs.to_string(),
-        "recoveries_started" => r.recoveries_started.to_string(),
-        "recoveries_completed" => r.recoveries_completed.to_string(),
-        "rec_p50_ms" => trial.rec_p50_ms.map_or_else(|| "-".to_owned(), ms),
-        "rec_p95_ms" => trial.rec_p95_ms.map_or_else(|| "-".to_owned(), ms),
-        "stale_answers" => r.stale_answers.to_string(),
-        "stale_answer_pct" => {
-            let completed = r.locates_completed;
-            if completed == 0 {
-                "0.0".to_owned()
-            } else {
-                #[allow(clippy::cast_precision_loss)]
-                let pct = 100.0 * r.stale_located as f64 / completed as f64;
-                format!("{pct:.1}")
-            }
-        }
-        "replica_answers" => r.replica_answers.to_string(),
-        "freshness_refusals" => r.freshness_refusals.to_string(),
-        "hedged_locates" => r.hedged_locates.to_string(),
-        "bound_violations" => r.bound_violations.to_string(),
-        "stale_hits" => r.stale_hits.to_string(),
-        "hf_fetches" => r.hf_fetches.to_string(),
-        "chain_hops" => r.chain_hops.to_string(),
-        "iagent_moves" => r.iagent_moves.to_string(),
-        "registrations" => r.registrations.to_string(),
-        "moves" => r.moves.to_string(),
-        "births" => r.births.to_string(),
-        "deaths" => r.deaths.to_string(),
-        "violations" => trial
-            .invariants
-            .as_ref()
-            .map_or_else(|| "-".to_owned(), |i| i.violations.len().to_string()),
-        other => unreachable!("validated column field {other:?}"),
-    }
+/// A table column: its name, and how it prints from one trial.
+pub(crate) type Column = (&'static str, fn(&TrialRecord) -> String);
+
+/// Every column a spec may request (documented in `EXPERIMENTS.md`
+/// §E18), formatted exactly as the hand-coded experiments do: latencies
+/// `{:.2}`, percentages and intensities `{:.1}`, counters as integers,
+/// `dnf` for starved or unsettled metrics.
+#[rustfmt::skip]
+pub(crate) const COLUMNS: &[Column] = &[
+    // Point / trial metadata.
+    ("agents", |t| t.agents.to_string()),
+    ("residence_ms", |t| t.residence_ms.unwrap_or(t.report.residence_ms as u64).to_string()),
+    ("intensity", |t| format!("{:.1}", t.intensity.unwrap_or(0.0))),
+    ("rehash_concurrency", |t| {
+        t.rehash_concurrency.map_or_else(|| "-".to_owned(), |v| v.to_string())
+    }),
+    ("query_skew", |t| format!("{:.1}", t.query_skew.unwrap_or(0.0))),
+    ("mobility_skew", |t| format!("{}", t.mobility_skew.unwrap_or(0.0))),
+    // `any` marks the unbounded default so a swept 0 (Fresh) stays
+    // distinguishable in the table.
+    ("freshness_ms", |t| t.freshness_ms.map_or_else(|| "any".to_owned(), |v| v.to_string())),
+    ("churn_lifespan_s", |t| {
+        let seconds = |ms| format!("{}", ms as f64 / 1000.0);
+        t.churn_lifespan_ms.map_or_else(|| "static".to_owned(), seconds)
+    }),
+    ("crash_frac", |t| format!("{:.2}", t.crash_frac.unwrap_or(0.0))),
+    ("scheme", |t| t.scheme.clone()),
+    ("kind", |t| t.kind.clone()),
+    ("replication", |t| t.replication_ms.map_or_else(|| "off".to_owned(), |v| format!("{v}ms"))),
+    ("seed", |t| t.seed.to_string()),
+    // Locate outcome counters and latency metrics.
+    ("issued", |t| t.report.locates_issued.to_string()),
+    ("completed", |t| t.report.locates_completed.to_string()),
+    ("failures", |t| t.report.locate_failures.to_string()),
+    ("success_pct", |t| format!("{:.1}", 100.0 * t.report.completion_ratio())),
+    ("mean_ms", |t| ms(t.report.mean_locate_ms)),
+    ("mean_ms_or_dnf", |t| ms_or_dnf(&t.report)),
+    ("p50_ms", |t| ms(t.report.p50_locate_ms)),
+    ("p95_ms", |t| ms(t.report.p95_locate_ms)),
+    ("p99_ms", |t| ms(t.report.p99_locate_ms)),
+    ("max_ms", |t| ms(t.report.max_locate_ms)),
+    // Directory shape and adaptation.
+    ("trackers", |t| t.report.trackers.to_string()),
+    ("peak_trackers", |t| t.report.peak_trackers.to_string()),
+    ("splits", |t| t.report.splits.to_string()),
+    ("merges", |t| t.report.merges.to_string()),
+    ("denied", |t| t.rehash_denied.to_string()),
+    ("tree_height", |t| t.report.tree_height.to_string()),
+    ("mean_prefix_bits", |t| format!("{:.2}", t.report.mean_prefix_bits)),
+    ("reconverge_ms", |t| t.reconverge_ms.map_or_else(|| "dnf".to_owned(), ms)),
+    // Traffic, mail, and durability.
+    ("messages_sent", |t| t.report.messages_sent.to_string()),
+    ("messages_remote", |t| t.report.messages_remote.to_string()),
+    ("messages_failed", |t| t.report.messages_failed.to_string()),
+    ("mail_buffered", |t| t.report.mail_buffered.to_string()),
+    ("mail_flushed", |t| t.report.mail_flushed.to_string()),
+    ("mail_lost", |t| t.report.mail_lost.to_string()),
+    ("record_syncs", |t| t.report.record_syncs.to_string()),
+    ("recoveries_started", |t| t.report.recoveries_started.to_string()),
+    ("recoveries_completed", |t| t.report.recoveries_completed.to_string()),
+    ("rec_p50_ms", |t| t.rec_p50_ms.map_or_else(|| "-".to_owned(), ms)),
+    ("rec_p95_ms", |t| t.rec_p95_ms.map_or_else(|| "-".to_owned(), ms)),
+    ("stale_answers", |t| t.report.stale_answers.to_string()),
+    // Geo / freshness (E20).
+    ("stale_answer_pct", |t| {
+        #[allow(clippy::cast_precision_loss)]
+        let (stale, completed) = (t.report.stale_located as f64, t.report.locates_completed as f64);
+        format!("{:.1}", if completed == 0.0 { 0.0 } else { 100.0 * stale / completed })
+    }),
+    ("replica_answers", |t| t.report.replica_answers.to_string()),
+    ("freshness_refusals", |t| t.report.freshness_refusals.to_string()),
+    ("hedged_locates", |t| t.report.hedged_locates.to_string()),
+    ("bound_violations", |t| t.report.bound_violations.to_string()),
+    ("stale_hits", |t| t.report.stale_hits.to_string()),
+    ("hf_fetches", |t| t.report.hf_fetches.to_string()),
+    ("chain_hops", |t| t.report.chain_hops.to_string()),
+    ("iagent_moves", |t| t.report.iagent_moves.to_string()),
+    // Population dynamics.
+    ("registrations", |t| t.report.registrations.to_string()),
+    ("moves", |t| t.report.moves.to_string()),
+    ("births", |t| t.report.births.to_string()),
+    ("deaths", |t| t.report.deaths.to_string()),
+    // Invariant audit.
+    ("violations", |t| {
+        let count = |i: &InvariantReport| i.violations.len().to_string();
+        t.invariants.as_ref().map_or_else(|| "-".to_owned(), count)
+    }),
+];
+
+/// How column `field` prints, if it is a column.
+pub(crate) fn column(field: &str) -> Option<fn(&TrialRecord) -> String> {
+    COLUMNS
+        .iter()
+        .find(|(name, _)| *name == field)
+        .map(|&(_, format)| format)
 }
