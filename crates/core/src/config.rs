@@ -119,14 +119,6 @@ pub struct LocationConfig {
     /// answering from stale replica records before it declares recovery
     /// over (converged or not) and resumes normal answering.
     pub recovery_timeout: SimDuration,
-    /// How long a hash-function copy holder waits for a `FetchHashFn`
-    /// answer before declaring the source unresponsive and failing over.
-    pub fetch_timeout: SimDuration,
-    /// Base delay of the LHAgent's capped exponential backoff, entered
-    /// when *every* hash-function source has bounced a fetch.
-    pub fetch_backoff_base: SimDuration,
-    /// Cap on the LHAgent's exponential backoff delay.
-    pub fetch_backoff_cap: SimDuration,
     /// Consecutive locate timeouts against one destination before a
     /// client marks it degraded and starts hedging freshness-bounded
     /// locates to the tracker's buddy replica.
@@ -166,9 +158,6 @@ impl Default for LocationConfig {
             replication_interval: None,
             replication_retry: SimDuration::from_millis(300),
             recovery_timeout: SimDuration::from_secs(3),
-            fetch_timeout: SimDuration::from_millis(800),
-            fetch_backoff_base: SimDuration::from_millis(100),
-            fetch_backoff_cap: SimDuration::from_secs(2),
             geo_degrade_after: 2,
             geo_heal_after: 2,
         }
@@ -292,12 +281,6 @@ impl LocationConfig {
         if self.replication_retry.is_zero() {
             return Err("replication_retry must be non-zero".into());
         }
-        if self.fetch_timeout.is_zero() {
-            return Err("fetch_timeout must be non-zero".into());
-        }
-        if self.fetch_backoff_base.is_zero() || self.fetch_backoff_cap < self.fetch_backoff_base {
-            return Err("fetch backoff needs 0 < base <= cap".into());
-        }
         if self.geo_degrade_after == 0 || self.geo_heal_after == 0 {
             return Err("geo_degrade_after and geo_heal_after must be at least 1".into());
         }
@@ -327,11 +310,6 @@ mod tests {
         c.validate().unwrap();
         let bad = LocationConfig {
             replication_interval: Some(SimDuration::ZERO),
-            ..LocationConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = LocationConfig {
-            fetch_backoff_cap: SimDuration::from_millis(1),
             ..LocationConfig::default()
         };
         assert!(bad.validate().is_err());

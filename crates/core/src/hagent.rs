@@ -34,20 +34,26 @@
 //! Merges commit immediately (no second phase) but take the same region
 //! gate: the merged leaf's *parent* region must not overlap any lease or
 //! cooling region, because a merge rewrites the sibling subtree's labels.
+//!
+//! Every commit — split, merge, or an IAgent's move — is one [`RehashOp`]
+//! applied to the primary copy and kept in a bounded [`RehashLog`]. A
+//! fetch from a copy the log still covers is answered with the ops it
+//! lacks ([`Wire::HashFnDelta`]); anything older gets the whole copy.
 
-use agentrack_hashtree::{IAgentId, PrefixRegion, Side};
+use agentrack_hashtree::{IAgentId, PrefixRegion, Side, TreeError};
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, TimerId};
 use agentrack_sim::{SimTime, TraceEvent};
 
 use std::collections::HashMap;
 
 use crate::config::LocationConfig;
+use crate::hashfn::{HashFunction, RehashLog, RehashOp};
 use crate::iagent::IAgentBehavior;
 use crate::plan::plan_split;
 use crate::replica::ReplicaStore;
 use crate::scheme::{CopyRole, SharedSchemeStats};
 use crate::view::TrackerView;
-use crate::wire::{DenyReason, HashFunction, Wire};
+use crate::wire::{DenyReason, Wire};
 
 /// The two messages that carry a whole hash-function copy, each encoded at
 /// most once per version however many recipients it has. Keyed by the
@@ -217,6 +223,9 @@ pub struct HAgentBehavior {
     hf: HashFunction,
     /// The primary copy encoded for installs, pushes and fetches.
     payloads: CopyPayloads,
+    /// The ops behind the primary copy's most recent versions, for
+    /// answering fetches with deltas.
+    log: RehashLog,
     /// LHAgent directory, for eager propagation: `(agent, node)` pairs.
     lhagents: Vec<(AgentId, NodeId)>,
     shared: SharedSchemeStats,
@@ -256,6 +265,7 @@ impl HAgentBehavior {
         shared.set_trackers(hf.tree.iagent_count() as u64);
         HAgentBehavior {
             config,
+            log: RehashLog::new(hf.version),
             hf,
             payloads: CopyPayloads::default(),
             lhagents,
@@ -331,6 +341,14 @@ impl HAgentBehavior {
             s.tree_height = height;
             s.depth_bits_total = depth_bits;
         });
+    }
+
+    /// Applies `op` to the primary copy and logs it, bounded by the tree's
+    /// IAgent count; returns the IAgents whose leaves changed.
+    fn commit(&mut self, op: RehashOp) -> Result<Vec<IAgentId>, TreeError> {
+        let involved = self.hf.apply(&op)?;
+        self.log.push(op, self.hf.tree.iagent_count());
+        Ok(involved)
     }
 
     fn pick_node(&mut self) -> NodeId {
@@ -451,28 +469,24 @@ impl HAgentBehavior {
             return; // an orphaned IAgent from an aborted/abandoned lease
         };
         let lease = self.leases.remove(pos);
-        let requester = IAgentId::new(lease.requester.raw());
-        let new_ia = IAgentId::new(lease.new_agent.raw());
-        // Re-derive the candidate against the current generation: commits
-        // in disjoint regions bumped it since the grant, but the lease kept
-        // this subtree untouched, so the partition bit still pins the same
-        // split (see `HashTree::refreshed_candidate`).
-        let applied = self
-            .hf
-            .tree
-            .refreshed_candidate(requester, lease.key_bit)
-            .and_then(|candidate| self.hf.tree.apply_split(&candidate, new_ia, lease.new_side));
-        let applied = match applied {
-            Ok(applied) => applied,
-            Err(_) => {
-                // Unreachable while region fencing holds (the requester's
-                // subtree cannot change under a held lease), but stay safe.
-                self.deny(ctx, lease.requester, DenyReason::NoPlan);
-                return;
-            }
+        // The op names the split by its partition bit, which `apply`
+        // re-derives against the current generation: commits in disjoint
+        // regions bumped it since the grant, but the lease kept this
+        // subtree untouched, so the bit still pins the same split (see
+        // `HashTree::refreshed_candidate`).
+        let op = RehashOp::Split {
+            requester: IAgentId::new(lease.requester.raw()),
+            key_bit: lease.key_bit,
+            new_iagent: IAgentId::new(lease.new_agent.raw()),
+            side: lease.new_side,
+            node: lease.new_node,
         };
-        self.hf.version += 1;
-        self.hf.locations.insert(new_ia, lease.new_node);
+        let Ok(involved) = self.commit(op) else {
+            // Unreachable while region fencing holds (the requester's
+            // subtree cannot change under a held lease), but stay safe.
+            self.deny(ctx, lease.requester, DenyReason::NoPlan);
+            return;
+        };
         self.shared.update(|s| s.splits += 1);
         self.shared.registry().record_split(self.hf.version);
         let version = self.hf.version;
@@ -485,10 +499,6 @@ impl HAgentBehavior {
         });
         self.shared.set_trackers(self.hf.tree.iagent_count() as u64);
         self.record_tree_shape();
-
-        let mut involved = applied.affected;
-        involved.push(new_ia);
-        self.hf.refresh_compiled(&involved);
         self.distribute(ctx, &involved);
         self.recent.push((
             self.cooldown_region(lease.region),
@@ -528,20 +538,15 @@ impl HAgentBehavior {
             return;
         }
         let merged_node = self.node_of_iagent(from);
-        let applied = match self.hf.tree.apply_merge(merged) {
-            Ok(applied) => applied,
-            Err(_) => {
-                self.deny(ctx, from, DenyReason::NoPlan);
-                return;
-            }
+        let Ok(absorbers) = self.commit(RehashOp::Merge { iagent: merged }) else {
+            self.deny(ctx, from, DenyReason::NoPlan);
+            return;
         };
-        self.hf.version += 1;
-        self.hf.locations.remove(&merged);
         self.shared.update(|s| s.merges += 1);
         self.shared.registry().record_merge(self.hf.version);
         let version = self.hf.version;
         let from_tracker = from.raw();
-        let into_tracker = applied.absorbers.first().map_or(0, |ia| ia.raw());
+        let into_tracker = absorbers.first().map_or(0, |ia| ia.raw());
         ctx.trace().emit(ctx.now(), || TraceEvent::RehashMerge {
             version,
             from_tracker,
@@ -552,8 +557,7 @@ impl HAgentBehavior {
 
         // Install on the absorbers (via the directory) and on the merged
         // IAgent (whose directory entry is gone — use its last node).
-        self.hf.refresh_compiled(&applied.absorbers);
-        self.distribute(ctx, &applied.absorbers);
+        self.distribute(ctx, &absorbers);
         if let Some(node) = merged_node {
             ctx.send(from, node, self.payloads.install(&self.hf));
         }
@@ -650,20 +654,24 @@ impl Agent for HAgentBehavior {
             Wire::IAgentReady { lease } => self.handle_ready(ctx, from, lease),
             Wire::MergeRequest { .. } => self.handle_merge_request(ctx, from),
             Wire::IAgentMoved { node } => {
-                let ia = IAgentId::new(from.raw());
-                if let std::collections::hash_map::Entry::Occupied(mut e) =
-                    self.hf.locations.entry(ia)
-                {
-                    e.insert(node);
-                    self.hf.version += 1;
+                let iagent = IAgentId::new(from.raw());
+                // Refused for an IAgent the directory does not hold.
+                if self.commit(RehashOp::Moved { iagent, node }).is_ok() {
                     // Empty involved set: nothing to install, but eager
                     // copies and the standby must still learn the version.
                     self.distribute(ctx, &[]);
                 }
             }
-            Wire::FetchHashFn { reply_node, .. } => {
+            Wire::FetchHashFn {
+                have_version,
+                reply_node,
+            } => {
                 self.shared.update(|s| s.hf_fetches += 1);
-                ctx.send(from, reply_node, self.payloads.copy(&self.hf));
+                let reply = match self.log.since(have_version) {
+                    Some(delta) => delta.payload(),
+                    None => self.payloads.copy(&self.hf),
+                };
+                ctx.send(from, reply_node, reply);
             }
             Wire::EpochRequest => {
                 // A restarted tracker wants a fresh epoch before it may

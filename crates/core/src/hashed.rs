@@ -21,6 +21,7 @@ use agentrack_sim::{CorrId, SimDuration};
 use crate::config::LocationConfig;
 use crate::geo::ReachabilityMap;
 use crate::hagent::{HAgentBehavior, StandbyHAgentBehavior};
+use crate::hashfn::HashFunction;
 use crate::iagent::IAgentBehavior;
 use crate::lhagent::LHAgentBehavior;
 use crate::mailbox::MAIL_MAX_HOPS;
@@ -28,7 +29,7 @@ use crate::retry::{LocateCore, Outcome};
 use crate::scheme::{
     ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SharedSchemeStats,
 };
-use crate::wire::{send_traced, Freshness, HashFunction, Wire};
+use crate::wire::{send_traced, Freshness, Wire};
 
 /// The hash-based location scheme: one HAgent, one initial IAgent, one
 /// LHAgent per node.
@@ -185,8 +186,7 @@ impl LocationScheme for HashedScheme {
 
         for (i, &expected) in lhagents.iter().enumerate() {
             let mut lh = LHAgentBehavior::new(hf.clone(), hagent, home, self.shared.clone())
-                .with_audit(self.config.version_audit)
-                .with_timing(&self.config);
+                .with_audit(self.config.version_audit);
             if let Some((standby_id, standby_node)) = standby {
                 lh = lh.with_standby(standby_id, standby_node);
             }

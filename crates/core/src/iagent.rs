@@ -22,13 +22,14 @@ use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, TimerId};
 use agentrack_sim::{CorrId, SimTime, TraceEvent};
 
 use crate::config::LocationConfig;
+use crate::hashfn::HashFunction;
 use crate::mailbox::{Mailbox, MAIL_MAX_HOPS};
 use crate::records::{Outcome, Record, RecordStore, Source};
 use crate::replica::{replica_usable, RecoveryPhase, RecoveryState, ReplicaStore, Replicator};
 use crate::scheme::{CopyRole, SharedSchemeStats};
 use crate::stats::LoadStats;
 use crate::view::TrackerView;
-use crate::wire::{send_traced, DenyReason, Freshness, HashFunction, Wire};
+use crate::wire::{send_traced, DenyReason, Freshness, Wire};
 
 /// A locate being served: answered at once, or buffered until its record
 /// arrives or its deadline passes.
@@ -239,10 +240,12 @@ impl IAgentBehavior {
         ctx.send(self.hagent, self.hagent_node, msg.payload());
     }
 
-    /// Asks the HAgent for its primary copy of the hash function.
+    /// Asks the HAgent for its primary copy of the hash function. A view
+    /// cannot apply rehash ops, so the fetch claims no whole copy
+    /// (`have_version: 0`) and is answered with one.
     fn fetch_hash_fn(&self, ctx: &mut AgentCtx<'_>) {
         let fetch = Wire::FetchHashFn {
-            have_version: self.view.version(),
+            have_version: 0,
             reply_node: ctx.node(),
         };
         self.send_hagent(ctx, &fetch);

@@ -7,13 +7,39 @@
 //! that hits a `NotResponsible` answer asks its LHAgent to `ResolveFresh`,
 //! which makes the LHAgent fetch the primary copy from the HAgent before
 //! answering (paper §4.3).
+//!
+//! A fetch names the version held, and the HAgent answers with the ops
+//! that version lacks (`HashFnDelta`) while its log covers it, or with the
+//! whole copy (`HashFnCopy`). Both replies take the same "advance to
+//! version v" step; a delta that does not apply is discarded for a whole
+//! copy.
 
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, TimerId};
 use agentrack_sim::{CorrId, SimDuration, SimTime, TraceEvent};
 
-use crate::config::LocationConfig;
+use crate::hashfn::HashFunction;
 use crate::scheme::{CopyRole, SharedSchemeStats};
-use crate::wire::{send_traced, HashFunction, Wire};
+use crate::wire::{send_traced, Wire};
+
+/// How long to wait for a fetch reply before assuming it lost and failing
+/// over to the next source.
+const FETCH_TIMEOUT: SimDuration = SimDuration::from_millis(800);
+/// All-sources-dead backoff: first delay, doubling per failed round.
+const BACKOFF_BASE: SimDuration = SimDuration::from_millis(100);
+/// Ceiling of the exponential backoff.
+const BACKOFF_CAP: SimDuration = SimDuration::from_secs(2);
+
+/// Capped exponential backoff after `rounds` rounds in which every source
+/// bounced (`base · 2^rounds`, capped) plus up to one base interval of
+/// jitter drawn from `entropy`, so co-located LHAgents do not stampede the
+/// control plane the moment a source returns.
+fn backoff_delay(rounds: u32, entropy: u64) -> SimDuration {
+    let base = BACKOFF_BASE.as_nanos();
+    let exp = base
+        .saturating_mul(1u64 << rounds.min(16))
+        .min(BACKOFF_CAP.as_nanos());
+    SimDuration::from_nanos(exp.saturating_add(entropy % base))
+}
 
 /// Behaviour of an LHAgent.
 #[derive(Debug)]
@@ -42,12 +68,9 @@ pub struct LHAgentBehavior {
     audit: Option<SimDuration>,
     audit_timer: Option<TimerId>,
     shared: SharedSchemeStats,
-    /// How long to wait for a `HashFnCopy` reply before assuming loss.
-    fetch_timeout: SimDuration,
-    /// All-sources-dead backoff: first delay, doubling per failed round.
-    backoff_base: SimDuration,
-    /// Ceiling of the exponential backoff.
-    backoff_cap: SimDuration,
+    /// Set when a delta did not apply: fetches then ask for a whole copy
+    /// (`have_version: 0`) until one has advanced the copy.
+    copy_wanted: bool,
     /// Consecutive rounds in which every source bounced; indexes the
     /// exponential backoff, reset by any received copy.
     failed_rounds: u32,
@@ -73,21 +96,9 @@ impl LHAgentBehavior {
             audit: None,
             audit_timer: None,
             shared,
-            fetch_timeout: SimDuration::from_millis(800),
-            backoff_base: SimDuration::from_millis(100),
-            backoff_cap: SimDuration::from_secs(2),
+            copy_wanted: false,
             failed_rounds: 0,
         }
-    }
-
-    /// Applies the fetch timing knobs from the scheme configuration: the
-    /// reply timeout and the all-sources-dead backoff base and cap.
-    #[must_use]
-    pub fn with_timing(mut self, config: &LocationConfig) -> Self {
-        self.fetch_timeout = config.fetch_timeout;
-        self.backoff_base = config.fetch_backoff_base;
-        self.backoff_cap = config.fetch_backoff_cap;
-        self
     }
 
     /// Adds a standby HAgent to fail over to when the primary is
@@ -155,27 +166,56 @@ impl LHAgentBehavior {
             hagent,
             node,
             Wire::FetchHashFn {
-                have_version: self.hf.version,
+                have_version: if self.copy_wanted { 0 } else { self.hf.version },
                 reply_node: here,
             }
             .payload(),
         );
-        // Reply-loss watchdog: if no copy arrives, the timer clears the
+        // Reply-loss watchdog: if no reply arrives, the timer clears the
         // in-flight flag and retries.
-        ctx.set_timer(self.fetch_timeout);
+        ctx.set_timer(FETCH_TIMEOUT);
     }
 
-    /// Capped exponential backoff (`base · 2^rounds`, capped) plus up to
-    /// one base interval of deterministic jitter, so co-located LHAgents
-    /// do not stampede the control plane the moment a source returns.
-    fn backoff_delay(&mut self, ctx: &mut AgentCtx<'_>) -> SimDuration {
-        let base = self.backoff_base.as_nanos().max(1);
-        let cap = self.backoff_cap.as_nanos().max(base);
-        let exp = base
-            .saturating_mul(1u64 << self.failed_rounds.min(16))
-            .min(cap);
-        let jitter = ctx.rng().next_u64() % base;
-        SimDuration::from_nanos(exp.saturating_add(jitter))
+    /// The one step both fetch replies take: a copy at version `to` (a
+    /// [`Wire::HashFnCopy`]'s, or where a [`Wire::HashFnDelta`] ends)
+    /// arrived, and `update` brings the local copy there, returning
+    /// `false` when it cannot.
+    ///
+    /// An older version is a stale eager push racing our fetch: ignored,
+    /// and the real reply (or the watchdog) handles waiting clients. The
+    /// same version is an authoritative confirmation that the local copy
+    /// is current, the freshest answer that exists. Only then, or after an
+    /// update, are waiting resolves answered: the clients waiting already
+    /// *rejected* the version held before. An update that fails is
+    /// discarded for a whole copy.
+    fn advance(
+        &mut self,
+        ctx: &mut AgentCtx<'_>,
+        to: u64,
+        update: impl FnOnce(&mut HashFunction) -> bool,
+    ) {
+        if to < self.hf.version {
+            return;
+        }
+        if to > self.hf.version {
+            let advanced = update(&mut self.hf);
+            self.shared
+                .record_version(ctx.self_id().raw(), CopyRole::Secondary, self.hf.version);
+            if !advanced {
+                self.copy_wanted = true;
+                self.fetch_in_flight = false;
+                self.fetch(ctx);
+                return;
+            }
+        }
+        self.copy_wanted = false;
+        self.fetch_in_flight = false;
+        self.failed_rounds = 0;
+        let waiting = std::mem::take(&mut self.waiting);
+        for (requester, target, token, corr) in waiting {
+            self.answer(ctx, requester, target, token, corr);
+        }
+        self.flush_pending_dereg(ctx);
     }
 }
 
@@ -251,45 +291,14 @@ impl Agent for LHAgentBehavior {
                 let (iagent, node) = self.hf.resolve(agent);
                 ctx.send(iagent, node, Wire::Deregister { agent, ttl }.payload());
             }
-            Wire::HashFnCopy { hf } => {
-                // Either the answer to our fetch or an eager push from the
-                // HAgent. An old copy must not satisfy a pending
-                // ResolveFresh: the clients waiting already *rejected* the
-                // version we hold, so only a strictly newer copy answers
-                // them (the watchdog retries if the real reply was lost).
-                match hf.version.cmp(&self.hf.version) {
-                    std::cmp::Ordering::Greater => {
-                        self.hf = hf;
-                        self.shared.record_version(
-                            ctx.self_id().raw(),
-                            CopyRole::Secondary,
-                            self.hf.version,
-                        );
-                        self.fetch_in_flight = false;
-                        self.failed_rounds = 0;
-                        let waiting = std::mem::take(&mut self.waiting);
-                        for (requester, target, token, corr) in waiting {
-                            self.answer(ctx, requester, target, token, corr);
-                        }
-                        self.flush_pending_dereg(ctx);
-                    }
-                    std::cmp::Ordering::Equal => {
-                        // Authoritative confirmation that our copy is
-                        // current: the freshest answer that exists.
-                        self.fetch_in_flight = false;
-                        self.failed_rounds = 0;
-                        let waiting = std::mem::take(&mut self.waiting);
-                        for (requester, target, token, corr) in waiting {
-                            self.answer(ctx, requester, target, token, corr);
-                        }
-                        self.flush_pending_dereg(ctx);
-                    }
-                    std::cmp::Ordering::Less => {
-                        // A stale eager push racing our fetch: ignore it;
-                        // the real reply (or the watchdog) handles waiting
-                        // clients.
-                    }
-                }
+            // The answer to our fetch, or an eager push from the HAgent.
+            Wire::HashFnCopy { hf } => self.advance(ctx, hf.version, |copy| {
+                *copy = hf;
+                true
+            }),
+            Wire::HashFnDelta { from_version, ops } => {
+                let to = from_version.saturating_add(ops.len() as u64);
+                self.advance(ctx, to, |copy| copy.advance(from_version, &ops).is_ok());
             }
             _ => {}
         }
@@ -334,7 +343,7 @@ impl Agent for LHAgentBehavior {
                 // Every source bounced in a row: back off exponentially
                 // (with jitter) instead of hot-looping against a dead
                 // control plane; the timer retries the fetch.
-                let delay = self.backoff_delay(ctx);
+                let delay = backoff_delay(self.failed_rounds, ctx.rng().next_u64());
                 self.failed_rounds = self.failed_rounds.saturating_add(1);
                 ctx.set_timer(delay);
             } else {
@@ -351,9 +360,7 @@ impl Agent for LHAgentBehavior {
             }
             return;
         }
-        if self.fetch_in_flight
-            && ctx.now().saturating_since(self.fetch_sent_at) >= self.fetch_timeout
-        {
+        if self.fetch_in_flight && ctx.now().saturating_since(self.fetch_sent_at) >= FETCH_TIMEOUT {
             // The reply never came (lost, or the HAgent crashed mid-fetch):
             // try the next source.
             self.fetch_in_flight = false;
@@ -370,5 +377,37 @@ impl Agent for LHAgentBehavior {
         if !self.waiting.is_empty() || !self.pending_dereg.is_empty() {
             self.fetch(ctx);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The all-sources-dead backoff doubles from 100 ms per failed round,
+    /// caps at 2 s, and adds `entropy mod 100 ms` of jitter.
+    #[test]
+    fn backoff_doubles_from_the_base_to_the_cap() {
+        let ms = SimDuration::from_millis;
+        let delays: Vec<SimDuration> = (0..7).map(|rounds| backoff_delay(rounds, 0)).collect();
+        assert_eq!(
+            delays,
+            [
+                ms(100),
+                ms(200),
+                ms(400),
+                ms(800),
+                ms(1600),
+                ms(2000),
+                ms(2000)
+            ]
+        );
+        assert_eq!(backoff_delay(u32::MAX, 0), ms(2000));
+        let jitter = 99_999_999;
+        assert_eq!(
+            backoff_delay(0, 3 * BACKOFF_BASE.as_nanos() + jitter),
+            ms(100) + SimDuration::from_nanos(jitter)
+        );
+        assert_eq!(FETCH_TIMEOUT, ms(800));
     }
 }

@@ -43,6 +43,7 @@ mod forwarding;
 mod geo;
 mod hagent;
 mod hashed;
+mod hashfn;
 mod home;
 mod iagent;
 mod lhagent;
@@ -62,6 +63,7 @@ pub use forwarding::{ForwarderBehavior, ForwardingClient, ForwardingScheme};
 pub use geo::{ReachabilityMap, RegionState};
 pub use hagent::{HAgentBehavior, StandbyHAgentBehavior};
 pub use hashed::{HashedClient, HashedScheme};
+pub use hashfn::{key_of, DeltaError, HashFunction, RehashLog, RehashOp};
 pub use home::{HomeRegistryBehavior, HomeRegistryClient, HomeRegistryScheme};
 pub use iagent::IAgentBehavior;
 pub use lhagent::LHAgentBehavior;
@@ -76,4 +78,4 @@ pub use scheme::{
 };
 pub use stats::LoadStats;
 pub use view::TrackerView;
-pub use wire::{key_of, DenyReason, Freshness, HashFunction, Wire};
+pub use wire::{DenyReason, Freshness, Wire};

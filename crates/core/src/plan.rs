@@ -17,7 +17,7 @@ use agentrack_hashtree::{HashTree, IAgentId, Side, SplitCandidate, SplitKind, Tr
 use agentrack_platform::AgentId;
 
 use crate::config::LocationConfig;
-use crate::wire::key_of;
+use crate::hashfn::key_of;
 
 /// A chosen split: the tree candidate plus which side the new IAgent takes.
 #[derive(Debug, Clone, PartialEq)]

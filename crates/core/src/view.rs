@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 use agentrack_hashtree::{CompiledDirectory, HashTree, HyperLabel, IAgentId};
 use agentrack_platform::{AgentId, NodeId};
 
-use crate::wire::{key_of, HashFunction};
+use crate::hashfn::{key_of, HashFunction};
 
 /// Log₂ of the number of key-space chunks a view is cut into.
 const CHUNK_BITS: usize = 5;

@@ -1,246 +1,15 @@
-//! The wire protocol of the location schemes, and the hash-function
-//! artifact the HAgent distributes.
+//! The wire protocol of the location schemes.
 //!
 //! All schemes (hashed, centralized, home-registry, forwarding) share one
 //! message enum so behaviours can cheaply test "is this one of mine" by
-//! attempting to decode a [`Wire`] value.
+//! attempting to decode a [`Wire`] value. The hash-function artifact the
+//! messages carry lives in [`crate::hashfn`].
 
-use std::collections::HashMap;
-
-use agentrack_hashtree::{AgentKey, CompiledDirectory, HashTree, IAgentId};
 use agentrack_platform::{AgentCtx, AgentId, NodeId, Payload};
 use agentrack_sim::{CorrId, TraceEvent};
 use serde::{Deserialize, Serialize};
 
-/// Derives the hash key of a platform agent id.
-///
-/// The platform assigns agent ids sequentially; the location mechanism
-/// requires keys whose prefix bits are uniform, so ids are passed through a
-/// full-avalanche mixer. This is the system-wide hash function's first
-/// stage (its second stage is the hash tree's prefix matching).
-#[must_use]
-pub fn key_of(agent: AgentId) -> AgentKey {
-    AgentKey::from_sequential(agent.raw())
-}
-
-/// The complete hash-function artifact: what the HAgent owns (primary
-/// copy) and LHAgents cache (secondary copies). IAgents receive it too,
-/// but keep only a [`TrackerView`](crate::TrackerView) of it.
-///
-/// Besides the tree this carries the IAgent *directory* — the current node
-/// of every IAgent — because resolving an agent must yield both "which
-/// IAgent" and "where is it" (paper: the LHAgent returns "the id and the
-/// current location of A's IAgent").
-///
-/// Every copy also carries a [`CompiledDirectory`]: the tree flattened
-/// into a `2^d` table so the hot [`resolve`](Self::resolve) path is one
-/// array index instead of a per-bit tree walk. The table is derived data —
-/// it is rebuilt on deserialisation rather than sent over the wire, it is
-/// excluded from equality, and it is generation-stamped so a direct
-/// mutation of [`tree`](Self::tree) can never produce a wrong answer:
-/// resolves fall back to the tree walk until [`recompile`](Self::recompile)
-/// (full) or [`refresh_compiled`](Self::refresh_compiled) (incremental,
-/// used by the HAgent after each rehash) brings the table current.
-#[derive(Debug, Clone)]
-pub struct HashFunction {
-    /// Version counter, bumped by every rehash; lets copies recognise
-    /// staleness.
-    pub version: u64,
-    /// The extendible hash tree.
-    pub tree: HashTree,
-    /// Where each IAgent lives. Keys are the tree's leaf owners.
-    pub locations: HashMap<IAgentId, NodeId>,
-    /// O(1) dispatch table compiled from `tree`; lazily kept current.
-    compiled: CompiledDirectory,
-}
-
-impl HashFunction {
-    /// Builds version 1 of the hash function: one IAgent serving the whole
-    /// key space.
-    #[must_use]
-    pub fn initial(iagent: AgentId, node: NodeId) -> Self {
-        let ia = IAgentId::new(iagent.raw());
-        let mut locations = HashMap::new();
-        locations.insert(ia, node);
-        let tree = HashTree::new(ia);
-        let compiled = CompiledDirectory::build(&tree);
-        HashFunction {
-            version: 1,
-            tree,
-            locations,
-            compiled,
-        }
-    }
-
-    /// The tree lookup, through the compiled directory when it is current
-    /// (the common case — the HAgent refreshes it on every rehash, and
-    /// deserialised copies arrive freshly compiled).
-    #[inline]
-    fn lookup(&self, key: AgentKey) -> IAgentId {
-        if self.compiled.is_current(&self.tree) {
-            if let Some(ia) = self.compiled.lookup(key) {
-                return ia;
-            }
-        }
-        self.tree.lookup(key)
-    }
-
-    /// Resolves an agent id to its responsible IAgent and that IAgent's
-    /// node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tree and directory are out of sync — an invariant the
-    /// HAgent maintains.
-    #[must_use]
-    pub fn resolve(&self, target: AgentId) -> (AgentId, NodeId) {
-        let ia = self.lookup(key_of(target));
-        let node = *self
-            .locations
-            .get(&ia)
-            .expect("hash tree leaf without a directory entry");
-        (AgentId::new(ia.raw()), node)
-    }
-
-    /// `true` if `iagent` is responsible for `target` under this version.
-    #[must_use]
-    pub fn is_responsible(&self, iagent: AgentId, target: AgentId) -> bool {
-        self.lookup(key_of(target)) == IAgentId::new(iagent.raw())
-    }
-
-    /// The compiled dispatch table (possibly stale; check
-    /// [`CompiledDirectory::is_current`]).
-    #[must_use]
-    pub fn compiled(&self) -> &CompiledDirectory {
-        &self.compiled
-    }
-
-    /// Rebuilds the compiled directory from scratch. Call after mutating
-    /// [`tree`](Self::tree) directly; until then resolves take the (safe,
-    /// slower) tree walk.
-    pub fn recompile(&mut self) {
-        self.compiled = CompiledDirectory::build(&self.tree);
-    }
-
-    /// Incrementally refreshes the compiled directory after one split or
-    /// merge: only the regions of `involved` leaves are rewritten
-    /// ([`SplitApplied::affected`] plus the new IAgent, or
-    /// [`MergeApplied::absorbers`]).
-    ///
-    /// [`SplitApplied::affected`]: agentrack_hashtree::SplitApplied::affected
-    /// [`MergeApplied::absorbers`]: agentrack_hashtree::MergeApplied::absorbers
-    pub fn refresh_compiled(&mut self, involved: &[IAgentId]) {
-        self.compiled.refresh(&self.tree, involved);
-    }
-
-    /// The buddy replica of an IAgent: the leaf serving the key region
-    /// adjacent to the IAgent's own — reached by flipping the last valid
-    /// bit of its hyper-label. Returns `None` when the tree has a single
-    /// leaf (no sibling exists; callers fall back to the configured
-    /// standby) or when `iagent` is not a current leaf.
-    #[must_use]
-    pub fn buddy_of(&self, iagent: AgentId) -> Option<(AgentId, NodeId)> {
-        let ia = IAgentId::new(iagent.raw());
-        if self.tree.iagent_count() <= 1 || !self.tree.contains(ia) {
-            return None;
-        }
-        let hl = self.tree.hyper_label(ia).ok()?;
-        let positions = hl.valid_bit_positions();
-        let labels = hl.labels();
-        let mut raw = 0u64;
-        for (i, (pos, label)) in positions.iter().zip(labels).enumerate() {
-            let bit = if i == labels.len() - 1 {
-                !label.valid_bit()
-            } else {
-                label.valid_bit()
-            };
-            if bit {
-                raw |= 1u64 << (63 - pos);
-            }
-        }
-        let sibling = self.tree.lookup(AgentKey::new(raw));
-        if sibling == ia {
-            return None;
-        }
-        let node = *self.locations.get(&sibling)?;
-        Some((AgentId::new(sibling.raw()), node))
-    }
-
-    /// Consistency check: every leaf has a directory entry and vice versa,
-    /// and a current compiled directory agrees with the tree slot by slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first inconsistency.
-    pub fn validate(&self) -> Result<(), String> {
-        self.tree.validate()?;
-        for ia in self.tree.iagents() {
-            if !self.locations.contains_key(&ia) {
-                return Err(format!("{ia} has no directory entry"));
-            }
-        }
-        if self.locations.len() != self.tree.iagent_count() {
-            return Err(format!(
-                "directory has {} entries for {} leaves",
-                self.locations.len(),
-                self.tree.iagent_count()
-            ));
-        }
-        if self.compiled.is_current(&self.tree) {
-            self.compiled.verify(&self.tree)?;
-        }
-        Ok(())
-    }
-}
-
-/// The compiled directory is derived data: two hash functions are equal
-/// when their versions, trees and directories agree, regardless of whether
-/// either side's table is current.
-impl PartialEq for HashFunction {
-    fn eq(&self, other: &Self) -> bool {
-        self.version == other.version
-            && self.tree == other.tree
-            && self.locations == other.locations
-    }
-}
-
-/// Wire format identical to the former derived one (`version`, `tree`,
-/// `locations`); the compiled table stays local.
-impl Serialize for HashFunction {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (String::from("version"), Serialize::serialize(&self.version)),
-            (String::from("tree"), Serialize::serialize(&self.tree)),
-            (
-                String::from("locations"),
-                Serialize::serialize(&self.locations),
-            ),
-        ])
-    }
-}
-
-/// Deserialised copies arrive with a freshly compiled table: this is what
-/// gives LHAgent secondary copies and client-held copies their
-/// per-generation compiled cache without any extra protocol.
-impl Deserialize for HashFunction {
-    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| -> Result<&serde::Value, serde::Error> {
-            value
-                .get(name)
-                .ok_or_else(|| serde::Error::custom(format!("HashFunction: missing {name}")))
-        };
-        let version = Deserialize::deserialize(field("version")?)?;
-        let tree: HashTree = Deserialize::deserialize(field("tree")?)?;
-        let locations = Deserialize::deserialize(field("locations")?)?;
-        let compiled = CompiledDirectory::build(&tree);
-        Ok(HashFunction {
-            version,
-            tree,
-            locations,
-            compiled,
-        })
-    }
-}
+use crate::hashfn::{HashFunction, RehashOp};
 
 /// Why the HAgent (or a standby) declined a rehash request. The reason
 /// drives the requester's retry backoff: a busy pipeline clears in one
@@ -593,7 +362,12 @@ pub enum Wire {
     // ---- LHAgent ↔ HAgent (copy maintenance, §4.3) ----
     /// A secondary-copy holder pulls the primary copy.
     FetchHashFn {
-        /// Version the requester already has (for diagnostics).
+        /// The version of the whole copy the requester holds. The HAgent
+        /// answers a version its op log still covers with a
+        /// [`Wire::HashFnDelta`], anything else with a [`Wire::HashFnCopy`].
+        /// 0 (versions start at 1) means "no whole copy held": IAgents,
+        /// which keep only a tracker view, and an LHAgent whose delta did
+        /// not apply send it to get a whole copy.
         have_version: u64,
         /// Node the requester wants the copy sent to.
         reply_node: NodeId,
@@ -602,6 +376,16 @@ pub enum Wire {
     HashFnCopy {
         /// The primary copy.
         hf: HashFunction,
+    },
+    /// The ops that take a copy at `from_version` to the primary's
+    /// version, `from_version + ops.len()`, in response to a fetch whose
+    /// `have_version` the HAgent's op log covers. No ops confirms that
+    /// the requester's copy is current.
+    HashFnDelta {
+        /// The version the first op applies to.
+        from_version: u64,
+        /// One op per version, oldest first.
+        ops: Vec<RehashOp>,
     },
 
     // ---- guaranteed delivery (§6 future work: tracker-mediated mail) ----
@@ -724,6 +508,7 @@ impl Wire {
             Wire::SolicitReregister => "SolicitReregister",
             Wire::FetchHashFn { .. } => "FetchHashFn",
             Wire::HashFnCopy { .. } => "HashFnCopy",
+            Wire::HashFnDelta { .. } => "HashFnDelta",
             Wire::DeliverVia { .. } => "DeliverVia",
             Wire::MailDrop { .. } => "MailDrop",
             Wire::ChainLocate { .. } => "ChainLocate",
@@ -767,27 +552,6 @@ pub(crate) fn send_traced(ctx: &mut AgentCtx<'_>, to: AgentId, node: NodeId, msg
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn key_of_spreads_sequential_ids() {
-        let ones = (0..1000u64)
-            .filter(|&i| key_of(AgentId::new(i)).bit(0))
-            .count();
-        assert!((400..=600).contains(&ones));
-    }
-
-    #[test]
-    fn initial_hash_function_resolves_everything_to_the_first_iagent() {
-        let hf = HashFunction::initial(AgentId::new(3), NodeId::new(1));
-        hf.validate().unwrap();
-        for raw in [0u64, 7, 1 << 40] {
-            let (ia, node) = hf.resolve(AgentId::new(raw));
-            assert_eq!(ia, AgentId::new(3));
-            assert_eq!(node, NodeId::new(1));
-        }
-        assert!(hf.is_responsible(AgentId::new(3), AgentId::new(77)));
-        assert!(!hf.is_responsible(AgentId::new(4), AgentId::new(77)));
-    }
 
     #[test]
     fn wire_round_trips_through_payload() {
@@ -859,32 +623,6 @@ mod tests {
             let p = msg.payload();
             assert_eq!(Wire::from_payload(&p), Some(msg));
         }
-    }
-
-    #[test]
-    fn buddy_is_the_sibling_leaf_and_symmetric_after_one_split() {
-        use agentrack_hashtree::{Side, SplitKind};
-        let mut hf = HashFunction::initial(AgentId::new(0), NodeId::new(0));
-        assert_eq!(hf.buddy_of(AgentId::new(0)), None, "single leaf: no buddy");
-        let candidates = hf.tree.split_candidates(IAgentId::new(0)).unwrap();
-        let simple = candidates
-            .iter()
-            .find(|c| matches!(c.kind, SplitKind::Simple { m: 1 }))
-            .unwrap();
-        hf.tree
-            .apply_split(simple, IAgentId::new(1), Side::Right)
-            .unwrap();
-        hf.locations.insert(IAgentId::new(1), NodeId::new(1));
-        hf.recompile();
-        assert_eq!(
-            hf.buddy_of(AgentId::new(0)),
-            Some((AgentId::new(1), NodeId::new(1)))
-        );
-        assert_eq!(
-            hf.buddy_of(AgentId::new(1)),
-            Some((AgentId::new(0), NodeId::new(0)))
-        );
-        assert_eq!(hf.buddy_of(AgentId::new(7)), None, "not a leaf");
     }
 
     #[test]

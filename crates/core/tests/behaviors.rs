@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use agentrack_core::{
     key_of, DenyReason, Freshness, HAgentBehavior, HashFunction, IAgentBehavior, LHAgentBehavior,
-    LocationConfig, SharedSchemeStats, Wire,
+    LocationConfig, RehashOp, SharedSchemeStats, Wire,
 };
 use agentrack_hashtree::IAgentId;
 use agentrack_platform::{
@@ -215,6 +215,178 @@ fn lhagent_resolve_fresh_pulls_the_primary_copy() {
         }
         other => panic!("unexpected {other:?}"),
     }
+}
+
+/// An LHAgent already at the HAgent's version, asked to `ResolveFresh`,
+/// fetches and is answered by a delta with no ops — no whole copy
+/// crosses the wire — which confirms its copy, so it answers.
+#[test]
+fn lhagent_at_the_current_version_is_confirmed_without_a_copy() {
+    let mut h = Harness::new(2);
+    let replies: Arc<Mutex<Vec<Wire>>> = Arc::default();
+    let seen = replies.clone();
+    let hagent = AgentId::new(h.platform.next_agent_id());
+    h.platform.set_tracer(Box::new(move |m| {
+        if m.from == hagent {
+            if let Some(msg) = Wire::from_payload(m.payload) {
+                seen.lock().unwrap().push(msg);
+            }
+        }
+    }));
+    let hf = HashFunction::initial(AgentId::new(70), NodeId::new(1));
+    let spawned = h.platform.spawn(
+        Box::new(HAgentBehavior::new(
+            config(),
+            hf.clone(),
+            Vec::new(),
+            2,
+            SharedSchemeStats::new(),
+        )),
+        NodeId::new(1),
+    );
+    assert_eq!(spawned, hagent);
+    let lh = h.platform.spawn(
+        Box::new(LHAgentBehavior::new(
+            hf,
+            hagent,
+            NodeId::new(1),
+            SharedSchemeStats::new(),
+        )),
+        NodeId::new(0),
+    );
+
+    h.send(
+        lh,
+        NodeId::new(0),
+        Wire::ResolveFresh {
+            target: AgentId::new(5),
+            token: Some(3),
+            corr: None,
+        },
+    );
+    h.run_ms(50);
+    assert_eq!(
+        *replies.lock().unwrap(),
+        vec![Wire::HashFnDelta {
+            from_version: 1,
+            ops: Vec::new()
+        }]
+    );
+    let got = h.received();
+    assert!(
+        matches!(
+            got.as_slice(),
+            [Wire::Resolved {
+                version: 1,
+                token: Some(3),
+                ..
+            }]
+        ),
+        "{got:?}"
+    );
+}
+
+/// An LHAgent advances its copy by the ops a delta carries, answering
+/// the waiting resolve under the new version; a delta that starts past
+/// its version (a gap) or whose op does not apply is discarded, and the
+/// LHAgent asks for a whole copy (`have_version: 0`) instead of guessing.
+#[test]
+fn lhagent_applies_a_delta_and_falls_back_to_a_whole_copy() {
+    let mut h = Harness::new(2);
+    // The puppet plays the HAgent.
+    let old = AgentId::new(70);
+    let moved_to = NodeId::new(1);
+    let hf = HashFunction::initial(old, NodeId::new(0));
+    let lh = h.platform.spawn(
+        Box::new(LHAgentBehavior::new(
+            hf,
+            h.puppet,
+            h.puppet_node,
+            SharedSchemeStats::new(),
+        )),
+        NodeId::new(0),
+    );
+    let resolve_fresh = Wire::ResolveFresh {
+        target: AgentId::new(5),
+        token: Some(1),
+        corr: None,
+    };
+    let moved = RehashOp::Moved {
+        iagent: IAgentId::new(old.raw()),
+        node: moved_to,
+    };
+    let fetches = |h: &Harness| -> Vec<u64> {
+        h.received()
+            .iter()
+            .filter_map(|m| match m {
+                Wire::FetchHashFn { have_version, .. } => Some(*have_version),
+                _ => None,
+            })
+            .collect()
+    };
+
+    // A gap: the delta starts at version 2, the copy is at 1.
+    h.send(lh, NodeId::new(0), resolve_fresh.clone());
+    h.run_ms(30);
+    assert_eq!(fetches(&h), [1]);
+    h.clear();
+    h.send(
+        lh,
+        NodeId::new(0),
+        Wire::HashFnDelta {
+            from_version: 2,
+            ops: vec![moved.clone()],
+        },
+    );
+    h.run_ms(30);
+    assert_eq!(fetches(&h), [0], "a gap asks for a whole copy");
+    assert!(!h
+        .received()
+        .iter()
+        .any(|m| matches!(m, Wire::Resolved { .. })));
+    h.clear();
+
+    // An op that does not apply: moving an IAgent the copy does not hold.
+    h.send(
+        lh,
+        NodeId::new(0),
+        Wire::HashFnDelta {
+            from_version: 1,
+            ops: vec![RehashOp::Moved {
+                iagent: IAgentId::new(999),
+                node: moved_to,
+            }],
+        },
+    );
+    h.run_ms(30);
+    assert_eq!(fetches(&h), [0], "a bad op asks for a whole copy");
+    h.clear();
+
+    // A delta that applies advances the copy and answers the resolve.
+    h.send(
+        lh,
+        NodeId::new(0),
+        Wire::HashFnDelta {
+            from_version: 1,
+            ops: vec![moved],
+        },
+    );
+    h.run_ms(30);
+    let got = h.received();
+    assert!(
+        matches!(
+            got.as_slice(),
+            [Wire::Resolved { iagent, node, version: 2, .. }]
+                if *iagent == old && *node == moved_to
+        ),
+        "{got:?}"
+    );
+    h.clear();
+
+    // Later fetches name the held version again.
+    h.send(lh, NodeId::new(0), resolve_fresh);
+    h.run_ms(30);
+    assert_eq!(fetches(&h), [2]);
 }
 
 // ---------------------------------------------------------------------

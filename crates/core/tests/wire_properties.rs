@@ -3,7 +3,8 @@
 //! random rehash histories.
 
 use agentrack_core::{
-    key_of, plan_split, Freshness, HashFunction, LocationConfig, TrackerView, Wire,
+    key_of, plan_split, DeltaError, DenyReason, Freshness, HashFunction, LocationConfig, RehashOp,
+    TrackerView, Wire,
 };
 use agentrack_hashtree::{IAgentId, Side, SplitKind, MAX_COMPILED_DEPTH};
 use agentrack_platform::{AgentId, CorrId, NodeId};
@@ -29,6 +30,59 @@ fn arb_freshness() -> impl Strategy<Value = Freshness> {
     ]
 }
 
+fn arb_deny_reason() -> impl Strategy<Value = DenyReason> {
+    prop_oneof![
+        Just(DenyReason::Busy),
+        Just(DenyReason::Cooldown),
+        Just(DenyReason::ReadOnly),
+        Just(DenyReason::NoPlan),
+    ]
+}
+
+fn arb_records() -> impl Strategy<Value = Vec<(AgentId, NodeId)>> {
+    prop::collection::vec((arb_agent(), arb_node()), 0..20)
+}
+
+fn arb_iagent() -> impl Strategy<Value = IAgentId> {
+    any::<u64>().prop_map(IAgentId::new)
+}
+
+fn arb_rehash_op() -> impl Strategy<Value = RehashOp> {
+    prop_oneof![
+        (
+            arb_iagent(),
+            0usize..64,
+            arb_iagent(),
+            any::<bool>(),
+            arb_node()
+        )
+            .prop_map(
+                |(requester, key_bit, new_iagent, right, node)| RehashOp::Split {
+                    requester,
+                    key_bit,
+                    new_iagent,
+                    side: Side::from_bit(right),
+                    node,
+                }
+            ),
+        arb_iagent().prop_map(|iagent| RehashOp::Merge { iagent }),
+        (arb_iagent(), arb_node()).prop_map(|(iagent, node)| RehashOp::Moved { iagent, node }),
+    ]
+}
+
+/// A hash function grown by a short random history.
+fn arb_hash_function() -> impl Strategy<Value = HashFunction> {
+    prop::collection::vec(arb_rehash(), 0..8).prop_map(|history| {
+        let mut hf = HashFunction::initial(AgentId::new(0), NodeId::new(0));
+        let mut next = 1u64;
+        for op in history {
+            apply(&mut hf, op, &mut next);
+        }
+        hf
+    })
+}
+
+/// Every variant of [`Wire`], each with arbitrary fields.
 fn arb_wire() -> impl Strategy<Value = Wire> {
     prop_oneof![
         (arb_agent(), proptest::option::of(any::<u64>()), arb_corr()).prop_map(
@@ -38,6 +92,97 @@ fn arb_wire() -> impl Strategy<Value = Wire> {
                 corr
             }
         ),
+        (arb_agent(), proptest::option::of(any::<u64>()), arb_corr()).prop_map(
+            |(target, token, corr)| Wire::ResolveFresh {
+                target,
+                token,
+                corr
+            }
+        ),
+        (
+            (arb_agent(), arb_agent(), arb_node()),
+            proptest::option::of((arb_agent(), arb_node())),
+            any::<u64>(),
+            proptest::option::of(any::<u64>()),
+            arb_corr()
+        )
+            .prop_map(|((target, iagent, node), buddy, version, token, corr)| {
+                Wire::Resolved {
+                    target,
+                    iagent,
+                    node,
+                    buddy,
+                    version,
+                    token,
+                    corr,
+                }
+            }),
+        arb_agent().prop_map(|agent| Wire::RegisterAck { agent }),
+        (arb_agent(), any::<u64>(), arb_corr()).prop_map(|(target, token, corr)| Wire::NotFound {
+            target,
+            token,
+            corr
+        }),
+        (0.0f64..1e9).prop_map(|rate| Wire::MergeRequest { rate }),
+        arb_deny_reason().prop_map(|reason| Wire::RehashDenied { reason }),
+        any::<u64>().prop_map(|lease| Wire::IAgentReady { lease }),
+        arb_hash_function().prop_map(|hf| Wire::InstallHashFn { hf }),
+        Just(Wire::EpochRequest),
+        (
+            any::<u64>(),
+            proptest::option::of((arb_agent(), arb_node()))
+        )
+            .prop_map(|(epoch, buddy)| Wire::EpochGrant { epoch, buddy }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            arb_records(),
+            0.0f64..1e9,
+            arb_node()
+        )
+            .prop_map(|(epoch, seq, records, rate, reply_node)| Wire::RecordSync {
+                epoch,
+                seq,
+                records,
+                rate,
+                reply_node,
+            }),
+        (any::<u64>(), any::<u64>()).prop_map(|(epoch, seq)| Wire::RecordSyncAck { epoch, seq }),
+        (any::<u64>(), arb_node())
+            .prop_map(|(epoch, reply_node)| Wire::ReplicaPull { epoch, reply_node }),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            arb_records(),
+            0.0f64..1e9,
+            any::<u64>()
+        )
+            .prop_map(|(epoch, seq, records, rate, age_ms)| Wire::ReplicaSet {
+                epoch,
+                seq,
+                records,
+                rate,
+                age_ms,
+            }),
+        Just(Wire::SolicitReregister),
+        arb_hash_function().prop_map(|hf| Wire::HashFnCopy { hf }),
+        (any::<u64>(), prop::collection::vec(arb_rehash_op(), 0..8))
+            .prop_map(|(from_version, ops)| Wire::HashFnDelta { from_version, ops }),
+        (
+            arb_agent(),
+            arb_agent(),
+            prop::collection::vec(any::<u8>(), 0..32),
+            0u32..16
+        )
+            .prop_map(|(target, from, data, ttl)| Wire::DeliverVia {
+                target,
+                from,
+                data,
+                ttl,
+            }),
+        (arb_agent(), prop::collection::vec(any::<u8>(), 0..32))
+            .prop_map(|(from, data)| Wire::MailDrop { from, data }),
+        (arb_agent(), arb_node()).prop_map(|(agent, to)| Wire::LeavePointer { agent, to }),
         (arb_agent(), arb_node()).prop_map(|(agent, node)| Wire::Register { agent, node }),
         (arb_agent(), arb_node()).prop_map(|(agent, node)| Wire::Update { agent, node }),
         (arb_agent(), 0u32..16).prop_map(|(agent, ttl)| Wire::Deregister { agent, ttl }),
@@ -82,8 +227,7 @@ fn arb_wire() -> impl Strategy<Value = Wire> {
             prop::collection::vec((arb_agent(), any::<u64>()), 0..20)
         )
             .prop_map(|(rate, loads)| Wire::SplitRequest { rate, loads }),
-        prop::collection::vec((arb_agent(), arb_node()), 0..20)
-            .prop_map(|records| Wire::Handoff { records }),
+        arb_records().prop_map(|records| Wire::Handoff { records }),
         (any::<u64>(), arb_node()).prop_map(|(have_version, reply_node)| Wire::FetchHashFn {
             have_version,
             reply_node
@@ -110,6 +254,19 @@ fn arb_wire() -> impl Strategy<Value = Wire> {
     ]
 }
 
+/// `arb_wire` draws every variant: a new variant fails this until the
+/// strategy covers it too.
+#[test]
+fn arb_wire_draws_every_variant() {
+    const VARIANTS: usize = 32;
+    let strategy = arb_wire();
+    let mut rng = proptest::TestRng::from_test_name("arb_wire_draws_every_variant");
+    let kinds: std::collections::BTreeSet<&str> = (0..2000)
+        .map(|_| strategy.generate(&mut rng).kind())
+        .collect();
+    assert_eq!(kinds.len(), VARIANTS, "drawn: {kinds:?}");
+}
+
 /// One rehash of a random history: split or merge the leaf serving
 /// `key_of(seed)`.
 #[derive(Debug, Clone, Copy)]
@@ -130,18 +287,17 @@ fn arb_rehash() -> impl Strategy<Value = Rehash> {
     ]
 }
 
-/// Applies `op` the way the HAgent does: bump the version, keep the
-/// directory in step and refresh the compiled table incrementally. Ops
-/// that do not apply (no complex candidate, merging the last leaf) are
+/// Applies `op` the way the HAgent does, through [`HashFunction::apply`].
+/// Ops that do not apply (no complex candidate, merging the last leaf) are
 /// skipped.
 fn apply(hf: &mut HashFunction, op: Rehash, next: &mut u64) {
     let leaf_for = |hf: &HashFunction, seed| hf.tree.lookup(key_of(AgentId::new(seed)));
-    let involved = match op {
+    let op = match op {
         Rehash::Simple { seed, .. } | Rehash::Complex { seed } => {
-            let leaf = leaf_for(hf, seed);
+            let requester = leaf_for(hf, seed);
             let Some(cand) = hf
                 .tree
-                .split_candidates(leaf)
+                .split_candidates(requester)
                 .unwrap()
                 .into_iter()
                 .find(|c| match (op, c.kind) {
@@ -152,27 +308,21 @@ fn apply(hf: &mut HashFunction, op: Rehash, next: &mut u64) {
             else {
                 return;
             };
-            let new = IAgentId::new(*next);
-            let Ok(applied) = hf.tree.apply_split(&cand, new, Side::Right) else {
-                return;
-            };
-            hf.locations.insert(new, NodeId::new((*next % 16) as u32));
-            *next += 1;
-            let mut involved = applied.affected;
-            involved.push(new);
-            involved
+            RehashOp::Split {
+                requester,
+                key_bit: cand.key_bit,
+                new_iagent: IAgentId::new(*next),
+                side: Side::Right,
+                node: NodeId::new((*next % 16) as u32),
+            }
         }
-        Rehash::Merge { seed } => {
-            let leaf = leaf_for(hf, seed);
-            let Ok(applied) = hf.tree.apply_merge(leaf) else {
-                return;
-            };
-            hf.locations.remove(&leaf);
-            applied.absorbers
-        }
+        Rehash::Merge { seed } => RehashOp::Merge {
+            iagent: leaf_for(hf, seed),
+        },
     };
-    hf.version += 1;
-    hf.refresh_compiled(&involved);
+    if hf.apply(&op).is_ok() && matches!(op, RehashOp::Split { .. }) {
+        *next += 1;
+    }
 }
 
 /// Checks every answer a tracker view gives against the full copy, for
@@ -285,6 +435,44 @@ proptest! {
     fn wire_round_trips(msg in arb_wire()) {
         let payload = msg.payload();
         prop_assert_eq!(Wire::from_payload(&payload), Some(msg));
+    }
+
+    /// A delta of arbitrary ops — mostly naming IAgents the copy does not
+    /// hold, or key bits that are no split candidate — never panics. It
+    /// either applies whole or stops at the first op that does not apply,
+    /// and the copy stays consistent at the last version an op reached.
+    #[test]
+    fn an_arbitrary_delta_is_refused_without_a_panic(
+        hf in arb_hash_function(),
+        ops in prop::collection::vec(arb_rehash_op(), 1..6),
+        known in prop::collection::vec((0u64..12, any::<bool>()), 1..6),
+    ) {
+        // Mix in ops naming small ids, which the grown tree may hold.
+        let ops: Vec<RehashOp> = ops
+            .into_iter()
+            .zip(known)
+            .map(|(op, (id, keep))| match op {
+                _ if keep => op,
+                RehashOp::Split { key_bit, side, node, .. } => RehashOp::Split {
+                    requester: IAgentId::new(id),
+                    key_bit,
+                    new_iagent: IAgentId::new(id + 12),
+                    side,
+                    node,
+                },
+                RehashOp::Merge { .. } => RehashOp::Merge { iagent: IAgentId::new(id) },
+                RehashOp::Moved { node, .. } => RehashOp::Moved { iagent: IAgentId::new(id), node },
+            })
+            .collect();
+        let mut hf = hf;
+        let from = hf.version;
+        let result = hf.advance(from, &ops);
+        hf.validate().unwrap();
+        match result {
+            Ok(()) => prop_assert_eq!(hf.version, from + ops.len() as u64),
+            Err(DeltaError::Op(_)) => prop_assert!(hf.version < from + ops.len() as u64),
+            Err(gap) => prop_assert!(false, "no gap from the copy's own version: {gap:?}"),
+        }
     }
 
     /// Arbitrary non-protocol strings never decode as protocol messages
