@@ -223,24 +223,47 @@ fn patient(mut config: LocationConfig) -> LocationConfig {
     config
 }
 
+/// Builds one scheme instance; the flag asks for a standby HAgent, which
+/// only the hashed scheme has (spec validation rejects it elsewhere).
+type MakeScheme = fn(LocationConfig, bool) -> Box<dyn LocationScheme>;
+
+/// Every scheme kind the harness can instantiate, by the name specs use.
+/// Spec validation reads the names from here.
+pub(crate) const SCHEMES: &[(&str, MakeScheme)] = &[
+    ("hashed", |config, standby| {
+        let scheme = HashedScheme::new(config);
+        Box::new(if standby {
+            scheme.with_standby()
+        } else {
+            scheme
+        })
+    }),
+    ("centralized", |config, _| {
+        Box::new(CentralizedScheme::new(config))
+    }),
+    ("home-registry", |config, _| {
+        Box::new(HomeRegistryScheme::new(config))
+    }),
+    ("forwarding", |config, _| {
+        Box::new(ForwardingScheme::new(config))
+    }),
+];
+
 /// Builds a fresh boxed scheme instance of the named kind.
 ///
 /// # Panics
 ///
-/// Panics on an unknown scheme kind.
+/// Panics on a kind [`SCHEMES`] does not list.
 pub(crate) fn boxed_scheme(
     kind: &str,
     config: LocationConfig,
     standby: bool,
 ) -> Box<dyn LocationScheme> {
-    match kind {
-        "hashed" if standby => Box::new(HashedScheme::new(config).with_standby()),
-        "hashed" => Box::new(HashedScheme::new(config)),
-        "centralized" => Box::new(CentralizedScheme::new(config)),
-        "home-registry" => Box::new(HomeRegistryScheme::new(config)),
-        "forwarding" => Box::new(ForwardingScheme::new(config)),
-        other => panic!("unknown scheme {other}"),
-    }
+    let (_, make) = SCHEMES
+        .iter()
+        .find(|&&(name, _)| name == kind)
+        .unwrap_or_else(|| panic!("unknown scheme {kind}"));
+    make(config, standby)
 }
 
 /// Runs one scenario against a fresh scheme instance of the named kind.

@@ -35,9 +35,6 @@ use serde::{Deserialize, Serialize, Value};
 
 mod validate;
 
-/// Scheme kinds the runner can instantiate.
-pub const SCHEME_KINDS: &[&str] = &["hashed", "centralized", "home-registry", "forwarding"];
-
 /// One sweep axis the runner can apply: the knob it drives, what its
 /// values may be, the point column that prints it, and where a fixed
 /// value of the knob may live instead. Adding an axis adds one row.
@@ -288,7 +285,7 @@ impl AxisSpec {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct SchemeSpec {
-    /// Scheme kind, one of [`SCHEME_KINDS`].
+    /// Scheme kind, one of the names in [`crate::SCHEMES`].
     pub kind: String,
     /// Label columns reference this arm by; absent = the kind. Must be
     /// unique across arms (two `hashed` ablations need distinct labels).

@@ -2,8 +2,9 @@
 //! cannot say — ranges, references between fields, and names that must
 //! be in the scheme, axis or column tables.
 
-use super::{Axis, AxisSpec, Home, Rule, ScenarioSpec, SpecError, AXES, SCHEME_KINDS};
+use super::{Axis, AxisSpec, Home, Rule, ScenarioSpec, SpecError, AXES};
 use crate::runner::column as column_format;
+use crate::SCHEMES;
 
 /// `Ok` when `ok` holds, else `message` at `path`.
 fn ensure(ok: bool, path: impl Into<String>, message: impl Into<String>) -> Result<(), SpecError> {
@@ -260,9 +261,10 @@ impl ScenarioSpec {
         let labels = self.scheme_labels();
         for (i, scheme) in self.schemes.iter().enumerate() {
             let path = |field: &str| format!("schemes[{i}].{field}");
-            let kinds = SCHEME_KINDS.join(", ");
+            let kinds: Vec<&str> = SCHEMES.iter().map(|&(kind, _)| kind).collect();
+            let kinds = kinds.join(", ");
             ensure(
-                SCHEME_KINDS.contains(&scheme.kind.as_str()),
+                SCHEMES.iter().any(|&(kind, _)| kind == scheme.kind),
                 path("kind"),
                 format!(
                     "unknown scheme kind {:?} (expected one of {kinds})",

@@ -425,10 +425,19 @@ impl SimPlatform {
     /// clock to `t` — even when no event fired, so repeated bounded runs
     /// make progress across quiet stretches.
     pub fn run_until(&mut self, t: SimTime) {
-        while self.sched.peek_time().is_some_and(|pt| pt <= t) {
+        self.run_until_or(t, || false);
+    }
+
+    /// Like [`run_until`](Self::run_until), but stops right after the
+    /// event that makes `done` true, leaving the clock at that event.
+    pub fn run_until_or(&mut self, t: SimTime, mut done: impl FnMut() -> bool) {
+        while !done() {
+            if self.sched.peek_time().is_none_or(|pt| pt > t) {
+                self.sched.advance_to(t);
+                return;
+            }
             self.step();
         }
-        self.sched.advance_to(t);
     }
 
     /// Runs for `d` more virtual time.

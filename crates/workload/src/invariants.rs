@@ -37,7 +37,7 @@
 //! can still be committing versions while the probe runs, and sampling
 //! versions mid-install would report a convergence failure that is really
 //! an in-flight broadcast. In-flight leases still commit (bounded by the
-//! lease timeout, inside the probe window); only new grants stop.
+//! lease timeout, inside the slack after the probes); only new grants stop.
 
 use std::sync::Arc;
 
@@ -49,12 +49,15 @@ use serde::{Deserialize, Serialize};
 
 use crate::scenario::{Scenario, ScenarioReport};
 
-/// Pace between probe locates: fast enough to keep the audit short, slow
-/// enough not to saturate a recovering tracker.
+/// Longest wait for a probe's answer before the next probe goes out
+/// anyway: a probe that answers sooner releases the next one at once, so
+/// the audit costs what its locates take, and one that never answers
+/// delays the rest by this much, not more.
 const PROBE_PACE: SimDuration = SimDuration::from_millis(50);
 
-/// Extra run time after the last probe is issued, covering a full retry
-/// budget (8 attempts x 800 ms) with headroom.
+/// Extra run time after the probe phase, covering a full retry budget
+/// (8 attempts x 800 ms) with headroom, and the lease (5 s) and recovery
+/// (3 s) timeouts before versions and gauges are sampled.
 const PROBE_SLACK: SimDuration = SimDuration::from_secs(8);
 
 /// Outcome of the post-quiesce audit of one chaos run.
@@ -105,18 +108,40 @@ impl InvariantReport {
 /// Shared result cell the probe agent writes into.
 #[derive(Debug, Default)]
 struct ProbeOutcome {
+    /// Raw ids of the targets answered with a location.
     located: Vec<u64>,
-    failed: Vec<u64>,
-    stale: Vec<u64>,
+    /// Of those, answers from a stale (replica/recovery) record.
+    stale: usize,
+    /// Probes that ended, located or failed.
+    ended: usize,
+}
+
+impl ProbeOutcome {
+    /// Raw ids of the `targets` no answer located, ascending.
+    fn unlocatable(&mut self, targets: &[AgentId]) -> Vec<u64> {
+        self.located.sort_unstable();
+        let mut missing: Vec<u64> = targets
+            .iter()
+            .map(|id| id.raw())
+            .filter(|raw| self.located.binary_search(raw).is_err())
+            .collect();
+        missing.sort_unstable();
+        missing
+    }
 }
 
 /// A one-shot audit agent: locates each target in turn through a fresh
-/// scheme client and records which answers arrive.
+/// scheme client and records which answers arrive. One probe is in
+/// flight at a time: the next goes out when the newest one ends or when
+/// [`PROBE_PACE`] has passed since it went out, whichever is first.
 struct ProbeBehavior {
     client: Box<dyn DirectoryClient>,
     targets: Vec<AgentId>,
     next: usize,
+    /// Pace timer of the newest probe.
     probe_timer: Option<TimerId>,
+    /// Pace timers an answer made moot; dropped when they fire.
+    superseded: Vec<TimerId>,
     results: Arc<Mutex<ProbeOutcome>>,
 }
 
@@ -136,16 +161,31 @@ impl ProbeBehavior {
         ctx: &mut AgentCtx<'_>,
         f: impl FnOnce(&mut dyn DirectoryClient, &mut AgentCtx<'_>) -> ClientEvent,
     ) {
-        match f(self.client.as_mut(), ctx) {
-            ClientEvent::Located { target, stale, .. } => {
+        let token = match f(self.client.as_mut(), ctx) {
+            ClientEvent::Located {
+                token,
+                target,
+                stale,
+                ..
+            } => {
                 let mut results = self.results.lock();
                 results.located.push(target.raw());
-                if stale {
-                    results.stale.push(target.raw());
-                }
+                results.stale += usize::from(stale);
+                results.ended += 1;
+                token
             }
-            ClientEvent::Failed { target, .. } => self.results.lock().failed.push(target.raw()),
-            _ => {}
+            ClientEvent::Failed { token, .. } => {
+                self.results.lock().ended += 1;
+                token
+            }
+            _ => return,
+        };
+        // The newest probe ended: the next need not wait out the pace. A
+        // late answer to an older probe releases nothing; its successor
+        // already went out.
+        if token + 1 == self.next as u64 {
+            self.superseded.extend(self.probe_timer.take());
+            self.issue_next(ctx);
         }
     }
 }
@@ -159,6 +199,10 @@ impl Agent for ProbeBehavior {
         if self.probe_timer == Some(timer) {
             self.probe_timer = None;
             self.issue_next(ctx);
+            return;
+        }
+        if let Some(i) = self.superseded.iter().position(|&t| t == timer) {
+            self.superseded.swap_remove(i);
             return;
         }
         self.handle(ctx, |client, ctx| client.on_timer(ctx, timer));
@@ -190,6 +234,33 @@ impl std::fmt::Debug for ProbeBehavior {
     }
 }
 
+/// Locates every target once through `client`, then lets the system
+/// settle. The probe phase ends when every probe has ended, and never
+/// later than [`PROBE_PACE`] per target; [`PROBE_SLACK`] follows, and an
+/// answer that arrives within it still counts.
+fn probe(
+    platform: &mut SimPlatform,
+    client: Box<dyn DirectoryClient>,
+    targets: Vec<AgentId>,
+) -> ProbeOutcome {
+    let results = Arc::new(Mutex::new(ProbeOutcome::default()));
+    let probed = targets.len();
+    let deadline = platform.now() + PROBE_PACE * probed as u64;
+    let probe = ProbeBehavior {
+        client,
+        targets,
+        next: 0,
+        probe_timer: None,
+        superseded: Vec::new(),
+        results: Arc::clone(&results),
+    };
+    platform.spawn(Box::new(probe), NodeId::new(0));
+    platform.run_until_or(deadline, || results.lock().ended == probed);
+    platform.run_for(PROBE_SLACK);
+    let outcome = std::mem::take(&mut *results.lock());
+    outcome
+}
+
 /// Runs the full post-quiesce audit; see the module docs for the
 /// invariants.
 pub(crate) fn check(
@@ -204,7 +275,7 @@ pub(crate) fn check(
 
     // Drain the control plane before auditing, the way an operator would:
     // no new rehash leases are granted from here on (in-flight ones still
-    // commit, bounded by the lease timeout, well inside the probe window),
+    // commit, bounded by the lease timeout, inside the slack after the probes),
     // so the version sample at the end observes a settled directory
     // instead of racing a cascade that is still adapting to post-fault
     // load.
@@ -231,30 +302,14 @@ pub(crate) fn check(
     // scheme is the foil for), so the check only binds it on fault-free
     // plans.
     let check_locate = scenario.faults.is_empty() || scheme.name() != "forwarding";
-    let results = Arc::new(Mutex::new(ProbeOutcome::default()));
-    let mut probed = 0;
-    if !reachable.is_empty() {
-        probed = reachable.len();
-        let probe = ProbeBehavior {
-            client: scheme.make_client(),
-            targets: reachable.clone(),
-            next: 0,
-            probe_timer: None,
-            results: Arc::clone(&results),
-        };
-        platform.spawn(Box::new(probe), NodeId::new(0));
-        platform.run_for(PROBE_PACE * probed as u64 + PROBE_SLACK);
+    let probed = reachable.len();
+    let mut outcome = ProbeOutcome::default();
+    if probed > 0 {
+        outcome = probe(platform, scheme.make_client(), reachable.clone());
     }
-    let outcome = results.lock();
     let located = outcome.located.len();
-    let probe_stale = outcome.stale.len();
-    let mut unlocatable: Vec<u64> = reachable
-        .iter()
-        .map(|id| id.raw())
-        .filter(|raw| !outcome.located.contains(raw))
-        .collect();
-    drop(outcome);
-    unlocatable.sort_unstable();
+    let probe_stale = outcome.stale;
+    let unlocatable = outcome.unlocatable(&reachable);
     if check_locate && !unlocatable.is_empty() {
         violations.push(format!(
             "{} of {} reachable agents unlocatable after quiesce: {:?}",
@@ -393,5 +448,164 @@ pub(crate) fn check(
         bound_violations: stats.bound_violations,
         probe_stale,
         violations,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use agentrack_core::Freshness;
+    use agentrack_platform::PlatformConfig;
+    use agentrack_sim::{DurationDist, SimTime, Topology};
+
+    use super::*;
+
+    /// How long the stub takes to answer a target, by raw id; `None`
+    /// never answers.
+    type AnswerTime = fn(u64) -> Option<SimDuration>;
+
+    /// A client that answers each locate from a timer of its own, after
+    /// the target's answer time, and logs when each locate went out.
+    struct StubClient {
+        answer_time: AnswerTime,
+        pending: Vec<(TimerId, u64, AgentId)>,
+        issued: Arc<Mutex<Vec<(SimTime, u64)>>>,
+    }
+
+    impl DirectoryClient for StubClient {
+        fn register(&mut self, _: &mut AgentCtx<'_>) {}
+
+        fn moved(&mut self, _: &mut AgentCtx<'_>) {}
+
+        fn deregister(&mut self, _: &mut AgentCtx<'_>) {}
+
+        fn locate_with(
+            &mut self,
+            ctx: &mut AgentCtx<'_>,
+            target: AgentId,
+            token: u64,
+            _: Freshness,
+        ) {
+            self.issued.lock().push((ctx.now(), target.raw()));
+            if let Some(after) = (self.answer_time)(target.raw()) {
+                self.pending.push((ctx.set_timer(after), token, target));
+            }
+        }
+
+        fn on_message(&mut self, _: &mut AgentCtx<'_>, _: AgentId, _: &Payload) -> ClientEvent {
+            ClientEvent::NotMine
+        }
+
+        fn on_delivery_failed(
+            &mut self,
+            _: &mut AgentCtx<'_>,
+            _: AgentId,
+            _: NodeId,
+            _: &Payload,
+        ) -> ClientEvent {
+            ClientEvent::NotMine
+        }
+
+        fn on_timer(&mut self, _: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
+            let i = self
+                .pending
+                .iter()
+                .position(|&(t, _, _)| t == timer)
+                .expect("the probe passed the client a timer it never set");
+            let (_, token, target) = self.pending.swap_remove(i);
+            ClientEvent::Located {
+                token,
+                target,
+                node: NodeId::new(0),
+                stale: false,
+                age_ms: 0,
+            }
+        }
+    }
+
+    /// What one probe run did: when each locate went out (ms since the
+    /// probe started, and the raw target), the unlocatable targets, and
+    /// how long the run lasted.
+    struct Run {
+        issued: Vec<(f64, u64)>,
+        unlocatable: Vec<u64>,
+        length: SimDuration,
+    }
+
+    fn run(targets: u64, answer_time: AnswerTime) -> Run {
+        let topology = Topology::lan(1, DurationDist::Constant(SimDuration::from_micros(100)));
+        let mut platform = SimPlatform::new(topology, PlatformConfig::default());
+        let issued = Arc::new(Mutex::new(Vec::new()));
+        let client = StubClient {
+            answer_time,
+            pending: Vec::new(),
+            issued: Arc::clone(&issued),
+        };
+        let targets: Vec<AgentId> = (1..=targets).map(AgentId::new).collect();
+        let start = platform.now();
+        let mut outcome = probe(&mut platform, Box::new(client), targets.clone());
+        let issued = issued
+            .lock()
+            .iter()
+            .map(|&(at, raw)| ((at - start).as_secs_f64() * 1e3, raw))
+            .collect();
+        Run {
+            issued,
+            unlocatable: outcome.unlocatable(&targets),
+            length: platform.now() - start,
+        }
+    }
+
+    fn ms(d: SimDuration) -> f64 {
+        d.as_secs_f64() * 1e3
+    }
+
+    #[test]
+    fn probes_answered_at_once_run_back_to_back() {
+        let r = run(100, |_| Some(SimDuration::from_millis(1)));
+        let first = r.issued[0].0;
+        let expected: Vec<(f64, u64)> = (1..=100)
+            .map(|raw| (first + raw as f64 - 1.0, raw))
+            .collect();
+        assert_eq!(
+            r.issued, expected,
+            "each probe goes out as its predecessor answers"
+        );
+        assert!(r.unlocatable.is_empty());
+        // The probe phase is 100 answer-times, not 100 paces.
+        assert_eq!(ms(r.length - PROBE_SLACK), first + 100.0);
+    }
+
+    #[test]
+    fn a_silent_target_holds_the_next_probe_one_pace_and_is_unlocatable() {
+        let r = run(10, |raw| (raw != 4).then_some(SimDuration::from_millis(1)));
+        let at = |raw: u64| r.issued.iter().find(|&&(_, t)| t == raw).unwrap().0;
+        assert_eq!(r.issued.len(), 10);
+        assert_eq!(at(5) - at(4), ms(PROBE_PACE));
+        assert_eq!(at(4) - at(3), 1.0);
+        assert_eq!(at(6) - at(5), 1.0);
+        assert_eq!(r.unlocatable, vec![4]);
+        // A probe that never ends keeps the phase open to its cap.
+        assert_eq!(r.length, PROBE_PACE * 10 + PROBE_SLACK);
+
+        let silent = run(5, |_| None);
+        assert_eq!(silent.unlocatable, vec![1, 2, 3, 4, 5]);
+        assert_eq!(silent.length, PROBE_PACE * 5 + PROBE_SLACK);
+    }
+
+    #[test]
+    fn a_late_answer_to_an_older_probe_issues_nothing() {
+        // Target 1 answers after 120 ms, past its pace and inside the
+        // back-to-back run of targets 3..=40; target 2 never answers.
+        let r = run(40, |raw| match raw {
+            1 => Some(SimDuration::from_millis(120)),
+            2 => None,
+            _ => Some(SimDuration::from_millis(1)),
+        });
+        let first = r.issued[0].0;
+        let pace = ms(PROBE_PACE);
+        let mut expected = vec![(first, 1), (first + pace, 2)];
+        expected.extend((3..=40).map(|raw| (first + 2.0 * pace + raw as f64 - 3.0, raw)));
+        assert_eq!(r.issued, expected, "one probe in flight at a time");
+        assert_eq!(r.unlocatable, vec![2]);
     }
 }
