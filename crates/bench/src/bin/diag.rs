@@ -6,7 +6,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use agentrack_core::{HashedScheme, LocationConfig, Wire};
+use agentrack_core::{HashedScheme, LocationConfig, TrackerView, Wire};
 use agentrack_platform::AgentId;
 use agentrack_workload::{RunOptions, Scenario};
 
@@ -77,30 +77,31 @@ fn main() {
             return;
         };
         // Hash-function distribution events: log version and where the
-        // target's key maps under that copy.
-        match &wire {
-            Wire::InstallHashFn { hf } | Wire::HashFnCopy { hf } => {
-                // Only the copies that reach trackers matter for the
-                // desync; skip the LHAgent fan-out noise.
-                if ev.to.raw() != 0 && !matches!(wire, Wire::InstallHashFn { .. }) {
-                    return;
-                }
-                let (owner, _) = hf.resolve(target);
-                let kind = if matches!(wire, Wire::InstallHashFn { .. }) {
-                    "Install"
-                } else {
-                    "HfCopy"
-                };
-                log2.lock().unwrap().push(format!(
-                    "t={t:>9.4}s {} -> {} @{} {} {kind}(v{}, key->{owner})",
-                    ev.from,
-                    ev.to,
-                    ev.node,
-                    if ev.delivered { "ok " } else { "BOUNCE" },
-                    hf.version,
-                ));
-                return;
+        // target's key maps under that copy. Only the copies that reach
+        // trackers matter for the desync; skip the LHAgent fan-out noise.
+        let copy = match &wire {
+            Wire::InstallHashFn { hf } => Some(("Install", hf.version, hf.resolve(target).0)),
+            Wire::InstallView { image } => {
+                let view = TrackerView::from_image(image.clone());
+                Some(("Install", view.version(), view.resolve(target).0))
             }
+            Wire::HashFnCopy { hf } if ev.to.raw() == 0 => {
+                Some(("HfCopy", hf.version, hf.resolve(target).0))
+            }
+            Wire::HashFnCopy { .. } => return,
+            _ => None,
+        };
+        if let Some((kind, version, owner)) = copy {
+            log2.lock().unwrap().push(format!(
+                "t={t:>9.4}s {} -> {} @{} {} {kind}(v{version}, key->{owner})",
+                ev.from,
+                ev.to,
+                ev.node,
+                if ev.delivered { "ok " } else { "BOUNCE" },
+            ));
+            return;
+        }
+        match &wire {
             Wire::SplitRequest { .. } | Wire::MergeRequest { .. } | Wire::IAgentReady { .. } => {
                 log2.lock().unwrap().push(format!(
                     "t={t:>9.4}s {} -> {} @{} {} {:?}",

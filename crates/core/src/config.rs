@@ -31,15 +31,10 @@ pub struct LocationConfig {
     pub t_min: f64,
     /// Span of the sliding window over which request rates are estimated.
     pub rate_window: SimDuration,
-    /// Number of buckets in the rate window (memory/stability trade-off).
-    pub rate_buckets: usize,
     /// Evenness tolerance for split planning: a partition is *even* when
     /// the lighter side carries at least `0.5 - split_tolerance` of the
     /// load.
     pub split_tolerance: f64,
-    /// Upper bound on the `m` tried by simple splits before settling for
-    /// the best uneven candidate.
-    pub max_simple_m: usize,
     /// Minimum IAgent age before it may request a merge (a newborn IAgent
     /// has an empty rate window and would otherwise merge immediately).
     pub merge_warmup: SimDuration,
@@ -58,9 +53,6 @@ pub struct LocationConfig {
     /// but whose record has not arrived yet (handoff in flight) before
     /// answering "not found".
     pub pending_timeout: SimDuration,
-    /// Interval at which per-agent load counters are halved, so split
-    /// planning reflects recent traffic.
-    pub decay_interval: SimDuration,
     /// Interval of the periodic self-check that lets an *idle* IAgent
     /// notice it has fallen below `t_min`.
     pub check_interval: SimDuration,
@@ -134,14 +126,11 @@ impl Default for LocationConfig {
             t_max: 50.0,
             t_min: 5.0,
             rate_window: SimDuration::from_secs(1),
-            rate_buckets: 10,
             split_tolerance: 0.15,
-            max_simple_m: 16,
             merge_warmup: SimDuration::from_secs(3),
             rehash_cooldown: SimDuration::from_millis(100),
             rehash_concurrency: 4,
             pending_timeout: SimDuration::from_millis(500),
-            decay_interval: SimDuration::from_secs(2),
             check_interval: SimDuration::from_millis(500),
             complex_splits_enabled: true,
             blind_splits: false,
@@ -257,7 +246,7 @@ impl LocationConfig {
                 self.t_min, self.t_max
             ));
         }
-        if self.rate_window.is_zero() || self.rate_buckets == 0 {
+        if self.rate_window.is_zero() {
             return Err("rate window must be non-empty".into());
         }
         if !(0.0..0.5).contains(&self.split_tolerance) {
@@ -265,9 +254,6 @@ impl LocationConfig {
         }
         if !(0.0..=1.0).contains(&self.locality_threshold) {
             return Err("locality_threshold must be in [0, 1]".into());
-        }
-        if self.max_simple_m == 0 {
-            return Err("max_simple_m must be at least 1".into());
         }
         if self.rehash_concurrency == 0 {
             return Err("rehash_concurrency must be at least 1".into());

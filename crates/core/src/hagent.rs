@@ -55,18 +55,31 @@ use crate::scheme::{CopyRole, SharedSchemeStats};
 use crate::view::TrackerView;
 use crate::wire::{DenyReason, Wire};
 
-/// The two messages that carry a whole hash-function copy, each encoded at
-/// most once per version however many recipients it has. Keyed by the
-/// version alone: every change to a copy bumps it.
+/// The most runs per leaf an install image may carry. A large image costs
+/// 28–45 encoded bytes a run and a whole copy 175–370 a leaf (measured
+/// over the spec lab's quick runs), so past this ratio the image would
+/// be the larger message. Complex splits and deep simple splits cut a
+/// leaf's keys into many runs: the spec lab's flash crowd reached 1 584
+/// runs a leaf, where an image was over 200× the copy.
+const MAX_IMAGE_RUNS_PER_LEAF: usize = 4;
+
+/// What the HAgent sends of one version, each built at most once however
+/// many recipients it has: the view every [`Wire::InstallView`] image is
+/// cut from, and the whole-copy payloads. Keyed by the version alone:
+/// every change to a copy bumps it.
 #[derive(Debug, Default)]
 struct CopyPayloads {
     version: u64,
+    /// The view install images are cut from: built at the version's first
+    /// install, unless the whole copy is the smaller install.
+    view: Option<TrackerView>,
+    /// The whole-copy install, for a version sent without images.
     install: Option<Payload>,
     copy: Option<Payload>,
 }
 
 impl CopyPayloads {
-    /// Forgets the payloads of an older version.
+    /// Forgets what was built for an older version.
     fn sync(&mut self, hf: &HashFunction) {
         if self.version != hf.version {
             *self = CopyPayloads {
@@ -76,12 +89,29 @@ impl CopyPayloads {
         }
     }
 
-    /// `hf` as an [`Wire::InstallHashFn`] payload.
-    fn install(&mut self, hf: &HashFunction) -> Payload {
+    /// `hf` installed on `to`: its image of the version's view, or the
+    /// whole copy where that is smaller — past [`MAX_IMAGE_RUNS_PER_LEAF`],
+    /// and past `MAX_COMPILED_DEPTH`, where the view has no runs.
+    ///
+    /// [`MAX_COMPILED_DEPTH`]: agentrack_hashtree::MAX_COMPILED_DEPTH
+    fn install(&mut self, hf: &HashFunction, to: AgentId) -> Payload {
         self.sync(hf);
-        self.install
-            .get_or_insert_with(|| Wire::InstallHashFn { hf: hf.clone() }.payload())
-            .clone()
+        // The version's first install picks its form; a view is built only
+        // for images, since cutting a fragmented tree's runs costs as much
+        // as the table it reads them from.
+        if self.view.is_none()
+            && self.install.is_none()
+            && hf.tree.run_count() <= (MAX_IMAGE_RUNS_PER_LEAF * hf.tree.iagent_count()) as u64
+        {
+            self.view = Some(TrackerView::new(hf, None));
+        }
+        match self.view.as_ref().and_then(|view| view.image_for(hf, to)) {
+            Some(image) => Wire::InstallView { image }.payload(),
+            None => self
+                .install
+                .get_or_insert_with(|| Wire::InstallHashFn { hf: hf.clone() }.payload())
+                .clone(),
+        }
     }
 
     /// `hf` as a [`Wire::HashFnCopy`] payload.
@@ -221,7 +251,8 @@ impl Agent for StandbyHAgentBehavior {
 pub struct HAgentBehavior {
     config: LocationConfig,
     hf: HashFunction,
-    /// The primary copy encoded for installs, pushes and fetches.
+    /// The primary copy's view and encodings, for installs, pushes and
+    /// fetches.
     payloads: CopyPayloads,
     /// The ops behind the primary copy's most recent versions, for
     /// answering fetches with deltas.
@@ -242,7 +273,7 @@ pub struct HAgentBehavior {
     node_count: u32,
     standby: Option<(AgentId, NodeId)>,
     /// Installs that bounced (receiver mid-migration); re-sent with the
-    /// current primary copy on the next periodic tick.
+    /// current version on the next periodic tick.
     reinstall: Vec<AgentId>,
     /// Per-IAgent epoch counters (keyed by raw agent id), bumped on every
     /// `EpochRequest`. Soft state: if it is lost with a crash, a
@@ -368,7 +399,7 @@ impl HAgentBehavior {
             // was merged away (no directory entry any more) — the merge
             // handler passes its node explicitly instead.
             if let Some(node) = self.node_of_iagent(agent) {
-                ctx.send(agent, node, self.payloads.install(&self.hf));
+                ctx.send(agent, node, self.payloads.install(&self.hf, agent));
             }
         }
         if self.config.eager_propagation {
@@ -559,7 +590,7 @@ impl HAgentBehavior {
         // IAgent (whose directory entry is gone — use its last node).
         self.distribute(ctx, &absorbers);
         if let Some(node) = merged_node {
-            ctx.send(from, node, self.payloads.install(&self.hf));
+            ctx.send(from, node, self.payloads.install(&self.hf, from));
         }
         self.recent.push((
             self.cooldown_region(region),
@@ -603,7 +634,7 @@ impl Agent for HAgentBehavior {
             // from the bounce-triggering version and retired already (its
             // own install-or-timeout handles it).
             if let Some(node) = self.node_of_iagent(agent) {
-                ctx.send(agent, node, self.payloads.install(&self.hf));
+                ctx.send(agent, node, self.payloads.install(&self.hf, agent));
             }
         }
         // Abort leases whose new IAgent never reported (lost message /
@@ -638,7 +669,7 @@ impl Agent for HAgentBehavior {
         // node, which the move that caused the bounce will have updated).
         if matches!(
             Wire::from_payload(payload),
-            Some(Wire::InstallHashFn { .. })
+            Some(Wire::InstallHashFn { .. } | Wire::InstallView { .. })
         ) && !self.reinstall.contains(&to)
         {
             self.reinstall.push(to);

@@ -4,7 +4,10 @@
 //! Every change to a [`HashFunction`] is one [`RehashOp`] applied through
 //! [`HashFunction::apply`]: the HAgent's primary copy changes that way,
 //! and so does an LHAgent's secondary copy when it advances by a
-//! [`Wire::HashFnDelta`] built from the HAgent's [`RehashLog`].
+//! [`Wire::HashFnDelta`] built from the HAgent's [`RehashLog`]. IAgents
+//! hold no copy: each install carries the receiver's run view of the new
+//! version ([`Wire::InstallView`]), unless the whole copy is the smaller
+//! message ([`Wire::InstallHashFn`]).
 
 use std::collections::{HashMap, VecDeque};
 
@@ -26,8 +29,10 @@ pub fn key_of(agent: AgentId) -> AgentKey {
 }
 
 /// The complete hash-function artifact: what the HAgent owns (primary
-/// copy) and LHAgents cache (secondary copies). IAgents receive it too,
-/// but keep only a [`TrackerView`](crate::TrackerView) of it.
+/// copy) and LHAgents cache (secondary copies). IAgents keep only a
+/// [`TrackerView`](crate::TrackerView) of it, and are installed with
+/// that view's [`ViewImage`](crate::ViewImage) unless the copy is the
+/// smaller message.
 ///
 /// Besides the tree this carries the IAgent *directory* — the current node
 /// of every IAgent — because resolving an agent must yield both "which

@@ -177,11 +177,7 @@ impl IAgentBehavior {
         shared: SharedSchemeStats,
         fresh: bool,
     ) -> Self {
-        let stats = LoadStats::new(
-            config.rate_window,
-            config.rate_buckets,
-            config.decay_interval,
-        );
+        let stats = LoadStats::new(config.rate_window);
         let mailbox = Mailbox::new(config.mail_ttl);
         IAgentBehavior {
             config,
@@ -328,16 +324,16 @@ impl IAgentBehavior {
         }
     }
 
-    /// Installs a new hash-function version: hand off records that no
-    /// longer hash here; dispose if this leaf was merged away.
-    fn install(&mut self, ctx: &mut AgentCtx<'_>, hf: HashFunction) {
-        if hf.version <= self.view.version() && self.installed {
+    /// Installs a new hash-function version, built from a whole copy or
+    /// from an install image: hand off records that no longer hash here;
+    /// dispose if this leaf was merged away.
+    fn install(&mut self, ctx: &mut AgentCtx<'_>, view: TrackerView) {
+        if view.version() <= self.view.version() && self.installed {
             return; // stale or duplicate install
         }
         let first_install = !self.installed;
         let label_before = self.view.own_label().cloned().filter(|_| !first_install);
-        self.view = TrackerView::new(&hf, Some(ctx.self_id()));
-        drop(hf); // the whole copy is not kept
+        self.view = view;
         self.installed = true;
         self.shared
             .record_version(ctx.self_id().raw(), CopyRole::Tracker, self.view.version());
@@ -985,7 +981,11 @@ impl IAgentBehavior {
                 self.finish_recovery_if_due(ctx);
                 self.maybe_request_split(ctx);
             }
-            Wire::InstallHashFn { hf } => self.install(ctx, hf),
+            Wire::InstallHashFn { hf } => {
+                let view = TrackerView::new(&hf, Some(ctx.self_id()));
+                self.install(ctx, view);
+            }
+            Wire::InstallView { image } => self.install(ctx, TrackerView::from_image(image)),
             Wire::Handoff { records } => {
                 // A handoff computed under an older version may include
                 // keys that have since moved on; forward those instead of
@@ -1032,7 +1032,8 @@ impl IAgentBehavior {
                 // periodic check refetches until the view advances.
                 self.refetch_in_flight = false;
                 if hf.version > self.view.version() {
-                    self.install(ctx, hf);
+                    let view = TrackerView::new(&hf, Some(ctx.self_id()));
+                    self.install(ctx, view);
                     let unplaced = self.book.take_unplaced();
                     self.dispatch_handoffs(ctx, unplaced);
                 }

@@ -77,5 +77,5 @@ pub use scheme::{
     SharedSchemeStats,
 };
 pub use stats::LoadStats;
-pub use view::TrackerView;
+pub use view::{TrackerView, ViewImage};
 pub use wire::{DenyReason, Freshness, Wire};

@@ -19,6 +19,10 @@ use agentrack_platform::AgentId;
 use crate::config::LocationConfig;
 use crate::hashfn::key_of;
 
+/// The largest `m` a simple split tries before settling for the best
+/// uneven candidate.
+const MAX_SIMPLE_M: usize = 16;
+
 /// A chosen split: the tree candidate plus which side the new IAgent takes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplitPlan {
@@ -110,7 +114,7 @@ pub fn plan_split(
             continue;
         }
         if let SplitKind::Simple { m } = candidate.kind {
-            if m > config.max_simple_m {
+            if m > MAX_SIMPLE_M {
                 break; // candidates are ordered; all later m are larger
             }
         }
@@ -160,6 +164,7 @@ fn partition(weighted: &[(u64, u64)], key_bit: usize) -> (u64, u64) {
 mod tests {
     use super::*;
     use agentrack_hashtree::AgentKey;
+    use std::collections::HashMap;
 
     /// Finds agent ids whose hashed keys start with the given first bit,
     /// so tests can construct loads with known partitions.
@@ -213,6 +218,43 @@ mod tests {
         assert_eq!(
             plan_split(&tree, IAgentId::new(0), &loads, &LocationConfig::default()),
             Err(PlanError::Unbalanceable)
+        );
+    }
+
+    /// Two agents whose keys agree on the first `bit` bits and differ on
+    /// key bit `bit`: only a split on that bit divides them.
+    fn agents_first_differing_at(bit: usize) -> [AgentId; 2] {
+        let mut seen: HashMap<u64, [Option<AgentId>; 2]> = HashMap::new();
+        for raw in 0..1_000_000u64 {
+            let key = key_of(AgentId::new(raw));
+            let side = usize::from(key.bit(bit));
+            let pair = seen.entry(key.raw() >> (64 - bit)).or_default();
+            pair[side] = Some(AgentId::new(raw));
+            if let [Some(a), Some(b)] = *pair {
+                return [a, b];
+            }
+        }
+        panic!("no two agents first differ at bit {bit}");
+    }
+
+    #[test]
+    fn simple_splits_stop_after_the_sixteenth_extra_bit() {
+        let tree = HashTree::new(IAgentId::new(0));
+        let plan = |[a, b]: [AgentId; 2]| {
+            plan_split(
+                &tree,
+                IAgentId::new(0),
+                &[(a, 5), (b, 5)],
+                &LocationConfig::default(),
+            )
+        };
+        let at_16 = plan(agents_first_differing_at(15)).expect("m = 16 is tried");
+        assert_eq!(at_16.candidate.kind, SplitKind::Simple { m: 16 });
+        assert!(at_16.even);
+        assert_eq!(
+            plan(agents_first_differing_at(16)),
+            Err(PlanError::Unbalanceable),
+            "m = 17 is not"
         );
     }
 

@@ -13,33 +13,35 @@ use std::fmt;
 use agentrack_platform::AgentId;
 use agentrack_sim::{SimDuration, SimTime, WindowedRate};
 
+/// Buckets the rate window is divided into: a request leaves the rate
+/// estimate between one window and one window plus a tenth after it.
+const RATE_BUCKETS: usize = 10;
+
+/// Interval at which per-agent load counters are halved, so split
+/// planning reflects recent traffic.
+const DECAY_INTERVAL: SimDuration = SimDuration::from_secs(2);
+
 /// Rate and per-agent load statistics of one tracker.
 pub struct LoadStats {
     rate: WindowedRate,
     per_agent: HashMap<AgentId, u64>,
     last_decay: SimTime,
-    decay_interval: SimDuration,
     window: SimDuration,
-    buckets: usize,
 }
 
 impl LoadStats {
-    /// Creates empty statistics.
+    /// Creates empty statistics whose rate estimate spans `window`.
     ///
     /// # Panics
     ///
-    /// Panics if the window is degenerate (zero span or zero buckets) or
-    /// the decay interval is zero.
+    /// Panics if the window is zero.
     #[must_use]
-    pub fn new(window: SimDuration, buckets: usize, decay_interval: SimDuration) -> Self {
-        assert!(!decay_interval.is_zero(), "degenerate decay interval");
+    pub fn new(window: SimDuration) -> Self {
         LoadStats {
-            rate: WindowedRate::new(window, buckets),
+            rate: WindowedRate::new(window, RATE_BUCKETS),
             per_agent: HashMap::new(),
             last_decay: SimTime::ZERO,
-            decay_interval,
             window,
-            buckets,
         }
     }
 
@@ -82,7 +84,7 @@ impl LoadStats {
     /// installed — the traffic that drove the old partition must not drive
     /// another rehash of the new one.
     pub fn reset(&mut self, now: SimTime) {
-        self.rate = WindowedRate::new(self.window, self.buckets);
+        self.rate = WindowedRate::new(self.window, RATE_BUCKETS);
         self.per_agent.clear();
         self.last_decay = now;
     }
@@ -95,14 +97,14 @@ impl LoadStats {
 
     fn maybe_decay(&mut self, now: SimTime) {
         let elapsed = now.saturating_since(self.last_decay);
-        let intervals = elapsed.as_nanos() / self.decay_interval.as_nanos();
+        let intervals = elapsed.as_nanos() / DECAY_INTERVAL.as_nanos();
         if intervals == 0 {
             return;
         }
         // Advance by whole intervals only, so the fractional remainder
         // keeps accumulating: counters decay the same way whether a quiet
         // stretch is observed in one call or across many.
-        self.last_decay += self.decay_interval * intervals;
+        self.last_decay += DECAY_INTERVAL * intervals;
         let shift = u32::try_from(intervals).unwrap_or(63).min(63);
         self.per_agent.retain(|_, w| {
             *w >>= shift;
@@ -125,7 +127,7 @@ mod tests {
     use super::*;
 
     fn stats() -> LoadStats {
-        LoadStats::new(SimDuration::from_secs(1), 10, SimDuration::from_secs(2))
+        LoadStats::new(SimDuration::from_secs(1))
     }
 
     #[test]
@@ -208,9 +210,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "degenerate decay interval")]
-    fn zero_decay_interval_panics() {
-        let _ = LoadStats::new(SimDuration::from_secs(1), 10, SimDuration::ZERO);
+    fn counters_halve_every_two_seconds() {
+        let mut s = stats();
+        let t0 = SimTime::ZERO;
+        for _ in 0..8 {
+            s.record(t0, AgentId::new(1));
+        }
+        s.record_control(t0 + SimDuration::from_millis(1999));
+        assert_eq!(s.loads(), vec![(AgentId::new(1), 8)]);
+        s.record_control(t0 + SimDuration::from_secs(2));
+        assert_eq!(s.loads(), vec![(AgentId::new(1), 4)]);
+    }
+
+    #[test]
+    fn a_request_leaves_the_rate_a_tenth_of_a_window_late() {
+        // Ten buckets over a 1 s window: a request's 100 ms bucket drops
+        // out once all of it is more than a window old.
+        let mut s = stats();
+        s.record_control(SimTime::ZERO);
+        assert!(s.rate_per_sec(SimTime::ZERO + SimDuration::from_millis(1099)) > 0.0);
+        assert_eq!(
+            s.rate_per_sec(SimTime::ZERO + SimDuration::from_millis(1100)),
+            0.0
+        );
     }
 
     #[test]

@@ -21,9 +21,16 @@
 //! grow as n², because trackers not touched by a split keep older
 //! versions.
 //!
+//! The HAgent installs a version on an IAgent by sending it a
+//! [`ViewImage`]: the view's runs in key order, uncut, plus the receiver's
+//! own facts. [`TrackerView::from_image`] cuts the runs back into the same
+//! chunks, so a view from an image shares them like any other. A tree
+//! whose runs far outnumber its leaves is installed as the whole copy,
+//! the smaller message then.
+//!
 //! A tree whose branch depth exceeds [`MAX_COMPILED_DEPTH`] has no table;
 //! the view then keeps the tree and walks it, as the full copy does, and
-//! shares nothing.
+//! shares nothing. Such a view has no image: its install is the whole copy.
 //!
 //! [`MAX_COMPILED_DEPTH`]: agentrack_hashtree::MAX_COMPILED_DEPTH
 
@@ -31,6 +38,7 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use agentrack_hashtree::{CompiledDirectory, HashTree, HyperLabel, IAgentId};
 use agentrack_platform::{AgentId, NodeId};
+use serde::{Deserialize, Serialize};
 
 use crate::hashfn::{key_of, HashFunction};
 
@@ -66,42 +74,20 @@ enum Index {
     },
 }
 
-/// Cuts the `2^depth` compiled `slots` into runs, chunk by chunk, each
-/// chunk an equal one some view holds where there is one.
-fn chunks(slots: &[IAgentId], depth: usize, hf: &HashFunction) -> Box<[Arc<[Run]>]> {
-    let node = |ia: IAgentId| {
-        *hf.locations
-            .get(&ia)
-            .expect("hash tree leaf without a directory entry")
-    };
+/// The first key of chunk `chunk`.
+fn chunk_start(chunk: usize) -> u64 {
+    (chunk as u64) << (64 - CHUNK_BITS)
+}
+
+/// Builds each chunk's runs with `cut`, taking an equal chunk some view
+/// holds where there is one.
+fn intern(mut cut: impl FnMut(usize) -> Vec<Run>) -> Box<[Arc<[Run]>]> {
     let mut held = HELD.lock().unwrap_or_else(PoisonError::into_inner);
     held.resize_with(CHUNKS, Vec::new);
     held.iter_mut()
         .enumerate()
         .map(|(chunk, held)| {
-            // The slots overlapping this chunk: several when the table is
-            // deeper than the chunking, else the one slot spanning it.
-            let (first, count) = if depth >= CHUNK_BITS {
-                (chunk << (depth - CHUNK_BITS), 1 << (depth - CHUNK_BITS))
-            } else {
-                (chunk >> (CHUNK_BITS - depth), 1)
-            };
-            let mut runs: Vec<Run> = Vec::new();
-            for (i, &iagent) in slots[first..first + count].iter().enumerate() {
-                if runs.last().is_some_and(|run| run.iagent == iagent) {
-                    continue;
-                }
-                let start = if i == 0 {
-                    (chunk as u64) << (64 - CHUNK_BITS)
-                } else {
-                    ((first + i) as u64) << (64 - depth)
-                };
-                runs.push(Run {
-                    start,
-                    iagent,
-                    node: node(iagent),
-                });
-            }
+            let runs = cut(chunk);
             held.retain(|chunk| chunk.strong_count() > 0);
             if let Some(same) = held
                 .iter()
@@ -117,11 +103,146 @@ fn chunks(slots: &[IAgentId], depth: usize, hf: &HashFunction) -> Box<[Arc<[Run]
         .collect()
 }
 
+/// Cuts the `2^depth` compiled `slots` into runs, chunk by chunk.
+fn chunks(slots: &[IAgentId], depth: usize, hf: &HashFunction) -> Box<[Arc<[Run]>]> {
+    let node = |ia: IAgentId| {
+        *hf.locations
+            .get(&ia)
+            .expect("hash tree leaf without a directory entry")
+    };
+    intern(|chunk| {
+        // The slots overlapping this chunk: several when the table is
+        // deeper than the chunking, else the one slot spanning it.
+        let (first, count) = if depth >= CHUNK_BITS {
+            (chunk << (depth - CHUNK_BITS), 1 << (depth - CHUNK_BITS))
+        } else {
+            (chunk >> (CHUNK_BITS - depth), 1)
+        };
+        let mut runs: Vec<Run> = Vec::new();
+        for (i, &iagent) in slots[first..first + count].iter().enumerate() {
+            if runs.last().is_some_and(|run| run.iagent == iagent) {
+                continue;
+            }
+            let start = if i == 0 {
+                chunk_start(chunk)
+            } else {
+                ((first + i) as u64) << (64 - depth)
+            };
+            runs.push(Run {
+                start,
+                iagent,
+                node: node(iagent),
+            });
+        }
+        runs
+    })
+}
+
+/// Cuts runs in key order, the first starting at key 0 and each differing
+/// in IAgent from the one before, into the chunks [`chunks`] builds from
+/// the same key space.
+fn recut(runs: &[(u64, IAgentId, NodeId)]) -> Box<[Arc<[Run]>]> {
+    let run = |&(start, iagent, node): &(u64, IAgentId, NodeId)| Run {
+        start,
+        iagent,
+        node,
+    };
+    let mut next = 0;
+    let mut covering = run(&runs[0]);
+    intern(|chunk| {
+        let start = chunk_start(chunk);
+        while next < runs.len() && runs[next].0 <= start {
+            covering = run(&runs[next]);
+            next += 1;
+        }
+        let mut cut = vec![Run { start, ..covering }];
+        while next < runs.len() && runs[next].0 >> (64 - CHUNK_BITS) == chunk as u64 {
+            covering = run(&runs[next]);
+            cut.push(covering);
+            next += 1;
+        }
+        cut
+    })
+}
+
 /// What a tracker knows about its own leaf.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct OwnLeaf {
     label: HyperLabel,
     buddy: Option<(AgentId, NodeId)>,
+}
+
+impl OwnLeaf {
+    /// `me`'s facts under `hf`, or `None` when `me` is not one of its
+    /// leaves.
+    fn of(hf: &HashFunction, me: AgentId) -> Option<Self> {
+        let label = hf.tree.hyper_label(IAgentId::new(me.raw())).ok()?;
+        Some(OwnLeaf {
+            label,
+            buddy: hf.buddy_of(me),
+        })
+    }
+}
+
+/// One version's [`TrackerView`] as the HAgent sends it to one IAgent
+/// ([`Wire::InstallView`](crate::Wire::InstallView)): the version and
+/// leaf count, every run in key order as `(first key, IAgent, node)`, and
+/// the receiver's own hyper-label and buddy — `None` when the receiver is
+/// no longer a leaf. Built by [`TrackerView::image_for`], read back by
+/// [`TrackerView::from_image`].
+///
+/// Decoding checks the runs: they start at key 0 and ascend strictly, so
+/// every key has exactly one owner.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct ViewImage {
+    version: u64,
+    leaves: usize,
+    runs: Vec<(u64, IAgentId, NodeId)>,
+    own: Option<OwnLeaf>,
+}
+
+impl ViewImage {
+    /// The hash-function version this image carries.
+    #[must_use]
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// How many runs the image carries.
+    #[must_use]
+    pub fn run_count(&self) -> usize {
+        self.runs.len()
+    }
+}
+
+impl Deserialize for ViewImage {
+    fn deserialize(value: &serde::Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Fields {
+            version: u64,
+            leaves: usize,
+            runs: Vec<(u64, IAgentId, NodeId)>,
+            own: Option<OwnLeaf>,
+        }
+        let Fields {
+            version,
+            leaves,
+            runs,
+            own,
+        } = Fields::deserialize(value)?;
+        if runs.first().map(|&(start, ..)| start) != Some(0) {
+            return Err(serde::Error::custom("ViewImage: runs must start at key 0"));
+        }
+        if runs.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err(serde::Error::custom("ViewImage: runs must ascend"));
+        }
+        Ok(ViewImage {
+            version,
+            leaves,
+            runs,
+            own,
+        })
+    }
 }
 
 /// A lookup-only image of one [`HashFunction`] version, as one tracker
@@ -141,6 +262,12 @@ struct OwnLeaf {
 /// assert!(view.is_responsible(AgentId::new(3), AgentId::new(77)));
 /// assert!(view.own_label().is_some());
 /// assert_eq!(view.buddy(), None); // a single leaf has no sibling
+///
+/// // What an install carries: the runs and the receiver's own facts.
+/// let image = TrackerView::new(&hf, None).image_for(&hf, AgentId::new(3));
+/// let installed = TrackerView::from_image(image.unwrap());
+/// assert_eq!(installed.own_label(), view.own_label());
+/// assert_eq!(installed.resolve(AgentId::new(77)), view.resolve(AgentId::new(77)));
 /// ```
 ///
 /// [`resolve`]: TrackerView::resolve
@@ -184,18 +311,51 @@ impl TrackerView {
                 }
             }
         };
-        let own = me.and_then(|me| {
-            let label = hf.tree.hyper_label(IAgentId::new(me.raw())).ok()?;
-            Some(OwnLeaf {
-                label,
-                buddy: hf.buddy_of(me),
-            })
-        });
         TrackerView {
             version: hf.version,
             leaves: hf.locations.len(),
             index,
-            own,
+            own: me.and_then(|me| OwnLeaf::of(hf, me)),
+        }
+    }
+
+    /// The image tracker `me` installs this view from: its runs, merged
+    /// across chunk boundaries, and `me`'s own facts under `hf`, the
+    /// version this view was built from. `None` for a view that walks the
+    /// tree, which has no runs.
+    #[must_use]
+    pub fn image_for(&self, hf: &HashFunction, me: AgentId) -> Option<ViewImage> {
+        debug_assert_eq!(hf.version, self.version, "an image of another version");
+        let Index::Chunks(chunks) = &self.index else {
+            return None;
+        };
+        let mut runs: Vec<(u64, IAgentId, NodeId)> = Vec::new();
+        for run in chunks.iter().flat_map(|chunk| chunk.iter()) {
+            if runs
+                .last()
+                .is_some_and(|&(_, iagent, _)| iagent == run.iagent)
+            {
+                continue;
+            }
+            runs.push((run.start, run.iagent, run.node));
+        }
+        Some(ViewImage {
+            version: self.version,
+            leaves: self.leaves,
+            runs,
+            own: OwnLeaf::of(hf, me),
+        })
+    }
+
+    /// The view an install image describes, sharing its chunks with every
+    /// view that holds equal ones.
+    #[must_use]
+    pub fn from_image(image: ViewImage) -> Self {
+        TrackerView {
+            version: image.version,
+            leaves: image.leaves,
+            index: Index::Chunks(recut(&image.runs)),
+            own: image.own,
         }
     }
 
@@ -346,6 +506,29 @@ mod tests {
             assert_eq!(left.resolve(agent), before.resolve(agent));
             assert_eq!(next.resolve(agent), hf.resolve(agent));
         }
+    }
+
+    #[test]
+    fn a_view_from_an_image_shares_every_chunk_of_its_version() {
+        let mut hf = HashFunction::initial(AgentId::new(1 << 40), NodeId::new(70_000));
+        let mut queue = std::collections::VecDeque::from([IAgentId::new(1 << 40)]);
+        for new in 1..=40 {
+            let leaf = queue.pop_front().unwrap();
+            split(&mut hf, leaf, (1 << 40) + new);
+            queue.extend([leaf, IAgentId::new((1 << 40) + new)]);
+        }
+        hf.recompile();
+        let me = AgentId::new(hf.tree.iagents().nth(7).unwrap().raw());
+        let primary = TrackerView::new(&hf, None);
+        let installed = TrackerView::from_image(primary.image_for(&hf, me).unwrap());
+        assert!(chunks_of(&primary)
+            .iter()
+            .zip(chunks_of(&installed))
+            .all(|(p, i)| Arc::ptr_eq(p, i)));
+        let built = TrackerView::new(&hf, Some(me));
+        assert_eq!(installed.own_label(), built.own_label());
+        assert_eq!(installed.buddy(), built.buddy());
+        assert_eq!(installed.leaf_count(), 41);
     }
 
     #[test]

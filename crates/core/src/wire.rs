@@ -10,6 +10,7 @@ use agentrack_sim::{CorrId, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 use crate::hashfn::{HashFunction, RehashOp};
+use crate::view::ViewImage;
 
 /// Why the HAgent (or a standby) declined a rehash request. The reason
 /// drives the requester's retry backoff: a busy pipeline clears in one
@@ -281,9 +282,20 @@ pub enum Wire {
     /// The HAgent installs a new hash-function version on an IAgent.
     /// Receivers hand off records that no longer hash to them; an IAgent
     /// whose leaf is gone hands off everything and disposes itself.
+    ///
+    /// The whole copy: sent only where it is smaller than the receiver's
+    /// view — a tree whose runs outnumber its leaves more than four to one,
+    /// or one too deep to compile, whose view has no runs. Every other
+    /// install is a [`Wire::InstallView`].
     InstallHashFn {
         /// The new primary copy.
         hf: HashFunction,
+    },
+    /// [`Wire::InstallHashFn`] as the receiver's view of the new version:
+    /// its runs and the receiver's own leaf facts, not the tree.
+    InstallView {
+        /// The receiver's view of the new primary copy.
+        image: ViewImage,
     },
     /// Records migrating from one IAgent to another after a rehash.
     Handoff {
@@ -498,6 +510,7 @@ impl Wire {
             Wire::IAgentReady { .. } => "IAgentReady",
             Wire::IAgentMoved { .. } => "IAgentMoved",
             Wire::InstallHashFn { .. } => "InstallHashFn",
+            Wire::InstallView { .. } => "InstallView",
             Wire::Handoff { .. } => "Handoff",
             Wire::EpochRequest => "EpochRequest",
             Wire::EpochGrant { .. } => "EpochGrant",
@@ -570,6 +583,14 @@ mod tests {
             },
             Wire::InstallHashFn {
                 hf: HashFunction::initial(AgentId::new(0), NodeId::new(0)),
+            },
+            Wire::InstallView {
+                image: {
+                    let hf = HashFunction::initial(AgentId::new(0), NodeId::new(0));
+                    crate::TrackerView::new(&hf, None)
+                        .image_for(&hf, AgentId::new(0))
+                        .unwrap()
+                },
             },
             Wire::Handoff {
                 records: vec![(AgentId::new(5), NodeId::new(2))],

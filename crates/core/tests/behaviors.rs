@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use agentrack_core::{
     key_of, DenyReason, Freshness, HAgentBehavior, HashFunction, IAgentBehavior, LHAgentBehavior,
-    LocationConfig, RehashOp, SharedSchemeStats, Wire,
+    LocationConfig, RehashOp, SharedSchemeStats, TrackerView, Wire,
 };
 use agentrack_hashtree::IAgentId;
 use agentrack_platform::{
@@ -17,12 +17,14 @@ use agentrack_sim::{DurationDist, SimDuration, Topology};
 
 type Inbox = Arc<Mutex<Vec<(AgentId, Wire)>>>;
 type Outbox = Arc<Mutex<VecDeque<(AgentId, NodeId, Wire)>>>;
+type Moves = Arc<Mutex<Option<NodeId>>>;
 
-/// Sends whatever the test queues in its outbox; records every protocol
-/// message it receives.
+/// Sends whatever the test queues in its outbox, then migrates if the
+/// test queued a move; records every protocol message it receives.
 struct Puppet {
     inbox: Inbox,
     outbox: Outbox,
+    moves: Moves,
 }
 
 impl Agent for Puppet {
@@ -33,6 +35,9 @@ impl Agent for Puppet {
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _timer: TimerId) {
         while let Some((to, node, msg)) = self.outbox.lock().unwrap().pop_front() {
             ctx.send(to, node, msg.payload());
+        }
+        if let Some(node) = self.moves.lock().unwrap().take() {
+            ctx.dispatch(node);
         }
         ctx.set_timer(SimDuration::from_millis(5));
     }
@@ -50,19 +55,26 @@ struct Harness {
     puppet_node: NodeId,
     inbox: Inbox,
     outbox: Outbox,
+    moves: Moves,
 }
 
 impl Harness {
     fn new(nodes: u32) -> Self {
+        Self::with_platform(nodes, PlatformConfig::default())
+    }
+
+    fn with_platform(nodes: u32, config: PlatformConfig) -> Self {
         let topo = Topology::lan(nodes, DurationDist::Constant(SimDuration::from_micros(200)));
-        let mut platform = SimPlatform::new(topo, PlatformConfig::default().with_seed(17));
+        let mut platform = SimPlatform::new(topo, config.with_seed(17));
         let inbox: Inbox = Arc::default();
         let outbox: Outbox = Arc::default();
+        let moves: Moves = Arc::default();
         let puppet_node = NodeId::new(0);
         let puppet = platform.spawn(
             Box::new(Puppet {
                 inbox: inbox.clone(),
                 outbox: outbox.clone(),
+                moves: moves.clone(),
             }),
             puppet_node,
         );
@@ -72,11 +84,17 @@ impl Harness {
             puppet_node,
             inbox,
             outbox,
+            moves,
         }
     }
 
     fn send(&self, to: AgentId, node: NodeId, msg: Wire) {
         self.outbox.lock().unwrap().push_back((to, node, msg));
+    }
+
+    /// Migrates the puppet to `node` after its next batch of sends.
+    fn move_to(&self, node: NodeId) {
+        *self.moves.lock().unwrap() = Some(node);
     }
 
     fn run_ms(&mut self, ms: u64) {
@@ -772,24 +790,190 @@ fn hagent_split_flow_creates_and_installs_a_new_iagent() {
     );
     // The real new IAgent sends IAgentReady itself; then the HAgent commits
     // and installs the new version on the involved parties — including the
-    // puppet, which receives InstallHashFn with two IAgents.
+    // puppet, which receives its view of a tree with two IAgents.
     h.run_ms(500);
     let installs: Vec<Wire> = h
         .received()
         .into_iter()
-        .filter(|m| matches!(m, Wire::InstallHashFn { .. }))
+        .filter(|m| matches!(m, Wire::InstallHashFn { .. } | Wire::InstallView { .. }))
         .collect();
     assert_eq!(installs.len(), 1, "the requester is installed once");
-    match &installs[0] {
-        Wire::InstallHashFn { hf } => {
-            assert_eq!(hf.version, 2);
-            assert_eq!(hf.tree.iagent_count(), 2);
-            hf.validate().unwrap();
-        }
-        _ => unreachable!(),
+    let Wire::InstallView { image } = installs[0].clone() else {
+        panic!(
+            "a compiled tree is installed as an image: {:?}",
+            installs[0]
+        );
+    };
+    let view = TrackerView::from_image(image);
+    let copy = fetch_copy(&mut h, hagent);
+    assert_eq!(view.version(), 2);
+    assert_eq!(view.leaf_count(), 2);
+    assert_eq!(
+        view.own_label(),
+        copy.tree
+            .hyper_label(IAgentId::new(h.puppet.raw()))
+            .ok()
+            .as_ref()
+    );
+    assert_eq!(view.buddy(), copy.buddy_of(h.puppet));
+    for raw in 0..256 {
+        let agent = AgentId::new(raw);
+        assert_eq!(view.resolve(agent), copy.resolve(agent));
     }
     assert_eq!(stats.snapshot().splits, 1);
     assert_eq!(stats.snapshot().trackers, 2);
+}
+
+/// Two agents whose keys agree on the first `bit` bits and differ on key
+/// bit `bit`: an even split of their load branches on that bit.
+fn agents_first_differing_at(bit: usize) -> [AgentId; 2] {
+    let mut seen: std::collections::HashMap<u64, [Option<AgentId>; 2]> = Default::default();
+    for raw in 0..1_000_000u64 {
+        let key = key_of(AgentId::new(raw));
+        let pair = seen.entry(key.raw() >> (64 - bit)).or_default();
+        pair[usize::from(key.bit(bit))] = Some(AgentId::new(raw));
+        if let [Some(a), Some(b)] = *pair {
+            return [a, b];
+        }
+    }
+    panic!("no two agents first differ at bit {bit}");
+}
+
+#[test]
+fn hagent_installs_the_whole_copy_where_an_image_has_too_many_runs() {
+    // Splitting the lone leaf on key bit b cuts the key space into
+    // 2^(b+1) alternating runs: 4 a leaf on bit 2, still an image; 8 a
+    // leaf on bit 3, past the limit, so the whole copy.
+    for (bit, whole) in [(2, false), (3, true)] {
+        let mut h = Harness::new(2);
+        let hf = HashFunction::initial(h.puppet, h.puppet_node);
+        let stats = SharedSchemeStats::new();
+        let hagent = h.platform.spawn(
+            Box::new(HAgentBehavior::new(
+                config(),
+                hf,
+                Vec::new(),
+                2,
+                stats.clone(),
+            )),
+            NodeId::new(1),
+        );
+        let loads = agents_first_differing_at(bit)
+            .map(|agent| (agent, 5))
+            .to_vec();
+        h.send(
+            hagent,
+            NodeId::new(1),
+            Wire::SplitRequest { rate: 99.0, loads },
+        );
+        h.run_ms(500);
+        let installs: Vec<Wire> = h
+            .received()
+            .into_iter()
+            .filter(|m| matches!(m, Wire::InstallHashFn { .. } | Wire::InstallView { .. }))
+            .collect();
+        assert_eq!(stats.snapshot().splits, 1);
+        assert_eq!(installs.len(), 1, "the requester is installed once");
+        assert_eq!(
+            matches!(installs[0], Wire::InstallHashFn { .. }),
+            whole,
+            "split on key bit {bit}: {:?}",
+            installs[0]
+        );
+    }
+}
+
+/// The HAgent's primary copy, fetched by the puppet.
+fn fetch_copy(h: &mut Harness, hagent: AgentId) -> HashFunction {
+    h.clear();
+    h.send(
+        hagent,
+        NodeId::new(1),
+        Wire::FetchHashFn {
+            have_version: 0,
+            reply_node: h.platform.agent_node(h.puppet).unwrap(),
+        },
+    );
+    h.run_ms(30);
+    h.received()
+        .into_iter()
+        .find_map(|m| match m {
+            Wire::HashFnCopy { hf } => Some(hf),
+            _ => None,
+        })
+        .expect("fetch answered")
+}
+
+#[test]
+fn hagent_resends_an_install_that_bounced_off_a_migrating_receiver() {
+    // A slow migration keeps the puppet in transit while the install of
+    // its split arrives.
+    let platform = PlatformConfig {
+        migration_overhead: SimDuration::from_millis(50),
+        ..PlatformConfig::default()
+    };
+    let mut h = Harness::with_platform(2, platform);
+    let hf = HashFunction::initial(h.puppet, h.puppet_node);
+    let stats = SharedSchemeStats::new();
+    let hagent = h.platform.spawn(
+        Box::new(HAgentBehavior::new(
+            config(),
+            hf,
+            Vec::new(),
+            2,
+            stats.clone(),
+        )),
+        NodeId::new(1),
+    );
+
+    // The puppet asks for a split and leaves for node 1 at once.
+    let loads: Vec<(AgentId, u64)> = (0..64).map(|i| (AgentId::new(2000 + i), 5)).collect();
+    h.send(
+        hagent,
+        NodeId::new(1),
+        Wire::SplitRequest { rate: 99.0, loads },
+    );
+    h.move_to(NodeId::new(1));
+    h.run_ms(100);
+    assert_eq!(stats.snapshot().splits, 1);
+    assert_eq!(h.platform.agent_node(h.puppet), Some(NodeId::new(1)));
+    let is_install = |m: &Wire| matches!(m, Wire::InstallHashFn { .. } | Wire::InstallView { .. });
+    assert!(
+        !h.received().iter().any(is_install),
+        "the install bounced off the migrating puppet"
+    );
+
+    // Once the directory knows the new node, the next periodic tick
+    // re-sends the current version there.
+    h.send(
+        hagent,
+        NodeId::new(1),
+        Wire::IAgentMoved {
+            node: NodeId::new(1),
+        },
+    );
+    h.run_ms(600);
+    let installs: Vec<Wire> = h.received().into_iter().filter(is_install).collect();
+    assert_eq!(installs.len(), 1, "one re-sent install: {installs:?}");
+    let Wire::InstallView { image } = installs[0].clone() else {
+        panic!("the retry is an image too: {:?}", installs[0]);
+    };
+    let view = TrackerView::from_image(image);
+    let copy = fetch_copy(&mut h, hagent);
+    assert_eq!(view.version(), 3, "the split and the move");
+    assert_eq!(view.version(), copy.version);
+    assert!(view.own_label().is_some());
+    for raw in 0..256 {
+        let agent = AgentId::new(raw);
+        assert_eq!(view.resolve(agent), copy.resolve(agent));
+        if view.is_responsible(h.puppet, agent) {
+            assert_eq!(
+                view.resolve(agent).1,
+                NodeId::new(1),
+                "the puppet's new node"
+            );
+        }
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use agentrack_core::{
     key_of, plan_split, DeltaError, DenyReason, Freshness, HashFunction, LocationConfig, RehashOp,
-    TrackerView, Wire,
+    TrackerView, ViewImage, Wire,
 };
 use agentrack_hashtree::{IAgentId, Side, SplitKind, MAX_COMPILED_DEPTH};
 use agentrack_platform::{AgentId, CorrId, NodeId};
@@ -82,6 +82,16 @@ fn arb_hash_function() -> impl Strategy<Value = HashFunction> {
     })
 }
 
+/// The install image of a random version, for one of its leaves or for an
+/// id that is none (ids above the history's splits).
+fn arb_view_image() -> impl Strategy<Value = ViewImage> {
+    (arb_hash_function(), 0u64..12).prop_map(|(hf, me)| {
+        TrackerView::new(&hf, None)
+            .image_for(&hf, AgentId::new(me))
+            .expect("a short history compiles")
+    })
+}
+
 /// Every variant of [`Wire`], each with arbitrary fields.
 fn arb_wire() -> impl Strategy<Value = Wire> {
     prop_oneof![
@@ -127,6 +137,7 @@ fn arb_wire() -> impl Strategy<Value = Wire> {
         arb_deny_reason().prop_map(|reason| Wire::RehashDenied { reason }),
         any::<u64>().prop_map(|lease| Wire::IAgentReady { lease }),
         arb_hash_function().prop_map(|hf| Wire::InstallHashFn { hf }),
+        arb_view_image().prop_map(|image| Wire::InstallView { image }),
         Just(Wire::EpochRequest),
         (
             any::<u64>(),
@@ -254,17 +265,68 @@ fn arb_wire() -> impl Strategy<Value = Wire> {
     ]
 }
 
+/// The name of every [`Wire`] variant, which is its `kind()`. The names
+/// also form a match with no wildcard arm, so a new variant does not
+/// compile until it is listed here.
+macro_rules! every_kind {
+    ($($variant:ident),* $(,)?) => {{
+        fn exhaustive(msg: &Wire) {
+            match msg {
+                $(Wire::$variant { .. } => {})*
+            }
+        }
+        let _ = exhaustive;
+        [$(stringify!($variant)),*]
+    }};
+}
+
 /// `arb_wire` draws every variant: a new variant fails this until the
 /// strategy covers it too.
 #[test]
 fn arb_wire_draws_every_variant() {
-    const VARIANTS: usize = 32;
+    let listed = every_kind![
+        Resolve,
+        ResolveFresh,
+        Resolved,
+        Register,
+        RegisterAck,
+        Update,
+        Deregister,
+        Locate,
+        Located,
+        NotFound,
+        NotResponsible,
+        SplitRequest,
+        MergeRequest,
+        RehashDenied,
+        IAgentReady,
+        IAgentMoved,
+        InstallHashFn,
+        InstallView,
+        Handoff,
+        EpochRequest,
+        EpochGrant,
+        RecordSync,
+        RecordSyncAck,
+        ReplicaPull,
+        ReplicaSet,
+        SolicitReregister,
+        FetchHashFn,
+        HashFnCopy,
+        HashFnDelta,
+        DeliverVia,
+        MailDrop,
+        ChainLocate,
+        LeavePointer,
+    ];
     let strategy = arb_wire();
     let mut rng = proptest::TestRng::from_test_name("arb_wire_draws_every_variant");
-    let kinds: std::collections::BTreeSet<&str> = (0..2000)
+    let drawn: std::collections::BTreeSet<&str> = (0..2000)
         .map(|_| strategy.generate(&mut rng).kind())
         .collect();
-    assert_eq!(kinds.len(), VARIANTS, "drawn: {kinds:?}");
+    for kind in listed {
+        assert!(drawn.contains(kind), "{kind} never drawn: {drawn:?}");
+    }
 }
 
 /// One rehash of a random history: split or merge the leaf serving
@@ -334,15 +396,39 @@ fn assert_view_agrees(hf: &HashFunction, probes: &[u64]) {
         .map(|ia| AgentId::new(ia.raw()))
         .chain([AgentId::new(u64::MAX)])
         .collect();
-    // Built from the primary copy's (incrementally refreshed) table and
-    // from a decoded copy's freshly built one.
     let decoded = match Wire::from_payload(&Wire::InstallHashFn { hf: hf.clone() }.payload()) {
         Some(Wire::InstallHashFn { hf }) => hf,
         other => panic!("install did not round-trip: {other:?}"),
     };
-    for source in [hf, &decoded] {
-        for &me in &trackers {
-            let view = TrackerView::new(source, Some(me));
+    // The view the HAgent cuts each tracker's install image from.
+    let primary = TrackerView::new(hf, None);
+    for &me in &trackers {
+        // The tracker's install: an image through the wire, or the whole
+        // copy for a tree too deep to have one.
+        let installed = match primary.image_for(hf, me) {
+            Some(image) => {
+                assert_eq!(image.run_count() as u64, hf.tree.run_count());
+                match Wire::from_payload(&Wire::InstallView { image }.payload()) {
+                    Some(Wire::InstallView { image }) => TrackerView::from_image(image),
+                    other => panic!("image did not round-trip: {other:?}"),
+                }
+            }
+            None => {
+                assert!(
+                    hf.compiled().slots().is_none(),
+                    "a compiled tree has an image"
+                );
+                TrackerView::new(&decoded, Some(me))
+            }
+        };
+        // Built from the primary copy's (incrementally refreshed) table,
+        // from a decoded copy's freshly built one, and from the install.
+        let views = [
+            TrackerView::new(hf, Some(me)),
+            TrackerView::new(&decoded, Some(me)),
+            installed,
+        ];
+        for view in &views {
             assert_eq!(view.version(), hf.version);
             assert_eq!(view.leaf_count(), hf.tree.iagent_count());
             let label = hf.tree.hyper_label(IAgentId::new(me.raw())).ok();
@@ -435,6 +521,36 @@ proptest! {
     fn wire_round_trips(msg in arb_wire()) {
         let payload = msg.payload();
         prop_assert_eq!(Wire::from_payload(&payload), Some(msg));
+    }
+
+    /// A message cut short decodes to nothing, never to a message.
+    #[test]
+    fn a_truncated_message_does_not_decode(msg in arb_wire(), cut in any::<usize>()) {
+        let bytes = msg.payload().bytes().to_vec();
+        let short = bytes[..cut % bytes.len()].to_vec();
+        let payload = agentrack_platform::Payload::from_bytes(short.into());
+        prop_assert_eq!(Wire::from_payload(&payload), None);
+    }
+
+    /// A message with one byte overwritten never panics the decoder, and
+    /// an install image that still decodes builds a view that answers.
+    #[test]
+    fn a_garbled_message_decodes_without_a_panic(
+        msg in arb_wire(),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = msg.payload().bytes().to_vec();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        let payload = agentrack_platform::Payload::from_bytes(bytes.into());
+        if let Some(Wire::InstallView { image }) = Wire::from_payload(&payload) {
+            let view = TrackerView::from_image(image);
+            for raw in 0..64 {
+                let (iagent, _) = view.resolve(AgentId::new(raw));
+                prop_assert!(view.is_responsible(iagent, AgentId::new(raw)));
+            }
+        }
     }
 
     /// A delta of arbitrary ops — mostly naming IAgents the copy does not

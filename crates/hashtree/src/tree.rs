@@ -439,6 +439,55 @@ impl HashTree {
             .unwrap_or(0)
     }
 
+    /// How many runs the key space falls into: maximal key intervals that
+    /// one leaf serves. A leaf serves one interval for each setting of the
+    /// unconstrained bits its hyper-label consumes before its last valid
+    /// bit, so a leaf with `g` such bits serves `2^g` runs. Saturates at
+    /// `u64::MAX`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use agentrack_hashtree::{HashTree, IAgentId, Side, SplitKind};
+    ///
+    /// let mut tree = HashTree::new(IAgentId::new(0));
+    /// assert_eq!(tree.run_count(), 1);
+    /// // Branch on the third key bit: the two sides alternate eight times.
+    /// let cand = tree
+    ///     .split_candidates(IAgentId::new(0))?
+    ///     .into_iter()
+    ///     .find(|c| c.kind == SplitKind::Simple { m: 3 })
+    ///     .unwrap();
+    /// tree.apply_split(&cand, IAgentId::new(1), Side::Right)?;
+    /// assert_eq!(tree.run_count(), 8);
+    /// # Ok::<(), agentrack_hashtree::TreeError>(())
+    /// ```
+    #[must_use]
+    pub fn run_count(&self) -> u64 {
+        // (node, key bits consumed through its edge label, labels so far)
+        let root = self.node(self.root);
+        let mut stack = vec![(self.root, root.unused.len(), 0usize)];
+        let mut runs = 0u64;
+        while let Some((id, consumed, labels)) = stack.pop() {
+            match &self.node(id).kind {
+                NodeKind::Leaf(_) => {
+                    // The bits consumed up to the leaf's own valid bit,
+                    // less one valid bit per label. The root's unused
+                    // bits are its skip, so a lone root leaf has none.
+                    let free = consumed - self.node(id).unused.len() - labels;
+                    runs = runs.saturating_add(1u64.checked_shl(free as u32).unwrap_or(u64::MAX));
+                }
+                NodeKind::Internal { children } => {
+                    for &child in children {
+                        let edge = 1 + self.node(child).unused.len();
+                        stack.push((child, consumed + edge, labels + 1));
+                    }
+                }
+            }
+        }
+        runs
+    }
+
     /// Height of the tree: number of edges on the longest root-to-leaf path.
     #[must_use]
     pub fn height(&self) -> usize {

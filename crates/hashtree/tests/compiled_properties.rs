@@ -134,6 +134,11 @@ proptest! {
         let fresh = CompiledDirectory::build(&tree);
         fresh.verify(&tree).expect("fresh build is slot-exact");
         prop_assert!(dir.depth() >= fresh.depth(), "maintained table shrank");
+        // The tree counts the runs the table holds.
+        if let Some(slots) = fresh.slots() {
+            let runs = 1 + slots.windows(2).filter(|pair| pair[0] != pair[1]).count();
+            prop_assert_eq!(tree.run_count(), runs as u64);
+        }
     }
 
     /// Generation stamps only move forward, and `is_current` is precisely

@@ -119,6 +119,7 @@ fn installed_versions(inbox: &Inbox) -> Vec<u64> {
         .iter()
         .filter_map(|(_, m)| match m {
             Wire::InstallHashFn { hf } => Some(hf.version),
+            Wire::InstallView { image } => Some(image.version()),
             _ => None,
         })
         .collect()
