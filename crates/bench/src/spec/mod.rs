@@ -285,7 +285,8 @@ impl AxisSpec {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct SchemeSpec {
-    /// Scheme kind, one of the names in [`crate::SCHEMES`].
+    /// Scheme kind: `hashed`, `centralized`, `home-registry` or
+    /// `forwarding` (the names the harness's `SCHEMES` table declares).
     pub kind: String,
     /// Label columns reference this arm by; absent = the kind. Must be
     /// unique across arms (two `hashed` ablations need distinct labels).

@@ -11,13 +11,14 @@
 //! grows with both the agent population and the mobility rate.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, Spawner, TimerId};
-use agentrack_sim::{CorrId, MetricsRegistry};
+use agentrack_sim::CorrId;
 
 use crate::config::LocationConfig;
 use crate::mailbox::Mailbox;
-use crate::retry::LocateCore;
+use crate::retry::{LocateCore, RetryPolicy};
 use crate::scheme::{
     ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SharedSchemeStats,
 };
@@ -182,6 +183,8 @@ pub struct CentralizedScheme {
     config: LocationConfig,
     shared: SharedSchemeStats,
     central: Option<(AgentId, NodeId)>,
+    /// The half every client shares, built at bootstrap.
+    clients: Option<Arc<PerScheme>>,
 }
 
 impl CentralizedScheme {
@@ -192,6 +195,7 @@ impl CentralizedScheme {
             config,
             shared: SharedSchemeStats::new(),
             central: None,
+            clients: None,
         }
     }
 
@@ -216,15 +220,23 @@ impl LocationScheme for CentralizedScheme {
         );
         self.central = Some((id, node));
         self.shared.set_trackers(1);
+        self.clients = Some(Arc::new(PerScheme {
+            retry: RetryPolicy::new(&self.config, self.shared.registry().clone()),
+            central: (id, node),
+        }));
     }
 
     fn client_factory(&self) -> ClientFactory {
-        let central = self.central.expect("client_factory before bootstrap");
-        let config = self.config.clone();
-        let registry = self.shared.registry().clone();
-        std::sync::Arc::new(move || {
-            Box::new(CentralizedClient::new(&config, central, registry.clone()))
-        })
+        let scheme = self
+            .clients
+            .clone()
+            .expect("client_factory before bootstrap");
+        Arc::new(move || Box::new(CentralizedClient::new(Arc::clone(&scheme))))
+    }
+
+    fn make_client(&self) -> Box<dyn DirectoryClient> {
+        let scheme = self.clients.as_ref().expect("make_client before bootstrap");
+        Box::new(CentralizedClient::new(Arc::clone(scheme)))
     }
 
     fn shared(&self) -> &SharedSchemeStats {
@@ -232,31 +244,33 @@ impl LocationScheme for CentralizedScheme {
     }
 }
 
+/// The half of every centralized client that is the same for all of
+/// them, built once at bootstrap.
+#[derive(Debug)]
+struct PerScheme {
+    retry: RetryPolicy,
+    central: (AgentId, NodeId),
+}
+
 /// Client-side state machine of the centralized scheme: every attempt is a
 /// `Locate` to the one central tracker.
 #[derive(Debug)]
 pub struct CentralizedClient {
-    central: (AgentId, NodeId),
+    scheme: Arc<PerScheme>,
     core: LocateCore,
 }
 
 impl CentralizedClient {
-    /// Creates a client of the given central tracker, reporting locate
-    /// latencies and give-ups into `registry` (the scheme's shared one).
-    #[must_use]
-    pub fn new(
-        config: &LocationConfig,
-        central: (AgentId, NodeId),
-        registry: MetricsRegistry,
-    ) -> Self {
+    fn new(scheme: Arc<PerScheme>) -> Self {
         CentralizedClient {
-            central,
-            core: LocateCore::new(config, registry),
+            scheme,
+            core: LocateCore::default(),
         }
     }
 
     fn send_central(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
-        ctx.send(self.central.0, self.central.1, msg.payload());
+        let (central, node) = self.scheme.central;
+        ctx.send(central, node, msg.payload());
     }
 
     fn send_locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
@@ -267,8 +281,10 @@ impl CentralizedClient {
             corr: Some(CorrId::new(ctx.self_id().raw(), token)),
             freshness: self.core.freshness(token),
         };
-        send_traced(ctx, self.central.0, self.central.1, &msg);
-        self.core.sent(ctx, token, Some(self.central));
+        let (central, node) = self.scheme.central;
+        send_traced(ctx, central, node, &msg);
+        self.core
+            .sent(&self.scheme.retry, ctx, token, Some(self.scheme.central));
     }
 }
 
@@ -327,7 +343,7 @@ impl DirectoryClient for CentralizedClient {
             Some(Wire::MailDrop { from, data }) => ClientEvent::Mail { from, data },
             Some(msg) => self
                 .core
-                .on_answer(ctx, msg)
+                .on_answer(&self.scheme.retry, ctx, msg)
                 .then_resend(|token, target| self.send_locate(ctx, target, token)),
             None => ClientEvent::NotMine,
         }
@@ -355,7 +371,7 @@ impl DirectoryClient for CentralizedClient {
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
         self.core
-            .on_timer(ctx, timer)
+            .on_timer(&self.scheme.retry, ctx, timer)
             .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 

@@ -73,10 +73,6 @@ pub struct LocationConfig {
     pub max_locate_attempts: u32,
     /// Client timeout before retrying a locate that got no answer.
     pub locate_retry_timeout: SimDuration,
-    /// Client delay before retrying after a request *bounced* (the tracker
-    /// is mid-migration); an immediate retry would burn the budget inside
-    /// the outage window.
-    pub bounce_retry_delay: SimDuration,
     /// Locality extension (paper §7, "the IAgents could move closer to the
     /// majority of the agents that they serve"): when enabled, an IAgent
     /// migrates to the node that originates most of its traffic.
@@ -111,13 +107,6 @@ pub struct LocationConfig {
     /// answering from stale replica records before it declares recovery
     /// over (converged or not) and resumes normal answering.
     pub recovery_timeout: SimDuration,
-    /// Consecutive locate timeouts against one destination before a
-    /// client marks it degraded and starts hedging freshness-bounded
-    /// locates to the tracker's buddy replica.
-    pub geo_degrade_after: u32,
-    /// Consecutive successful answers from a degraded destination before
-    /// the client trusts it again and stops hedging.
-    pub geo_heal_after: u32,
 }
 
 impl Default for LocationConfig {
@@ -138,7 +127,6 @@ impl Default for LocationConfig {
             eager_propagation: false,
             max_locate_attempts: 8,
             locate_retry_timeout: SimDuration::from_millis(800),
-            bounce_retry_delay: SimDuration::from_millis(50),
             locality_migration: false,
             locality_threshold: 0.6,
             locality_min_requests: 50,
@@ -147,8 +135,6 @@ impl Default for LocationConfig {
             replication_interval: None,
             replication_retry: SimDuration::from_millis(300),
             recovery_timeout: SimDuration::from_secs(3),
-            geo_degrade_after: 2,
-            geo_heal_after: 2,
         }
     }
 }
@@ -266,9 +252,6 @@ impl LocationConfig {
         }
         if self.replication_retry.is_zero() {
             return Err("replication_retry must be non-zero".into());
-        }
-        if self.geo_degrade_after == 0 || self.geo_heal_after == 0 {
-            return Err("geo_degrade_after and geo_heal_after must be at least 1".into());
         }
         Ok(())
     }

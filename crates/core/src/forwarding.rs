@@ -16,11 +16,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, Spawner, TimerId};
-use agentrack_sim::{CorrId, MetricsRegistry};
+use agentrack_sim::CorrId;
 
 use crate::config::LocationConfig;
 use crate::home::NameTable;
-use crate::retry::LocateCore;
+use crate::retry::{LocateCore, RetryPolicy};
 use crate::scheme::{
     ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SharedSchemeStats,
 };
@@ -143,9 +143,9 @@ impl Agent for ForwarderBehavior {
 pub struct ForwardingScheme {
     config: LocationConfig,
     shared: SharedSchemeStats,
-    forwarders: Arc<Vec<AgentId>>,
     names: NameTable,
-    bootstrapped: bool,
+    /// The half every client shares, built at bootstrap.
+    clients: Option<Arc<PerScheme>>,
 }
 
 impl ForwardingScheme {
@@ -155,9 +155,8 @@ impl ForwardingScheme {
         ForwardingScheme {
             config,
             shared: SharedSchemeStats::new(),
-            forwarders: Arc::new(Vec::new()),
             names: Arc::default(),
-            bootstrapped: false,
+            clients: None,
         }
     }
 }
@@ -168,7 +167,7 @@ impl LocationScheme for ForwardingScheme {
     }
 
     fn bootstrap(&mut self, platform: &mut dyn Spawner) {
-        assert!(!self.bootstrapped, "bootstrap called twice");
+        assert!(self.clients.is_none(), "bootstrap called twice");
         // Forwarders need each other's ids: pre-name them (sequential id
         // assignment), then spawn.
         let base = platform.next_agent_id();
@@ -188,24 +187,24 @@ impl LocationScheme for ForwardingScheme {
             assert_eq!(spawned, expected, "agent id assignment drifted");
         }
         self.shared.set_trackers(node_count as u64);
-        self.forwarders = shared_ids;
-        self.bootstrapped = true;
+        self.clients = Some(Arc::new(PerScheme {
+            retry: RetryPolicy::new(&self.config, self.shared.registry().clone()),
+            forwarders: shared_ids,
+            names: Arc::clone(&self.names),
+        }));
     }
 
     fn client_factory(&self) -> ClientFactory {
-        assert!(self.bootstrapped, "client_factory before bootstrap");
-        let config = self.config.clone();
-        let forwarders = Arc::clone(&self.forwarders);
-        let names = Arc::clone(&self.names);
-        let registry = self.shared.registry().clone();
-        Arc::new(move || {
-            Box::new(ForwardingClient::new(
-                &config,
-                Arc::clone(&forwarders),
-                Arc::clone(&names),
-                registry.clone(),
-            ))
-        })
+        let scheme = self
+            .clients
+            .clone()
+            .expect("client_factory before bootstrap");
+        Arc::new(move || Box::new(ForwardingClient::new(Arc::clone(&scheme))))
+    }
+
+    fn make_client(&self) -> Box<dyn DirectoryClient> {
+        let scheme = self.clients.as_ref().expect("make_client before bootstrap");
+        Box::new(ForwardingClient::new(Arc::clone(scheme)))
     }
 
     fn shared(&self) -> &SharedSchemeStats {
@@ -213,39 +212,38 @@ impl LocationScheme for ForwardingScheme {
     }
 }
 
+/// The half of every forwarding client that is the same for all of them,
+/// built once at bootstrap.
+#[derive(Debug)]
+struct PerScheme {
+    retry: RetryPolicy,
+    /// Forwarder at each node (index = node id).
+    forwarders: Arc<Vec<AgentId>>,
+    names: NameTable,
+}
+
 /// Client-side state machine of the forwarding scheme: every attempt is a
 /// `ChainLocate` to the forwarder at the target's birth node.
 #[derive(Debug)]
 pub struct ForwardingClient {
-    forwarders: Arc<Vec<AgentId>>,
-    names: NameTable,
+    scheme: Arc<PerScheme>,
     birth: Option<NodeId>,
     prev_node: Option<NodeId>,
     core: LocateCore,
 }
 
 impl ForwardingClient {
-    /// Creates a client over the per-node forwarders and the shared birth
-    /// table, reporting locate latencies and give-ups into `registry`
-    /// (the scheme's shared one).
-    #[must_use]
-    pub fn new(
-        config: &LocationConfig,
-        forwarders: Arc<Vec<AgentId>>,
-        names: NameTable,
-        registry: MetricsRegistry,
-    ) -> Self {
+    fn new(scheme: Arc<PerScheme>) -> Self {
         ForwardingClient {
-            forwarders,
-            names,
+            scheme,
             birth: None,
             prev_node: None,
-            core: LocateCore::new(config, registry),
+            core: LocateCore::default(),
         }
     }
 
     fn forwarder_at(&self, node: NodeId) -> (AgentId, NodeId) {
-        (self.forwarders[node.index()], node)
+        (self.scheme.forwarders[node.index()], node)
     }
 
     fn announce_here(&mut self, ctx: &mut AgentCtx<'_>) {
@@ -269,7 +267,7 @@ impl ForwardingClient {
     fn send_locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
         // An unregistered target has no birth node yet; the retry timer
         // tries again later.
-        let birth = self.names.read().get(&target).copied();
+        let birth = self.scheme.names.read().get(&target).copied();
         let forwarder = birth.map(|birth| self.forwarder_at(birth));
         if let Some((fw, node)) = forwarder {
             let me = ctx.self_id();
@@ -283,7 +281,7 @@ impl ForwardingClient {
             };
             send_traced(ctx, fw, node, &msg);
         }
-        self.core.sent(ctx, token, forwarder);
+        self.core.sent(&self.scheme.retry, ctx, token, forwarder);
     }
 }
 
@@ -294,7 +292,7 @@ impl DirectoryClient for ForwardingClient {
         if self.birth.is_none() {
             self.birth = Some(here);
             self.prev_node = Some(here);
-            self.names.write().insert(me, here);
+            self.scheme.names.write().insert(me, here);
         }
         self.announce_here(ctx);
     }
@@ -337,7 +335,7 @@ impl DirectoryClient for ForwardingClient {
                 ctx.send(fw, node, Wire::Deregister { agent: me, ttl: 0 }.payload());
             }
         }
-        self.names.write().remove(&me);
+        self.scheme.names.write().remove(&me);
     }
 
     fn locate_with(
@@ -363,7 +361,7 @@ impl DirectoryClient for ForwardingClient {
             return ClientEvent::NotMine;
         };
         self.core
-            .on_answer(ctx, msg)
+            .on_answer(&self.scheme.retry, ctx, msg)
             .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 
@@ -386,7 +384,7 @@ impl DirectoryClient for ForwardingClient {
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
         self.core
-            .on_timer(ctx, timer)
+            .on_timer(&self.scheme.retry, ctx, timer)
             .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 }

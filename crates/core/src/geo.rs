@@ -6,10 +6,10 @@
 //! streams into a small health state machine:
 //!
 //! ```text
-//! Healthy --K consecutive timeouts--> Degraded --first success--> Reconciling
+//! Healthy --2 consecutive timeouts--> Degraded --first success--> Reconciling
 //!    ^                                    ^                            |
 //!    |                                    +------- timeout ------------+
-//!    +--------------- J consecutive successes ------------------------+
+//!    +--------------- 2 consecutive successes ------------------------+
 //! ```
 //!
 //! Clients consult it to *hedge*: a freshness-bounded locate whose
@@ -18,12 +18,20 @@
 //! served locally instead of waiting out the full retry budget against a
 //! dead link. `Reconciling` is the guarded transition back: one success
 //! after a partition does not prove the link healed (it may be a straggler
-//! that left before the sever), so hedging stays on until `J` successes
-//! land in a row.
+//! that left before the sever), so hedging stays on until
+//! [`HEAL_AFTER`] successes land in a row.
 
 use std::collections::HashMap;
 
 use agentrack_platform::NodeId;
+
+/// Consecutive locate timeouts against one destination before a client
+/// marks it degraded and starts hedging freshness-bounded locates to the
+/// tracker's buddy replica.
+const DEGRADE_AFTER: u32 = 2;
+/// Consecutive successful answers from a degraded destination before the
+/// client trusts it again and stops hedging.
+const HEAL_AFTER: u32 = 2;
 
 /// Health of one destination (node) as observed from a client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +63,8 @@ impl Health {
     };
 }
 
-/// Per-destination health, fed by locate outcomes.
+/// Per-destination health, fed by locate outcomes: a destination degrades
+/// after 2 consecutive timeouts and heals after 2 consecutive successes.
 ///
 /// # Examples
 ///
@@ -63,7 +72,7 @@ impl Health {
 /// use agentrack_core::{ReachabilityMap, RegionState};
 /// use agentrack_platform::NodeId;
 ///
-/// let mut map = ReachabilityMap::new(2, 2);
+/// let mut map = ReachabilityMap::new();
 /// let far = NodeId::new(7);
 /// assert_eq!(map.state(far), RegionState::Healthy);
 /// map.on_timeout(far);
@@ -74,26 +83,16 @@ impl Health {
 /// map.on_success(far);
 /// assert_eq!(map.state(far), RegionState::Healthy);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ReachabilityMap {
     destinations: HashMap<NodeId, Health>,
-    /// Consecutive timeouts before a destination degrades.
-    degrade_after: u32,
-    /// Consecutive successes before a reconciling destination heals.
-    heal_after: u32,
 }
 
 impl ReachabilityMap {
-    /// Creates a map that degrades a destination after `degrade_after`
-    /// consecutive timeouts and heals it after `heal_after` consecutive
-    /// successes. Both clamp to at least 1.
+    /// Creates a map in which every destination is healthy.
     #[must_use]
-    pub fn new(degrade_after: u32, heal_after: u32) -> Self {
-        ReachabilityMap {
-            destinations: HashMap::new(),
-            degrade_after: degrade_after.max(1),
-            heal_after: heal_after.max(1),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The current health of `dest` (destinations never heard about are
@@ -117,12 +116,11 @@ impl ReachabilityMap {
 
     /// A locate toward `dest` timed out.
     pub fn on_timeout(&mut self, dest: NodeId) {
-        let degrade_after = self.degrade_after;
         let h = self.destinations.entry(dest).or_insert(Health::HEALTHY);
         match h.state {
             RegionState::Healthy => {
                 h.timeouts += 1;
-                if h.timeouts >= degrade_after {
+                if h.timeouts >= DEGRADE_AFTER {
                     h.state = RegionState::Degraded;
                     h.successes = 0;
                 }
@@ -138,7 +136,6 @@ impl ReachabilityMap {
 
     /// An answer from `dest` arrived.
     pub fn on_success(&mut self, dest: NodeId) {
-        let heal_after = self.heal_after;
         let Some(h) = self.destinations.get_mut(&dest) else {
             return; // already healthy with no history
         };
@@ -150,7 +147,7 @@ impl ReachabilityMap {
                 }
                 h.state = RegionState::Reconciling;
                 h.successes += 1;
-                if h.successes >= heal_after {
+                if h.successes >= HEAL_AFTER {
                     *h = Health::HEALTHY;
                 }
             }
@@ -177,13 +174,12 @@ mod tests {
 
     #[test]
     fn degrades_only_after_consecutive_timeouts() {
-        let mut map = ReachabilityMap::new(3, 2);
-        map.on_timeout(n(1));
+        assert_eq!(DEGRADE_AFTER, 2);
+        let mut map = ReachabilityMap::new();
         map.on_timeout(n(1));
         assert_eq!(map.state(n(1)), RegionState::Healthy);
         // A success resets the streak.
         map.on_success(n(1));
-        map.on_timeout(n(1));
         map.on_timeout(n(1));
         assert_eq!(map.state(n(1)), RegionState::Healthy);
         map.on_timeout(n(1));
@@ -196,7 +192,9 @@ mod tests {
 
     #[test]
     fn heals_through_reconciling_and_relapses_on_timeout() {
-        let mut map = ReachabilityMap::new(1, 2);
+        assert_eq!(HEAL_AFTER, 2);
+        let mut map = ReachabilityMap::new();
+        map.on_timeout(n(4));
         map.on_timeout(n(4));
         assert_eq!(map.state(n(4)), RegionState::Degraded);
         map.on_success(n(4));
@@ -207,18 +205,10 @@ mod tests {
         map.on_timeout(n(4));
         assert_eq!(map.state(n(4)), RegionState::Degraded);
         map.on_success(n(4));
+        assert_eq!(map.state(n(4)), RegionState::Reconciling);
         map.on_success(n(4));
         assert_eq!(map.state(n(4)), RegionState::Healthy);
         assert!(!map.should_hedge(n(4)));
         assert_eq!(map.troubled(), 0);
-    }
-
-    #[test]
-    fn thresholds_clamp_to_one() {
-        let mut map = ReachabilityMap::new(0, 0);
-        map.on_timeout(n(9));
-        assert_eq!(map.state(n(9)), RegionState::Degraded);
-        map.on_success(n(9));
-        assert_eq!(map.state(n(9)), RegionState::Healthy);
     }
 }

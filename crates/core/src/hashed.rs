@@ -19,17 +19,22 @@ use agentrack_platform::{AgentCtx, AgentId, NodeId, Payload, Spawner, TimerId};
 use agentrack_sim::{CorrId, SimDuration};
 
 use crate::config::LocationConfig;
-use crate::geo::ReachabilityMap;
 use crate::hagent::{HAgentBehavior, StandbyHAgentBehavior};
 use crate::hashfn::HashFunction;
 use crate::iagent::IAgentBehavior;
 use crate::lhagent::LHAgentBehavior;
 use crate::mailbox::MAIL_MAX_HOPS;
-use crate::retry::{LocateCore, Outcome};
+use crate::retry::{LocateCore, Outcome, RetryPolicy};
 use crate::scheme::{
     ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SharedSchemeStats,
 };
 use crate::wire::{send_traced, Freshness, Wire};
+
+/// Backoff before retrying a request that bounced or was denied because
+/// its receiver is busy: a client's locate that bounced off a migrating
+/// IAgent, and an IAgent's rehash request denied `Busy`. Both conflicts
+/// clear soon, and an immediate retry would burn the budget inside them.
+pub(crate) const BOUNCE_RETRY_DELAY: SimDuration = SimDuration::from_millis(50);
 
 /// The hash-based location scheme: one HAgent, one initial IAgent, one
 /// LHAgent per node.
@@ -56,7 +61,8 @@ pub struct HashedScheme {
     config: LocationConfig,
     shared: SharedSchemeStats,
     lhagents: Arc<Vec<AgentId>>,
-    bootstrapped: bool,
+    /// The half every client shares, built at bootstrap.
+    clients: Option<Arc<PerScheme>>,
     standby: bool,
     hagent: Option<(AgentId, NodeId)>,
     standby_agent: Option<(AgentId, NodeId)>,
@@ -76,7 +82,7 @@ impl HashedScheme {
             config,
             shared: SharedSchemeStats::new(),
             lhagents: Arc::new(Vec::new()),
-            bootstrapped: false,
+            clients: None,
             standby: false,
             hagent: None,
             standby_agent: None,
@@ -123,7 +129,7 @@ impl LocationScheme for HashedScheme {
     }
 
     fn bootstrap(&mut self, platform: &mut dyn Spawner) {
-        assert!(!self.bootstrapped, "bootstrap called twice");
+        assert!(self.clients.is_none(), "bootstrap called twice");
         let node_count = platform.node_count();
         let home = NodeId::new(0);
 
@@ -197,21 +203,24 @@ impl LocationScheme for HashedScheme {
         self.hagent = Some((hagent, home));
         self.standby_agent = standby;
         self.lhagents = Arc::new(lhagents);
-        self.bootstrapped = true;
+        self.clients = Some(Arc::new(PerScheme {
+            retry: RetryPolicy::new(&self.config, self.shared.registry().clone()),
+            lhagents: Arc::clone(&self.lhagents),
+            shared: self.shared.clone(),
+        }));
     }
 
     fn client_factory(&self) -> ClientFactory {
-        assert!(self.bootstrapped, "client_factory before bootstrap");
-        let config = self.config.clone();
-        let lhagents = self.lhagents();
-        let shared = self.shared.clone();
-        Arc::new(move || {
-            Box::new(HashedClient::new(
-                &config,
-                Arc::clone(&lhagents),
-                shared.clone(),
-            ))
-        })
+        let scheme = self
+            .clients
+            .clone()
+            .expect("client_factory before bootstrap");
+        Arc::new(move || Box::new(HashedClient::new(Arc::clone(&scheme))))
+    }
+
+    fn make_client(&self) -> Box<dyn DirectoryClient> {
+        let scheme = self.clients.as_ref().expect("make_client before bootstrap");
+        Box::new(HashedClient::new(Arc::clone(scheme)))
     }
 
     fn shared(&self) -> &SharedSchemeStats {
@@ -219,17 +228,27 @@ impl LocationScheme for HashedScheme {
     }
 }
 
+/// The half of every hashed client that is the same for all of them,
+/// built once at bootstrap.
+#[derive(Debug)]
+struct PerScheme {
+    retry: RetryPolicy,
+    /// LHAgent at each node (index = node id).
+    lhagents: Arc<Vec<AgentId>>,
+    /// Scheme-wide counters (hedges, bound violations) shared with the
+    /// behaviours.
+    shared: SharedSchemeStats,
+}
+
 /// Client-side state machine of the hashed scheme (one per mobile agent):
 /// every attempt is a resolve through the LHAgent at the client's own node,
 /// whose answer names the IAgent the `Locate` then goes to.
+///
+/// It holds its owner's own state only; the LHAgent directory and the
+/// retry policy are the scheme's, shared by every client.
 #[derive(Debug)]
 pub struct HashedClient {
-    /// How long the registration handshake may take before it restarts.
-    register_timeout: SimDuration,
-    /// Backoff before retrying a locate that bounced off its IAgent.
-    bounce_retry_delay: SimDuration,
-    /// LHAgent at each node (index = node id).
-    lhagents: Arc<Vec<AgentId>>,
+    scheme: Arc<PerScheme>,
     /// Cached responsible IAgent for the *owning* agent.
     my_iagent: Option<(AgentId, NodeId)>,
     /// Watchdog for the registration handshake: any leg of
@@ -238,37 +257,22 @@ pub struct HashedClient {
     /// the ack lands.
     register_watchdog: Option<TimerId>,
     core: LocateCore,
-    /// Scheme-wide counters (hedges, bound violations) shared with the
-    /// behaviours.
-    shared: SharedSchemeStats,
-    /// Per-destination reachability, fed by locate outcomes; drives
-    /// hedging of freshness-bounded locates.
-    health: ReachabilityMap,
 }
 
+const _: () = assert!(std::mem::size_of::<HashedClient>() <= 80);
+
 impl HashedClient {
-    /// Creates a client talking to the given per-node LHAgents, reporting
-    /// into the scheme's shared statistics.
-    #[must_use]
-    pub fn new(
-        config: &LocationConfig,
-        lhagents: Arc<Vec<AgentId>>,
-        shared: SharedSchemeStats,
-    ) -> Self {
+    fn new(scheme: Arc<PerScheme>) -> Self {
         HashedClient {
-            register_timeout: config.locate_retry_timeout,
-            bounce_retry_delay: config.bounce_retry_delay,
-            lhagents,
+            scheme,
             my_iagent: None,
             register_watchdog: None,
-            core: LocateCore::new(config, shared.registry().clone()),
-            shared,
-            health: ReachabilityMap::new(config.geo_degrade_after, config.geo_heal_after),
+            core: LocateCore::default(),
         }
     }
 
     fn send_local_resolve(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
-        let lh = self.lhagents[ctx.node().index()];
+        let lh = self.scheme.lhagents[ctx.node().index()];
         send_traced(ctx, lh, ctx.node(), msg);
     }
 
@@ -297,7 +301,7 @@ impl HashedClient {
         };
         self.send_local_resolve(ctx, &msg);
         // The tracker is noted when the resolve names it.
-        self.core.sent(ctx, token, None);
+        self.core.sent(&self.scheme.retry, ctx, token, None);
     }
 
     /// Sends the retry a negative answer or a timeout called for, if any.
@@ -310,7 +314,9 @@ impl HashedClient {
     fn on_negative(&mut self, ctx: &mut AgentCtx<'_>, from: AgentId, token: u64) -> ClientEvent {
         match self.core.noted_tracker(token) {
             // It still proves its sender's node reachable.
-            Some((tracker, node)) if tracker == from.raw() => self.health.on_success(node),
+            Some((tracker, node)) if tracker == from.raw() => {
+                self.core.reachability().on_success(node);
+            }
             // A negative from anyone but the op's noted tracker is a
             // hedged buddy (or a stale straggler) saying "I don't know" —
             // not authoritative, so it must not burn the primary attempt's
@@ -318,10 +324,10 @@ impl HashedClient {
             Some(_) => return ClientEvent::Consumed,
             None => {}
         }
-        let outcome = self.core.on_negative(ctx, token);
+        let outcome = self.core.on_negative(&self.scheme.retry, ctx, token);
         // A final negative proves the tracker reachable once more.
         if let (ClientEvent::Failed { .. }, Some((_, node))) = (&outcome.event, outcome.tracker) {
-            self.health.on_success(node);
+            self.core.reachability().on_success(node);
         }
         self.retry(ctx, outcome)
     }
@@ -366,7 +372,7 @@ impl DirectoryClient for HashedClient {
                 corr: None,
             },
         );
-        self.register_watchdog = Some(ctx.set_timer(self.register_timeout));
+        self.register_watchdog = Some(ctx.set_timer(self.scheme.retry.timeout()));
     }
 
     fn moved(&mut self, ctx: &mut AgentCtx<'_>) {
@@ -440,10 +446,10 @@ impl DirectoryClient for HashedClient {
                     // in parallel, so the answer can come from this side
                     // of a severed link.
                     if matches!(freshness, Freshness::BoundedMs(_))
-                        && self.health.should_hedge(node)
+                        && self.core.reachability().should_hedge(node)
                     {
                         if let Some((b, b_node)) = buddy.filter(|&(b, _)| b != iagent) {
-                            self.shared.update(|s| s.hedged_locates += 1);
+                            self.scheme.shared.update(|s| s.hedged_locates += 1);
                             send_traced(ctx, b, b_node, &locate);
                         }
                     }
@@ -485,18 +491,18 @@ impl DirectoryClient for HashedClient {
                 self.core.on_register_ack()
             }
             Wire::Located { age_ms, .. } => {
-                let outcome = self.core.on_answer(ctx, msg);
+                let outcome = self.core.on_answer(&self.scheme.retry, ctx, msg);
                 // An answer from the tracker itself is a reachability
                 // signal for its node (a hedged buddy answering for it is
                 // not).
                 if let Some((_, node)) = outcome.tracker.filter(|&(t, _)| t == from.raw()) {
-                    self.health.on_success(node);
+                    self.core.reachability().on_success(node);
                 }
                 // Audit the freshness contract: no answer may exceed the
                 // bound its locate declared. The invariant checker
                 // requires this count to stay 0.
                 if outcome.declared.is_some_and(|f| !f.admits(age_ms)) {
-                    self.shared.update(|s| s.bound_violations += 1);
+                    self.scheme.shared.update(|s| s.bound_violations += 1);
                 }
                 outcome.event
             }
@@ -553,7 +559,7 @@ impl DirectoryClient for HashedClient {
             // short backoff (an immediate retry would burn the budget
             // inside the outage window).
             Wire::Locate { token, .. } => {
-                self.core.arm_after(ctx, self.bounce_retry_delay, token);
+                self.core.arm_after(ctx, BOUNCE_RETRY_DELAY, token);
                 ClientEvent::Consumed
             }
             Wire::Resolve { .. } | Wire::ResolveFresh { .. } => {
@@ -574,11 +580,11 @@ impl DirectoryClient for HashedClient {
             }
             return ClientEvent::Consumed;
         }
-        let outcome = self.core.on_timer(ctx, timer);
+        let outcome = self.core.on_timer(&self.scheme.retry, ctx, timer);
         // A live timer firing means the attempt got no answer: one
         // unreachability signal against the tracker it was sent to.
         if let Some((_, node)) = outcome.tracker {
-            self.health.on_timeout(node);
+            self.core.reachability().on_timeout(node);
         }
         self.retry(ctx, outcome)
     }

@@ -19,11 +19,11 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, Spawner, TimerId};
-use agentrack_sim::{CorrId, MetricsRegistry};
+use agentrack_sim::CorrId;
 
 use crate::centralized::CentralBehavior;
 use crate::config::LocationConfig;
-use crate::retry::LocateCore;
+use crate::retry::{LocateCore, RetryPolicy};
 use crate::scheme::{
     ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SharedSchemeStats,
 };
@@ -79,9 +79,9 @@ pub(crate) type NameTable = Arc<RwLock<HashMap<AgentId, NodeId>>>;
 pub struct HomeRegistryScheme {
     config: LocationConfig,
     shared: SharedSchemeStats,
-    registries: Arc<Vec<AgentId>>,
     names: NameTable,
-    bootstrapped: bool,
+    /// The half every client shares, built at bootstrap.
+    clients: Option<Arc<PerScheme>>,
 }
 
 impl HomeRegistryScheme {
@@ -91,9 +91,8 @@ impl HomeRegistryScheme {
         HomeRegistryScheme {
             config,
             shared: SharedSchemeStats::new(),
-            registries: Arc::new(Vec::new()),
             names: Arc::default(),
-            bootstrapped: false,
+            clients: None,
         }
     }
 }
@@ -104,7 +103,7 @@ impl LocationScheme for HomeRegistryScheme {
     }
 
     fn bootstrap(&mut self, platform: &mut dyn Spawner) {
-        assert!(!self.bootstrapped, "bootstrap called twice");
+        assert!(self.clients.is_none(), "bootstrap called twice");
         let registries: Vec<AgentId> = (0..platform.node_count())
             .map(|node| {
                 platform.spawn_agent(
@@ -114,24 +113,24 @@ impl LocationScheme for HomeRegistryScheme {
             })
             .collect();
         self.shared.set_trackers(registries.len() as u64);
-        self.registries = Arc::new(registries);
-        self.bootstrapped = true;
+        self.clients = Some(Arc::new(PerScheme {
+            retry: RetryPolicy::new(&self.config, self.shared.registry().clone()),
+            registries,
+            names: Arc::clone(&self.names),
+        }));
     }
 
     fn client_factory(&self) -> ClientFactory {
-        assert!(self.bootstrapped, "client_factory before bootstrap");
-        let config = self.config.clone();
-        let registries = Arc::clone(&self.registries);
-        let names = Arc::clone(&self.names);
-        let registry = self.shared.registry().clone();
-        Arc::new(move || {
-            Box::new(HomeRegistryClient::new(
-                &config,
-                Arc::clone(&registries),
-                Arc::clone(&names),
-                registry.clone(),
-            ))
-        })
+        let scheme = self
+            .clients
+            .clone()
+            .expect("client_factory before bootstrap");
+        Arc::new(move || Box::new(HomeRegistryClient::new(Arc::clone(&scheme))))
+    }
+
+    fn make_client(&self) -> Box<dyn DirectoryClient> {
+        let scheme = self.clients.as_ref().expect("make_client before bootstrap");
+        Box::new(HomeRegistryClient::new(Arc::clone(scheme)))
     }
 
     fn shared(&self) -> &SharedSchemeStats {
@@ -139,37 +138,36 @@ impl LocationScheme for HomeRegistryScheme {
     }
 }
 
+/// The half of every home-registry client that is the same for all of
+/// them, built once at bootstrap.
+#[derive(Debug)]
+struct PerScheme {
+    retry: RetryPolicy,
+    /// Registry at each node (index = node id).
+    registries: Vec<AgentId>,
+    names: NameTable,
+}
+
 /// Client-side state machine of the home-registry scheme: every attempt is
 /// a `Locate` to the registry of the target's home node.
 #[derive(Debug)]
 pub struct HomeRegistryClient {
-    registries: Arc<Vec<AgentId>>,
-    names: NameTable,
+    scheme: Arc<PerScheme>,
     home: Option<NodeId>,
     core: LocateCore,
 }
 
 impl HomeRegistryClient {
-    /// Creates a client over the per-node registries and the shared name
-    /// table, reporting locate latencies and give-ups into `registry`
-    /// (the scheme's shared one).
-    #[must_use]
-    pub fn new(
-        config: &LocationConfig,
-        registries: Arc<Vec<AgentId>>,
-        names: NameTable,
-        registry: MetricsRegistry,
-    ) -> Self {
+    fn new(scheme: Arc<PerScheme>) -> Self {
         HomeRegistryClient {
-            registries,
-            names,
+            scheme,
             home: None,
-            core: LocateCore::new(config, registry),
+            core: LocateCore::default(),
         }
     }
 
     fn registry_at(&self, node: NodeId) -> (AgentId, NodeId) {
-        (self.registries[node.index()], node)
+        (self.scheme.registries[node.index()], node)
     }
 
     fn send_home(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
@@ -182,7 +180,7 @@ impl HomeRegistryClient {
         // The target's home comes from its name (zero-cost lookup). An
         // unregistered target has no name to parse yet; the retry timer
         // tries again later.
-        let home = self.names.read().get(&target).copied();
+        let home = self.scheme.names.read().get(&target).copied();
         let registry = home.map(|home| self.registry_at(home));
         if let Some((registry, node)) = registry {
             let msg = Wire::Locate {
@@ -194,7 +192,7 @@ impl HomeRegistryClient {
             };
             send_traced(ctx, registry, node, &msg);
         }
-        self.core.sent(ctx, token, registry);
+        self.core.sent(&self.scheme.retry, ctx, token, registry);
     }
 }
 
@@ -204,7 +202,7 @@ impl DirectoryClient for HomeRegistryClient {
         let here = ctx.node();
         if self.home.is_none() {
             self.home = Some(here);
-            self.names.write().insert(me, here);
+            self.scheme.names.write().insert(me, here);
         }
         self.send_home(
             ctx,
@@ -235,7 +233,7 @@ impl DirectoryClient for HomeRegistryClient {
         if self.home.is_some() {
             let me = ctx.self_id();
             self.send_home(ctx, &Wire::Deregister { agent: me, ttl: 0 });
-            self.names.write().remove(&me);
+            self.scheme.names.write().remove(&me);
         }
     }
 
@@ -260,7 +258,7 @@ impl DirectoryClient for HomeRegistryClient {
             return ClientEvent::NotMine;
         };
         self.core
-            .on_answer(ctx, msg)
+            .on_answer(&self.scheme.retry, ctx, msg)
             .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 
@@ -285,7 +283,7 @@ impl DirectoryClient for HomeRegistryClient {
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
         self.core
-            .on_timer(ctx, timer)
+            .on_timer(&self.scheme.retry, ctx, timer)
             .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 }

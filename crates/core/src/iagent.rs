@@ -22,6 +22,7 @@ use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, TimerId};
 use agentrack_sim::{CorrId, SimTime, TraceEvent};
 
 use crate::config::LocationConfig;
+use crate::hashed::BOUNCE_RETRY_DELAY;
 use crate::hashfn::HashFunction;
 use crate::mailbox::{Mailbox, MAIL_MAX_HOPS};
 use crate::records::{Outcome, Record, RecordStore, Source};
@@ -1017,7 +1018,7 @@ impl IAgentBehavior {
                     // The pipeline (or this subtree's lease) is busy: the
                     // conflicting rehash commits shortly, so retry fast —
                     // the rate that justified this request is still there.
-                    DenyReason::Busy => self.config.bounce_retry_delay,
+                    DenyReason::Busy => BOUNCE_RETRY_DELAY,
                     DenyReason::Cooldown | DenyReason::NoPlan => self.config.rehash_cooldown,
                     // Read-only standby: the tree is frozen until the
                     // primary returns; hammering the standby is futile.

@@ -14,6 +14,8 @@
 //! version v" step; a delta that does not apply is discarded for a whole
 //! copy.
 
+use std::collections::HashMap;
+
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, TimerId};
 use agentrack_sim::{CorrId, SimDuration, SimTime, TraceEvent};
 
@@ -45,6 +47,11 @@ fn backoff_delay(rounds: u32, entropy: u64) -> SimDuration {
 #[derive(Debug)]
 pub struct LHAgentBehavior {
     hf: HashFunction,
+    /// The buddy of each IAgent a resolve has named under version
+    /// `buddies_version` of the copy. [`HashFunction::buddy_of`] walks a
+    /// hyper-label, and its answer changes only with the version.
+    buddies: HashMap<AgentId, Option<(AgentId, NodeId)>>,
+    buddies_version: u64,
     /// Hash-function sources, primary first, then standbys (failover
     /// order).
     hagents: Vec<(AgentId, NodeId)>,
@@ -86,7 +93,9 @@ impl LHAgentBehavior {
         shared: SharedSchemeStats,
     ) -> Self {
         LHAgentBehavior {
+            buddies_version: hf.version,
             hf,
+            buddies: HashMap::new(),
             hagents: vec![(hagent, hagent_node)],
             current_hagent: 0,
             waiting: Vec::new(),
@@ -120,7 +129,7 @@ impl LHAgentBehavior {
     /// Answers a resolve from the local copy. Requesters are by definition
     /// on this node ("its own local LHAgent").
     fn answer(
-        &self,
+        &mut self,
         ctx: &mut AgentCtx<'_>,
         requester: AgentId,
         target: AgentId,
@@ -131,7 +140,7 @@ impl LHAgentBehavior {
         // The responsible tracker's buddy replica rides along so clients
         // can hedge freshness-bounded locates cross-region when the
         // tracker itself looks unreachable.
-        let buddy = self.hf.buddy_of(iagent);
+        let buddy = self.buddy_of(iagent);
         let resolved = Wire::Resolved {
             target,
             iagent,
@@ -142,6 +151,20 @@ impl LHAgentBehavior {
             corr,
         };
         send_traced(ctx, requester, ctx.node(), &resolved);
+    }
+
+    /// [`HashFunction::buddy_of`] under the held copy, computed once per
+    /// IAgent and version.
+    fn buddy_of(&mut self, iagent: AgentId) -> Option<(AgentId, NodeId)> {
+        if self.buddies_version != self.hf.version {
+            self.buddies.clear();
+            self.buddies_version = self.hf.version;
+        }
+        let hf = &self.hf;
+        *self
+            .buddies
+            .entry(iagent)
+            .or_insert_with(|| hf.buddy_of(iagent))
     }
 
     /// Re-routes deregisters that bounced off merged-away trackers, under

@@ -18,6 +18,13 @@
 //! Everything else comes back as an [`Outcome`]: the event to report to the
 //! owning agent, and the attempt to resend if there is one.
 //!
+//! The discipline comes in two halves, like the clients that use it. The
+//! scheme's half, [`RetryPolicy`] (budget, timeout, metrics registry), is
+//! built once at bootstrap and shared by every client. The agent's own
+//! half, [`LocateCore`], holds the registration flag and a box of
+//! in-flight tables that the first locate creates, so the many agents
+//! that are only ever located, never locating, carry no tables at all.
+//!
 //! The subtlety underneath is that negative answers and timeouts race: an
 //! answer that already triggered a retry must not let the (now stale)
 //! timeout trigger a second one, or the budget burns twice as fast as
@@ -31,6 +38,7 @@ use agentrack_platform::{AgentCtx, AgentId, NodeId, TimerId};
 use agentrack_sim::{CorrId, GiveUpCause, MetricsRegistry, SimDuration, SimTime, TraceEvent};
 
 use crate::config::LocationConfig;
+use crate::geo::ReachabilityMap;
 use crate::scheme::ClientEvent;
 use crate::wire::{Freshness, Wire};
 
@@ -101,31 +109,72 @@ impl Outcome {
     }
 }
 
-/// One client's locate discipline: the table of in-flight locates, the
-/// retry budget and timeout, the give-up accounting and the latency record.
+/// The per-scheme half of the locate discipline: the retry budget and
+/// timeout, and the registry latencies and give-ups are reported into.
+/// Built once when the scheme bootstraps; every client of the scheme
+/// reads the same one.
 #[derive(Debug)]
-pub(crate) struct LocateCore {
+pub(crate) struct RetryPolicy {
+    max_attempts: u32,
+    timeout: SimDuration,
+    registry: MetricsRegistry,
+}
+
+impl RetryPolicy {
+    /// The configured retry budget and timeout, reporting into `registry`.
+    pub(crate) fn new(config: &LocationConfig, registry: MetricsRegistry) -> Self {
+        RetryPolicy {
+            max_attempts: config.max_locate_attempts,
+            timeout: config.locate_retry_timeout,
+            registry,
+        }
+    }
+
+    /// How long an attempt may go unanswered before it is retried.
+    pub(crate) fn timeout(&self) -> SimDuration {
+        self.timeout
+    }
+}
+
+/// What a client holds once it has located something: the in-flight
+/// locates, the timers guarding them, and the per-destination
+/// reachability their outcomes feed. Boxed, so an agent that never
+/// locates pays one null pointer for it.
+#[derive(Debug, Default)]
+struct InFlight {
     ops: HashMap<u64, Op>,
     /// timer → (token, attempt it guards).
     timers: HashMap<TimerId, (u64, u32)>,
-    registry: MetricsRegistry,
-    max_attempts: u32,
-    retry_timeout: SimDuration,
+    /// Fed and read by the hashed client, which hedges bounded locates
+    /// toward degraded destinations; the other clients leave it empty.
+    reachability: ReachabilityMap,
+}
+
+/// One client's own half of the locate discipline: whether its owner is
+/// registered, and the in-flight tables, created by the first locate.
+/// Every method that retries, times out or reports takes the scheme's
+/// [`RetryPolicy`].
+#[derive(Debug, Default)]
+pub(crate) struct LocateCore {
+    in_flight: Option<Box<InFlight>>,
     registered: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<LocateCore>() <= 24);
+
 impl LocateCore {
-    /// A core with the configured retry budget and timeout, reporting
-    /// latencies and give-ups into `registry`.
-    pub(crate) fn new(config: &LocationConfig, registry: MetricsRegistry) -> Self {
-        LocateCore {
-            ops: HashMap::new(),
-            timers: HashMap::new(),
-            registry,
-            max_attempts: config.max_locate_attempts,
-            retry_timeout: config.locate_retry_timeout,
-            registered: false,
-        }
+    fn op(&self, token: u64) -> Option<&Op> {
+        self.in_flight.as_ref()?.ops.get(&token)
+    }
+
+    fn op_mut(&mut self, token: u64) -> Option<&mut Op> {
+        self.in_flight.as_mut()?.ops.get_mut(&token)
+    }
+
+    /// The per-destination reachability of the client's locates; creates
+    /// the in-flight tables if no locate has yet.
+    pub(crate) fn reachability(&mut self) -> &mut ReachabilityMap {
+        &mut self.in_flight.get_or_insert_with(Box::default).reachability
     }
 
     /// Whether the owning agent's registration has been acknowledged.
@@ -152,7 +201,8 @@ impl LocateCore {
         target: AgentId,
         freshness: Freshness,
     ) {
-        self.ops.insert(
+        let in_flight = self.in_flight.get_or_insert_with(Box::default);
+        in_flight.ops.insert(
             token,
             Op {
                 target,
@@ -169,6 +219,7 @@ impl LocateCore {
     /// previous note) and arms the retry timer.
     pub(crate) fn sent(
         &mut self,
+        policy: &RetryPolicy,
         ctx: &mut AgentCtx<'_>,
         token: u64,
         tracker: Option<(AgentId, NodeId)>,
@@ -176,12 +227,12 @@ impl LocateCore {
         if let Some((tracker, node)) = tracker {
             self.note_tracker(token, tracker, node);
         }
-        self.arm_after(ctx, self.retry_timeout, token);
+        self.arm_after(ctx, policy.timeout, token);
     }
 
     /// Notes the tracker the current attempt of `token` goes to.
     pub(crate) fn note_tracker(&mut self, token: u64, tracker: AgentId, node: NodeId) {
-        if let Some(op) = self.ops.get_mut(&token) {
+        if let Some(op) = self.op_mut(token) {
             op.tracker = Some((tracker.raw(), node));
         }
     }
@@ -189,41 +240,47 @@ impl LocateCore {
     /// Arms a timer guarding the current attempt of `token` that fires
     /// after `delay` — the retry timeout, or a bounce backoff.
     pub(crate) fn arm_after(&mut self, ctx: &mut AgentCtx<'_>, delay: SimDuration, token: u64) {
-        if let Some(op) = self.ops.get(&token) {
-            self.timers
+        let Some(in_flight) = self.in_flight.as_mut() else {
+            return;
+        };
+        if let Some(op) = in_flight.ops.get(&token) {
+            in_flight
+                .timers
                 .insert(ctx.set_timer(delay), (token, op.attempts));
         }
     }
 
     /// The target of an in-flight locate, if still tracked.
     pub(crate) fn target(&self, token: u64) -> Option<AgentId> {
-        self.ops.get(&token).map(|op| op.target)
+        self.op(token).map(|op| op.target)
     }
 
     /// The freshness an in-flight locate declared (`Any` once it is gone);
     /// every attempt must carry this bound verbatim.
     pub(crate) fn freshness(&self, token: u64) -> Freshness {
-        self.ops
-            .get(&token)
+        self.op(token)
             .map_or_else(Freshness::default, |op| op.freshness)
     }
 
     /// The tracker (raw id, node) the current attempt of `token` went to.
     pub(crate) fn noted_tracker(&self, token: u64) -> Option<(u64, NodeId)> {
-        self.ops.get(&token)?.tracker
+        self.op(token)?.tracker
     }
 
     /// Consumes one attempt of `token`; a give-up carries the cause of
     /// the event that burned the final attempt.
-    fn consume_attempt(&mut self, token: u64, cause: GiveUpCause) -> Retry {
-        let Some(op) = self.ops.get_mut(&token) else {
+    fn consume_attempt(&mut self, max_attempts: u32, token: u64, cause: GiveUpCause) -> Retry {
+        let Some(in_flight) = self.in_flight.as_mut() else {
+            return Retry::Nothing;
+        };
+        let Some(op) = in_flight.ops.get_mut(&token) else {
             return Retry::Nothing;
         };
         op.attempts += 1;
         let target = op.target;
-        if op.attempts > self.max_attempts {
+        if op.attempts > max_attempts {
             let tracker = op.tracker;
-            self.ops.remove(&token);
+            in_flight.ops.remove(&token);
             Retry::GiveUp {
                 token,
                 target,
@@ -239,7 +296,12 @@ impl LocateCore {
     /// `RegisterAck`, `Located` (completes the locate and records its
     /// latency; a duplicate is swallowed) and `NotFound` (a negative
     /// answer). Anything else is `NotMine`.
-    pub(crate) fn on_answer(&mut self, ctx: &mut AgentCtx<'_>, msg: Wire) -> Outcome {
+    pub(crate) fn on_answer(
+        &mut self,
+        policy: &RetryPolicy,
+        ctx: &mut AgentCtx<'_>,
+        msg: Wire,
+    ) -> Outcome {
         match msg {
             Wire::RegisterAck { agent } if agent == ctx.self_id() => {
                 Outcome::report(self.on_register_ack())
@@ -252,9 +314,10 @@ impl LocateCore {
                 age_ms,
                 token,
                 ..
-            } => match self.ops.remove(&token) {
+            } => match self.in_flight.as_mut().and_then(|f| f.ops.remove(&token)) {
                 Some(op) => {
-                    self.registry
+                    policy
+                        .registry
                         .record_locate(ctx.now().saturating_since(op.started));
                     Outcome {
                         event: ClientEvent::Located {
@@ -271,36 +334,52 @@ impl LocateCore {
                 }
                 None => Outcome::report(ClientEvent::Consumed),
             },
-            Wire::NotFound { token, .. } => self.on_negative(ctx, token),
+            Wire::NotFound { token, .. } => self.on_negative(policy, ctx, token),
             _ => Outcome::report(ClientEvent::NotMine),
         }
     }
 
     /// A negative answer arrived for `token`: consume one attempt.
-    pub(crate) fn on_negative(&mut self, ctx: &mut AgentCtx<'_>, token: u64) -> Outcome {
-        let decision = self.consume_attempt(token, GiveUpCause::Negative);
-        self.act(ctx, decision)
+    pub(crate) fn on_negative(
+        &mut self,
+        policy: &RetryPolicy,
+        ctx: &mut AgentCtx<'_>,
+        token: u64,
+    ) -> Outcome {
+        let decision = self.consume_attempt(policy.max_attempts, token, GiveUpCause::Negative);
+        self.act(policy, ctx, decision)
     }
 
     /// A timer fired: `NotMine` unless this core armed it; a timer whose
     /// attempt already progressed is stale and consumed without effect.
-    pub(crate) fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> Outcome {
-        let Some((token, attempt)) = self.timers.remove(&timer) else {
+    pub(crate) fn on_timer(
+        &mut self,
+        policy: &RetryPolicy,
+        ctx: &mut AgentCtx<'_>,
+        timer: TimerId,
+    ) -> Outcome {
+        let Some((token, attempt)) = self
+            .in_flight
+            .as_mut()
+            .and_then(|f| f.timers.remove(&timer))
+        else {
             return Outcome::report(ClientEvent::NotMine);
         };
-        let decision = match self.ops.get(&token) {
-            Some(op) if op.attempts == attempt => self.consume_attempt(token, GiveUpCause::Timeout),
+        let decision = match self.op(token) {
+            Some(op) if op.attempts == attempt => {
+                self.consume_attempt(policy.max_attempts, token, GiveUpCause::Timeout)
+            }
             _ => Retry::Nothing,
         };
-        self.act(ctx, decision)
+        self.act(policy, ctx, decision)
     }
 
     /// Traces and accounts a retry decision.
-    fn act(&mut self, ctx: &mut AgentCtx<'_>, decision: Retry) -> Outcome {
+    fn act(&self, policy: &RetryPolicy, ctx: &mut AgentCtx<'_>, decision: Retry) -> Outcome {
         let me = ctx.self_id().raw();
         match decision {
             Retry::Again { token, target } => {
-                let op = &self.ops[&token];
+                let op = self.op(token).expect("a retried locate is in flight");
                 let attempt = op.attempts;
                 ctx.trace().emit(ctx.now(), || TraceEvent::RetryAttempt {
                     corr: Some(CorrId::new(me, token)),
@@ -325,7 +404,7 @@ impl LocateCore {
                     corr: Some(CorrId::new(me, token)),
                     client: me,
                     target: target.raw(),
-                    attempts: self.max_attempts,
+                    attempts: policy.max_attempts,
                     cause,
                 });
                 // Charge the give-up to the tracker the final attempt hit,
@@ -335,7 +414,7 @@ impl LocateCore {
                 // the querier.
                 if let Some((id, node)) = tracker {
                     let remote = u64::from(node != ctx.node());
-                    self.registry.update_tracker(id, |t| match cause {
+                    policy.registry.update_tracker(id, |t| match cause {
                         GiveUpCause::Timeout => {
                             t.giveup_timeout += 1;
                             t.giveup_timeout_remote += remote;
@@ -362,12 +441,12 @@ impl LocateCore {
 mod tests {
     use super::*;
 
-    fn core(max_locate_attempts: u32) -> LocateCore {
+    fn policy(max_locate_attempts: u32) -> RetryPolicy {
         let config = LocationConfig {
             max_locate_attempts,
             ..LocationConfig::default()
         };
-        LocateCore::new(&config, MetricsRegistry::new())
+        RetryPolicy::new(&config, MetricsRegistry::new())
     }
 
     fn start(core: &mut LocateCore, token: u64, target: AgentId, freshness: Freshness) {
@@ -378,23 +457,25 @@ mod tests {
             tracker: None,
             freshness,
         };
-        core.ops.insert(token, op);
+        let in_flight = core.in_flight.get_or_insert_with(Box::default);
+        in_flight.ops.insert(token, op);
     }
 
     #[test]
     fn negative_answers_consume_the_budget() {
-        let mut t = core(3);
+        let max = policy(3).max_attempts;
+        let mut t = LocateCore::default();
         start(&mut t, 1, AgentId::new(9), Freshness::BoundedMs(500));
         t.note_tracker(1, AgentId::new(42), NodeId::new(3));
         let again = Retry::Again {
             token: 1,
             target: AgentId::new(9),
         };
-        assert_eq!(t.consume_attempt(1, GiveUpCause::Negative), again);
-        assert_eq!(t.consume_attempt(1, GiveUpCause::Negative), again);
+        assert_eq!(t.consume_attempt(max, 1, GiveUpCause::Negative), again);
+        assert_eq!(t.consume_attempt(max, 1, GiveUpCause::Negative), again);
         assert_eq!(t.freshness(1), Freshness::BoundedMs(500));
         assert_eq!(
-            t.consume_attempt(1, GiveUpCause::Negative),
+            t.consume_attempt(max, 1, GiveUpCause::Negative),
             Retry::GiveUp {
                 token: 1,
                 target: AgentId::new(9),
@@ -402,25 +483,44 @@ mod tests {
                 tracker: Some((42, NodeId::new(3))),
             }
         );
-        assert_eq!(t.consume_attempt(1, GiveUpCause::Negative), Retry::Nothing);
-        assert!(t.ops.is_empty());
+        assert_eq!(
+            t.consume_attempt(max, 1, GiveUpCause::Negative),
+            Retry::Nothing
+        );
+        assert!(t.in_flight.as_ref().is_some_and(|f| f.ops.is_empty()));
     }
 
     #[test]
     fn a_finished_locate_is_forgotten_and_registration_reports_once() {
-        let mut t = core(3);
+        let mut t = LocateCore::default();
         start(&mut t, 7, AgentId::new(1), Freshness::Fresh);
         assert_eq!(t.target(7), Some(AgentId::new(1)));
         assert_eq!(t.noted_tracker(7), None);
-        t.ops.remove(&7);
+        t.in_flight.as_mut().unwrap().ops.remove(&7);
         assert_eq!(t.target(7), None);
         assert_eq!(t.freshness(7), Freshness::Any);
-        assert_eq!(t.consume_attempt(7, GiveUpCause::Negative), Retry::Nothing);
+        assert_eq!(
+            t.consume_attempt(3, 7, GiveUpCause::Negative),
+            Retry::Nothing
+        );
 
         assert!(!t.registered());
         assert_eq!(t.on_register_ack(), ClientEvent::Registered);
         assert_eq!(t.on_register_ack(), ClientEvent::Consumed);
         assert!(t.registered());
+    }
+
+    #[test]
+    fn a_client_that_never_locates_holds_no_tables() {
+        let mut t = LocateCore::default();
+        assert_eq!(t.on_register_ack(), ClientEvent::Registered);
+        t.note_tracker(1, AgentId::new(42), NodeId::new(3));
+        assert_eq!(t.target(1), None);
+        assert_eq!(
+            t.consume_attempt(3, 1, GiveUpCause::Timeout),
+            Retry::Nothing
+        );
+        assert!(t.in_flight.is_none(), "only a locate creates the tables");
     }
 
     // Everything that needs an `AgentCtx` — tracing, give-up charging, the

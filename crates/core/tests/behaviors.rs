@@ -666,6 +666,70 @@ fn iagent_requests_a_split_when_the_rate_crosses_t_max() {
     }
 }
 
+/// A split request denied `Busy` is retried 50 ms later: the conflicting
+/// rehash commits soon, so the IAgent waits neither the 100 ms cooldown
+/// of a `Cooldown` denial nor not at all.
+#[test]
+fn iagent_retries_a_split_denied_busy_after_50_ms() {
+    let mut h = Harness::new(2);
+    let cfg = LocationConfig {
+        t_max: 20.0,
+        ..config()
+    };
+    let ia = spawn_sole_iagent(&mut h, cfg);
+    let split_requested = |h: &Harness| {
+        h.received()
+            .iter()
+            .any(|m| matches!(m, Wire::SplitRequest { .. }))
+    };
+    // One update per 5 ms puppet tick: 200 msg/s, ten times t_max.
+    let mut updates = 0u64;
+    let mut tick = |h: &mut Harness| {
+        let agent = AgentId::new(1000 + updates % 40);
+        updates += 1;
+        h.send(
+            ia,
+            NodeId::new(1),
+            Wire::Update {
+                agent,
+                node: NodeId::new(0),
+            },
+        );
+        h.run_ms(5);
+    };
+    while !split_requested(&h) {
+        assert!(
+            h.platform.now().as_millis_f64() < 2_000.0,
+            "no split request"
+        );
+        tick(&mut h);
+    }
+    h.clear();
+
+    h.send(
+        ia,
+        NodeId::new(1),
+        Wire::RehashDenied {
+            reason: DenyReason::Busy,
+        },
+    );
+    tick(&mut h);
+    let denied_at = h.platform.now();
+    while !split_requested(&h) {
+        assert!(
+            h.platform.now().saturating_since(denied_at) < SimDuration::from_millis(100),
+            "no retry within the cooldown"
+        );
+        tick(&mut h);
+    }
+    let waited = h.platform.now().saturating_since(denied_at);
+    assert_eq!(
+        waited,
+        SimDuration::from_millis(50),
+        "retried after {waited:?}"
+    );
+}
+
 #[test]
 fn iagent_merged_away_hands_off_everything_and_retires() {
     let mut h = Harness::new(2);

@@ -288,3 +288,53 @@ fn a_send_event_carries_the_destination_node() {
         "Locate sends stamped {locate_nodes:?}, the IAgent lives on node 0"
     );
 }
+
+/// A hashed locate that bounces off its IAgent (merged away, or
+/// mid-migration) is retried 50 ms after the bounce comes back, not after
+/// the whole retry timeout: the outage is short, and an immediate retry
+/// would burn the budget inside it.
+#[test]
+fn a_bounced_hashed_locate_is_retried_after_50_ms() {
+    let topology = Topology::lan(2, DurationDist::Constant(SimDuration::from_micros(300)));
+    let mut platform = SimPlatform::new(topology, PlatformConfig::default().with_seed(17));
+    let sink = TraceSink::bounded(100_000);
+    platform.set_trace_sink(sink.clone());
+    // The bootstrap IAgent is the scheme's first agent.
+    let iagent = AgentId::new(platform.next_agent_id());
+    let mut scheme = HashedScheme::new(config(4, 400));
+    scheme.bootstrap(&mut platform);
+    let owner = platform.spawn(
+        Box::new(Owner {
+            client: scheme.make_client(),
+            target: GHOST,
+            start: None,
+            outcomes: Events::default(),
+        }),
+        NodeId::new(1),
+    );
+    // Registered by now; the locate starts at 50 ms.
+    platform.run_for(SimDuration::from_millis(40));
+    assert!(platform.kill(iagent));
+    platform.run_for(SimDuration::from_millis(200));
+
+    let me = owner.raw();
+    let trace = sink.snapshot();
+    let first = |pick: &dyn Fn(&TraceEvent) -> bool| {
+        trace
+            .iter()
+            .find(|r| pick(&r.event))
+            .map(|r| r.at)
+            .expect("event traced")
+    };
+    let sent = first(
+        &|e| matches!(e, TraceEvent::MessageSend { kind: "Locate", from, .. } if *from == me),
+    );
+    let retried = first(&|e| matches!(e, TraceEvent::RetryAttempt { client, .. } if *client == me));
+    // The backoff starts once the bounce is back: about a millisecond of
+    // hops and handling after the send.
+    let waited = retried.saturating_since(sent);
+    assert!(
+        (SimDuration::from_millis(50)..=SimDuration::from_millis(52)).contains(&waited),
+        "retried {waited:?} after the send: the 50 ms bounce backoff, not the 400 ms timeout"
+    );
+}

@@ -325,8 +325,8 @@ pub struct TelemetrySnapshot {
     pub failed_total: u64,
     /// Number of nodes currently flagged stalled.
     pub stalled_nodes: u32,
-    /// Sampled locate latency (1 in [`LOCATE_SAMPLE_EVERY`] locate
-    /// calls is stamped).
+    /// Sampled locate latency (1 in 256 locate calls is stamped,
+    /// `LOCATE_SAMPLE_EVERY`).
     pub locate_ns: LogHistogram,
     /// End-to-end delivery latency.
     pub deliver_ns: LogHistogram,

@@ -42,7 +42,7 @@ pub struct MetricsInner {
     pub deaths: u64,
     /// Per-locate samples: `(issue time, target, elapsed)` — lets analyses
     /// attribute tail latencies to targets or phases of the run. Bounded
-    /// at [`SAMPLE_RESERVOIR_CAP`] by deterministic reservoir sampling;
+    /// at 4 096 (`SAMPLE_RESERVOIR_CAP`) by deterministic reservoir sampling;
     /// `samples_seen` counts every completed locate that was offered.
     pub locate_samples: Vec<(SimTime, AgentId, SimDuration)>,
     /// Completed locates offered to the sample reservoir (retained or
