@@ -17,7 +17,7 @@ use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, Spawner, Tim
 use agentrack_sim::CorrId;
 
 use crate::config::LocationConfig;
-use crate::mailbox::Mailbox;
+use crate::mailbox::{Mailbox, MAIL_TTL};
 use crate::retry::{LocateCore, RetryPolicy};
 use crate::scheme::{
     ClientEvent, ClientFactory, DirectoryClient, LocationScheme, SharedSchemeStats,
@@ -39,7 +39,7 @@ impl CentralBehavior {
     pub fn new() -> Self {
         CentralBehavior {
             records: HashMap::new(),
-            mailbox: Mailbox::new(agentrack_sim::SimDuration::from_secs(10)),
+            mailbox: Mailbox::new(MAIL_TTL),
             shared: SharedSchemeStats::new(),
             requests_seen: 0,
         }

@@ -31,10 +31,6 @@ pub struct LocationConfig {
     pub t_min: f64,
     /// Span of the sliding window over which request rates are estimated.
     pub rate_window: SimDuration,
-    /// Evenness tolerance for split planning: a partition is *even* when
-    /// the lighter side carries at least `0.5 - split_tolerance` of the
-    /// load.
-    pub split_tolerance: f64,
     /// Minimum IAgent age before it may request a merge (a newborn IAgent
     /// has an empty rate window and would otherwise merge immediately).
     pub merge_warmup: SimDuration,
@@ -82,9 +78,6 @@ pub struct LocationConfig {
     pub locality_threshold: f64,
     /// Minimum recent requests before a locality decision is made.
     pub locality_min_requests: u64,
-    /// How long a tracker buffers mediated mail (`DeliverVia`) for an
-    /// agent whose location is momentarily unknown before dropping it.
-    pub mail_ttl: SimDuration,
     /// When set, hash-function copy holders (LHAgents, IAgents)
     /// periodically re-fetch from their source at this interval, so
     /// stale copies converge even without client traffic — and an
@@ -100,9 +93,6 @@ pub struct LocationConfig {
     /// disables replication: records are pure soft state, as in the
     /// paper.
     pub replication_interval: Option<SimDuration>,
-    /// How long an unacknowledged `RecordSync` batch waits before it is
-    /// re-sent to the buddy.
-    pub replication_retry: SimDuration,
     /// How long a recovering IAgent keeps soliciting re-registrations and
     /// answering from stale replica records before it declares recovery
     /// over (converged or not) and resumes normal answering.
@@ -115,7 +105,6 @@ impl Default for LocationConfig {
             t_max: 50.0,
             t_min: 5.0,
             rate_window: SimDuration::from_secs(1),
-            split_tolerance: 0.15,
             merge_warmup: SimDuration::from_secs(3),
             rehash_cooldown: SimDuration::from_millis(100),
             rehash_concurrency: 4,
@@ -130,10 +119,8 @@ impl Default for LocationConfig {
             locality_migration: false,
             locality_threshold: 0.6,
             locality_min_requests: 50,
-            mail_ttl: SimDuration::from_secs(10),
             version_audit: None,
             replication_interval: None,
-            replication_retry: SimDuration::from_millis(300),
             recovery_timeout: SimDuration::from_secs(3),
         }
     }
@@ -235,9 +222,6 @@ impl LocationConfig {
         if self.rate_window.is_zero() {
             return Err("rate window must be non-empty".into());
         }
-        if !(0.0..0.5).contains(&self.split_tolerance) {
-            return Err("split_tolerance must be in [0, 0.5)".into());
-        }
         if !(0.0..=1.0).contains(&self.locality_threshold) {
             return Err("locality_threshold must be in [0, 1]".into());
         }
@@ -249,9 +233,6 @@ impl LocationConfig {
         }
         if self.replication_interval.is_some_and(|i| i.is_zero()) {
             return Err("replication_interval must be non-zero when set".into());
-        }
-        if self.replication_retry.is_zero() {
-            return Err("replication_retry must be non-zero".into());
         }
         Ok(())
     }
@@ -288,15 +269,6 @@ mod tests {
     fn validation_rejects_inverted_thresholds() {
         let c = LocationConfig::default().with_thresholds(5.0, 50.0);
         assert!(c.validate().unwrap_err().contains("oscillate"));
-    }
-
-    #[test]
-    fn validation_rejects_bad_tolerance() {
-        let c = LocationConfig {
-            split_tolerance: 0.6,
-            ..LocationConfig::default()
-        };
-        assert!(c.validate().is_err());
     }
 
     #[test]

@@ -24,9 +24,11 @@ use agentrack_sim::{CorrId, SimTime, TraceEvent};
 use crate::config::LocationConfig;
 use crate::hashed::BOUNCE_RETRY_DELAY;
 use crate::hashfn::HashFunction;
-use crate::mailbox::{Mailbox, MAIL_MAX_HOPS};
+use crate::mailbox::{Mailbox, MAIL_MAX_HOPS, MAIL_TTL};
 use crate::records::{Outcome, Record, RecordStore, Source};
-use crate::replica::{replica_usable, RecoveryPhase, RecoveryState, ReplicaStore, Replicator};
+use crate::replica::{
+    replica_usable, RecoveryPhase, RecoveryState, ReplicaStore, Replicator, REPLICATION_RETRY,
+};
 use crate::scheme::{CopyRole, SharedSchemeStats};
 use crate::stats::LoadStats;
 use crate::view::TrackerView;
@@ -179,7 +181,7 @@ impl IAgentBehavior {
         fresh: bool,
     ) -> Self {
         let stats = LoadStats::new(config.rate_window);
-        let mailbox = Mailbox::new(config.mail_ttl);
+        let mailbox = Mailbox::new(MAIL_TTL);
         IAgentBehavior {
             config,
             hagent,
@@ -511,10 +513,7 @@ impl IAgentBehavior {
             return;
         }
         self.refresh_buddy();
-        if !self
-            .replicator
-            .due(ctx.now(), interval, self.config.replication_retry)
-        {
+        if !self.replicator.due(ctx.now(), interval) {
             return;
         }
         let Some((buddy, buddy_node)) = self.replicator.buddy else {
@@ -553,7 +552,7 @@ impl IAgentBehavior {
         let phase = rec.phase;
         let now = ctx.now();
         if phase != RecoveryPhase::Converging
-            && now.saturating_since(rec.last_request) >= self.config.replication_retry
+            && now.saturating_since(rec.last_request) >= REPLICATION_RETRY
         {
             rec.last_request = now;
             if phase == RecoveryPhase::AwaitEpoch {

@@ -212,6 +212,10 @@ impl Mailbox {
 /// something is wrong and the mail is dropped rather than looped.
 pub const MAIL_MAX_HOPS: u32 = 8;
 
+/// How long a tracker buffers mediated mail (`DeliverVia`) for an agent
+/// whose location is momentarily unknown before dropping it.
+pub(crate) const MAIL_TTL: SimDuration = SimDuration::from_secs(10);
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,6 +247,21 @@ mod tests {
         assert_eq!(mb.len(), 1);
         assert_eq!(mb.expire(SimTime::ZERO + SimDuration::from_secs(2)), 1);
         assert!(mb.is_empty());
+    }
+
+    #[test]
+    fn trackers_keep_mail_for_ten_seconds() {
+        assert_eq!(MAIL_TTL, SimDuration::from_secs(10));
+        let mut mb = Mailbox::new(MAIL_TTL);
+        let at = SimTime::ZERO + SimDuration::from_millis(250);
+        mb.push(at, AgentId::new(1), AgentId::new(9), vec![1]);
+        let kept = at + SimDuration::from_millis(9_999);
+        assert_eq!(mb.expire(kept), 0);
+        assert_eq!(
+            mb.expire(at + SimDuration::from_secs(10)),
+            1,
+            "lost at the TTL"
+        );
     }
 
     #[test]

@@ -23,6 +23,10 @@ use crate::hashfn::key_of;
 /// uneven candidate.
 const MAX_SIMPLE_M: usize = 16;
 
+/// Evenness tolerance: a partition is *even* when its lighter side
+/// carries at least `0.5 - SPLIT_TOLERANCE` of the load.
+pub(crate) const SPLIT_TOLERANCE: f64 = 0.15;
+
 /// A chosen split: the tree candidate plus which side the new IAgent takes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplitPlan {
@@ -125,7 +129,7 @@ pub fn plan_split(
         }
         let balance = w0.min(w1) as f64 / total as f64;
         let new_side = if w1 <= w0 { Side::Right } else { Side::Left };
-        let even = balance >= 0.5 - config.split_tolerance;
+        let even = balance >= 0.5 - SPLIT_TOLERANCE;
         let plan = SplitPlan {
             candidate,
             new_side,
@@ -326,19 +330,39 @@ mod tests {
     #[test]
     fn new_side_takes_the_lighter_half() {
         let tree = HashTree::new(IAgentId::new(0));
-        // 3 units on the 0-side, 1 unit on the 1-side of bit 0.
-        let mut loads = vec![(agent_with_first_bit(true, 0), 1)];
-        for i in 0..3 {
-            loads.push((agent_with_first_bit(false, i), 1));
-        }
-        let config = LocationConfig {
-            split_tolerance: 0.3, // accept the 25/75 split
-            ..LocationConfig::default()
-        };
-        let plan = plan_split(&tree, IAgentId::new(0), &loads, &config).unwrap();
+        // 64 units on the 0-side, 36 on the 1-side of bit 0: even within
+        // the 0.15 tolerance.
+        let loads = vec![
+            (agent_with_first_bit(true, 0), 36),
+            (agent_with_first_bit(false, 0), 64),
+        ];
+        let plan = plan_split(&tree, IAgentId::new(0), &loads, &LocationConfig::default()).unwrap();
         assert_eq!(plan.candidate.key_bit, 0);
+        assert!(plan.even);
         assert_eq!(plan.new_side, Side::Right, "lighter side is the 1-side");
         let key = key_of(loads[0].0);
         assert!(AgentKey::from(key.raw()).bit(0));
+    }
+
+    #[test]
+    fn the_split_tolerance_is_fifteen_points() {
+        assert_eq!(SPLIT_TOLERANCE, 0.15);
+        let tree = HashTree::new(IAgentId::new(0));
+        let plan = |light: u64| {
+            let loads = [
+                (agent_with_first_bit(true, 0), light),
+                (agent_with_first_bit(false, 0), 100 - light),
+            ];
+            plan_split(&tree, IAgentId::new(0), &loads, &LocationConfig::default()).unwrap()
+        };
+        assert!(plan(36).even, "36/64 is even");
+        // Two agents split 34/66 on every bit that separates them, so the
+        // planner settles for the first such bit, uneven.
+        let uneven = plan(34);
+        assert!(!uneven.even, "34/66 is not");
+        assert_eq!(uneven.candidate.key_bit, 0);
+        assert_eq!(uneven.balance, 0.34);
+        // 25/75 is not even either.
+        assert!(!plan(25).even);
     }
 }

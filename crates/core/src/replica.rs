@@ -25,6 +25,11 @@ use agentrack_sim::{SimDuration, SimTime};
 
 use crate::wire::Wire;
 
+/// How long an unacknowledged `RecordSync` batch waits before it is
+/// re-sent to the buddy, and a recovering tracker before it repeats an
+/// unanswered epoch request or replica pull.
+pub(crate) const REPLICATION_RETRY: SimDuration = SimDuration::from_millis(300);
+
 /// Outbound replication state of one IAgent.
 #[derive(Debug, Default)]
 pub struct Replicator {
@@ -64,14 +69,15 @@ impl Replicator {
 
     /// Decides whether a batch should go out now: there is a buddy, and
     /// either dirty records have waited out the sync interval, or the
-    /// in-flight batch is overdue for a retry.
+    /// in-flight batch has gone 300 ms (`REPLICATION_RETRY`) without an
+    /// ack.
     #[must_use]
-    pub fn due(&self, now: SimTime, interval: SimDuration, retry: SimDuration) -> bool {
+    pub fn due(&self, now: SimTime, interval: SimDuration) -> bool {
         if self.buddy.is_none() {
             return false;
         }
         match self.in_flight {
-            Some((_, sent_at)) => now.saturating_since(sent_at) >= retry,
+            Some((_, sent_at)) => now.saturating_since(sent_at) >= REPLICATION_RETRY,
             None => self.dirty && now.saturating_since(self.last_sync) >= interval,
         }
     }
@@ -319,26 +325,33 @@ mod tests {
     fn replicator_batches_are_rate_limited_and_acked() {
         let mut r = Replicator::default();
         let interval = SimDuration::from_millis(100);
-        let retry = SimDuration::from_millis(300);
-        assert!(!r.due(t(500), interval, retry), "no buddy, nothing due");
+        assert!(!r.due(t(500), interval), "no buddy, nothing due");
         r.set_buddy(Some((AgentId::new(9), NodeId::new(1))));
-        assert!(r.due(t(500), interval, retry), "new buddy: full sync due");
+        assert!(r.due(t(500), interval), "new buddy: full sync due");
         let seq = r.cut_batch(t(500));
         assert_eq!(seq, 1);
-        assert!(
-            !r.due(t(550), interval, retry),
-            "in flight, not yet overdue"
-        );
-        assert!(r.due(t(800), interval, retry), "unacked batch is retried");
+        assert!(!r.due(t(550), interval), "in flight, not yet overdue");
+        assert!(r.due(t(800), interval), "unacked batch is retried");
         let seq2 = r.cut_batch(t(800));
         assert_eq!(seq2, 2, "retry gets a fresh seq");
         r.on_ack(0, 1);
-        assert!(r.due(t(1200), interval, retry), "stale ack does not clear");
+        assert!(r.due(t(1200), interval), "stale ack does not clear");
         r.on_ack(0, 2);
-        assert!(!r.due(t(1200), interval, retry), "acked and clean");
+        assert!(!r.due(t(1200), interval), "acked and clean");
         r.mark_dirty();
-        assert!(!r.due(t(810), interval, retry), "interval not yet elapsed");
-        assert!(r.due(t(900), interval, retry));
+        assert!(!r.due(t(810), interval), "interval not yet elapsed");
+        assert!(r.due(t(900), interval));
+    }
+
+    #[test]
+    fn an_unacked_batch_is_retried_after_300_ms() {
+        assert_eq!(REPLICATION_RETRY, SimDuration::from_millis(300));
+        let mut r = Replicator::default();
+        let interval = SimDuration::from_secs(5);
+        r.set_buddy(Some((AgentId::new(9), NodeId::new(1))));
+        let _ = r.cut_batch(t(1000));
+        assert!(!r.due(t(1299), interval), "299 ms: still waiting");
+        assert!(r.due(t(1300), interval), "300 ms: re-sent");
     }
 
     #[test]
@@ -352,11 +365,7 @@ mod tests {
         assert_eq!(seq, 1, "seq restarts with the epoch");
         r.on_ack(2, 1);
         assert!(
-            r.due(
-                t(1000),
-                SimDuration::from_millis(1),
-                SimDuration::from_millis(1)
-            ),
+            r.due(t(1000), SimDuration::from_millis(1)),
             "ack from the old epoch is fenced out"
         );
     }

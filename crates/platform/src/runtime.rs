@@ -47,6 +47,10 @@ struct AgentSlot {
     node: NodeId,
     state: AgentState,
     station: ServiceStation,
+    /// Minimum live timer id, raised on node restart so timer chains
+    /// armed before the crash stay dead (restarted behaviours re-arm
+    /// their own).
+    timer_floor: TimerId,
 }
 
 /// What arrived at a node for an agent.
@@ -194,7 +198,15 @@ pub struct SimPlatform {
     /// with faults enabled sees the same workload arrival sequence as
     /// one without.
     net_rng: SimRng,
-    agents: HashMap<AgentId, AgentSlot>,
+    /// Live agents, indexed by raw id. The runtime hands ids out in
+    /// sequence from 0, so the table is dense; a disposed or killed
+    /// agent leaves `None` behind, and an id it never assigned is out of
+    /// range.
+    agents: Vec<Option<AgentSlot>>,
+    /// Number of `Some` entries in `agents`.
+    live: usize,
+    /// Action buffer every handler invocation reuses.
+    actions: Vec<Action>,
     next_agent_id: u64,
     next_timer_id: u64,
     stats: PlatformStats,
@@ -211,10 +223,6 @@ pub struct SimPlatform {
     /// Severed inter-region WAN links: token → unordered region pair.
     region_severs: Vec<(u64, (u32, u32))>,
     next_fault_token: u64,
-    /// Per-agent minimum live timer id, bumped on node restart so timer
-    /// chains armed before the crash stay dead (restarted behaviours
-    /// re-arm their own).
-    timer_floor: HashMap<AgentId, TimerId>,
 }
 
 impl SimPlatform {
@@ -229,7 +237,9 @@ impl SimPlatform {
             sched: Scheduler::new(),
             rng,
             net_rng,
-            agents: HashMap::new(),
+            agents: Vec::new(),
+            live: 0,
+            actions: Vec::new(),
             next_agent_id: 0,
             next_timer_id: 0,
             stats: PlatformStats::default(),
@@ -243,7 +253,6 @@ impl SimPlatform {
             blackholes: Vec::new(),
             region_severs: Vec::new(),
             next_fault_token: 0,
-            timer_floor: HashMap::new(),
         }
     }
 
@@ -295,7 +304,7 @@ impl SimPlatform {
     /// live: they resume on restart.
     #[must_use]
     pub fn is_live(&self, id: AgentId) -> bool {
-        self.agents.contains_key(&id)
+        self.slot(id).is_some()
     }
 
     /// Installs a message tracer, called for every delivered or bounced
@@ -345,7 +354,7 @@ impl SimPlatform {
     /// transit), or `None` if it does not exist or was disposed.
     #[must_use]
     pub fn agent_node(&self, id: AgentId) -> Option<NodeId> {
-        self.agents.get(&id).map(|slot| match slot.state {
+        self.slot(id).map(|slot| match slot.state {
             AgentState::InTransit { to } => to,
             _ => slot.node,
         })
@@ -354,15 +363,14 @@ impl SimPlatform {
     /// `true` if the agent exists and is active at a node.
     #[must_use]
     pub fn is_active(&self, id: AgentId) -> bool {
-        self.agents
-            .get(&id)
+        self.slot(id)
             .is_some_and(|slot| slot.state == AgentState::Active)
     }
 
     /// Number of live (not disposed) agents.
     #[must_use]
     pub fn agent_count(&self) -> usize {
-        self.agents.len()
+        self.live
     }
 
     /// The id the next created agent will receive. Ids are assigned
@@ -407,7 +415,7 @@ impl SimPlatform {
     /// `on_dispose` (fault injection — a real crash says no goodbyes).
     /// Returns `true` if the agent existed.
     pub fn kill(&mut self, id: AgentId) -> bool {
-        self.agents.remove(&id).is_some()
+        self.remove(id).is_some()
     }
 
     /// Processes the next event; returns `false` when the queue is empty.
@@ -472,14 +480,14 @@ impl SimPlatform {
     fn handle(&mut self, event: Event) {
         match event {
             Event::Created { agent } => {
-                if let Some(slot) = self.agents.get(&agent) {
+                if let Some(node) = self.slot(agent).map(|slot| slot.node) {
                     // Birth node crashed mid-creation: park until restart.
-                    if let Some(down) = self.down.get_mut(&slot.node) {
+                    if let Some(down) = self.down.get_mut(&node) {
                         down.parked.push(Event::Created { agent });
                         return;
                     }
                 }
-                if let Some(slot) = self.agents.get_mut(&agent) {
+                if let Some(slot) = self.slot_mut(agent) {
                     slot.state = AgentState::Active;
                     self.invoke(agent, |a, ctx| a.on_create(ctx));
                 }
@@ -496,8 +504,7 @@ impl SimPlatform {
                 // until `on_create` has run (the live runtime's channel
                 // FIFO gives the same outcome for free).
                 if self
-                    .agents
-                    .get(&to)
+                    .slot(to)
                     .is_some_and(|s| s.state == AgentState::Creating && s.node == node)
                 {
                     self.sched.schedule_after(
@@ -509,9 +516,10 @@ impl SimPlatform {
                 if self.is_present(to, node) {
                     let (done, queued) = {
                         let service = self.net_rng.sample(&self.config.handler_service_time);
-                        let slot = self.agents.get_mut(&to).expect("checked present");
-                        let done = slot.station.admit(self.sched.now(), service);
-                        (done, done.saturating_since(self.sched.now() + service))
+                        let now = self.sched.now();
+                        let slot = self.slot_mut(to).expect("checked present");
+                        let done = slot.station.admit(now, service);
+                        (done, done.saturating_since(now + service))
                     };
                     let delay = done.saturating_since(self.sched.now());
                     self.sched.schedule_after(
@@ -571,17 +579,16 @@ impl SimPlatform {
                 }
             }
             Event::Arrive { agent } => {
-                if let Some(slot) = self.agents.get(&agent) {
-                    if let AgentState::InTransit { to } = slot.state {
-                        // Destination crashed while the agent was in
-                        // transit: the arrival waits out the downtime.
-                        if let Some(down) = self.down.get_mut(&to) {
-                            down.parked.push(Event::Arrive { agent });
-                            return;
-                        }
+                if let Some(AgentState::InTransit { to }) = self.slot(agent).map(|slot| slot.state)
+                {
+                    // Destination crashed while the agent was in transit:
+                    // the arrival waits out the downtime.
+                    if let Some(down) = self.down.get_mut(&to) {
+                        down.parked.push(Event::Arrive { agent });
+                        return;
                     }
                 }
-                if let Some(slot) = self.agents.get_mut(&agent) {
+                if let Some(slot) = self.slot_mut(agent) {
                     if let AgentState::InTransit { to } = slot.state {
                         slot.node = to;
                         slot.state = AgentState::Active;
@@ -590,14 +597,10 @@ impl SimPlatform {
                 }
             }
             Event::TimerFired { agent, timer } => {
-                if self
-                    .timer_floor
-                    .get(&agent)
-                    .is_some_and(|&floor| timer < floor)
-                {
-                    return; // armed before a crash; the restart re-arms
-                }
-                match self.agents.get(&agent) {
+                match self.slot(agent) {
+                    Some(slot) if timer < slot.timer_floor => {
+                        // Armed before a crash; the restart re-arms.
+                    }
                     Some(slot) if self.down.contains_key(&slot.node) => {
                         // Timers die with their node.
                     }
@@ -749,15 +752,20 @@ impl SimPlatform {
         self.trace
             .emit(self.sched.now(), || TraceEvent::NodeRestarted { node });
         let floor = TimerId::new(self.next_timer_id);
-        let mut residents: Vec<AgentId> = self
+        // Ascending ids, as the table is indexed by them.
+        let residents: Vec<AgentId> = self
             .agents
-            .iter()
-            .filter(|(_, slot)| slot.node == node && slot.state == AgentState::Active)
-            .map(|(&id, _)| id)
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(raw, slot)| {
+                let slot = slot
+                    .as_mut()
+                    .filter(|s| s.node == node && s.state == AgentState::Active)?;
+                slot.timer_floor = floor;
+                Some(AgentId::new(raw as u64))
+            })
             .collect();
-        residents.sort_unstable();
         for id in residents {
-            self.timer_floor.insert(id, floor);
             self.invoke(id, |a, ctx| a.on_restart(ctx, down.lose_soft_state));
         }
         for event in down.parked {
@@ -808,9 +816,28 @@ impl SimPlatform {
     }
 
     fn is_present(&self, id: AgentId, node: NodeId) -> bool {
-        self.agents
-            .get(&id)
+        self.slot(id)
             .is_some_and(|slot| slot.state == AgentState::Active && slot.node == node)
+    }
+
+    /// The live agent `id`, or `None` if it was disposed, killed or never
+    /// assigned.
+    fn slot(&self, id: AgentId) -> Option<&AgentSlot> {
+        let index = usize::try_from(id.raw()).ok()?;
+        self.agents.get(index)?.as_ref()
+    }
+
+    fn slot_mut(&mut self, id: AgentId) -> Option<&mut AgentSlot> {
+        let index = usize::try_from(id.raw()).ok()?;
+        self.agents.get_mut(index)?.as_mut()
+    }
+
+    /// Takes agent `id` out of the table.
+    fn remove(&mut self, id: AgentId) -> Option<AgentSlot> {
+        let index = usize::try_from(id.raw()).ok()?;
+        let slot = self.agents.get_mut(index)?.take()?;
+        self.live -= 1;
+        Some(slot)
     }
 
     /// Sends a delivery-failure notice back to the originator of a failed
@@ -833,7 +860,7 @@ impl SimPlatform {
         }
         // Find the sender wherever it currently is; if it is gone or in
         // transit the notice is dropped (it would bounce forever).
-        let Some(sender) = self.agents.get(&from) else {
+        let Some(sender) = self.slot(from) else {
             self.stats.failures_dropped += 1;
             return;
         };
@@ -866,8 +893,7 @@ impl SimPlatform {
         );
     }
 
-    /// Runs one handler with a fresh action buffer, then applies the
-    /// requested effects.
+    /// Runs one handler, then applies the effects it requested.
     fn invoke<F>(&mut self, id: AgentId, f: F)
     where
         F: FnOnce(&mut dyn Agent, &mut AgentCtx<'_>),
@@ -882,12 +908,14 @@ impl SimPlatform {
     where
         F: FnOnce(&mut dyn Agent, &mut AgentCtx<'_>),
     {
-        let Some(slot) = self.agents.get_mut(&id) else {
+        let Some(slot) = self.slot_mut(id) else {
             return;
         };
         let mut behavior = slot.behavior.take().expect("re-entrant handler invocation");
         let node = slot.node;
-        let mut actions = Vec::new();
+        // Applying actions never runs another handler that could want the
+        // buffer (a dispose's farewell gets its own), so it is free here.
+        let mut actions = std::mem::take(&mut self.actions);
         {
             let mut ctx = AgentCtx {
                 now: self.sched.now(),
@@ -903,10 +931,11 @@ impl SimPlatform {
             f(behavior.as_mut(), &mut ctx);
         }
         self.stats.handler_invocations += 1;
-        if let Some(slot) = self.agents.get_mut(&id) {
+        if let Some(slot) = self.slot_mut(id) {
             slot.behavior = Some(behavior);
         }
-        self.apply_actions(id, node, actions);
+        self.apply_actions(id, node, &mut actions);
+        self.actions = actions;
     }
 
     /// Applies a handler's requested effects in order.
@@ -918,9 +947,10 @@ impl SimPlatform {
     /// exists). `on_dispose` runs exactly once, and only its *sends*
     /// (farewells) take effect — structural requests from a destructor
     /// would otherwise recurse.
-    fn apply_actions(&mut self, id: AgentId, origin: NodeId, actions: Vec<Action>) {
+    /// Drains `actions`, leaving the buffer empty for the next handler.
+    fn apply_actions(&mut self, id: AgentId, origin: NodeId, actions: &mut Vec<Action>) {
         let mut dispatched = false;
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { to, node, payload } => {
                     self.transmit(id, origin, to, node, payload);
@@ -955,7 +985,7 @@ impl SimPlatform {
                         self.stats.ignored_actions += 1;
                         continue;
                     }
-                    let Some(mut slot) = self.agents.remove(&id) else {
+                    let Some(mut slot) = self.remove(id) else {
                         continue;
                     };
                     if let Some(mut behavior) = slot.behavior.take() {
@@ -1062,7 +1092,7 @@ impl SimPlatform {
             self.stats.ignored_actions += 1;
             return;
         }
-        let Some(slot) = self.agents.get(&id) else {
+        let Some(slot) = self.slot(id) else {
             return;
         };
         if slot.state != AgentState::Active {
@@ -1079,7 +1109,7 @@ impl SimPlatform {
         };
         let total =
             self.config.migration_overhead + network + self.config.transfer_time(state_size);
-        if let Some(slot) = self.agents.get_mut(&id) {
+        if let Some(slot) = self.slot_mut(id) {
             slot.state = AgentState::InTransit { to };
         }
         self.stats.migrations += 1;
@@ -1094,15 +1124,21 @@ impl SimPlatform {
         behavior: Box<dyn Agent>,
         extra_delay: SimDuration,
     ) {
-        self.agents.insert(
-            id,
-            AgentSlot {
-                behavior: Some(behavior),
-                node,
-                state: AgentState::Creating,
-                station: ServiceStation::new(),
-            },
-        );
+        debug_assert!(id.raw() < self.next_agent_id, "ids come from the runtime");
+        let index = usize::try_from(id.raw()).expect("agent ids fit the address space");
+        if index >= self.agents.len() {
+            self.agents.resize_with(index + 1, || None);
+        }
+        let slot = AgentSlot {
+            behavior: Some(behavior),
+            node,
+            state: AgentState::Creating,
+            station: ServiceStation::new(),
+            timer_floor: TimerId::new(0),
+        };
+        debug_assert!(self.agents[index].is_none(), "ids are never reused");
+        self.agents[index] = Some(slot);
+        self.live += 1;
         self.stats.agents_created += 1;
         self.sched.schedule_after(
             self.config.creation_overhead + extra_delay,
@@ -1115,7 +1151,7 @@ impl fmt::Debug for SimPlatform {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimPlatform")
             .field("now", &self.now())
-            .field("agents", &self.agents.len())
+            .field("agents", &self.live)
             .field("stats", &self.stats)
             .finish()
     }

@@ -1,6 +1,9 @@
 //! Property tests of the simulation kernel: event ordering, station
 //! conservation, and distribution sanity.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use agentrack_sim::{
     DurationDist, Scheduler, ServiceStation, SimDuration, SimRng, SimTime, WindowedRate,
 };
@@ -35,6 +38,43 @@ proptest! {
             last_time = at;
         }
         prop_assert_eq!(popped, times.len());
+    }
+
+    /// Interleaved scheduling and popping, with delays drawn from a few
+    /// nanoseconds so that many events share an instant and popped slab
+    /// slots are reused, pops events in exactly the `(at, seq)` order of
+    /// a reference heap. `None` pops; `Some(d)` schedules `d` ns ahead.
+    #[test]
+    fn scheduler_pops_interleaved_schedules_in_at_seq_order(
+        ops in prop::collection::vec(prop::option::of(0u64..4), 1..300)
+    ) {
+        let mut sched: Scheduler<usize> = Scheduler::new();
+        let mut reference: BinaryHeap<Reverse<(SimTime, u64, usize)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut now = SimTime::ZERO;
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                Some(delay) => {
+                    sched.schedule_after(SimDuration::from_nanos(delay), i);
+                    reference.push(Reverse((now + SimDuration::from_nanos(delay), seq, i)));
+                    seq += 1;
+                }
+                None => {
+                    let want = reference.pop().map(|Reverse((at, _, i))| (at, i));
+                    if let Some((at, _)) = want {
+                        now = at;
+                    }
+                    prop_assert_eq!(sched.pop(), want);
+                }
+            }
+            prop_assert_eq!(sched.len(), reference.len());
+            prop_assert_eq!(sched.now(), now);
+        }
+        while let Some(Reverse((at, _, i))) = reference.pop() {
+            prop_assert_eq!(sched.pop(), Some((at, i)));
+        }
+        prop_assert!(sched.is_empty());
+        prop_assert_eq!(sched.pop(), None);
     }
 
     /// A FIFO station serves every item exactly once, in order, with no

@@ -4,10 +4,11 @@
 //! operator would audit it:
 //!
 //! * **Locatability** — every live, reachable TAgent must still be
-//!   locatable through its scheme (a fresh probe client issues one locate
-//!   per agent). Skipped for the forwarding baseline under any fault plan:
-//!   a chain link lost to a crash or partition is unrecoverable by design,
-//!   which is exactly the weakness the paper's mechanism avoids.
+//!   locatable through its scheme (one locate per agent, shared out over
+//!   a fresh probe client on every node that is up). Skipped for the
+//!   forwarding baseline under any fault plan: a chain link lost to a
+//!   crash or partition is unrecoverable by design, which is exactly the
+//!   weakness the paper's mechanism avoids.
 //! * **Version convergence** — the primary HAgent must hold the highest
 //!   hash-function version among live copies; with `strict_versions`,
 //!   every live copy (standby, LHAgents, IAgents) must match it.
@@ -234,27 +235,42 @@ impl std::fmt::Debug for ProbeBehavior {
     }
 }
 
-/// Locates every target once through `client`, then lets the system
-/// settle. The probe phase ends when every probe has ended, and never
-/// later than [`PROBE_PACE`] per target; [`PROBE_SLACK`] follows, and an
-/// answer that arrives within it still counts.
+/// Locates every target once, then lets the system settle. Every node
+/// that is up runs one [`ProbeBehavior`] with a client from `new_client`
+/// over a contiguous share of `targets` (shares differ by at most one),
+/// so the shares run side by side. The probe phase ends when every probe
+/// has ended, and never later than [`PROBE_PACE`] per target of the
+/// largest share; [`PROBE_SLACK`] follows, and an answer that arrives
+/// within it still counts.
 fn probe(
     platform: &mut SimPlatform,
-    client: Box<dyn DirectoryClient>,
-    targets: Vec<AgentId>,
+    mut new_client: impl FnMut() -> Box<dyn DirectoryClient>,
+    targets: &[AgentId],
 ) -> ProbeOutcome {
     let results = Arc::new(Mutex::new(ProbeOutcome::default()));
     let probed = targets.len();
-    let deadline = platform.now() + PROBE_PACE * probed as u64;
-    let probe = ProbeBehavior {
-        client,
-        targets,
-        next: 0,
-        probe_timer: None,
-        superseded: Vec::new(),
-        results: Arc::clone(&results),
-    };
-    platform.spawn(Box::new(probe), NodeId::new(0));
+    let up: Vec<NodeId> = (0..platform.topology().node_count())
+        .map(NodeId::new)
+        .filter(|&node| !platform.node_is_down(node))
+        .collect();
+    assert!(!up.is_empty(), "reachable targets need a node that is up");
+    let largest_share = probed.div_ceil(up.len());
+    let deadline = platform.now() + PROBE_PACE * largest_share as u64;
+    for (i, &node) in up.iter().enumerate() {
+        let share = &targets[i * probed / up.len()..(i + 1) * probed / up.len()];
+        if share.is_empty() {
+            continue;
+        }
+        let probe = ProbeBehavior {
+            client: new_client(),
+            targets: share.to_vec(),
+            next: 0,
+            probe_timer: None,
+            superseded: Vec::new(),
+            results: Arc::clone(&results),
+        };
+        platform.spawn(Box::new(probe), node);
+    }
     platform.run_until_or(deadline, || results.lock().ended == probed);
     platform.run_for(PROBE_SLACK);
     let outcome = std::mem::take(&mut *results.lock());
@@ -305,7 +321,7 @@ pub(crate) fn check(
     let probed = reachable.len();
     let mut outcome = ProbeOutcome::default();
     if probed > 0 {
-        outcome = probe(platform, scheme.make_client(), reachable.clone());
+        outcome = probe(platform, || scheme.make_client(), &reachable);
     }
     let located = outcome.located.len();
     let probe_stale = outcome.stale;
@@ -455,7 +471,7 @@ pub(crate) fn check(
 mod tests {
     use agentrack_core::Freshness;
     use agentrack_platform::PlatformConfig;
-    use agentrack_sim::{DurationDist, SimTime, Topology};
+    use agentrack_sim::{DurationDist, FaultEvent, FaultKind, FaultPlan, SimTime, Topology};
 
     use super::*;
 
@@ -464,11 +480,12 @@ mod tests {
     type AnswerTime = fn(u64) -> Option<SimDuration>;
 
     /// A client that answers each locate from a timer of its own, after
-    /// the target's answer time, and logs when each locate went out.
+    /// the target's answer time, and logs when and from which node each
+    /// locate went out.
     struct StubClient {
         answer_time: AnswerTime,
         pending: Vec<(TimerId, u64, AgentId)>,
-        issued: Arc<Mutex<Vec<(SimTime, u64)>>>,
+        issued: Arc<Mutex<Vec<(SimTime, u64, NodeId)>>>,
     }
 
     impl DirectoryClient for StubClient {
@@ -485,7 +502,9 @@ mod tests {
             token: u64,
             _: Freshness,
         ) {
-            self.issued.lock().push((ctx.now(), target.raw()));
+            self.issued
+                .lock()
+                .push((ctx.now(), target.raw(), ctx.node()));
             if let Some(after) = (self.answer_time)(target.raw()) {
                 self.pending.push((ctx.set_timer(after), token, target));
             }
@@ -523,35 +542,62 @@ mod tests {
     }
 
     /// What one probe run did: when each locate went out (ms since the
-    /// probe started, and the raw target), the unlocatable targets, and
-    /// how long the run lasted.
+    /// probe started, and the raw target), the node each went out from,
+    /// the unlocatable targets, how long the run lasted and how many
+    /// probers it spawned.
     struct Run {
         issued: Vec<(f64, u64)>,
+        from: Vec<NodeId>,
         unlocatable: Vec<u64>,
         length: SimDuration,
+        probers: usize,
     }
 
     fn run(targets: u64, answer_time: AnswerTime) -> Run {
-        let topology = Topology::lan(1, DurationDist::Constant(SimDuration::from_micros(100)));
+        run_on(1, None, targets, answer_time)
+    }
+
+    /// Probes targets `1..=targets` on a `nodes`-node LAN, with `down`
+    /// crashed for good before the audit starts.
+    fn run_on(nodes: u32, down: Option<u32>, targets: u64, answer_time: AnswerTime) -> Run {
+        let topology = Topology::lan(nodes, DurationDist::Constant(SimDuration::from_micros(100)));
         let mut platform = SimPlatform::new(topology, PlatformConfig::default());
+        if let Some(node) = down {
+            let mut plan = FaultPlan::new();
+            plan.push(FaultEvent {
+                at: SimTime::ZERO,
+                kind: FaultKind::NodeCrash {
+                    node: NodeId::new(node),
+                    lose_soft_state: false,
+                    restart_at: None,
+                },
+            });
+            platform.set_fault_plan(&plan);
+            platform.run_for(SimDuration::from_millis(1));
+            assert!(platform.node_is_down(NodeId::new(node)));
+        }
         let issued = Arc::new(Mutex::new(Vec::new()));
-        let client = StubClient {
-            answer_time,
-            pending: Vec::new(),
-            issued: Arc::clone(&issued),
+        let new_client = || -> Box<dyn DirectoryClient> {
+            Box::new(StubClient {
+                answer_time,
+                pending: Vec::new(),
+                issued: Arc::clone(&issued),
+            })
         };
         let targets: Vec<AgentId> = (1..=targets).map(AgentId::new).collect();
         let start = platform.now();
-        let mut outcome = probe(&mut platform, Box::new(client), targets.clone());
-        let issued = issued
-            .lock()
-            .iter()
-            .map(|&(at, raw)| ((at - start).as_secs_f64() * 1e3, raw))
-            .collect();
+        let agents = platform.agent_count();
+        let mut outcome = probe(&mut platform, new_client, &targets);
+        let issued = issued.lock();
         Run {
-            issued,
+            issued: issued
+                .iter()
+                .map(|&(at, raw, _)| ((at - start).as_secs_f64() * 1e3, raw))
+                .collect(),
+            from: issued.iter().map(|&(_, _, node)| node).collect(),
             unlocatable: outcome.unlocatable(&targets),
             length: platform.now() - start,
+            probers: platform.agent_count() - agents,
         }
     }
 
@@ -607,5 +653,68 @@ mod tests {
         expected.extend((3..=40).map(|raw| (first + 2.0 * pace + raw as f64 - 3.0, raw)));
         assert_eq!(r.issued, expected, "one probe in flight at a time");
         assert_eq!(r.unlocatable, vec![2]);
+    }
+
+    #[test]
+    fn shares_probe_side_by_side_and_a_silent_target_holds_only_its_own() {
+        // Four nodes, ten targets each: node k probes 10k+1..=10k+10.
+        let r = run_on(4, None, 40, |_| Some(SimDuration::from_millis(1)));
+        let first = r.issued[0].0;
+        let mut expected: Vec<(f64, u64, NodeId)> = (1..=40)
+            .map(|raw| {
+                let at = first + ((raw - 1) % 10) as f64;
+                (at, raw, NodeId::new(((raw - 1) / 10) as u32))
+            })
+            .collect();
+        let mut got: Vec<(f64, u64, NodeId)> = r
+            .issued
+            .iter()
+            .zip(&r.from)
+            .map(|(&(at, raw), &node)| (at, raw, node))
+            .collect();
+        expected.sort_by_key(|&(_, raw, _)| raw);
+        got.sort_by_key(|&(_, raw, _)| raw);
+        assert_eq!(got, expected, "each share runs back to back on its node");
+        assert_eq!(r.probers, 4);
+        assert!(r.unlocatable.is_empty());
+        // The phase is one share's answer-times, not all forty.
+        assert_eq!(ms(r.length - PROBE_SLACK), first + 10.0);
+
+        let silent_4 = |raw| (raw != 4).then_some(SimDuration::from_millis(1));
+        let r = run_on(4, None, 40, silent_4);
+        let at = |raw: u64| r.issued.iter().find(|&&(_, t)| t == raw).unwrap().0;
+        assert_eq!(r.issued.len(), 40);
+        assert_eq!(
+            at(5) - at(4),
+            ms(PROBE_PACE),
+            "target 4 holds its own share"
+        );
+        for raw in 11..=40 {
+            assert_eq!(at(raw), first + ((raw - 1) % 10) as f64, "target {raw}");
+        }
+        assert_eq!(r.unlocatable, run(40, silent_4).unlocatable);
+        assert_eq!(r.unlocatable, vec![4]);
+        // A probe that never ends keeps the phase open to the cap: a pace
+        // per target of the largest share.
+        assert_eq!(r.length, PROBE_PACE * 10 + PROBE_SLACK);
+
+        // Ten targets over four nodes: shares of 2, 3, 2 and 3.
+        let silent = run_on(4, None, 10, |_| None);
+        assert_eq!(silent.unlocatable, (1..=10).collect::<Vec<_>>());
+        assert_eq!(silent.length, PROBE_PACE * 3 + PROBE_SLACK);
+    }
+
+    #[test]
+    fn a_down_node_probes_nothing_and_its_share_goes_to_the_nodes_up() {
+        let r = run_on(4, Some(1), 30, |_| Some(SimDuration::from_millis(1)));
+        assert_eq!(r.probers, 3, "no prober on the down node");
+        assert_eq!(r.issued.len(), 30);
+        for (&(_, raw), &node) in r.issued.iter().zip(&r.from) {
+            let want = [0, 2, 3][((raw - 1) / 10) as usize];
+            assert_eq!(node, NodeId::new(want), "target {raw}");
+        }
+        assert!(r.unlocatable.is_empty());
+        let first = r.issued[0].0;
+        assert_eq!(ms(r.length - PROBE_SLACK), first + 10.0);
     }
 }
