@@ -1,18 +1,19 @@
-//! Runs declarative scenario specs: the data-driven counterpart of the
-//! `repro` binary.
+//! Runs declarative scenario spec files; `repro` runs the same specs,
+//! embedded, by name.
 //!
 //! ```text
 //! scenario_lab [--quick] [--jobs N] [--out DIR] [--validate-only] [SPEC.json]...
 //! ```
 //!
 //! With no spec arguments, every `specs/*.json` in the repository runs.
-//! Each spec prints its rendered table and writes `<name>.csv` plus
-//! structured per-trial records as `<name>.trials.json` into the output
-//! directory (`results/` by default). `--validate-only` parses and
-//! validates the specs without running anything — the CI smoke job's
-//! first gate. `--jobs 0` means one worker thread per available core;
-//! tables are byte-identical at any job count because every trial owns
-//! its simulation.
+//! Each spec prints its rendered table and writes `<name>.csv`, the
+//! exports it names, and structured per-trial records as
+//! `<name>.trials.json` into the output directory (`results/` by
+//! default). `--validate-only` parses and validates the specs without
+//! running anything — the CI smoke job's first gate. `--jobs 0` means
+//! one worker thread per available core; every file is byte-identical
+//! at any job count (apart from the trial records' `wall_ms`) because
+//! every trial owns its simulation.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -107,14 +108,8 @@ fn main() -> ExitCode {
         let outcome = run_spec(spec, fidelity, jobs);
         print!("{}", outcome.table.render());
         println!("[{} took {:.1?}]", spec.name, started.elapsed());
-        let csv = out_dir.join(format!("{}.csv", spec.name));
-        if let Err(e) = std::fs::write(&csv, outcome.table.to_csv()) {
-            eprintln!("cannot write {}: {e}", csv.display());
-            return ExitCode::FAILURE;
-        }
-        let trials = out_dir.join(format!("{}.trials.json", spec.name));
-        if let Err(e) = std::fs::write(&trials, outcome.trials_json()) {
-            eprintln!("cannot write {}: {e}", trials.display());
+        if let Err(e) = outcome.write(&out_dir, true) {
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
         let violations: usize = outcome

@@ -1,21 +1,26 @@
 //! The generic trial runner: expands a [`ScenarioSpec`] into independent
 //! trial cells (grid point × scheme arm × seed), runs them across worker
-//! threads with the same work-stealing executor the hand-coded
-//! experiments use, and folds the outcomes into the spec's table plus
-//! structured per-trial records.
+//! threads on a work-stealing executor, and folds the outcomes into the
+//! spec's table, its exports and structured per-trial records.
 //!
 //! Every trial owns its entire simulation and is fully determined by the
 //! spec and its seed, so `--jobs 1` and `--jobs N` produce byte-identical
-//! tables — the property the `scenario-lab-smoke` CI job diffs.
+//! tables and exports — the property the `scenario-lab-smoke` CI job
+//! diffs.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use agentrack_core::{Freshness, LocationConfig};
 use agentrack_sim::{
-    ChaosConfig, DurationDist, FaultEvent, FaultKind, FaultPlan, NodeId, SimDuration, SimTime,
-    TraceEvent, TraceRecord, TraceSink,
+    ChaosConfig, DurationDist, FaultEvent, FaultKind, FaultPlan, NodeId, RegistrySnapshot,
+    SimDuration, SimTime, TraceEvent, TraceRecord, TraceSink,
+};
+use agentrack_trace_analysis::{
+    build_spans, to_folded, to_perfetto_json, Attribution, Phase, SpanTree,
 };
 use agentrack_workload::{
     AuditOptions, InvariantReport, QuerySpike, RunOptions, Scenario, ScenarioReport,
@@ -23,7 +28,53 @@ use agentrack_workload::{
 use serde::{Deserialize, Serialize};
 
 use crate::spec::ScenarioSpec;
-use crate::{boxed_scheme, ms, ms_or_dnf, patient, run_cells, Fidelity, Table};
+use crate::{boxed_scheme, Fidelity, Table};
+
+/// Runs independent cells across `jobs` worker threads and returns the
+/// outcomes in cell order.
+///
+/// Work-stealing by atomic index: scoped threads pull the next unclaimed
+/// cell until the grid is exhausted, so a slow cell (the big-population
+/// end of a sweep) never serialises the rest of the grid behind it.
+/// `jobs <= 1` degenerates to the plain sequential loop.
+///
+/// # Panics
+///
+/// Propagates a panic from any cell (scoped-thread join).
+fn run_cells<T: Send>(cells: Vec<Box<dyn FnOnce() -> T + Send>>, jobs: usize) -> Vec<T> {
+    let jobs = jobs.clamp(1, cells.len().max(1));
+    if jobs <= 1 {
+        return cells.into_iter().map(|cell| cell()).collect();
+    }
+    #[allow(clippy::type_complexity)]
+    let slots: Vec<Mutex<Option<Box<dyn FnOnce() -> T + Send>>>> =
+        cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
+    let rows: Vec<Mutex<Option<T>>> = slots.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..jobs {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= slots.len() {
+                    break;
+                }
+                let cell = slots[i]
+                    .lock()
+                    .expect("cell slot poisoned")
+                    .take()
+                    .expect("cell claimed twice");
+                *rows[i].lock().expect("row slot poisoned") = Some(cell());
+            });
+        }
+    });
+    rows.into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("row slot poisoned")
+                .expect("cell never ran")
+        })
+        .collect()
+}
 
 /// One sweep-axis assignment of a trial's grid point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -105,28 +156,109 @@ pub struct TrialRecord {
     pub rec_p50_ms: Option<f64>,
     /// 95th-percentile tracker recovery span, as `rec_p50_ms`.
     pub rec_p95_ms: Option<f64>,
+    /// Where the traced operations' time went (requires tracing).
+    pub phases: Option<PhaseMeans>,
     /// Host wall-clock milliseconds the trial took. The only
     /// non-deterministic field; golden tests bound it instead of
     /// comparing it.
     pub wall_ms: f64,
 }
 
-/// Everything one spec run produces: the rendered table and the trial
-/// records behind its rows.
+/// Critical-path attribution of one trial: its traced operations folded
+/// into span trees, and the mean milliseconds per operation end to end
+/// and in each phase. Child spans partition each root window, so the
+/// phase means sum to `mean_ms`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PhaseMeans {
+    /// Operations attributed.
+    pub traced: u64,
+    /// Mean end-to-end milliseconds.
+    pub mean_ms: f64,
+    /// Hash-tree resolution (`Resolve`, `ResolveFresh`, `Resolved`).
+    pub resolution_ms: f64,
+    /// The tracker query (`Locate`).
+    pub tracker_ms: f64,
+    /// Forwarding-pointer chain traversal.
+    pub chain_ms: f64,
+    /// The answer leg.
+    pub answer_ms: f64,
+    /// Stale-directory detours (`NotResponsible`).
+    pub stale_ms: f64,
+    /// Queueing at a service station.
+    pub queue_ms: f64,
+    /// Retry timeouts and backoff.
+    pub retry_ms: f64,
+    /// Time no phase names.
+    pub other_ms: f64,
+}
+
+impl PhaseMeans {
+    fn of(trees: &[SpanTree]) -> Self {
+        let mut attr = Attribution::new();
+        for tree in trees {
+            attr.record(&tree.breakdown());
+        }
+        let phase = |p| attr.mean_ms(p);
+        PhaseMeans {
+            traced: attr.count(),
+            mean_ms: attr.mean_total_ms(),
+            resolution_ms: phase(Phase::Resolution),
+            tracker_ms: phase(Phase::TrackerQuery),
+            chain_ms: phase(Phase::ChainTraversal),
+            answer_ms: phase(Phase::Answer),
+            stale_ms: phase(Phase::StaleDetour),
+            queue_ms: phase(Phase::QueueWait),
+            retry_ms: phase(Phase::RetryBackoff),
+            other_ms: phase(Phase::Other),
+        }
+    }
+}
+
+/// Named output files, as (file name, contents).
+type Files = Vec<(String, String)>;
+
+/// Everything one spec run produces: the rendered table, the trial
+/// records behind its rows, and the spec's exports.
 #[derive(Debug, Clone)]
 pub struct SpecOutcome {
+    /// The spec's name, the stem of every file [`SpecOutcome::write`]
+    /// writes.
+    pub name: String,
     /// The table, shaped by the spec's columns and row layout.
     pub table: Table,
     /// Per-trial structured records, in grid order (point, then scheme,
     /// then seed).
     pub trials: Vec<TrialRecord>,
+    /// The exports the spec asks for, rendered from the grid's first
+    /// trial, as (file name, contents) in the spec's order.
+    pub exports: Vec<(String, String)>,
 }
 
 impl SpecOutcome {
-    /// The trial records as a JSON array.
-    #[must_use]
-    pub fn trials_json(&self) -> String {
-        serde_json::to_string(&self.trials).expect("trial serialization cannot fail")
+    /// Writes `<name>.csv` and every export into `dir`, and with
+    /// `trials` also the trial records as `<name>.trials.json` (whose
+    /// `wall_ms` fields differ run to run). Returns the paths written.
+    ///
+    /// # Errors
+    ///
+    /// The first failed write, naming its path.
+    pub fn write(&self, dir: &Path, trials: bool) -> std::io::Result<Vec<PathBuf>> {
+        let mut files = vec![(format!("{}.csv", self.name), self.table.to_csv())];
+        files.extend(self.exports.iter().cloned());
+        if trials {
+            let json =
+                serde_json::to_string(&self.trials).expect("trial serialization cannot fail");
+            files.push((format!("{}.trials.json", self.name), json));
+        }
+        let mut written = Vec::with_capacity(files.len());
+        for (file, contents) in files {
+            let path = dir.join(file);
+            std::fs::write(&path, contents).map_err(|e| {
+                std::io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display()))
+            })?;
+            written.push(path);
+        }
+        Ok(written)
     }
 }
 
@@ -145,25 +277,27 @@ pub fn run_spec(spec: &ScenarioSpec, fidelity: Fidelity, jobs: usize) -> SpecOut
     let seeds = spec.seed_list();
     let points = expand_points(&spec);
 
-    let mut cells: Vec<Box<dyn FnOnce() -> TrialRecord + Send>> = Vec::new();
+    let mut cells: Vec<Box<dyn FnOnce() -> (TrialRecord, Files) + Send>> = Vec::new();
     for point in &points {
         for (scheme_idx, _) in spec.schemes.iter().enumerate() {
             for &seed in &seeds {
                 let spec = Arc::clone(&spec);
                 let point = point.clone();
                 let label = labels[scheme_idx].clone();
+                let exports = cells.is_empty();
                 cells.push(Box::new(move || {
-                    run_trial(&spec, fidelity, &point, scheme_idx, &label, seed)
+                    run_trial(&spec, fidelity, &point, scheme_idx, &label, seed, exports)
                 }));
             }
         }
     }
-    let trials = run_cells(cells, jobs);
+    let (trials, exports): (Vec<TrialRecord>, Vec<Files>) =
+        run_cells(cells, jobs).into_iter().unzip();
 
     let formats: Vec<_> = spec
         .columns
         .iter()
-        .map(|c| column(&c.field).expect("validated column field"))
+        .map(|c| column(&c.field).expect("validated column field").format)
         .collect();
     let headers: Vec<String> = spec.columns.iter().map(|c| c.header()).collect();
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
@@ -199,22 +333,27 @@ pub fn run_spec(spec: &ScenarioSpec, fidelity: Fidelity, jobs: usize) -> SpecOut
             }
         }
     }
-    SpecOutcome { table, trials }
+    SpecOutcome {
+        name: spec.name.clone(),
+        table,
+        trials,
+        exports: exports.into_iter().flatten().collect(),
+    }
 }
 
 /// The cartesian product of the sweep axes, in declaration order (later
-/// axes vary fastest); a single empty point without a sweep. An axis
-/// assigns its value to every parameter it drives.
+/// axes vary fastest); a single empty point without a sweep. Point `i`
+/// of an axis assigns each parameter it drives that lane's `i`-th value.
 fn expand_points(spec: &ScenarioSpec) -> Vec<Vec<PointValue>> {
     let mut points: Vec<Vec<PointValue>> = vec![Vec::new()];
     for axis in spec.sweep.iter().flatten() {
         let mut next = Vec::with_capacity(points.len() * axis.values.len());
         for point in &points {
-            for &value in &axis.values {
+            for i in 0..axis.values.len() {
                 let mut grown = point.clone();
-                grown.extend(axis.params().map(|param| PointValue {
+                grown.extend(axis.lanes().map(|(param, values)| PointValue {
                     param: param.to_owned(),
-                    value,
+                    value: values[i],
                 }));
                 next.push(grown);
             }
@@ -228,6 +367,8 @@ fn axis_value(point: &[PointValue], param: &str) -> Option<f64> {
     point.iter().find(|p| p.param == param).map(|p| p.value)
 }
 
+/// Runs one trial; with `exports`, also renders the spec's exports from
+/// it.
 #[allow(clippy::too_many_lines)]
 fn run_trial(
     spec: &ScenarioSpec,
@@ -236,7 +377,8 @@ fn run_trial(
     scheme_idx: usize,
     label: &str,
     seed: u64,
-) -> TrialRecord {
+    exports: bool,
+) -> (TrialRecord, Files) {
     let wall = Instant::now();
     let w = &spec.workload;
     let arm = &spec.schemes[scheme_idx];
@@ -444,13 +586,14 @@ fn run_trial(
         config = config.with_rehash_concurrency(concurrency);
     }
 
+    let spec_exports = spec.exports.iter().flatten();
+    let spec_exports = spec_exports.map(|name| export(name).expect("validated export"));
     let needs_trace = spec.trace_buffer.is_some()
-        || spec.columns.iter().any(|c| {
-            matches!(
-                c.field.as_str(),
-                "reconverge_ms" | "rec_p50_ms" | "rec_p95_ms"
-            )
-        });
+        || spec
+            .columns
+            .iter()
+            .any(|c| column(&c.field).is_some_and(|col| col.trace))
+        || spec_exports.clone().any(|e| e.trace);
     let sink = if needs_trace {
         TraceSink::bounded(spec.trace_buffer.unwrap_or(1_048_576))
     } else {
@@ -471,6 +614,7 @@ fn run_trial(
     let rehash_denied = scheme.stats().rehash_denied;
 
     let (mut reconverge_ms, mut rec_p50_ms, mut rec_p95_ms) = (None, None, None);
+    let mut trees = Vec::new();
     if needs_trace {
         let records = sink.snapshot();
         reconverge_ms = first_spike_at.and_then(|at| {
@@ -486,9 +630,23 @@ fn run_trial(
         });
         let [p50, p95] = recovery_percentiles(&records);
         (rec_p50_ms, rec_p95_ms) = (Some(p50), Some(p95));
+        // An operation with a single record spans no time to attribute.
+        trees = build_spans(&records);
+        trees.retain(|t| !t.duration().is_zero());
     }
+    let files = if exports {
+        let source = ExportSource {
+            label,
+            trees: &trees,
+            registry: scheme.registry().snapshot(),
+        };
+        let render = |e: &Export| (format!("{}{}", spec.name, e.suffix), (e.render)(&source));
+        spec_exports.map(render).collect()
+    } else {
+        Vec::new()
+    };
 
-    TrialRecord {
+    let record = TrialRecord {
         spec: spec.name.clone(),
         scenario: scenario.name.clone(),
         scheme: label.to_owned(),
@@ -512,8 +670,10 @@ fn run_trial(
         reconverge_ms,
         rec_p50_ms,
         rec_p95_ms,
+        phases: needs_trace.then(|| PhaseMeans::of(&trees)),
         wall_ms: wall.elapsed().as_secs_f64() * 1e3,
-    }
+    };
+    (record, files)
 }
 
 /// Pairs each tracker's `RecoveryStart` with its next `RecoveryEnd` and
@@ -544,99 +704,228 @@ fn recovery_percentiles(records: &[TraceRecord]) -> [f64; 2] {
     })
 }
 
-/// A table column: its name, and how it prints from one trial.
-pub(crate) type Column = (&'static str, fn(&TrialRecord) -> String);
+fn ms(v: f64) -> String {
+    format!("{v:.2}")
+}
+
+/// Formats a report's mean locate time, or `dnf` when the scheme answered
+/// nothing at all (a tracker so saturated that every query outlived the
+/// retry budget).
+fn ms_or_dnf(report: &ScenarioReport) -> String {
+    if report.locates_completed == 0 {
+        "dnf".to_owned()
+    } else {
+        ms(report.mean_locate_ms)
+    }
+}
+
+/// Experiment-grade client patience: a saturated tracker answers queries
+/// from a queue that is seconds deep; giving up early would record the
+/// meltdown as "no data" instead of as the honest, huge location times.
+fn patient(mut config: LocationConfig) -> LocationConfig {
+    config.max_locate_attempts = 30;
+    config.locate_retry_timeout = SimDuration::from_secs(2);
+    config
+}
+
+/// A table column: its name, whether it reads the trial's trace, and
+/// how it prints from one trial.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Column {
+    name: &'static str,
+    /// A spec with this column runs every trial traced.
+    trace: bool,
+    format: fn(&TrialRecord) -> String,
+}
+
+/// A column printed from the report, the audit or the grid point.
+const fn plain(name: &'static str, format: fn(&TrialRecord) -> String) -> Column {
+    Column {
+        name,
+        trace: false,
+        format,
+    }
+}
+
+/// A column printed from what the runner reads out of the trace.
+const fn traced(name: &'static str, format: fn(&TrialRecord) -> String) -> Column {
+    Column {
+        name,
+        trace: true,
+        format,
+    }
+}
 
 /// Every column a spec may request (documented in `EXPERIMENTS.md`
-/// §E18), formatted exactly as the hand-coded experiments do: latencies
-/// `{:.2}`, percentages and intensities `{:.1}`, counters as integers,
-/// `dnf` for starved or unsettled metrics.
+/// §E18): latencies `{:.2}`, attribution phases `{:.3}`, percentages and
+/// intensities `{:.1}`, counters as integers, `dnf` for starved or
+/// unsettled metrics.
 #[rustfmt::skip]
 pub(crate) const COLUMNS: &[Column] = &[
     // Point / trial metadata.
-    ("agents", |t| t.agents.to_string()),
-    ("residence_ms", |t| t.residence_ms.unwrap_or(t.report.residence_ms as u64).to_string()),
-    ("intensity", |t| format!("{:.1}", t.intensity.unwrap_or(0.0))),
-    ("rehash_concurrency", |t| {
+    plain("agents", |t| t.agents.to_string()),
+    plain("residence_ms", |t| t.residence_ms.unwrap_or(t.report.residence_ms as u64).to_string()),
+    plain("intensity", |t| format!("{:.1}", t.intensity.unwrap_or(0.0))),
+    plain("rehash_concurrency", |t| {
         t.rehash_concurrency.map_or_else(|| "-".to_owned(), |v| v.to_string())
     }),
-    ("query_skew", |t| format!("{:.1}", t.query_skew.unwrap_or(0.0))),
-    ("mobility_skew", |t| format!("{}", t.mobility_skew.unwrap_or(0.0))),
+    plain("query_skew", |t| format!("{:.1}", t.query_skew.unwrap_or(0.0))),
+    plain("mobility_skew", |t| format!("{}", t.mobility_skew.unwrap_or(0.0))),
     // `any` marks the unbounded default so a swept 0 (Fresh) stays
     // distinguishable in the table.
-    ("freshness_ms", |t| t.freshness_ms.map_or_else(|| "any".to_owned(), |v| v.to_string())),
-    ("churn_lifespan_s", |t| {
+    plain("freshness_ms", |t| t.freshness_ms.map_or_else(|| "any".to_owned(), |v| v.to_string())),
+    plain("churn_lifespan_s", |t| {
         let seconds = |ms| format!("{}", ms as f64 / 1000.0);
         t.churn_lifespan_ms.map_or_else(|| "static".to_owned(), seconds)
     }),
-    ("crash_frac", |t| format!("{:.2}", t.crash_frac.unwrap_or(0.0))),
-    ("scheme", |t| t.scheme.clone()),
-    ("kind", |t| t.kind.clone()),
-    ("replication", |t| t.replication_ms.map_or_else(|| "off".to_owned(), |v| format!("{v}ms"))),
-    ("seed", |t| t.seed.to_string()),
+    plain("crash_frac", |t| format!("{:.2}", t.crash_frac.unwrap_or(0.0))),
+    plain("scheme", |t| t.scheme.clone()),
+    plain("kind", |t| t.kind.clone()),
+    plain("replication", |t| t.replication_ms.map_or_else(|| "off".to_owned(), |v| format!("{v}ms"))),
+    plain("seed", |t| t.seed.to_string()),
     // Locate outcome counters and latency metrics.
-    ("issued", |t| t.report.locates_issued.to_string()),
-    ("completed", |t| t.report.locates_completed.to_string()),
-    ("failures", |t| t.report.locate_failures.to_string()),
-    ("success_pct", |t| format!("{:.1}", 100.0 * t.report.completion_ratio())),
-    ("mean_ms", |t| ms(t.report.mean_locate_ms)),
-    ("mean_ms_or_dnf", |t| ms_or_dnf(&t.report)),
-    ("p50_ms", |t| ms(t.report.p50_locate_ms)),
-    ("p95_ms", |t| ms(t.report.p95_locate_ms)),
-    ("p99_ms", |t| ms(t.report.p99_locate_ms)),
-    ("max_ms", |t| ms(t.report.max_locate_ms)),
+    plain("issued", |t| t.report.locates_issued.to_string()),
+    plain("completed", |t| t.report.locates_completed.to_string()),
+    plain("failures", |t| t.report.locate_failures.to_string()),
+    plain("success_pct", |t| format!("{:.1}", 100.0 * t.report.completion_ratio())),
+    plain("mean_ms", |t| ms(t.report.mean_locate_ms)),
+    plain("mean_ms_or_dnf", |t| ms_or_dnf(&t.report)),
+    plain("p50_ms", |t| ms(t.report.p50_locate_ms)),
+    plain("p95_ms", |t| ms(t.report.p95_locate_ms)),
+    plain("p99_ms", |t| ms(t.report.p99_locate_ms)),
+    plain("max_ms", |t| ms(t.report.max_locate_ms)),
     // Directory shape and adaptation.
-    ("trackers", |t| t.report.trackers.to_string()),
-    ("peak_trackers", |t| t.report.peak_trackers.to_string()),
-    ("splits", |t| t.report.splits.to_string()),
-    ("merges", |t| t.report.merges.to_string()),
-    ("denied", |t| t.rehash_denied.to_string()),
-    ("tree_height", |t| t.report.tree_height.to_string()),
-    ("mean_prefix_bits", |t| format!("{:.2}", t.report.mean_prefix_bits)),
-    ("reconverge_ms", |t| t.reconverge_ms.map_or_else(|| "dnf".to_owned(), ms)),
+    plain("trackers", |t| t.report.trackers.to_string()),
+    plain("peak_trackers", |t| t.report.peak_trackers.to_string()),
+    plain("splits", |t| t.report.splits.to_string()),
+    plain("merges", |t| t.report.merges.to_string()),
+    plain("denied", |t| t.rehash_denied.to_string()),
+    plain("tree_height", |t| t.report.tree_height.to_string()),
+    plain("mean_prefix_bits", |t| format!("{:.2}", t.report.mean_prefix_bits)),
+    traced("reconverge_ms", |t| t.reconverge_ms.map_or_else(|| "dnf".to_owned(), ms)),
     // Traffic, mail, and durability.
-    ("messages_sent", |t| t.report.messages_sent.to_string()),
-    ("messages_remote", |t| t.report.messages_remote.to_string()),
-    ("messages_failed", |t| t.report.messages_failed.to_string()),
-    ("mail_buffered", |t| t.report.mail_buffered.to_string()),
-    ("mail_flushed", |t| t.report.mail_flushed.to_string()),
-    ("mail_lost", |t| t.report.mail_lost.to_string()),
-    ("record_syncs", |t| t.report.record_syncs.to_string()),
-    ("recoveries_started", |t| t.report.recoveries_started.to_string()),
-    ("recoveries_completed", |t| t.report.recoveries_completed.to_string()),
-    ("rec_p50_ms", |t| t.rec_p50_ms.map_or_else(|| "-".to_owned(), ms)),
-    ("rec_p95_ms", |t| t.rec_p95_ms.map_or_else(|| "-".to_owned(), ms)),
-    ("stale_answers", |t| t.report.stale_answers.to_string()),
+    plain("messages_sent", |t| t.report.messages_sent.to_string()),
+    plain("messages_remote", |t| t.report.messages_remote.to_string()),
+    plain("messages_failed", |t| t.report.messages_failed.to_string()),
+    plain("mail_buffered", |t| t.report.mail_buffered.to_string()),
+    plain("mail_flushed", |t| t.report.mail_flushed.to_string()),
+    plain("mail_lost", |t| t.report.mail_lost.to_string()),
+    plain("record_syncs", |t| t.report.record_syncs.to_string()),
+    plain("recoveries_started", |t| t.report.recoveries_started.to_string()),
+    plain("recoveries_completed", |t| t.report.recoveries_completed.to_string()),
+    traced("rec_p50_ms", |t| t.rec_p50_ms.map_or_else(|| "-".to_owned(), ms)),
+    traced("rec_p95_ms", |t| t.rec_p95_ms.map_or_else(|| "-".to_owned(), ms)),
+    plain("stale_answers", |t| t.report.stale_answers.to_string()),
     // Geo / freshness (E20).
-    ("stale_answer_pct", |t| {
+    plain("stale_answer_pct", |t| {
         #[allow(clippy::cast_precision_loss)]
         let (stale, completed) = (t.report.stale_located as f64, t.report.locates_completed as f64);
         format!("{:.1}", if completed == 0.0 { 0.0 } else { 100.0 * stale / completed })
     }),
-    ("replica_answers", |t| t.report.replica_answers.to_string()),
-    ("freshness_refusals", |t| t.report.freshness_refusals.to_string()),
-    ("hedged_locates", |t| t.report.hedged_locates.to_string()),
-    ("bound_violations", |t| t.report.bound_violations.to_string()),
-    ("stale_hits", |t| t.report.stale_hits.to_string()),
-    ("hf_fetches", |t| t.report.hf_fetches.to_string()),
-    ("chain_hops", |t| t.report.chain_hops.to_string()),
-    ("iagent_moves", |t| t.report.iagent_moves.to_string()),
+    plain("replica_answers", |t| t.report.replica_answers.to_string()),
+    plain("freshness_refusals", |t| t.report.freshness_refusals.to_string()),
+    plain("hedged_locates", |t| t.report.hedged_locates.to_string()),
+    plain("bound_violations", |t| t.report.bound_violations.to_string()),
+    plain("stale_hits", |t| t.report.stale_hits.to_string()),
+    plain("hf_fetches", |t| t.report.hf_fetches.to_string()),
+    plain("chain_hops", |t| t.report.chain_hops.to_string()),
+    plain("iagent_moves", |t| t.report.iagent_moves.to_string()),
     // Population dynamics.
-    ("registrations", |t| t.report.registrations.to_string()),
-    ("moves", |t| t.report.moves.to_string()),
-    ("births", |t| t.report.births.to_string()),
-    ("deaths", |t| t.report.deaths.to_string()),
+    plain("registrations", |t| t.report.registrations.to_string()),
+    plain("moves", |t| t.report.moves.to_string()),
+    plain("births", |t| t.report.births.to_string()),
+    plain("deaths", |t| t.report.deaths.to_string()),
+    // Critical-path attribution (E14): operations traced, their mean
+    // end-to-end time, and the per-phase means that sum to it.
+    traced("traced", |t| phases(t).traced.to_string()),
+    traced("traced_mean_ms", |t| format!("{:.3}", phases(t).mean_ms)),
+    traced("resolution_ms", |t| format!("{:.3}", phases(t).resolution_ms)),
+    traced("tracker_ms", |t| format!("{:.3}", phases(t).tracker_ms)),
+    traced("chain_ms", |t| format!("{:.3}", phases(t).chain_ms)),
+    traced("answer_ms", |t| format!("{:.3}", phases(t).answer_ms)),
+    traced("stale_ms", |t| format!("{:.3}", phases(t).stale_ms)),
+    traced("queue_ms", |t| format!("{:.3}", phases(t).queue_ms)),
+    traced("retry_ms", |t| format!("{:.3}", phases(t).retry_ms)),
+    traced("other_ms", |t| format!("{:.3}", phases(t).other_ms)),
+    plain("trace_dropped", |t| t.report.trace_dropped.to_string()),
     // Invariant audit.
-    ("violations", |t| {
+    plain("violations", |t| {
         let count = |i: &InvariantReport| i.violations.len().to_string();
         t.invariants.as_ref().map_or_else(|| "-".to_owned(), count)
     }),
 ];
 
-/// How column `field` prints, if it is a column.
-pub(crate) fn column(field: &str) -> Option<fn(&TrialRecord) -> String> {
-    COLUMNS
-        .iter()
-        .find(|(name, _)| *name == field)
-        .map(|&(_, format)| format)
+/// The phase figures of a traced trial.
+fn phases(t: &TrialRecord) -> &PhaseMeans {
+    t.phases.as_ref().expect("a traced column turns tracing on")
+}
+
+/// The column named `field`, if there is one.
+pub(crate) fn column(field: &str) -> Option<Column> {
+    COLUMNS.iter().find(|c| c.name == field).copied()
+}
+
+/// What an export renders from: the grid's first trial.
+struct ExportSource<'a> {
+    /// The trial's scheme label, the root frame of folded stacks.
+    label: &'a str,
+    /// The trial's span trees (empty unless traced).
+    trees: &'a [SpanTree],
+    /// The scheme's metrics registry at the end of the run.
+    registry: RegistrySnapshot,
+}
+
+/// A file a spec may ask for beside its CSV.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Export {
+    pub(crate) name: &'static str,
+    /// Appended to the spec name to name the file.
+    suffix: &'static str,
+    /// A spec with this export runs every trial traced.
+    trace: bool,
+    render: fn(&ExportSource<'_>) -> String,
+}
+
+/// Every export a spec may request (documented in `EXPERIMENTS.md`
+/// §E18).
+pub(crate) const EXPORTS: &[Export] = &[
+    // Chrome/Perfetto trace-event JSON of the 8 slowest operations.
+    Export {
+        name: "perfetto",
+        suffix: ".perfetto.json",
+        trace: true,
+        render: |s| {
+            let mut slowest = s.trees.to_vec();
+            slowest.sort_by_key(|t| (std::cmp::Reverse(t.duration()), t.corr));
+            slowest.truncate(8);
+            to_perfetto_json(&slowest)
+        },
+    },
+    // Folded-stack flamegraph text over every traced operation.
+    Export {
+        name: "folded",
+        suffix: ".folded",
+        trace: true,
+        render: |s| to_folded(s.trees, s.label),
+    },
+    // The metrics registry: per-tracker rows, rehash counts per
+    // hash-function version, and the locate-latency summary.
+    Export {
+        name: "registry_json",
+        suffix: ".json",
+        trace: false,
+        render: |s| s.registry.to_json(),
+    },
+    // The registry's per-tracker rows.
+    Export {
+        name: "registry_csv",
+        suffix: ".registry.csv",
+        trace: false,
+        render: |s| s.registry.to_csv(),
+    },
+];
+
+/// The export named `name`, if there is one.
+pub(crate) fn export(name: &str) -> Option<&'static Export> {
+    EXPORTS.iter().find(|e| e.name == name)
 }

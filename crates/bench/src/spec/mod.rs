@@ -1,17 +1,15 @@
 //! Declarative scenario specs: the data-driven face of the experiment
 //! harness.
 //!
-//! A [`ScenarioSpec`] describes everything a hand-coded experiment
-//! function in `lib.rs` encodes in Rust — workload shape (population,
-//! mobility and query mix, Zipf skew, churn), sweep axes, the scheme
-//! grid, fault plans (chaos, a regional partition, WAN link severs, or
-//! node crashes), flash-crowd spikes, seeds, and the requested output
-//! columns — as a JSON document
-//! under `specs/`. The generic trial runner ([`crate::run_spec`])
-//! expands a spec into independent trial cells, runs them in parallel,
-//! audits the post-quiesce invariants of every trial, and emits the same
-//! table an equivalent hand-coded experiment would print plus structured
-//! per-trial records.
+//! A [`ScenarioSpec`] describes one experiment — workload shape
+//! (population, mobility and query mix, Zipf skew, churn), sweep axes,
+//! the scheme grid, fault plans (chaos, a regional partition, WAN link
+//! severs, or node crashes), flash-crowd spikes, seeds, the requested
+//! output columns and exports — as a JSON document under `specs/`. The
+//! generic trial runner ([`crate::run_spec`]) expands a spec into
+//! independent trial cells, runs them in parallel, audits the
+//! post-quiesce invariants of every trial, and emits the spec's table,
+//! its exports and structured per-trial records.
 //!
 //! # Strictness
 //!
@@ -129,22 +127,24 @@ impl SpecError {
         }
     }
 
-    /// Attaches the line/column of the first occurrence of the path's
-    /// leaf key (`values` for `sweep[0].values[1]`) as a quoted JSON key
-    /// in `source`. Best effort: a key repeated across sibling objects
-    /// may resolve to an earlier occurrence.
+    /// Attaches the line/column of the path's leaf key in `source`. Each
+    /// key of the path (`sweep`, `zip`, `values` for
+    /// `sweep[0].zip[0].values[1]`) is found as a quoted JSON key after
+    /// the one before it. Best effort: indices are not counted, so a key
+    /// repeated across sibling objects may resolve to an earlier one.
     fn locate(mut self, source: &str) -> Self {
-        let leaf = self
-            .path
-            .rsplit('.')
-            .next()
-            .and_then(|l| l.split('[').next());
-        let needle = format!("\"{}\"", leaf.unwrap_or_default());
-        if let Some(pos) = source.find(&needle).filter(|_| needle.len() > 2) {
-            let prefix = &source[..pos];
-            self.line = Some(prefix.matches('\n').count() + 1);
-            self.col = Some(pos - prefix.rfind('\n').map_or(0, |p| p + 1) + 1);
+        let mut pos = 0;
+        for key in self.path.split('.') {
+            let key = key.split('[').next().unwrap_or_default();
+            let needle = format!("\"{key}\"");
+            match source[pos..].find(&needle).filter(|_| !key.is_empty()) {
+                Some(at) => pos += at,
+                None => return self,
+            }
         }
+        let prefix = &source[..pos];
+        self.line = Some(prefix.matches('\n').count() + 1);
+        self.col = Some(pos - prefix.rfind('\n').map_or(0, |p| p + 1) + 1);
         self
     }
 }
@@ -175,7 +175,9 @@ pub struct ScenarioSpec {
     /// individual knobs per grid point).
     pub workload: WorkloadSpec,
     /// Sweep axes; the grid is their cartesian product in declaration
-    /// order (later axes vary fastest). Absent = a single point.
+    /// order (later axes vary fastest). Absent = a single point. An axis
+    /// with `zip` lanes walks several knobs in lockstep, for points that
+    /// are not a product.
     pub sweep: Option<Vec<AxisSpec>>,
     /// The schemes to run at every grid point.
     pub schemes: Vec<SchemeSpec>,
@@ -197,17 +199,21 @@ pub struct ScenarioSpec {
     /// `violations` columns).
     pub audit: Option<bool>,
     /// Structured-trace ring capacity. Absent = tracing only when a
-    /// column needs it (`reconverge_ms`, `rec_p50_ms`, `rec_p95_ms`),
-    /// with a 1 Mi-record ring.
+    /// column or an export reads the trace (the runner's `COLUMNS` and
+    /// `EXPORTS` tables say which), with a 1 Mi-record ring.
     pub trace_buffer: Option<usize>,
+    /// Files rendered from the grid's first trial and written beside
+    /// `<name>.csv`, by name from the runner's `EXPORTS` table
+    /// (`perfetto`, `folded`, `registry_json`, `registry_csv`).
+    pub exports: Option<Vec<String>>,
     /// The output columns, left to right.
     pub columns: Vec<ColumnSpec>,
 }
 
 /// The workload knobs of [`agentrack_workload::Scenario`], at full
-/// fidelity; the runner applies [`crate::Fidelity`] scaling exactly as
-/// the hand-coded experiments do (population via `scale_agents`, query
-/// budget and spans from the fidelity when unset here).
+/// fidelity; the runner applies [`crate::Fidelity`] scaling (population
+/// via `scale_agents`, query budget and spans from the fidelity when
+/// unset here).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields)]
 pub struct WorkloadSpec {
@@ -216,7 +222,7 @@ pub struct WorkloadSpec {
     /// Constant residence time per node, milliseconds.
     pub residence_ms: Option<u64>,
     /// Total steady-state locate budget; absent = the fidelity's budget
-    /// (2000 full / 200 quick), like every hand-coded experiment.
+    /// (2000 full / 200 quick).
     pub queries: Option<u64>,
     /// LAN node count; absent = the paper's 16.
     pub nodes: Option<u32>,
@@ -272,12 +278,31 @@ pub struct AxisSpec {
     pub also: Option<Vec<String>>,
     /// The values the sweep visits, in order.
     pub values: Vec<f64>,
+    /// Further knobs that step with this one through value lists of
+    /// their own, as long as `values`: point `i` sets every knob to its
+    /// `i`-th value (E7's three (agents, residence) points are no
+    /// product of axes).
+    pub zip: Option<Vec<ZipSpec>>,
+}
+
+/// One lockstep lane of a zipped sweep axis.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
+pub struct ZipSpec {
+    /// Which knob this lane drives.
+    pub param: String,
+    /// Its value at each point of the axis.
+    pub values: Vec<f64>,
 }
 
 impl AxisSpec {
-    /// Every parameter this axis drives: `param`, then `also`.
-    pub(crate) fn params(&self) -> impl Iterator<Item = &str> {
-        std::iter::once(self.param.as_str()).chain(self.also.iter().flatten().map(String::as_str))
+    /// Every parameter this axis drives, each with its value list:
+    /// `param` and `also` share `values`, then each `zip` lane.
+    pub(crate) fn lanes(&self) -> impl Iterator<Item = (&str, &[f64])> {
+        let shared = std::iter::once(&self.param).chain(self.also.iter().flatten());
+        let shared = shared.map(|param| (param.as_str(), self.values.as_slice()));
+        let zipped = self.zip.iter().flatten();
+        shared.chain(zipped.map(|lane| (lane.param.as_str(), lane.values.as_slice())))
     }
 }
 
@@ -292,7 +317,7 @@ pub struct SchemeSpec {
     /// unique across arms (two `hashed` ablations need distinct labels).
     pub label: Option<String>,
     /// Experiment-grade client patience (30 locate attempts, 2 s retry
-    /// timeout) — what the hand-coded experiments call `patient`.
+    /// timeout).
     pub patient: Option<bool>,
     /// Run the hashed scheme with a standby HAgent replica.
     pub standby: Option<bool>,
@@ -544,11 +569,12 @@ mod tests {
     const EVERY_LEVEL: &str = r#"{
         @root "name": "pin",
         "workload": { @workload "agents": 100 },
-        "sweep": [{ @sweep[0] "param": "agents", "values": [100] }],
+        "sweep": [{ @sweep[0] "param": "agents", "values": [100], "zip": [{ @sweep[0].zip[0] "param": "residence_ms", "values": [500] }] }],
         "schemes": [{ "kind": "hashed" }, { @schemes[1] "kind": "centralized" }],
         "faults": { @faults @arm },
         "spikes": [{ @spikes[0] "at_frac": 0.1, "span_frac": 0.1, "queries": 10, "queriers": 2 }],
         "columns": [{ @columns[0] "field": "mean_ms", "scheme": "hashed" }],
+        "exports": ["perfetto", "registry_csv"],
         "title": "pin"
     }"#;
 
@@ -584,6 +610,7 @@ mod tests {
             ("root", 0),
             ("workload", 0),
             ("sweep[0]", 0),
+            ("sweep[0].zip[0]", 0),
             ("schemes[1]", 0),
             ("faults", 0),
             ("faults.chaos", 0),
@@ -616,6 +643,16 @@ mod tests {
             ("workload", "5", "workload"),
             ("sweep", "{}", "sweep"),
             ("sweep", "[5]", "sweep[0]"),
+            (
+                "sweep",
+                r#"[{ "param": "agents", "values": [100], "zip": 5 }]"#,
+                "sweep[0].zip",
+            ),
+            (
+                "sweep",
+                r#"[{ "param": "agents", "values": [100], "zip": [5] }]"#,
+                "sweep[0].zip[0]",
+            ),
             ("schemes", r#"[{ "kind": "hashed" }, 5]"#, "schemes[1]"),
             ("faults", "5", "faults"),
             ("faults", r#"{ "chaos": 5 }"#, "faults.chaos"),
@@ -633,6 +670,8 @@ mod tests {
             ("spikes", "{}", "spikes"),
             ("spikes", "[5]", "spikes[0]"),
             ("columns", "[5]", "columns[0]"),
+            ("exports", "5", "exports"),
+            ("exports", "[5]", "exports[0]"),
         ];
         let valid = every_level(FAULT_ARMS[0], "");
         for (key, value, path) in shapes {

@@ -1,9 +1,9 @@
 //! Semantic validation of a parsed [`ScenarioSpec`]: what a field's type
 //! cannot say — ranges, references between fields, and names that must
-//! be in the scheme, axis or column tables.
+//! be in the scheme, axis, column or export tables.
 
-use super::{Axis, AxisSpec, Home, Rule, ScenarioSpec, SpecError, AXES};
-use crate::runner::column as column_format;
+use super::{Axis, Home, Rule, ScenarioSpec, SpecError, AXES};
+use crate::runner::{column as column_format, EXPORTS};
 use crate::SCHEMES;
 
 /// `Ok` when `ok` holds, else `message` at `path`.
@@ -74,10 +74,8 @@ impl Home {
 impl ScenarioSpec {
     /// Every parameter some sweep axis drives.
     fn swept(&self) -> Vec<&str> {
-        self.sweep
-            .iter()
-            .flatten()
-            .flat_map(AxisSpec::params)
+        let axes = self.sweep.iter().flatten();
+        axes.flat_map(|axis| axis.lanes().map(|(param, _)| param))
             .collect()
     }
 
@@ -104,6 +102,7 @@ impl ScenarioSpec {
         self.validate_schemes()?;
         self.validate_faults()?;
         self.validate_spikes()?;
+        self.validate_exports()?;
         let seeds_ok = self.seeds.as_ref().is_none_or(|seeds| !seeds.is_empty());
         ensure(seeds_ok, "seeds", "needs at least one seed")?;
         ensure(
@@ -217,12 +216,17 @@ impl ScenarioSpec {
     fn validate_sweep(&self) -> Result<(), SpecError> {
         let mut seen: Vec<&str> = Vec::new();
         for (i, axis) in self.sweep.iter().flatten().enumerate() {
-            let mut rows: Vec<&Axis> = Vec::new();
-            for (k, param) in axis.params().enumerate() {
-                let path = match k {
-                    0 => format!("sweep[{i}].param"),
-                    k => format!("sweep[{i}].also[{}]", k - 1),
-                };
+            // Where each lane's name and values live, in `lanes()` order.
+            let values = format!("sweep[{i}].values");
+            let mut paths = vec![(format!("sweep[{i}].param"), values.clone())];
+            for k in 0..axis.also.as_ref().map_or(0, Vec::len) {
+                paths.push((format!("sweep[{i}].also[{k}]"), values.clone()));
+            }
+            for k in 0..axis.zip.as_ref().map_or(0, Vec::len) {
+                let lane = format!("sweep[{i}].zip[{k}]");
+                paths.push((format!("{lane}.param"), format!("{lane}.values")));
+            }
+            for ((path, values_path), (param, values)) in paths.into_iter().zip(axis.lanes()) {
                 let Some(row) = Axis::named(param) else {
                     let names: Vec<&str> = AXES.iter().map(|axis| axis.name).collect();
                     let names = names.join(", ");
@@ -239,13 +243,18 @@ impl ScenarioSpec {
                 let fixed = matches!(row.home, Home::WorkloadOrSweep(_)) && row.home.is_set(self);
                 let message = format!("either fix workload.{param} or sweep it, not both");
                 ensure(!fixed, path, message)?;
-                rows.push(row);
-            }
-            let path = format!("sweep[{i}].values");
-            ensure(!axis.values.is_empty(), path, "needs at least one value")?;
-            for (j, &v) in axis.values.iter().enumerate() {
-                if let Some(message) = rows.iter().find_map(|row| row.value_error(v)) {
-                    return Err(SpecError::at(format!("sweep[{i}].values[{j}]"), message));
+                let message = "needs at least one value";
+                ensure(!values.is_empty(), values_path.clone(), message)?;
+                let (have, want) = (values.len(), axis.values.len());
+                ensure(
+                    have == want,
+                    values_path.clone(),
+                    format!("has {have} values but sweep[{i}].values has {want}; zipped lanes step together"),
+                )?;
+                for (j, &v) in values.iter().enumerate() {
+                    if let Some(message) = row.value_error(v) {
+                        return Err(SpecError::at(format!("{values_path}[{j}]"), message));
+                    }
                 }
             }
         }
@@ -498,6 +507,21 @@ impl ScenarioSpec {
         Ok(())
     }
 
+    fn validate_exports(&self) -> Result<(), SpecError> {
+        let names: Vec<&str> = EXPORTS.iter().map(|e| e.name).collect();
+        for (i, name) in self.exports.iter().flatten().enumerate() {
+            ensure(
+                names.contains(&name.as_str()),
+                format!("exports[{i}]"),
+                format!(
+                    "unknown export {name:?} (expected one of {})",
+                    names.join(", ")
+                ),
+            )?;
+        }
+        Ok(())
+    }
+
     fn validate_columns(&self) -> Result<(), SpecError> {
         ensure(
             !self.columns.is_empty(),
@@ -657,6 +681,43 @@ mod tests {
     fn negative_mobility_skew_is_rejected() {
         let path = error_path(r#""sweep": [{"param": "mobility_skew", "values": [0.5, -0.1]}]"#);
         assert_eq!(path, "sweep[0].values[1]");
+    }
+
+    /// The line of the first `key` in `source`, 1-based.
+    fn line_of(source: &str, key: &str) -> Option<usize> {
+        let at = source.find(&format!("\"{key}\""))?;
+        Some(source[..at].matches('\n').count() + 1)
+    }
+
+    #[test]
+    fn unknown_export_is_named_and_located() {
+        let source = minimal().replacen('{', "{\n\"exports\": [\"perfetto\", \"pprof\"],", 1);
+        let err = ScenarioSpec::load_str(&source).expect_err("rejects");
+        assert_eq!(err.path, "exports[1]", "{err}");
+        assert_eq!(err.line, line_of(&source, "exports"), "{err}");
+        assert!(err.message.contains("perfetto, folded"), "{err}");
+    }
+
+    #[test]
+    fn zipped_lanes_step_together() {
+        let sweep = r#""sweep": [{"param": "agents", "values": [200, 500, 200],
+            "zip": [{"param": "residence_ms", "values": [500, 100]}]}]"#;
+        let source = minimal().replacen('{', &format!("{{\n{sweep},"), 1);
+        let err = ScenarioSpec::load_str(&source).expect_err("rejects");
+        assert_eq!(err.path, "sweep[0].zip[0].values", "{err}");
+        assert_eq!(err.line, line_of(&source, "zip"), "{err}");
+        assert!(err.line > line_of(&source, "values"), "{err}");
+
+        let fixed = source.replace("[500, 100]", "[500, 500, 100]");
+        let spec = ScenarioSpec::load_str(&fixed).expect("equal lengths load");
+        assert_eq!(spec.swept(), ["agents", "residence_ms"]);
+        let driven_twice = fixed.replace(r#""param": "residence_ms""#, r#""param": "agents""#);
+        assert_eq!(
+            ScenarioSpec::load_str(&driven_twice)
+                .expect_err("rejects")
+                .path,
+            "sweep[0].zip[0].param"
+        );
     }
 
     #[test]

@@ -10,19 +10,16 @@
 //! with `scenario_lab --quick` only after deciding the change is
 //! intended.
 //!
-//! The twelve experiments `repro` runs from a spec (E1–E6, E8–E10, E13,
-//! E15, E17) had hand-coded twins until they were deleted; their goldens
-//! are those functions' `repro --quick` tables, recorded before the
-//! deletion.
-//!
-//! The four experiments `repro` still runs from a hand-coded function
-//! (E7, E11, E12, E14) are pinned the same way through
-//! [`run_experiment`], together with the registry JSON of `trackers` and
-//! the Perfetto and folded-stack exports of `attribution`.
+//! Every `repro` experiment (E1–E10, E12–E15, E17) is a spec. Those that
+//! began as hand-coded functions have goldens recorded from those
+//! functions' `repro --quick` tables, before the deletion. `baselines`
+//! (E7) has since taken the wide layout, and `trackers` (E12) one trial
+//! row, with the same numbers. `trackers` and `attribution` (E14) run
+//! without the audit, whose probe locates would land in their exports,
+//! and pin those exports too: the registry JSON, and the Perfetto and
+//! folded-stack files.
 
-use agentrack_bench::{
-    attribution, run_experiment, run_spec, trackers_registry, Fidelity, ScenarioSpec, TrialRecord,
-};
+use agentrack_bench::{run_spec, Fidelity, ScenarioSpec, SpecOutcome, TrialRecord};
 
 fn read_golden(file: &str) -> String {
     let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -153,35 +150,36 @@ fn golden_recovery() {
     check_golden("recovery");
 }
 
-/// A hand-coded experiment's quick table, as `repro --quick` prints it.
-fn check_experiment_golden(name: &str) {
-    let table = run_experiment(name, Fidelity::Quick, 1);
-    assert_golden(&table.to_csv(), &format!("{name}.quick.csv"));
-}
-
 #[test]
 fn golden_baselines() {
-    check_experiment_golden("baselines");
+    check_golden("baselines");
 }
 
-#[test]
-fn golden_delivery() {
-    check_experiment_golden("delivery");
+/// The export written as `file`.
+fn export<'a>(outcome: &'a SpecOutcome, file: &str) -> &'a str {
+    let found = outcome.exports.iter().find(|(name, _)| name == file);
+    &found.unwrap_or_else(|| panic!("no export {file}")).1
 }
 
 #[test]
 fn golden_trackers() {
-    let (table, json) = trackers_registry(Fidelity::Quick);
-    assert_golden(&table.to_csv(), "trackers.quick.csv");
-    assert_golden(&json, "trackers.quick.json");
+    let outcome = run_spec(&load_spec("trackers"), Fidelity::Quick, 1);
+    assert_golden(&outcome.table.to_csv(), "trackers.quick.csv");
+    assert_golden(export(&outcome, "trackers.json"), "trackers.quick.json");
 }
 
 #[test]
 fn golden_attribution() {
-    let (table, perfetto, folded) = attribution(Fidelity::Quick, 1);
-    assert_golden(&table.to_csv(), "attribution.quick.csv");
-    assert_golden(&perfetto, "attribution.quick.perfetto.json");
-    assert_golden(&folded, "attribution.quick.folded");
+    let outcome = run_spec(&load_spec("attribution"), Fidelity::Quick, 1);
+    assert_golden(&outcome.table.to_csv(), "attribution.quick.csv");
+    assert_golden(
+        export(&outcome, "attribution.perfetto.json"),
+        "attribution.quick.perfetto.json",
+    );
+    assert_golden(
+        export(&outcome, "attribution.folded"),
+        "attribution.quick.folded",
+    );
 }
 
 #[test]
@@ -189,8 +187,9 @@ fn spec_runner_is_deterministic_across_job_counts() {
     let all_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     // Two spec-only workloads, a wide table over two arms (exp2), spikes
     // read back from a trace (rehash-spike), one axis driving two
-    // parameters (skew), and crash faults with trace-derived recovery
-    // columns (recovery).
+    // parameters (skew), crash faults with trace-derived recovery
+    // columns (recovery), and phase columns with trace exports
+    // (attribution).
     for name in [
         "diurnal",
         "hot_key_churn",
@@ -198,6 +197,7 @@ fn spec_runner_is_deterministic_across_job_counts() {
         "rehash-spike",
         "skew",
         "recovery",
+        "attribution",
     ] {
         let spec = load_spec(name);
         let sequential = run_spec(&spec, Fidelity::Quick, 1);
@@ -219,6 +219,10 @@ fn spec_runner_is_deterministic_across_job_counts() {
             strip(&sequential.trials),
             strip(&parallel.trials),
             "{name}: trials differ between jobs=1 and jobs=all"
+        );
+        assert_eq!(
+            sequential.exports, parallel.exports,
+            "{name}: exports differ between jobs=1 and jobs=all"
         );
     }
 }

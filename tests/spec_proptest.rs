@@ -5,7 +5,7 @@
 
 use agentrack_bench::spec::{
     AxisSpec, ChaosFaults, ColumnSpec, FaultSpec, NodeCrashFaults, SchemeSpec, SpikeSpec,
-    WorkloadSpec,
+    WorkloadSpec, ZipSpec,
 };
 use agentrack_bench::ScenarioSpec;
 use proptest::prelude::*;
@@ -135,7 +135,18 @@ fn axis(param: &str, values: Vec<f64>) -> Vec<AxisSpec> {
         param: param.to_string(),
         also: None,
         values,
+        zip: None,
     }]
+}
+
+/// An `agents` axis with a `residence_ms` lane zipped to it.
+fn zipped(agents: Vec<f64>, residences: Vec<f64>) -> Vec<AxisSpec> {
+    let mut axes = axis("agents", agents);
+    axes[0].zip = Some(vec![ZipSpec {
+        param: "residence_ms".to_string(),
+        values: residences,
+    }]);
+    axes
 }
 
 fn whole(values: Vec<u64>) -> Vec<f64> {
@@ -158,8 +169,23 @@ fn arb_sweep() -> impl Strategy<Value = Option<Vec<AxisSpec>>> {
                 param: "mobility_skew".to_string(),
                 also,
                 values,
+                zip: None,
             }]),
+        // Points that are no product of axes: (agents, residence) pairs.
+        proptest::collection::vec((50u64..500, 100u64..900), 1..4).prop_map(|points| {
+            let (agents, residences): (Vec<u64>, Vec<u64>) = points.into_iter().unzip();
+            zipped(whole(agents), whole(residences))
+        }),
     ])
+}
+
+/// Some of the export names, in any order.
+fn arb_exports() -> impl Strategy<Value = Option<Vec<String>>> {
+    const EXPORTS: [&str; 4] = ["perfetto", "folded", "registry_json", "registry_csv"];
+    proptest::option::of(
+        proptest::collection::vec(0usize..EXPORTS.len(), 0..4)
+            .prop_map(|idxs| idxs.into_iter().map(|i| EXPORTS[i].to_string()).collect()),
+    )
 }
 
 /// Crash faults on distinct nodes inside the smallest generated
@@ -212,10 +238,19 @@ fn arb_valid_spec() -> impl Strategy<Value = ScenarioSpec> {
             proptest::option::of(any::<bool>()),
             proptest::option::of(proptest::collection::vec(any::<u64>(), 1..4)),
         ),
-        (arb_columns(), proptest::option::of(arb_crash())),
+        (
+            arb_columns(),
+            proptest::option::of(arb_crash()),
+            arb_exports(),
+        ),
     )
         .prop_map(
-            |((n, mut workload), (mut sweep, scheme), (scheme_rows, seeds), (columns, crash))| {
+            |(
+                (n, mut workload),
+                (mut sweep, scheme),
+                (scheme_rows, seeds),
+                (columns, crash, exports),
+            )| {
                 let swept = |param: &str| sweep.iter().flatten().any(|a| a.param == param);
                 let (lifespan_swept, crash_swept) =
                     (swept("churn_lifespan_ms"), swept("crash_frac"));
@@ -250,6 +285,7 @@ fn arb_valid_spec() -> impl Strategy<Value = ScenarioSpec> {
                     spikes: None,
                     audit: None,
                     trace_buffer: None,
+                    exports,
                     columns,
                 }
             },
@@ -317,9 +353,18 @@ fn arb_breakage() -> impl Strategy<Value = Breakage> {
                     param: "mobility_skew".to_string(),
                     also: Some(vec!["warp".to_string()]),
                     values: vec![1.0],
+                    zip: None,
                 }]);
             },
             "also",
+        ),
+        (
+            |s| s.sweep = Some(zipped(vec![100.0, 200.0], vec![500.0])),
+            "zip[0].values",
+        ),
+        (
+            |s| s.exports = Some(vec!["perfetto".to_string(), "pprof".to_string()]),
+            "exports[1]",
         ),
         (
             |s| s.sweep = Some(axis("mobility_skew", vec![0.5, -1.0])),
