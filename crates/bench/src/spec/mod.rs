@@ -127,19 +127,27 @@ impl SpecError {
         }
     }
 
-    /// Attaches the line/column of the path's leaf key in `source`. Each
-    /// key of the path (`sweep`, `zip`, `values` for
+    /// Attaches the line/column of the path's leaf in `source`. Each key
+    /// of the path (`sweep`, `zip`, `values` for
     /// `sweep[0].zip[0].values[1]`) is found as a quoted JSON key after
-    /// the one before it. Best effort: indices are not counted, so a key
-    /// repeated across sibling objects may resolve to an earlier one.
+    /// the one before it, and each index skips to that element of the
+    /// array the key opens. Best effort: a key that first occurs as a
+    /// string value resolves there.
     fn locate(mut self, source: &str) -> Self {
         let mut pos = 0;
-        for key in self.path.split('.') {
-            let key = key.split('[').next().unwrap_or_default();
+        for segment in self.path.split('.') {
+            let mut parts = segment.split('[');
+            let key = parts.next().unwrap_or_default();
             let needle = format!("\"{key}\"");
             match source[pos..].find(&needle).filter(|_| !key.is_empty()) {
                 Some(at) => pos += at,
                 None => return self,
+            }
+            for index in parts.filter_map(|i| i.trim_end_matches(']').parse().ok()) {
+                match nth_element(source, pos, index) {
+                    Some(at) => pos = at,
+                    None => return self,
+                }
             }
         }
         let prefix = &source[..pos];
@@ -147,6 +155,29 @@ impl SpecError {
         self.col = Some(pos - prefix.rfind('\n').map_or(0, |p| p + 1) + 1);
         self
     }
+}
+
+/// Byte offset of element `index` of the first JSON array opening at or
+/// after `from`, or `None` when the array is shorter.
+fn nth_element(source: &str, from: usize, index: usize) -> Option<usize> {
+    let open = from + source[from..].find('[')? + 1;
+    let (mut depth, mut seen, mut in_string, mut escaped) = (1, 0, false, false);
+    for (at, c) in source[open..].char_indices() {
+        if seen == index && !c.is_whitespace() {
+            return Some(open + at);
+        }
+        match (in_string, c) {
+            (true, _) if escaped => escaped = false,
+            (true, '\\') => escaped = true,
+            (_, '"') => in_string = !in_string,
+            (false, '[' | '{') => depth += 1,
+            (false, ']' | '}') if depth == 1 => return None,
+            (false, ']' | '}') => depth -= 1,
+            (false, ',') if depth == 1 => seen += 1,
+            _ => {}
+        }
+    }
+    None
 }
 
 impl fmt::Display for SpecError {
@@ -724,6 +755,33 @@ mod tests {
                 assert_eq!(line, source[..at].matches('\n').count() + 1, "{err}");
             }
         }
+    }
+
+    #[test]
+    fn an_error_in_a_later_array_element_is_located_in_that_element() {
+        let line_of = |source: &str, needle: &str| {
+            let at = source.find(needle).expect("present");
+            Some(source[..at].matches('\n').count() + 1)
+        };
+        // Every column has a `field`; the third one is wrong.
+        let source = include_str!("../../../../specs/skew.json").replace("p95_ms", "p96_ms");
+        let err = ScenarioSpec::load_str(&source).expect_err("unknown column field");
+        assert_eq!(err.path, "columns[2].field", "{err}");
+        assert_eq!(err.line, line_of(&source, "p96_ms"), "{err}");
+
+        // An index that ends the path points at the element itself,
+        // skipping the commas nested in earlier elements and strings.
+        let source = minimal().replace(
+            r#"[{"kind": "hashed"}]"#,
+            "[{\"kind\": \"hashed\", \"label\": \"a, [b\"}, [1, 2],\n 5]",
+        );
+        let err = ScenarioSpec::load_str(&source).expect_err("not a scheme");
+        assert_eq!(err.path, "schemes[1]", "{err}");
+        assert_eq!(err.line, line_of(&source, "[1, 2]"), "{err}");
+        let source = source.replace("[1, 2]", r#"{"kind": "centralized"}"#);
+        let err = ScenarioSpec::load_str(&source).expect_err("not a scheme");
+        assert_eq!(err.path, "schemes[2]", "{err}");
+        assert_eq!(err.line, line_of(&source, " 5]"), "{err}");
     }
 
     #[test]

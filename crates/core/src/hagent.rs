@@ -216,22 +216,11 @@ impl Agent for StandbyHAgentBehavior {
                     );
                 }
             }
-            Wire::RecordSync {
-                epoch,
-                seq,
-                records,
-                rate,
-                reply_node,
-            } => {
-                // Fallback buddy duty (single-leaf tree): hold the copy.
-                let ack = self
-                    .replica_store
-                    .store_sync(from, epoch, seq, records, rate, ctx.now());
-                ctx.send(from, reply_node, ack.payload());
-            }
-            Wire::ReplicaPull { reply_node, .. } => {
-                let set = self.replica_store.answer_pull(from, ctx.now());
-                ctx.send(from, reply_node, set.payload());
+            // Fallback buddy duty (single-leaf tree): hold the copy.
+            msg @ (Wire::RecordSync { .. } | Wire::ReplicaPull { .. }) => {
+                if let Some((node, reply)) = self.replica_store.serve(from, msg, ctx.now()) {
+                    ctx.send(from, node, reply.payload());
+                }
             }
             _ => {}
         }
@@ -277,9 +266,9 @@ pub struct HAgentBehavior {
     reinstall: Vec<AgentId>,
     /// Per-IAgent epoch counters (keyed by raw agent id), bumped on every
     /// `EpochRequest`. Soft state: if it is lost with a crash, a
-    /// re-granted low epoch makes [`crate::replica_usable`] reject the
-    /// replica — recovery degrades to re-registration only, it never
-    /// resurrects records under a wrong fence.
+    /// re-granted low epoch makes [`crate::replica::replica_usable`]
+    /// reject the replica — recovery degrades to re-registration only, it
+    /// never resurrects records under a wrong fence.
     epochs: HashMap<u64, u64>,
 }
 

@@ -65,7 +65,6 @@ pub struct HashedScheme {
     clients: Option<Arc<PerScheme>>,
     standby: bool,
     hagent: Option<(AgentId, NodeId)>,
-    standby_agent: Option<(AgentId, NodeId)>,
 }
 
 impl HashedScheme {
@@ -85,7 +84,6 @@ impl HashedScheme {
             clients: None,
             standby: false,
             hagent: None,
-            standby_agent: None,
         }
     }
 
@@ -107,12 +105,6 @@ impl HashedScheme {
     #[must_use]
     pub fn hagent(&self) -> Option<(AgentId, NodeId)> {
         self.hagent
-    }
-
-    /// The standby HAgent's identity, if deployed.
-    #[must_use]
-    pub fn standby_hagent(&self) -> Option<(AgentId, NodeId)> {
-        self.standby_agent
     }
 
     /// The per-node LHAgent directory (index = node), available after
@@ -201,7 +193,6 @@ impl LocationScheme for HashedScheme {
         }
 
         self.hagent = Some((hagent, home));
-        self.standby_agent = standby;
         self.lhagents = Arc::new(lhagents);
         self.clients = Some(Arc::new(PerScheme {
             retry: RetryPolicy::new(&self.config, self.shared.registry().clone()),

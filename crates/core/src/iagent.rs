@@ -15,131 +15,81 @@
 //! * buffer locate queries for agents that hash to it but whose records are
 //!   still in flight (handoff races), answering when the handoff lands or
 //!   the pending timeout expires.
+//!
+//! This module routes each message to the part that owns its decision:
+//! the record book (`records`), the held locates (`pending`), the
+//! split/merge requests (`rehash`), buddy replication and recovery
+//! (`durability`, present only when replication is on), the locality
+//! extension (`locality`, likewise) and mediated mail (`mailbox`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, TimerId};
-use agentrack_sim::{CorrId, SimTime, TraceEvent};
+use agentrack_sim::SimTime;
 
 use crate::config::LocationConfig;
-use crate::hashed::BOUNCE_RETRY_DELAY;
 use crate::hashfn::HashFunction;
+use crate::locality::Locality;
 use crate::mailbox::{Mailbox, MAIL_MAX_HOPS, MAIL_TTL};
-use crate::records::{Outcome, Record, RecordStore, Source};
-use crate::replica::{
-    replica_usable, RecoveryPhase, RecoveryState, ReplicaStore, Replicator, REPLICATION_RETRY,
-};
+use crate::pending::{PendingLocate, PendingLocates};
+use crate::records::{Outcome, RecordStore, Source};
+use crate::rehash::RehashAsk;
+use crate::replica::Durability;
 use crate::scheme::{CopyRole, SharedSchemeStats};
 use crate::stats::LoadStats;
 use crate::view::TrackerView;
-use crate::wire::{send_traced, DenyReason, Freshness, Wire};
+use crate::wire::{Freshness, Wire};
 
-/// A locate being served: answered at once, or buffered until its record
-/// arrives or its deadline passes.
-#[derive(Debug, Clone)]
-struct PendingLocate {
-    target: AgentId,
-    requester: AgentId,
-    reply_node: NodeId,
-    token: u64,
-    freshness: Freshness,
-    corr: Option<CorrId>,
-    deadline: SimTime,
-}
-
-impl PendingLocate {
-    fn reply(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
-        send_traced(ctx, self.requester, self.reply_node, msg);
-    }
-
-    fn located(&self, record: Record) -> Wire {
-        Wire::Located {
-            target: self.target,
-            node: record.node,
-            stale: record.stale,
-            age_ms: record.age_ms,
-            token: self.token,
-            corr: self.corr,
-        }
-    }
-
-    fn not_responsible(&self) -> Wire {
-        Wire::NotResponsible {
-            about: self.target,
-            token: Some(self.token),
-            corr: self.corr,
-        }
-    }
+/// Where a tracker is in its life.
+#[derive(Debug)]
+enum Lifecycle {
+    /// The bootstrap IAgent before `on_create`: its copy is kept until the
+    /// tracker learns its own id and binds the view's own-leaf facts to it.
+    Booting(Box<HashFunction>),
+    /// Created mid-split: reports ready under the rehash `lease` it was
+    /// created under (the HAgent commits that lease, and ignores orphans
+    /// of aborted ones) and waits for its first install, holding the
+    /// client requests that beat it (the HAgent commits the split, so
+    /// clients may resolve here before the install lands).
+    AwaitingInstall {
+        lease: u64,
+        early: Vec<(AgentId, Wire)>,
+    },
+    /// Installed: owns the keys its view gives it.
+    Serving,
 }
 
 /// Behaviour of an IAgent.
 #[derive(Debug)]
 pub struct IAgentBehavior {
     config: LocationConfig,
-    hagent: AgentId,
-    hagent_node: NodeId,
+    hagent: (AgentId, NodeId),
     /// The installed hash-function version, as this tracker needs it.
     view: TrackerView,
-    /// The bootstrap IAgent's copy, kept only until `on_create` learns
-    /// this tracker's id and binds the view's own-leaf facts to it.
-    boot: Option<Box<HashFunction>>,
+    life: Lifecycle,
     /// The records this tracker owns, with their staleness, tombstones
     /// and bounced handoffs.
     book: RecordStore,
     stats: LoadStats,
     shared: SharedSchemeStats,
-    /// Fresh IAgents (created mid-split) must report ready and wait for
-    /// their first install.
-    fresh: bool,
-    /// The rehash lease this fresh IAgent was created under; echoed in
-    /// `IAgentReady` so the HAgent commits the right lease (and ignores
-    /// orphans of aborted ones).
-    lease: u64,
-    installed: bool,
     created_at: SimTime,
-    /// When this tracker's own outstanding split/merge request was sent,
-    /// if one is in flight. Cleared by the answer (an install that changes
-    /// this tracker's partition, or a denial) or by the lease-timeout
-    /// give-up in `on_timer`.
-    rehash_request: Option<SimTime>,
-    /// This tracker must not re-ask for a rehash before this instant. Set
-    /// per cause: after its partition changed, or per [`DenyReason`] on a
-    /// denial — *not* by installs of versions that left its partition
-    /// alone (those used to silence an overdue split here).
-    rehash_backoff_until: SimTime,
-    pending: Vec<PendingLocate>,
-    /// Client requests that arrived before the first install; replayed once
-    /// the hash function lands (a fresh IAgent receives traffic the moment
-    /// the HAgent commits the split, possibly before its install message).
-    preinstall: Vec<(AgentId, Wire)>,
-    refetch_in_flight: bool,
-    /// When the refetch was sent; a reply overdue (lost, or bounced off
-    /// this IAgent's old node after a locality migration) re-arms it.
-    refetch_sent_at: SimTime,
+    /// The split or merge this tracker is asking for.
+    rehash: RehashAsk,
+    pending: PendingLocates,
+    /// When the refetch for bounced handoff records was sent, while its
+    /// reply is outstanding; a reply overdue (lost, or bounced off this
+    /// IAgent's old node after a locality migration) re-arms it.
+    refetch: Option<SimTime>,
     /// Mediated mail awaiting its recipient's next location update
     /// (guaranteed-delivery extension).
     mailbox: Mailbox,
-    /// Recent request origins, for the locality extension: which node the
-    /// served agents (and queriers) talk from.
-    origin_counts: HashMap<NodeId, u64>,
-    /// Set while a locality migration is in flight.
-    relocating: bool,
-    /// Protocol messages handled since birth; copied into the metrics
-    /// registry on the periodic timer (so the hot path takes no lock).
-    requests_seen: u64,
     /// When the last periodic version audit ran (chaos runs only; see
     /// [`LocationConfig::version_audit`]).
     last_audit: SimTime,
-    /// Fallback buddy (the standby HAgent) when the tree has a single
-    /// leaf, so no sibling-leaf buddy exists.
-    standby: Option<(AgentId, NodeId)>,
-    /// Outbound replication of this tracker's records to its buddy.
-    replicator: Replicator,
-    /// Replica copies held on behalf of buddy trackers. Never merged into
-    /// `book` or the `records_held` gauge: a replica is not ownership.
-    replica_store: ReplicaStore,
-    /// The recovery run after a soft-state-losing restart, if any.
-    recovery: Option<RecoveryState>,
+    /// Buddy replication and recovery; `None` when replication is off.
+    durability: Option<Durability>,
+    /// The locality extension; `None` when it is off.
+    locality: Option<Locality>,
 }
 
 impl IAgentBehavior {
@@ -153,9 +103,10 @@ impl IAgentBehavior {
         shared: SharedSchemeStats,
     ) -> Self {
         let view = TrackerView::new(&hf, None);
-        let mut iagent = Self::build(config, hagent, hagent_node, view, shared, false);
-        iagent.boot = Some(Box::new(hf));
-        iagent
+        IAgentBehavior {
+            life: Lifecycle::Booting(Box::new(hf)),
+            ..Self::fresh(config, hagent, hagent_node, view, shared)
+        }
     }
 
     /// An IAgent created by the HAgent during a split; reports ready and
@@ -169,47 +120,28 @@ impl IAgentBehavior {
         view: TrackerView,
         shared: SharedSchemeStats,
     ) -> Self {
-        Self::build(config, hagent, hagent_node, view, shared, true)
-    }
-
-    fn build(
-        config: LocationConfig,
-        hagent: AgentId,
-        hagent_node: NodeId,
-        view: TrackerView,
-        shared: SharedSchemeStats,
-        fresh: bool,
-    ) -> Self {
-        let stats = LoadStats::new(config.rate_window);
-        let mailbox = Mailbox::new(MAIL_TTL);
+        let hagent = (hagent, hagent_node);
         IAgentBehavior {
+            stats: LoadStats::new(config.rate_window),
+            durability: Durability::new(&config, hagent, &shared),
+            locality: config.locality_migration.then(Locality::default),
             config,
             hagent,
-            hagent_node,
             view,
-            boot: None,
+            life: Lifecycle::AwaitingInstall {
+                lease: 0,
+                early: Vec::new(),
+            },
             book: RecordStore::default(),
-            stats,
             shared,
-            fresh,
-            lease: 0,
-            installed: !fresh,
             created_at: SimTime::ZERO,
-            rehash_request: None,
-            rehash_backoff_until: SimTime::ZERO,
-            pending: Vec::new(),
-            preinstall: Vec::new(),
-            refetch_in_flight: false,
-            refetch_sent_at: SimTime::ZERO,
-            mailbox,
-            origin_counts: HashMap::new(),
-            relocating: false,
-            requests_seen: 0,
+            rehash: RehashAsk::Quiet {
+                until: SimTime::ZERO,
+            },
+            pending: PendingLocates::default(),
+            refetch: None,
+            mailbox: Mailbox::new(MAIL_TTL),
             last_audit: SimTime::ZERO,
-            standby: None,
-            replicator: Replicator::default(),
-            replica_store: ReplicaStore::default(),
-            recovery: None,
         }
     }
 
@@ -218,25 +150,51 @@ impl IAgentBehavior {
     /// HAgent knows no better.
     #[must_use]
     pub fn with_standby(mut self, standby: Option<(AgentId, NodeId)>) -> Self {
-        self.standby = standby;
+        if let Some(durability) = &mut self.durability {
+            durability.standby = standby;
+        }
         self
     }
 
     /// Stamps a fresh IAgent with the rehash lease it was created under.
     #[must_use]
     pub fn with_lease(mut self, lease: u64) -> Self {
-        self.lease = lease;
+        if let Lifecycle::AwaitingInstall { lease: l, .. } = &mut self.life {
+            *l = lease;
+        }
         self
+    }
+
+    /// Whether this tracker has its own view (any but a fresh IAgent
+    /// before its first install).
+    fn serving(&self) -> bool {
+        matches!(self.life, Lifecycle::Serving)
     }
 
     /// Whether `agent` hashes here. Never before the first install: a
     /// fresh IAgent's bootstrap view predates its own leaf.
     fn is_mine(&self, ctx: &AgentCtx<'_>, agent: AgentId) -> bool {
-        self.installed && self.view.is_responsible(ctx.self_id(), agent)
+        self.serving() && self.view.is_responsible(ctx.self_id(), agent)
     }
 
     fn send_hagent(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
-        ctx.send(self.hagent, self.hagent_node, msg.payload());
+        ctx.send(self.hagent.0, self.hagent.1, msg.payload());
+    }
+
+    /// The record set changed: the buddy's replica is behind.
+    fn records_changed(&mut self) {
+        if let Some(durability) = &mut self.durability {
+            durability.mark_dirty();
+        }
+    }
+
+    /// Ends a recovery that is due to end, and serves the locates it held.
+    fn finish_recovery_if_due(&mut self, ctx: &mut AgentCtx<'_>) {
+        if let Some(durability) = &mut self.durability {
+            if durability.finish_if_due(ctx, &mut self.book) {
+                self.flush_pending(ctx);
+            }
+        }
     }
 
     /// Asks the HAgent for its primary copy of the hash function. A view
@@ -253,77 +211,51 @@ impl IAgentBehavior {
     /// Fetches a newer view to re-dispatch bounced handoff records under;
     /// `HashFnCopy` answers it.
     fn refetch(&mut self, ctx: &mut AgentCtx<'_>) {
-        self.refetch_in_flight = true;
-        self.refetch_sent_at = ctx.now();
+        self.refetch = Some(ctx.now());
         self.fetch_hash_fn(ctx);
     }
 
     /// Records where a request came from, for locality decisions.
     fn note_origin(&mut self, node: NodeId) {
-        if self.config.locality_migration {
-            *self.origin_counts.entry(node).or_insert(0) += 1;
+        if let Some(locality) = &mut self.locality {
+            *locality.origin_counts.entry(node).or_insert(0) += 1;
         }
     }
 
     /// Locality check (paper §7 extension): move to the node originating
     /// the majority of recent traffic.
     fn maybe_relocate(&mut self, ctx: &mut AgentCtx<'_>) {
-        if !self.config.locality_migration
-            || self.relocating
-            || !self.installed
-            || self.rehash_request.is_some()
+        let settled = self.serving()
+            && !self.rehash.in_flight()
             // Migrating now would bounce the pending hash-function reply at
             // the old node and strand the unplaced records.
-            || self.refetch_in_flight
-            || self.book.has_unplaced()
+            && self.refetch.is_none()
+            && !self.book.has_unplaced();
+        let here = ctx.node();
+        if let Some(to) = self
+            .locality
+            .as_mut()
+            .filter(|_| settled)
+            .and_then(|l| l.destination(&self.config, here))
         {
-            return;
-        }
-        let total: u64 = self.origin_counts.values().sum();
-        if total < self.config.locality_min_requests {
-            return;
-        }
-        let (&top, &count) = self
-            .origin_counts
-            .iter()
-            .max_by_key(|&(node, count)| (*count, std::cmp::Reverse(node.raw())))
-            .expect("total > 0 implies an entry");
-        self.origin_counts.clear();
-        if top != ctx.node() && count as f64 / total as f64 >= self.config.locality_threshold {
-            self.relocating = true;
-            ctx.dispatch(top);
+            ctx.dispatch(to);
         }
     }
 
-    /// Split check, run after every recorded request.
-    fn maybe_request_split(&mut self, ctx: &mut AgentCtx<'_>) {
-        if self.rehash_request.is_some() || ctx.now() < self.rehash_backoff_until || !self.installed
-        {
-            return;
-        }
-        let rate = self.stats.rate_per_sec(ctx.now());
-        if rate > self.config.t_max {
-            let loads = self.stats.loads();
-            self.rehash_request = Some(ctx.now());
-            self.send_hagent(ctx, &Wire::SplitRequest { rate, loads });
-        }
-    }
-
-    /// Merge check, run from the periodic timer so idle IAgents notice.
-    fn maybe_request_merge(&mut self, ctx: &mut AgentCtx<'_>) {
-        if !self.config.merge_enabled
-            || self.rehash_request.is_some()
-            || ctx.now() < self.rehash_backoff_until
-            || !self.installed
-            || ctx.now().saturating_since(self.created_at) < self.config.merge_warmup
-            || self.view.leaf_count() <= 1
-        {
-            return;
-        }
-        let rate = self.stats.rate_per_sec(ctx.now());
-        if rate < self.config.t_min {
-            self.rehash_request = Some(ctx.now());
-            self.send_hagent(ctx, &Wire::MergeRequest { rate });
+    /// Split check, run after every recorded request; with `merge`, the
+    /// merge check the periodic timer runs so idle IAgents notice.
+    fn maybe_request_rehash(&mut self, ctx: &mut AgentCtx<'_>, merge: bool) {
+        let merge = merge.then(|| {
+            let age = ctx.now().saturating_since(self.created_at);
+            (age, self.view.leaf_count())
+        });
+        if self.serving() {
+            let asked = self
+                .rehash
+                .ask(&self.config, ctx.now(), &mut self.stats, merge);
+            if let Some(request) = asked {
+                self.send_hagent(ctx, &request);
+            }
         }
     }
 
@@ -331,13 +263,16 @@ impl IAgentBehavior {
     /// from an install image: hand off records that no longer hash here;
     /// dispose if this leaf was merged away.
     fn install(&mut self, ctx: &mut AgentCtx<'_>, view: TrackerView) {
-        if view.version() <= self.view.version() && self.installed {
+        let first_install = matches!(self.life, Lifecycle::AwaitingInstall { .. });
+        if view.version() <= self.view.version() && !first_install {
             return; // stale or duplicate install
         }
-        let first_install = !self.installed;
         let label_before = self.view.own_label().cloned().filter(|_| !first_install);
         self.view = view;
-        self.installed = true;
+        let early = match std::mem::replace(&mut self.life, Lifecycle::Serving) {
+            Lifecycle::AwaitingInstall { early, .. } => early,
+            _ => Vec::new(),
+        };
         self.shared
             .record_version(ctx.self_id().raw(), CopyRole::Tracker, self.view.version());
         // The post-install cooldown is scoped to versions that changed
@@ -347,17 +282,13 @@ impl IAgentBehavior {
         // current partition, and an overdue split request must not be
         // silenced by it.
         if first_install || self.view.own_label() != label_before.as_ref() {
-            self.rehash_request = None;
-            self.rehash_backoff_until = ctx.now() + self.config.rehash_cooldown;
+            self.rehash.partition_changed(&self.config, ctx.now());
             // Fresh epoch: rate observed against the old partition must
             // not trigger another rehash of the new one.
             self.stats.reset(ctx.now());
         }
-        if first_install {
-            let buffered = std::mem::take(&mut self.preinstall);
-            for (from, msg) in buffered {
-                self.handle_wire(ctx, from, msg);
-            }
+        for (from, msg) in early {
+            self.handle_wire(ctx, from, msg);
         }
 
         // Evict what now hashes elsewhere — everything if this leaf was
@@ -368,8 +299,7 @@ impl IAgentBehavior {
         let mine = |agent| view.is_responsible(self_id, agent);
         let moved = self.book.take_foreign(mine);
         let moved_mail = self.mailbox.drain_if(|item| !mine(item.target));
-        let (stay, bounce): (Vec<_>, Vec<_>) = self.pending.drain(..).partition(|p| mine(p.target));
-        self.pending = stay;
+        let bounce = self.pending.take_foreign(mine);
         for (agent, _) in &moved {
             self.stats.forget(*agent);
         }
@@ -378,18 +308,16 @@ impl IAgentBehavior {
             self.forward_mail(ctx, item.target, item.from, item.data, MAIL_MAX_HOPS);
         }
         for p in bounce {
-            p.reply(ctx, &p.not_responsible());
+            p.bounce(ctx);
         }
 
         if self.view.own_label().is_none() {
             ctx.dispose(); // merged away: everything is handed off
             return;
         }
-        // Replication duty follows ownership: the sibling leaf may have
-        // changed, and the (possibly shrunk or grown) record set should
-        // reach the buddy under the new partition promptly.
-        self.refresh_buddy();
-        self.replicator.mark_dirty();
+        if let Some(durability) = &mut self.durability {
+            durability.follow(&self.view);
+        }
     }
 
     /// Groups records by their new owner and sends handoffs.
@@ -441,169 +369,9 @@ impl IAgentBehavior {
         }
     }
 
-    /// Serves buffered locates whose records arrived. A pending locate
-    /// whose freshness bound the record still fails (a `Fresh` read
-    /// against a yet-unconfirmed recovery record, say) keeps waiting for
-    /// reconfirmation until its deadline.
+    /// Serves the held locates whose records arrived.
     fn flush_pending(&mut self, ctx: &mut AgentCtx<'_>) {
-        let mut still = Vec::new();
-        for p in std::mem::take(&mut self.pending) {
-            let admitted = self
-                .book
-                .lookup(p.target, ctx.now())
-                .filter(|record| p.freshness.admits(record.age_ms));
-            if let Some(record) = admitted {
-                self.shared.update(|s| s.pending_served += 1);
-                self.answer_located(ctx, &p, record);
-            } else if ctx.now() >= p.deadline {
-                let not_found = Wire::NotFound {
-                    target: p.target,
-                    token: p.token,
-                    corr: p.corr,
-                };
-                p.reply(ctx, &not_found);
-            } else {
-                still.push(p);
-            }
-        }
-        self.pending = still;
-    }
-
-    /// Answers a locate positively, `stale` for a recovered-but-unconfirmed
-    /// record (degraded mode). Callers check the freshness bound first.
-    fn answer_located(&mut self, ctx: &mut AgentCtx<'_>, p: &PendingLocate, record: Record) {
-        if record.stale {
-            let me = ctx.self_id().raw();
-            self.shared.update(|s| s.stale_answers += 1);
-            ctx.trace().emit(ctx.now(), || TraceEvent::StaleAnswer {
-                tracker: me,
-                target: p.target.raw(),
-            });
-        }
-        p.reply(ctx, &p.located(record));
-    }
-
-    /// Recomputes where this tracker's replica should live: the sibling
-    /// leaf under the current tree, falling back to the standby. A buddy
-    /// change marks the set dirty, so splits and merges transfer
-    /// replication duty with a prompt full snapshot.
-    fn refresh_buddy(&mut self) {
-        if self.config.replication_interval.is_none() {
-            return;
-        }
-        let buddy = self.view.buddy().or(self.standby);
-        self.replicator.set_buddy(buddy);
-    }
-
-    /// Periodic replication driver: cuts and sends a full-snapshot batch
-    /// to the buddy when one is due (dirty + interval elapsed, or an
-    /// unacked batch overdue for retry).
-    fn maybe_replicate(&mut self, ctx: &mut AgentCtx<'_>) {
-        let Some(interval) = self.config.replication_interval else {
-            return;
-        };
-        // Nothing authoritative to sync before the first install, and a
-        // recovering tracker must not sync under a not-yet-granted epoch.
-        if !self.installed
-            || matches!(
-                self.recovery.as_ref().map(|r| r.phase),
-                Some(RecoveryPhase::AwaitEpoch | RecoveryPhase::AwaitReplica)
-            )
-        {
-            return;
-        }
-        self.refresh_buddy();
-        if !self.replicator.due(ctx.now(), interval) {
-            return;
-        }
-        let Some((buddy, buddy_node)) = self.replicator.buddy else {
-            return;
-        };
-        let epoch = self.replicator.epoch;
-        let seq = self.replicator.cut_batch(ctx.now());
-        let records = self.book.snapshot();
-        let rate = self.stats.rate_per_sec(ctx.now());
-        let me = ctx.self_id().raw();
-        let count = records.len();
-        self.shared.update(|s| s.record_syncs += 1);
-        ctx.trace().emit(ctx.now(), || TraceEvent::RecordSync {
-            tracker: me,
-            buddy: buddy.raw(),
-            records: count,
-            epoch,
-        });
-        let sync = Wire::RecordSync {
-            epoch,
-            seq,
-            records,
-            rate,
-            reply_node: ctx.node(),
-        };
-        ctx.send(buddy, buddy_node, sync.payload());
-    }
-
-    /// Drives the recovery phase machine from the periodic timer: retries
-    /// lost epoch requests / replica pulls, and ends recovery on
-    /// convergence (no stale records left) or timeout.
-    fn drive_recovery(&mut self, ctx: &mut AgentCtx<'_>) {
-        let Some(rec) = &mut self.recovery else {
-            return;
-        };
-        let phase = rec.phase;
-        let now = ctx.now();
-        if phase != RecoveryPhase::Converging
-            && now.saturating_since(rec.last_request) >= REPLICATION_RETRY
-        {
-            rec.last_request = now;
-            if phase == RecoveryPhase::AwaitEpoch {
-                self.send_hagent(ctx, &Wire::EpochRequest);
-            } else {
-                self.pull_replica(ctx);
-            }
-        }
-        self.finish_recovery_if_due(ctx);
-    }
-
-    /// Asks the buddy for its replica of this tracker's records.
-    fn pull_replica(&self, ctx: &mut AgentCtx<'_>) {
-        if let Some((buddy, buddy_node)) = self.replicator.buddy {
-            let pull = Wire::ReplicaPull {
-                epoch: self.replicator.epoch,
-                reply_node: ctx.node(),
-            };
-            ctx.send(buddy, buddy_node, pull.payload());
-        }
-    }
-
-    /// Ends recovery the moment it is due: the record set converged (the
-    /// phase reached `Converging` and no stale tags remain) or the
-    /// recovery timeout expired. Called from the periodic timer and
-    /// eagerly from every event that can clear the last stale tag, so
-    /// measured recovery times reflect actual convergence rather than the
-    /// check-tick quantum.
-    fn finish_recovery_if_due(&mut self, ctx: &mut AgentCtx<'_>) {
-        let Some(rec) = &self.recovery else {
-            return;
-        };
-        let now = ctx.now();
-        let stale_left = self.book.stale_count();
-        let converged = rec.phase == RecoveryPhase::Converging && stale_left == 0;
-        let timed_out = now.saturating_since(rec.started) >= self.config.recovery_timeout;
-        if converged || timed_out {
-            let recovered = rec.recovered;
-            let me = ctx.self_id().raw();
-            ctx.trace().emit(now, || TraceEvent::RecoveryEnd {
-                tracker: me,
-                recovered,
-                stale_left,
-            });
-            self.shared.update(|s| s.recoveries_completed += 1);
-            // Unconfirmed records are no worse than any normal record,
-            // which is also just the last reported node.
-            self.book.confirm_all();
-            self.recovery = None;
-            self.flush_pending(ctx);
-        }
+        self.pending.flush(ctx, &self.book, &self.shared);
     }
 }
 
@@ -611,7 +379,9 @@ impl Agent for IAgentBehavior {
     fn on_arrival(&mut self, ctx: &mut AgentCtx<'_>) {
         // Locality migration landed: tell the HAgent so the directory (and
         // through it, every refreshed copy) knows the new node.
-        self.relocating = false;
+        if let Some(locality) = &mut self.locality {
+            locality.relocating = false;
+        }
         let here = ctx.node();
         self.shared.update(|s| s.iagent_moves += 1);
         self.send_hagent(ctx, &Wire::IAgentMoved { node: here });
@@ -620,16 +390,19 @@ impl Agent for IAgentBehavior {
     fn on_create(&mut self, ctx: &mut AgentCtx<'_>) {
         self.created_at = ctx.now();
         self.last_audit = ctx.now();
-        if let Some(hf) = self.boot.take() {
-            self.view = TrackerView::new(&hf, Some(ctx.self_id()));
+        if let Lifecycle::Booting(hf) = &self.life {
+            self.view = TrackerView::new(hf, Some(ctx.self_id()));
+            self.life = Lifecycle::Serving;
         }
-        if self.installed {
-            self.shared
-                .record_version(ctx.self_id().raw(), CopyRole::Tracker, self.view.version());
-        }
-        if self.fresh {
-            let lease = self.lease;
-            self.send_hagent(ctx, &Wire::IAgentReady { lease });
+        match self.life {
+            Lifecycle::AwaitingInstall { lease, .. } => {
+                self.send_hagent(ctx, &Wire::IAgentReady { lease });
+            }
+            _ => self.shared.record_version(
+                ctx.self_id().raw(),
+                CopyRole::Tracker,
+                self.view.version(),
+            ),
         }
         ctx.set_timer(self.config.check_interval);
     }
@@ -642,35 +415,25 @@ impl Agent for IAgentBehavior {
             // mail is lost for good, which must show in the metrics.
             self.mailbox.wipe(ctx, self.shared.registry());
             self.book.wipe();
-            self.pending.clear();
-            self.preinstall.clear();
-            self.origin_counts.clear();
-            self.stats.reset(ctx.now());
-            // Replica copies held for buddies died with the soft state
-            // too; their owners keep syncing and will repopulate them.
-            self.replica_store.clear();
-            self.recovery = None;
-            if self.config.replication_interval.is_some() && self.installed {
-                // Enter recovery: fence with a fresh epoch from the
-                // HAgent, pull the buddy's replica, and answer locates in
-                // degraded mode until the record set converges.
-                self.recovery = Some(RecoveryState::new(ctx.now()));
-                let me = ctx.self_id().raw();
-                self.shared.update(|s| s.recoveries_started += 1);
-                ctx.trace()
-                    .emit(ctx.now(), || TraceEvent::RecoveryStart { tracker: me });
-                self.send_hagent(ctx, &Wire::EpochRequest);
+            self.pending.0.clear();
+            if let Lifecycle::AwaitingInstall { early, .. } = &mut self.life {
+                early.clear();
             }
+            if let Some(locality) = &mut self.locality {
+                locality.origin_counts.clear();
+            }
+            self.stats.reset(ctx.now());
         }
-        // Any replication batch in flight died with the node; mark dirty so
-        // the surviving (or recovered) record set is re-synced.
-        self.replicator.mark_dirty();
+        let serving = self.serving();
+        if let Some(durability) = &mut self.durability {
+            durability.on_restart(ctx, lost_soft_state, serving);
+        }
         // The hash-function copy is treated as recoverable (re-read from
         // stable store on boot); whatever it missed while down, lazy
         // refresh or the version audit repairs. In-flight control state
         // died with the node either way.
-        self.refetch_in_flight = false;
-        self.rehash_request = None;
+        self.refetch = None;
+        self.rehash.give_up(&self.config, None);
         self.last_audit = ctx.now();
         ctx.set_timer(self.config.check_interval);
     }
@@ -683,22 +446,26 @@ impl Agent for IAgentBehavior {
         self.shared
             .registry()
             .update_tracker(ctx.self_id().raw(), |t| {
-                t.requests = self.requests_seen;
+                t.requests = self.stats.total();
                 t.rate_per_sec = rate;
-                t.observe_queue_depth(self.pending.len());
+                t.observe_queue_depth(self.pending.0.len());
                 t.observe_mailbox(self.mailbox.len());
                 t.records_held = self.book.len();
             });
         self.flush_pending(ctx);
-        self.maybe_replicate(ctx);
-        self.drive_recovery(ctx);
+        let view = self.serving().then_some(&self.view);
+        if let Some(durability) = &mut self.durability {
+            if durability.on_timer(ctx, &mut self.book, view, rate) {
+                self.flush_pending(ctx);
+            }
+        }
         // Unplaced handoff records must not wait forever: if the refetch
         // reply was lost (or bounced off our old node after a locality
         // migration), ask again.
         if self.book.has_unplaced()
-            && (!self.refetch_in_flight
-                || ctx.now().saturating_since(self.refetch_sent_at)
-                    > self.config.locate_retry_timeout)
+            && self.refetch.is_none_or(|sent_at| {
+                ctx.now().saturating_since(sent_at) > self.config.locate_retry_timeout
+            })
         {
             self.refetch(ctx);
         }
@@ -707,8 +474,8 @@ impl Agent for IAgentBehavior {
         // HAgent) was faulted converges without waiting for client
         // traffic to trip a NotResponsible.
         if let Some(interval) = self.config.version_audit {
-            if self.installed
-                && !self.refetch_in_flight
+            if self.serving()
+                && self.refetch.is_none()
                 && !self.book.has_unplaced()
                 && ctx.now().saturating_since(self.last_audit) >= interval
             {
@@ -716,24 +483,12 @@ impl Agent for IAgentBehavior {
                 self.fetch_hash_fn(ctx);
             }
         }
-        self.maybe_request_merge(ctx);
+        self.maybe_request_rehash(ctx, true);
         self.maybe_relocate(ctx);
-        // A rehash request whose answer was lost must not wedge this IAgent
-        // forever. Give up only after the HAgent's own lease timeout (plus
-        // its commit cooldown) has certainly passed: re-asking earlier
-        // would race a lease that is still live on the HAgent and get a
-        // pointless Busy denial for this tracker's own region.
-        if let Some(at) = self.rehash_request {
-            if ctx.now().saturating_since(at)
-                > self.config.rehash_lease_timeout() + self.config.rehash_cooldown
-            {
-                self.rehash_request = None;
-            }
-        }
+        self.rehash.give_up(&self.config, Some(ctx.now()));
         // A fresh IAgent that never got installed was orphaned by a failed
         // split; retire it.
-        if self.fresh
-            && !self.installed
+        if matches!(self.life, Lifecycle::AwaitingInstall { .. })
             && ctx.now().saturating_since(self.created_at) > self.config.rate_window * 10
         {
             ctx.dispose();
@@ -749,14 +504,14 @@ impl Agent for IAgentBehavior {
         // Client traffic that beats the first install is buffered, not
         // bounced: answering NotResponsible here would send freshly-resolved
         // clients into a refresh loop against the already-committed tree.
-        if !self.installed
-            && matches!(
+        if let Lifecycle::AwaitingInstall { early, .. } = &mut self.life {
+            if matches!(
                 msg,
                 Wire::Register { .. } | Wire::Update { .. } | Wire::Locate { .. }
-            )
-        {
-            self.preinstall.push((from, msg));
-            return;
+            ) {
+                early.push((from, msg));
+                return;
+            }
         }
         self.handle_wire(ctx, from, msg);
     }
@@ -784,7 +539,7 @@ impl Agent for IAgentBehavior {
         if let Some(Wire::SolicitReregister) = Wire::from_payload(payload) {
             if self.book.drop_stale(_to) {
                 self.stats.forget(_to);
-                self.replicator.mark_dirty();
+                self.records_changed();
                 self.finish_recovery_if_due(ctx);
             }
             return;
@@ -795,7 +550,7 @@ impl Agent for IAgentBehavior {
         // the client retries on its own timeout.
         if let Some(Wire::Handoff { records }) = Wire::from_payload(payload) {
             self.book.park_unplaced(records);
-            if !self.refetch_in_flight {
+            if self.refetch.is_none() {
                 self.refetch(ctx);
             }
         }
@@ -813,13 +568,12 @@ impl IAgentBehavior {
         node: NodeId,
         register: bool,
     ) {
-        self.requests_seen += 1;
         self.stats.record(ctx.now(), agent);
         self.note_origin(node);
         let mine = self.is_mine(ctx, agent);
         match self.book.accept(agent, node, mine, Source::Direct) {
             Outcome::Stored | Outcome::Kept => {
-                self.replicator.mark_dirty();
+                self.records_changed();
                 if register {
                     ctx.send(from, node, Wire::RegisterAck { agent }.payload());
                 }
@@ -840,7 +594,7 @@ impl IAgentBehavior {
                 ctx.send(from, node, bounce.payload());
             }
         }
-        self.maybe_request_split(ctx);
+        self.maybe_request_rehash(ctx, false);
     }
 
     fn handle_wire(&mut self, ctx: &mut AgentCtx<'_>, from: AgentId, msg: Wire) {
@@ -854,17 +608,13 @@ impl IAgentBehavior {
                 freshness,
                 corr,
             } => {
-                self.requests_seen += 1;
                 self.stats.record(ctx.now(), target);
                 self.note_origin(reply_node);
-                // While recovering, a buffered locate is held until
-                // recovery ends: a late degraded answer beats a premature
-                // NotFound.
                 let normal = ctx.now() + self.config.pending_timeout;
-                let deadline = match &self.recovery {
-                    Some(rec) => normal.max(rec.started + self.config.recovery_timeout),
-                    None => normal,
-                };
+                let deadline = self
+                    .durability
+                    .as_ref()
+                    .map_or(normal, |d| d.locate_deadline(normal));
                 let p = PendingLocate {
                     target,
                     requester: from,
@@ -875,58 +625,19 @@ impl IAgentBehavior {
                     deadline,
                 };
                 if self.is_mine(ctx, target) {
-                    match self.book.lookup(target, ctx.now()) {
-                        Some(record) if freshness.admits(record.age_ms) => {
-                            self.answer_located(ctx, &p, record);
-                        }
-                        too_old_or_missing => {
-                            // Missing: possibly a handoff in flight —
-                            // buffer briefly. Too old for the declared
-                            // bound: wait for a reconfirming update
-                            // instead of breaking the bound.
-                            if too_old_or_missing.is_some() {
-                                self.shared.update(|s| s.freshness_refusals += 1);
-                            }
-                            self.pending.push(p);
-                        }
-                    }
+                    let record = self.book.lookup(target, ctx.now());
+                    self.pending.serve(ctx, &self.shared, p, record);
                 } else {
-                    // Freshness-bounded reads may be served from a buddy
-                    // replica held here: under a severed inter-region
-                    // link this is what keeps bounded locates local.
-                    // Plain (`Any`) locates keep the seed behaviour — a
-                    // NotResponsible bounce drives the querier's
-                    // hash-function refresh — and `Fresh` means
-                    // authoritative only, so neither consults replicas.
-                    let replica = match freshness {
-                        Freshness::BoundedMs(_) => self.replica_store.find(target, ctx.now()),
+                    // Plain (`Any`) locates keep the seed behaviour, and
+                    // `Fresh` means authoritative only, so neither
+                    // consults the replicas held here.
+                    let replica = match (freshness, &self.durability) {
+                        (Freshness::BoundedMs(_), Some(d)) => d.replica(target, ctx.now()),
                         _ => None,
                     };
-                    match replica {
-                        Some((node, age_ms)) if freshness.admits(age_ms) => {
-                            let me = ctx.self_id().raw();
-                            self.shared.update(|s| s.replica_answers += 1);
-                            ctx.trace().emit(ctx.now(), || TraceEvent::StaleAnswer {
-                                tracker: me,
-                                target: target.raw(),
-                            });
-                            let record = Record {
-                                node,
-                                stale: true,
-                                age_ms,
-                            };
-                            p.reply(ctx, &p.located(record));
-                        }
-                        refused => {
-                            if refused.is_some() {
-                                self.shared.update(|s| s.freshness_refusals += 1);
-                            }
-                            self.shared.update(|s| s.stale_hits += 1);
-                            p.reply(ctx, &p.not_responsible());
-                        }
-                    }
+                    p.answer_elsewhere(ctx, &self.shared, replica);
                 }
-                self.maybe_request_split(ctx);
+                self.maybe_request_rehash(ctx, false);
             }
             Wire::DeliverVia {
                 target,
@@ -934,7 +645,6 @@ impl IAgentBehavior {
                 data,
                 ttl,
             } => {
-                self.requests_seen += 1;
                 self.stats.record(ctx.now(), target);
                 if self.is_mine(ctx, target) {
                     match self.book.node_of(target) {
@@ -955,15 +665,14 @@ impl IAgentBehavior {
                     // tracker under our (fresher) view.
                     self.forward_mail(ctx, target, origin, data, ttl - 1);
                 }
-                self.maybe_request_split(ctx);
+                self.maybe_request_rehash(ctx, false);
             }
             Wire::Deregister { agent, ttl } => {
-                self.requests_seen += 1;
                 self.stats.record(ctx.now(), agent);
                 let removed = self.book.deregister(agent, ctx.now());
-                self.replicator.mark_dirty();
+                self.records_changed();
                 self.stats.forget(agent);
-                if !removed && self.installed && !self.is_mine(ctx, agent) && ttl > 0 {
+                if !removed && self.serving() && !self.is_mine(ctx, agent) && ttl > 0 {
                     // The dying agent's stale hash copy aimed this at the
                     // pre-split owner. The sender is already gone, so
                     // there is nobody to bounce NotResponsible to — chase
@@ -979,7 +688,7 @@ impl IAgentBehavior {
                     }
                 }
                 self.finish_recovery_if_due(ctx);
-                self.maybe_request_split(ctx);
+                self.maybe_request_rehash(ctx, false);
             }
             Wire::InstallHashFn { hf } => {
                 let view = TrackerView::new(&hf, Some(ctx.self_id()));
@@ -1003,7 +712,7 @@ impl IAgentBehavior {
                     }
                 }
                 if !landed.is_empty() {
-                    self.replicator.mark_dirty();
+                    self.records_changed();
                 }
                 self.dispatch_handoffs(ctx, foreign);
                 self.flush_pending(ctx);
@@ -1011,26 +720,13 @@ impl IAgentBehavior {
                     self.flush_mail_for(ctx, agent);
                 }
             }
-            Wire::RehashDenied { reason } => {
-                self.rehash_request = None;
-                let backoff = match reason {
-                    // The pipeline (or this subtree's lease) is busy: the
-                    // conflicting rehash commits shortly, so retry fast —
-                    // the rate that justified this request is still there.
-                    DenyReason::Busy => BOUNCE_RETRY_DELAY,
-                    DenyReason::Cooldown | DenyReason::NoPlan => self.config.rehash_cooldown,
-                    // Read-only standby: the tree is frozen until the
-                    // primary returns; hammering the standby is futile.
-                    DenyReason::ReadOnly => self.config.rehash_lease_timeout(),
-                };
-                self.rehash_backoff_until = ctx.now() + backoff;
-            }
+            Wire::RehashDenied { reason } => self.rehash.denied(&self.config, ctx.now(), reason),
             Wire::HashFnCopy { hf } => {
                 // Answer to a refetch after a bounced handoff. Re-dispatch
                 // only under a *newer* view — the same version would resend
                 // to the destination that just bounced (hot loop); the
                 // periodic check refetches until the view advances.
-                self.refetch_in_flight = false;
+                self.refetch = None;
                 if hf.version > self.view.version() {
                     let view = TrackerView::new(&hf, Some(ctx.self_id()));
                     self.install(ctx, view);
@@ -1038,99 +734,19 @@ impl IAgentBehavior {
                     self.dispatch_handoffs(ctx, unplaced);
                 }
             }
-            Wire::RecordSync {
-                epoch,
-                seq,
-                records,
-                rate,
-                reply_node,
-            } => {
-                // Buddy duty. The replica stays in its own store: it is
-                // not ownership and must not leak into `book` or the
-                // records_held gauge.
-                let ack = self
-                    .replica_store
-                    .store_sync(from, epoch, seq, records, rate, ctx.now());
-                ctx.send(from, reply_node, ack.payload());
-            }
-            Wire::RecordSyncAck { epoch, seq } => {
-                self.replicator.on_ack(epoch, seq);
-            }
-            Wire::ReplicaPull { reply_node, .. } => {
-                let set = self.replica_store.answer_pull(from, ctx.now());
-                ctx.send(from, reply_node, set.payload());
-            }
-            Wire::EpochGrant { epoch, buddy } => {
-                let now = ctx.now();
-                let Some(rec) = &mut self.recovery else {
-                    // Late duplicate grant: adopt the epoch anyway so
-                    // future syncs are stamped under the latest one.
-                    self.replicator.start_epoch(epoch);
+            // Replication and recovery traffic; anything else is ignored.
+            msg => {
+                let (me, serving) = (ctx.self_id(), self.serving());
+                let Some(durability) = &mut self.durability else {
                     return;
                 };
-                if rec.phase != RecoveryPhase::AwaitEpoch {
-                    return; // duplicate grant mid-recovery
-                }
-                self.replicator.start_epoch(epoch);
-                match buddy {
-                    Some(buddy) => {
-                        rec.phase = RecoveryPhase::AwaitReplica;
-                        rec.last_request = now;
-                        self.replicator.set_buddy(Some(buddy));
-                        self.pull_replica(ctx);
-                    }
-                    None => {
-                        // Nowhere a replica could live: converge on
-                        // re-registration traffic alone.
-                        rec.phase = RecoveryPhase::Converging;
-                        self.finish_recovery_if_due(ctx);
-                    }
+                let view = &self.view;
+                let mine = |agent| serving && view.is_responsible(me, agent);
+                if durability.on_message(ctx, from, msg, &mut self.book, mine) {
+                    self.flush_pending(ctx);
+                    self.finish_recovery_if_due(ctx);
                 }
             }
-            Wire::ReplicaSet {
-                epoch,
-                records,
-                age_ms,
-                ..
-            } => {
-                if !matches!(
-                    self.recovery.as_ref().map(|r| r.phase),
-                    Some(RecoveryPhase::AwaitReplica)
-                ) {
-                    return; // unsolicited or duplicate
-                }
-                let mut recovered = 0usize;
-                if replica_usable(epoch, self.replicator.epoch) {
-                    let source = Source::Replica {
-                        age_ms,
-                        at: ctx.now(),
-                    };
-                    for (agent, node) in records {
-                        // Ownership filter: only records that still hash
-                        // here under the current view may be resurrected —
-                        // this is what stops a stale replica from undoing
-                        // a handoff that happened after it was written.
-                        // Tombstones keep deregistered agents dead.
-                        let mine = self.is_mine(ctx, agent);
-                        if self.book.accept(agent, node, mine, source) == Outcome::Stored {
-                            recovered += 1;
-                            // Ask the agent to reconfirm from wherever it
-                            // really is. Best effort: a bounce drops the
-                            // resurrected record again (see
-                            // on_delivery_failed).
-                            ctx.send(agent, node, Wire::SolicitReregister.payload());
-                        }
-                    }
-                }
-                if let Some(rec) = &mut self.recovery {
-                    rec.phase = RecoveryPhase::Converging;
-                    rec.recovered += recovered;
-                }
-                self.replicator.mark_dirty();
-                self.flush_pending(ctx);
-                self.finish_recovery_if_due(ctx);
-            }
-            _ => {}
         }
     }
 }

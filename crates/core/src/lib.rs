@@ -47,9 +47,12 @@ mod hashfn;
 mod home;
 mod iagent;
 mod lhagent;
+mod locality;
 mod mailbox;
+mod pending;
 mod plan;
 mod records;
+mod rehash;
 mod replica;
 mod retry;
 mod scheme;
@@ -69,9 +72,6 @@ pub use iagent::IAgentBehavior;
 pub use lhagent::LHAgentBehavior;
 pub use mailbox::{MailItem, Mailbox, MAIL_MAX_HOPS};
 pub use plan::{plan_split, PlanError, SplitPlan};
-pub use replica::{
-    replica_usable, RecoveryPhase, RecoveryState, ReplicaEntry, ReplicaStore, Replicator,
-};
 pub use scheme::{
     ClientEvent, ClientFactory, CopyRole, DirectoryClient, LocationScheme, SchemeStats,
     SharedSchemeStats,

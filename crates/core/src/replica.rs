@@ -1,10 +1,10 @@
-//! Record durability: buddy replication state and epoch-fenced recovery.
+//! Record durability: buddy replication and epoch-fenced recovery.
 //!
 //! The paper replicates only the hash *function* (HAgent standby, lazy
 //! LHAgent copies); the location *records* are soft state, and a tracker
 //! crash makes every settled agent it served unlocatable until the agent
-//! happens to move again. This module holds the state machines that close
-//! that gap:
+//! happens to move again. [`Durability`] closes that gap for one IAgent,
+//! driving three state machines:
 //!
 //! * [`Replicator`] — the outbound side: an IAgent batches its full record
 //!   set into version-stamped `RecordSync` messages for its **buddy
@@ -12,6 +12,7 @@
 //!   standby when the tree has one leaf), with ack/retry.
 //! * [`ReplicaStore`] — the inbound side: the replica copies a tracker
 //!   holds on behalf of others, stamped with the owner's `(epoch, seq)`.
+//!   The standby HAgent's buddy duty uses it too.
 //! * [`RecoveryState`] — the phase machine a restarted tracker runs after
 //!   soft-state loss: get a fresh epoch from the HAgent (fencing out
 //!   replicas written by incarnations whose ownership was since handed
@@ -20,9 +21,13 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use agentrack_platform::{AgentId, NodeId};
-use agentrack_sim::{SimDuration, SimTime};
+use agentrack_platform::{AgentCtx, AgentId, NodeId};
+use agentrack_sim::{SimDuration, SimTime, TraceEvent};
 
+use crate::config::LocationConfig;
+use crate::records::{Outcome, RecordStore, Source};
+use crate::scheme::SharedSchemeStats;
+use crate::view::TrackerView;
 use crate::wire::Wire;
 
 /// How long an unacknowledged `RecordSync` batch waits before it is
@@ -32,7 +37,7 @@ pub(crate) const REPLICATION_RETRY: SimDuration = SimDuration::from_millis(300);
 
 /// Outbound replication state of one IAgent.
 #[derive(Debug, Default)]
-pub struct Replicator {
+pub(crate) struct Replicator {
     /// Where this tracker's replica lives (sibling leaf, or standby).
     pub buddy: Option<(AgentId, NodeId)>,
     /// The tracker's current epoch, granted by the HAgent. Epoch 0 is the
@@ -114,7 +119,7 @@ impl Replicator {
 
 /// One replica held on behalf of another tracker.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReplicaEntry {
+pub(crate) struct ReplicaEntry {
     /// The owner's epoch the copy was written under.
     pub epoch: u64,
     /// The last applied batch number under that epoch.
@@ -144,7 +149,7 @@ impl ReplicaEntry {
 /// copies are not ownership, and the single-ownership invariant sums that
 /// gauge across live trackers.
 #[derive(Debug, Default)]
-pub struct ReplicaStore {
+pub(crate) struct ReplicaStore {
     entries: HashMap<AgentId, ReplicaEntry>,
 }
 
@@ -181,36 +186,38 @@ impl ReplicaStore {
         true
     }
 
-    /// Buddy duty for a `RecordSync` from `owner`: applies the batch (see
-    /// [`Self::apply_sync`]) and returns the `RecordSyncAck` to send back.
-    /// A stale batch is acked too, so the owner stops retrying it.
-    pub fn store_sync(
-        &mut self,
-        owner: AgentId,
-        epoch: u64,
-        seq: u64,
-        records: Vec<(AgentId, NodeId)>,
-        rate: f64,
-        now: SimTime,
-    ) -> Wire {
-        self.apply_sync(owner, epoch, seq, records, rate, now);
-        Wire::RecordSyncAck { epoch, seq }
-    }
-
-    /// Buddy duty for a `ReplicaPull` from `owner`: the `ReplicaSet` of
-    /// whatever is held for it, stamped as written (the puller fences
-    /// against its fresh epoch), or an empty epoch-0 set.
-    #[must_use]
-    pub fn answer_pull(&self, owner: AgentId, now: SimTime) -> Wire {
-        let held = self.get(owner);
-        Wire::ReplicaSet {
-            epoch: held.map_or(0, |e| e.epoch),
-            seq: held.map_or(0, |e| e.seq),
-            records: held.map_or_else(Vec::new, |e| {
-                e.records.iter().map(|(&a, &n)| (a, n)).collect()
-            }),
-            rate: held.map_or(0.0, |e| e.rate),
-            age_ms: held.map_or(0, |e| e.age_ms(now)),
+    /// Buddy duty for a `RecordSync` or `ReplicaPull` from `owner`: the
+    /// reply, and the node to send it to. A sync is applied (see
+    /// [`Self::apply_sync`]) and acked, a stale one too, so the owner
+    /// stops retrying it. A pull gets the `ReplicaSet` held for the owner,
+    /// stamped as written (the puller fences against its fresh epoch), or
+    /// an empty epoch-0 set.
+    pub fn serve(&mut self, owner: AgentId, msg: Wire, now: SimTime) -> Option<(NodeId, Wire)> {
+        match msg {
+            Wire::RecordSync {
+                epoch,
+                seq,
+                records,
+                rate,
+                reply_node,
+            } => {
+                self.apply_sync(owner, epoch, seq, records, rate, now);
+                Some((reply_node, Wire::RecordSyncAck { epoch, seq }))
+            }
+            Wire::ReplicaPull { reply_node, .. } => {
+                let held = self.get(owner);
+                let set = Wire::ReplicaSet {
+                    epoch: held.map_or(0, |e| e.epoch),
+                    seq: held.map_or(0, |e| e.seq),
+                    records: held.map_or_else(Vec::new, |e| {
+                        e.records.iter().map(|(&a, &n)| (a, n)).collect()
+                    }),
+                    rate: held.map_or(0.0, |e| e.rate),
+                    age_ms: held.map_or(0, |e| e.age_ms(now)),
+                };
+                Some((reply_node, set))
+            }
+            _ => None,
         }
     }
 
@@ -238,24 +245,6 @@ impl ReplicaStore {
         None
     }
 
-    /// Drops the replica held for `owner` (it pulled its records back, or
-    /// duty moved elsewhere).
-    pub fn remove(&mut self, owner: AgentId) -> Option<ReplicaEntry> {
-        self.entries.remove(&owner)
-    }
-
-    /// Number of owners with a stored replica.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when no replicas are held.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Forgets everything (the holder itself lost its soft state).
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -264,7 +253,7 @@ impl ReplicaStore {
 
 /// Where a recovering tracker is in its recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryPhase {
+pub(crate) enum RecoveryPhase {
     /// Waiting for the HAgent to grant a fresh epoch.
     AwaitEpoch,
     /// Epoch granted; waiting for the buddy's `ReplicaSet`.
@@ -276,7 +265,7 @@ pub enum RecoveryPhase {
 
 /// The recovery run of one restarted tracker.
 #[derive(Debug)]
-pub struct RecoveryState {
+pub(crate) struct RecoveryState {
     /// Current phase.
     pub phase: RecoveryPhase,
     /// When recovery began (the restart).
@@ -285,19 +274,6 @@ pub struct RecoveryState {
     pub recovered: usize,
     /// When the last epoch request / replica pull was sent, for retries.
     pub last_request: SimTime,
-}
-
-impl RecoveryState {
-    /// Starts a recovery at `now`, in the epoch-request phase.
-    #[must_use]
-    pub fn new(now: SimTime) -> Self {
-        RecoveryState {
-            phase: RecoveryPhase::AwaitEpoch,
-            started: now,
-            recovered: 0,
-            last_request: now,
-        }
-    }
 }
 
 /// Decides whether a pulled replica may be used by a recovering tracker.
@@ -309,8 +285,275 @@ impl RecoveryState {
 /// filter (does the agent still hash to this tracker?) is applied by the
 /// caller against its current hash-function copy.
 #[must_use]
-pub fn replica_usable(replica_epoch: u64, my_epoch: u64) -> bool {
+pub(crate) fn replica_usable(replica_epoch: u64, my_epoch: u64) -> bool {
     replica_epoch < my_epoch
+}
+
+/// One IAgent's share of record durability, present only when
+/// replication is on. The IAgent lends it the record book and an
+/// ownership check, and learns when to flush its held locates and how
+/// long a locate may be held.
+#[derive(Debug)]
+pub(crate) struct Durability {
+    interval: SimDuration,
+    recovery_timeout: SimDuration,
+    hagent: (AgentId, NodeId),
+    shared: SharedSchemeStats,
+    /// Fallback buddy (the standby HAgent) when the tree has a single
+    /// leaf, so no sibling-leaf buddy exists.
+    pub(crate) standby: Option<(AgentId, NodeId)>,
+    replicator: Replicator,
+    /// Replicas held for buddy trackers. Never merged into the book or
+    /// the `records_held` gauge: a replica is not ownership.
+    store: ReplicaStore,
+    recovery: Option<RecoveryState>,
+}
+
+impl Durability {
+    /// `None` when `config` turns replication off.
+    pub(crate) fn new(
+        config: &LocationConfig,
+        hagent: (AgentId, NodeId),
+        shared: &SharedSchemeStats,
+    ) -> Option<Self> {
+        Some(Durability {
+            interval: config.replication_interval?,
+            recovery_timeout: config.recovery_timeout,
+            hagent,
+            shared: shared.clone(),
+            standby: None,
+            replicator: Replicator::default(),
+            store: ReplicaStore::default(),
+            recovery: None,
+        })
+    }
+
+    /// The owner's record set changed.
+    pub(crate) fn mark_dirty(&mut self) {
+        self.replicator.mark_dirty();
+    }
+
+    /// The replica lives at the sibling leaf under `view`, else at the
+    /// standby; a new buddy gets a prompt full snapshot.
+    fn refresh_buddy(&mut self, view: &TrackerView) {
+        self.replicator.set_buddy(view.buddy().or(self.standby));
+    }
+
+    /// A new view was installed: replication duty follows ownership.
+    pub(crate) fn follow(&mut self, view: &TrackerView) {
+        self.refresh_buddy(view);
+        self.replicator.mark_dirty();
+    }
+
+    /// While recovering, a held locate waits until recovery ends: a late
+    /// degraded answer beats a premature `NotFound`.
+    pub(crate) fn locate_deadline(&self, normal: SimTime) -> SimTime {
+        self.recovery.as_ref().map_or(normal, |rec| {
+            normal.max(rec.started + self.recovery_timeout)
+        })
+    }
+
+    /// `target`'s node and age in a replica held here.
+    pub(crate) fn replica(&self, target: AgentId, now: SimTime) -> Option<(NodeId, u64)> {
+        self.store.find(target, now)
+    }
+
+    /// The periodic timer: sends the book (and `rate`) to the buddy when
+    /// a batch is due, then drives recovery. `view` is `None` before the
+    /// owner's first install, with nothing to sync. `true`: recovery ended.
+    pub(crate) fn on_timer(
+        &mut self,
+        ctx: &mut AgentCtx<'_>,
+        book: &mut RecordStore,
+        view: Option<&TrackerView>,
+        rate: f64,
+    ) -> bool {
+        // A recovering tracker must not sync under a not-yet-granted
+        // epoch.
+        let recovering = self.recovery.as_ref();
+        let syncing = recovering.is_none_or(|r| r.phase == RecoveryPhase::Converging);
+        let view = view.filter(|_| syncing);
+        if let Some(view) = view {
+            self.refresh_buddy(view);
+        }
+        if let Some((buddy, buddy_node)) = self
+            .replicator
+            .buddy
+            .filter(|_| view.is_some() && self.replicator.due(ctx.now(), self.interval))
+        {
+            let epoch = self.replicator.epoch;
+            let seq = self.replicator.cut_batch(ctx.now());
+            let records = book.snapshot();
+            let (me, count) = (ctx.self_id().raw(), records.len());
+            self.shared.update(|s| s.record_syncs += 1);
+            ctx.trace().emit(ctx.now(), || TraceEvent::RecordSync {
+                tracker: me,
+                buddy: buddy.raw(),
+                records: count,
+                epoch,
+            });
+            let reply_node = ctx.node();
+            let sync = Wire::RecordSync {
+                epoch,
+                seq,
+                records,
+                rate,
+                reply_node,
+            };
+            ctx.send(buddy, buddy_node, sync.payload());
+        }
+        // Retry a lost epoch request or replica pull.
+        if let Some(rec) = self.recovery.as_mut().filter(|rec| {
+            rec.phase != RecoveryPhase::Converging
+                && ctx.now().saturating_since(rec.last_request) >= REPLICATION_RETRY
+        }) {
+            rec.last_request = ctx.now();
+            if rec.phase == RecoveryPhase::AwaitEpoch {
+                ctx.send(self.hagent.0, self.hagent.1, Wire::EpochRequest.payload());
+            } else {
+                self.pull_replica(ctx);
+            }
+        }
+        self.finish_if_due(ctx, book)
+    }
+
+    /// Asks the buddy for its replica of this tracker's records.
+    fn pull_replica(&self, ctx: &mut AgentCtx<'_>) {
+        if let Some((buddy, buddy_node)) = self.replicator.buddy {
+            let epoch = self.replicator.epoch;
+            let reply_node = ctx.node();
+            let pull = Wire::ReplicaPull { epoch, reply_node };
+            ctx.send(buddy, buddy_node, pull.payload());
+        }
+    }
+
+    /// Ends recovery once converged (no stale tags left) or timed out.
+    /// The owner calls it from every event that can clear the last stale
+    /// tag, so recovery times are not quantised to the check tick.
+    pub(crate) fn finish_if_due(&mut self, ctx: &mut AgentCtx<'_>, book: &mut RecordStore) -> bool {
+        let Some(rec) = &self.recovery else {
+            return false;
+        };
+        let stale_left = book.stale_count();
+        let converged = rec.phase == RecoveryPhase::Converging && stale_left == 0;
+        if !converged && ctx.now().saturating_since(rec.started) < self.recovery_timeout {
+            return false;
+        }
+        let (me, recovered) = (ctx.self_id().raw(), rec.recovered);
+        ctx.trace().emit(ctx.now(), || TraceEvent::RecoveryEnd {
+            tracker: me,
+            recovered,
+            stale_left,
+        });
+        self.shared.update(|s| s.recoveries_completed += 1);
+        // Unconfirmed records are no worse than any normal record, which
+        // is also just the last reported node.
+        book.confirm_all();
+        self.recovery = None;
+        true
+    }
+
+    /// The owner restarted: the set is re-synced. After a soft-state loss
+    /// (the replicas held here are gone too) a `serving` owner recovers:
+    /// a fresh epoch from the HAgent, then the buddy's replica.
+    pub(crate) fn on_restart(&mut self, ctx: &mut AgentCtx<'_>, lost: bool, serving: bool) {
+        if lost {
+            self.store.clear();
+            self.recovery = serving.then(|| RecoveryState {
+                phase: RecoveryPhase::AwaitEpoch,
+                started: ctx.now(),
+                recovered: 0,
+                last_request: ctx.now(),
+            });
+            if serving {
+                let me = ctx.self_id().raw();
+                self.shared.update(|s| s.recoveries_started += 1);
+                ctx.trace()
+                    .emit(ctx.now(), || TraceEvent::RecoveryStart { tracker: me });
+                ctx.send(self.hagent.0, self.hagent.1, Wire::EpochRequest.payload());
+            }
+        }
+        self.replicator.mark_dirty();
+    }
+
+    /// Handles `RecordSync`, `RecordSyncAck`, `ReplicaPull`, `EpochGrant`
+    /// and `ReplicaSet`; `mine` tells which agents hash to the owner.
+    /// `true`: records landed or recovery ended, so the owner serves its
+    /// held locates and then ends recovery if that is due.
+    pub(crate) fn on_message(
+        &mut self,
+        ctx: &mut AgentCtx<'_>,
+        from: AgentId,
+        msg: Wire,
+        book: &mut RecordStore,
+        mine: impl Fn(AgentId) -> bool,
+    ) -> bool {
+        let now = ctx.now();
+        let phase = self.recovery.as_ref().map(|rec| rec.phase);
+        match msg {
+            msg @ (Wire::RecordSync { .. } | Wire::ReplicaPull { .. }) => {
+                if let Some((node, reply)) = self.store.serve(from, msg, now) {
+                    ctx.send(from, node, reply.payload());
+                }
+            }
+            Wire::RecordSyncAck { epoch, seq } => self.replicator.on_ack(epoch, seq),
+            // A late duplicate grant still sets the epoch future syncs
+            // are stamped under; one mid-recovery is ignored.
+            Wire::EpochGrant { epoch, .. } if phase.is_none() => {
+                self.replicator.start_epoch(epoch);
+            }
+            Wire::EpochGrant { epoch, buddy } if phase == Some(RecoveryPhase::AwaitEpoch) => {
+                self.replicator.start_epoch(epoch);
+                let rec = self
+                    .recovery
+                    .as_mut()
+                    .expect("a recovery phase implies a recovery");
+                // With no buddy, nowhere a replica could live: converge
+                // on re-registration traffic alone.
+                rec.phase = match buddy {
+                    Some(_) => RecoveryPhase::AwaitReplica,
+                    None => RecoveryPhase::Converging,
+                };
+                rec.last_request = now;
+                if buddy.is_none() {
+                    return self.finish_if_due(ctx, book);
+                }
+                self.replicator.set_buddy(buddy);
+                self.pull_replica(ctx);
+            }
+            Wire::ReplicaSet {
+                epoch,
+                records,
+                age_ms,
+                ..
+            } if phase == Some(RecoveryPhase::AwaitReplica) => {
+                let rec = self
+                    .recovery
+                    .as_mut()
+                    .expect("a recovery phase implies a recovery");
+                let source = Source::Replica { age_ms, at: now };
+                // The epoch fence, then the ownership filter: only records
+                // that still hash here may be resurrected, so a stale
+                // replica cannot undo a handoff made after it was written.
+                // Tombstones keep deregistered agents dead.
+                let usable = replica_usable(epoch, self.replicator.epoch);
+                for (agent, node) in records.into_iter().filter(|_| usable) {
+                    if book.accept(agent, node, mine(agent), source) == Outcome::Stored {
+                        rec.recovered += 1;
+                        // Ask the agent to reconfirm from wherever it
+                        // really is. Best effort: a bounce drops the
+                        // resurrected record again.
+                        ctx.send(agent, node, Wire::SolicitReregister.payload());
+                    }
+                }
+                rec.phase = RecoveryPhase::Converging;
+                self.replicator.mark_dirty();
+                return true;
+            }
+            _ => {}
+        }
+        false
+    }
 }
 
 #[cfg(test)]
@@ -396,9 +639,6 @@ mod tests {
             store.get(owner).unwrap().records[&AgentId::new(100)],
             NodeId::new(5)
         );
-        assert_eq!(store.len(), 1);
-        store.remove(owner);
-        assert!(store.is_empty());
     }
 
     #[test]
@@ -428,38 +668,56 @@ mod tests {
     #[test]
     fn buddy_duty_acks_every_sync_and_answers_pulls() {
         let mut store = ReplicaStore::default();
-        let owner = AgentId::new(4);
+        let (owner, node) = (AgentId::new(4), NodeId::new(3));
         let rec = vec![(AgentId::new(7), NodeId::new(2))];
+        let sync = |epoch, seq, records, rate| Wire::RecordSync {
+            epoch,
+            seq,
+            records,
+            rate,
+            reply_node: node,
+        };
+        let pull = || Wire::ReplicaPull {
+            epoch: 9,
+            reply_node: node,
+        };
         assert_eq!(
-            store.store_sync(owner, 1, 2, rec.clone(), 3.0, t(100)),
-            Wire::RecordSyncAck { epoch: 1, seq: 2 }
+            store.serve(owner, sync(1, 2, rec.clone(), 3.0), t(100)),
+            Some((node, Wire::RecordSyncAck { epoch: 1, seq: 2 }))
         );
         assert_eq!(
-            store.store_sync(owner, 0, 9, Vec::new(), 1.0, t(200)),
-            Wire::RecordSyncAck { epoch: 0, seq: 9 },
+            store.serve(owner, sync(0, 9, Vec::new(), 1.0), t(200)),
+            Some((node, Wire::RecordSyncAck { epoch: 0, seq: 9 })),
             "a stale batch is acked but not applied"
         );
         assert_eq!(
-            store.answer_pull(owner, t(350)),
-            Wire::ReplicaSet {
-                epoch: 1,
-                seq: 2,
-                records: rec,
-                rate: 3.0,
-                age_ms: 250,
-            }
+            store.serve(owner, pull(), t(350)),
+            Some((
+                node,
+                Wire::ReplicaSet {
+                    epoch: 1,
+                    seq: 2,
+                    records: rec,
+                    rate: 3.0,
+                    age_ms: 250,
+                }
+            ))
         );
         assert_eq!(
-            store.answer_pull(AgentId::new(5), t(350)),
-            Wire::ReplicaSet {
-                epoch: 0,
-                seq: 0,
-                records: Vec::new(),
-                rate: 0.0,
-                age_ms: 0,
-            },
+            store.serve(AgentId::new(5), pull(), t(350)),
+            Some((
+                node,
+                Wire::ReplicaSet {
+                    epoch: 0,
+                    seq: 0,
+                    records: Vec::new(),
+                    rate: 0.0,
+                    age_ms: 0,
+                }
+            )),
             "nothing held: an empty epoch-0 set"
         );
+        assert_eq!(store.serve(owner, Wire::EpochRequest, t(400)), None);
     }
 
     #[test]

@@ -24,6 +24,8 @@ const DECAY_INTERVAL: SimDuration = SimDuration::from_secs(2);
 /// Rate and per-agent load statistics of one tracker.
 pub struct LoadStats {
     rate: WindowedRate,
+    /// Requests recorded since creation; `reset` keeps it.
+    total: u64,
     per_agent: HashMap<AgentId, u64>,
     last_decay: SimTime,
     window: SimDuration,
@@ -39,6 +41,7 @@ impl LoadStats {
     pub fn new(window: SimDuration) -> Self {
         LoadStats {
             rate: WindowedRate::new(window, RATE_BUCKETS),
+            total: 0,
             per_agent: HashMap::new(),
             last_decay: SimTime::ZERO,
             window,
@@ -48,6 +51,7 @@ impl LoadStats {
     /// Records one request concerning `about` (the registered/updated/
     /// located agent) at time `now`.
     pub fn record(&mut self, now: SimTime, about: AgentId) {
+        self.total += 1;
         self.rate.record(now);
         *self.per_agent.entry(about).or_insert(0) += 1;
         self.maybe_decay(now);
@@ -56,6 +60,7 @@ impl LoadStats {
     /// Records a request that concerns no particular agent (control
     /// traffic); it still counts toward the rate.
     pub fn record_control(&mut self, now: SimTime) {
+        self.total += 1;
         self.rate.record(now);
         self.maybe_decay(now);
     }
@@ -89,10 +94,11 @@ impl LoadStats {
         self.last_decay = now;
     }
 
-    /// Total requests ever recorded.
+    /// Total requests recorded since creation: unlike the rate and the
+    /// per-agent loads, [`reset`](Self::reset) does not clear it.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.rate.total_events()
+        self.total
     }
 
     fn maybe_decay(&mut self, now: SimTime) {

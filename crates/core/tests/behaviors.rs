@@ -765,6 +765,101 @@ fn iagent_merged_away_hands_off_everything_and_retires() {
     assert!(!h.platform.is_active(ia));
 }
 
+/// Spawns a fresh IAgent on node 1, created under rehash lease 5, whose
+/// bootstrap view (the HAgent's copy at creation) gives every key to the
+/// puppet.
+fn spawn_fresh_iagent(h: &mut Harness, config: LocationConfig) -> AgentId {
+    let creation_copy = HashFunction::initial(h.puppet, h.puppet_node);
+    h.platform.spawn(
+        Box::new(
+            IAgentBehavior::fresh(
+                config,
+                h.puppet, // the puppet plays the HAgent
+                h.puppet_node,
+                TrackerView::new(&creation_copy, None),
+                SharedSchemeStats::new(),
+            )
+            .with_lease(5),
+        ),
+        NodeId::new(1),
+    )
+}
+
+#[test]
+fn fresh_iagent_never_installed_retires_after_ten_rate_windows() {
+    let mut h = Harness::new(2);
+    let cfg = LocationConfig {
+        rate_window: SimDuration::from_millis(200),
+        check_interval: SimDuration::from_millis(50),
+        ..config()
+    };
+    let ia = spawn_fresh_iagent(&mut h, cfg);
+    h.run_ms(30);
+    assert!(h
+        .received()
+        .iter()
+        .any(|m| matches!(m, Wire::IAgentReady { lease: 5 })));
+
+    // rate_window × 10 = 2 s without an install: orphaned by a failed
+    // split, but not before that.
+    h.run_ms(1960);
+    assert!(h.platform.is_active(ia), "retired before 10 rate windows");
+    h.run_ms(110);
+    assert!(
+        !h.platform.is_active(ia),
+        "still alive after 10 rate windows"
+    );
+}
+
+#[test]
+fn fresh_iagent_holds_client_requests_until_its_first_install() {
+    let mut h = Harness::new(2);
+    let ia = spawn_fresh_iagent(&mut h, config());
+    let agent = AgentId::new(640);
+    h.run_ms(30);
+    h.clear();
+
+    h.send(
+        ia,
+        NodeId::new(1),
+        Wire::Register {
+            agent,
+            node: h.puppet_node,
+        },
+    );
+    h.run_ms(20);
+    locate_any(&h, ia, agent, 9);
+    h.run_ms(100);
+    assert!(
+        h.received().is_empty(),
+        "answered before the install: {:?}",
+        h.received()
+    );
+
+    let mut hf = HashFunction::initial(ia, NodeId::new(1));
+    hf.version = 2;
+    h.send(ia, NodeId::new(1), Wire::InstallHashFn { hf });
+    h.run_ms(50);
+    let got = h.received();
+    assert!(
+        got.iter()
+            .any(|m| matches!(m, Wire::RegisterAck { agent: a } if *a == agent)),
+        "{got:?}"
+    );
+    assert!(
+        got.iter().any(|m| matches!(
+            m,
+            Wire::Located { target, node, token: 9, .. }
+                if *target == agent && *node == h.puppet_node
+        )),
+        "{got:?}"
+    );
+    assert!(
+        !got.iter().any(|m| matches!(m, Wire::NotResponsible { .. })),
+        "{got:?}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // HAgent
 // ---------------------------------------------------------------------

@@ -215,12 +215,6 @@ impl CompiledDirectory {
         self.compiled.then_some(self.slots.as_slice())
     }
 
-    /// Approximate heap footprint of the table in bytes.
-    #[must_use]
-    pub fn memory_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<IAgentId>()
-    }
-
     /// Exhaustively checks every slot against [`HashTree::lookup`].
     ///
     /// O(`2^depth` · height) — intended for tests and debugging, not the

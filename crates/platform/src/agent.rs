@@ -37,7 +37,7 @@ use crate::payload::Payload;
 /// impl Agent for Echo {
 ///     fn on_message(&mut self, ctx: &mut AgentCtx<'_>, from: AgentId, payload: &Payload) {
 ///         let node = ctx.node();
-///         ctx.send_local_hint(from, node, payload.clone());
+///         ctx.send(from, node, payload.clone());
 ///     }
 /// }
 /// ```
@@ -206,12 +206,6 @@ impl AgentCtx<'_> {
     /// [`Agent::on_delivery_failed`] fires.
     pub fn send(&mut self, to: AgentId, node: NodeId, payload: Payload) {
         self.actions.push(Action::Send { to, node, payload });
-    }
-
-    /// Alias of [`AgentCtx::send`] that reads better when replying to a
-    /// sender using a freshly obtained location hint.
-    pub fn send_local_hint(&mut self, to: AgentId, node: NodeId, payload: Payload) {
-        self.send(to, node, payload);
     }
 
     /// Migrates this agent to another node. In-flight messages addressed to

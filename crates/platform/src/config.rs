@@ -116,22 +116,14 @@ pub struct LiveConfig {
     /// never waits for the cap.
     pub batch_max: usize,
     /// Enables live telemetry (default off): latency histograms, queue
-    /// depth and drain accounting, heartbeat stall detection, and the
-    /// background snapshot aggregator. Off, every instrumented site
+    /// depth and drain accounting, and the background snapshot
+    /// aggregator. Off, every instrumented site
     /// costs one predictable branch. See `DESIGN.md` §16.
     pub telemetry: bool,
     /// Capacity K of the slow-op flight recorder (default 0 = off;
     /// requires `telemetry`). The K slowest deliver/move/timer ops are
     /// kept with enqueue/start/end phase timestamps.
     pub flight_recorder: usize,
-    /// Period, in milliseconds, of the background aggregator's
-    /// [`TelemetrySnapshot`](crate::TelemetrySnapshot) publications
-    /// (default 200).
-    pub telemetry_interval_ms: u64,
-    /// Heartbeat age, in milliseconds, past which a live node loop is
-    /// flagged stalled (default 1000). Instrumented idle loops wake at
-    /// half this period to re-stamp, so idle never reads as stalled.
-    pub stall_after_ms: u64,
 }
 
 impl Default for LiveConfig {
@@ -141,8 +133,6 @@ impl Default for LiveConfig {
             batch_max: 64,
             telemetry: false,
             flight_recorder: 0,
-            telemetry_interval_ms: 200,
-            stall_after_ms: 1000,
         }
     }
 }
@@ -176,20 +166,6 @@ impl LiveConfig {
         self
     }
 
-    /// Sets the aggregator's snapshot publication period.
-    #[must_use]
-    pub fn with_telemetry_interval_ms(mut self, ms: u64) -> Self {
-        self.telemetry_interval_ms = ms.max(1);
-        self
-    }
-
-    /// Sets the heartbeat-age stall threshold.
-    #[must_use]
-    pub fn with_stall_after_ms(mut self, ms: u64) -> Self {
-        self.stall_after_ms = ms.max(1);
-        self
-    }
-
     /// The shard count actually used: `shards` rounded up to a power of
     /// two, with `0` resolved to the 1024-shard default.
     #[must_use]
@@ -217,13 +193,9 @@ mod tests {
         assert_eq!(c.flight_recorder, 0);
         let t = LiveConfig::default()
             .with_telemetry(true)
-            .with_flight_recorder(32)
-            .with_telemetry_interval_ms(0)
-            .with_stall_after_ms(0);
+            .with_flight_recorder(32);
         assert!(t.telemetry);
         assert_eq!(t.flight_recorder, 32);
-        assert_eq!(t.telemetry_interval_ms, 1, "period clamps to >= 1ms");
-        assert_eq!(t.stall_after_ms, 1, "threshold clamps to >= 1ms");
     }
 
     #[test]

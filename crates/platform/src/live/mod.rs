@@ -404,11 +404,10 @@ impl LivePlatform {
         let aggregator = if config.telemetry {
             let (stop_tx, stop_rx) = unbounded::<()>();
             let agg_shared = Arc::clone(&shared);
-            let interval = Duration::from_millis(config.telemetry_interval_ms.max(1));
             let handle = std::thread::Builder::new()
                 .name("agentrack-telemetry".into())
                 .spawn(move || loop {
-                    match stop_rx.recv_deadline(Instant::now() + interval) {
+                    match stop_rx.recv_deadline(Instant::now() + telemetry::SNAPSHOT_INTERVAL) {
                         Err(RecvTimeoutError::Timeout) => {
                             let snap = telemetry::snapshot(&agg_shared);
                             *agg_shared.telemetry.latest.lock() = Some(snap);
@@ -613,7 +612,7 @@ impl LivePlatform {
 
     /// The aggregator thread's most recently published snapshot, if it
     /// has published one yet. Cheaper than building a fresh one when a
-    /// `telemetry_interval_ms`-stale view is acceptable.
+    /// view up to 200 ms stale is acceptable.
     #[must_use]
     pub fn latest_telemetry(&self) -> Option<TelemetrySnapshot> {
         self.shared.telemetry.latest.lock().clone()
@@ -890,14 +889,10 @@ fn node_loop(node: NodeId, rx: Receiver<NodeMsg>, shared: Arc<Shared>) -> Receiv
     let tele = shared.telemetry.enabled;
 
     loop {
-        // Every wake-up re-stamps the heartbeat; an instrumented idle
-        // loop's bounded wait below guarantees a fresh stamp at least
-        // every half stall threshold, so a stale heartbeat can only mean
-        // a handler that will not return.
         if tele {
-            let cells = &shared.telemetry.nodes[node.index()];
-            cells.heartbeat_ns.store(shared.now_ns(), Ordering::Relaxed);
-            cells.wakeups.fetch_add(1, Ordering::Relaxed);
+            shared.telemetry.nodes[node.index()]
+                .wakeups
+                .fetch_add(1, Ordering::Relaxed);
         }
         // Fire due timers, then wait for the next message or deadline.
         let now = Instant::now();
@@ -961,20 +956,7 @@ fn node_loop(node: NodeId, rx: Receiver<NodeMsg>, shared: Arc<Shared>) -> Receiv
         // inbound message to flush it.
         state.out.flush(&shared);
 
-        // Instrumented loops never block unboundedly: capping the wait
-        // at half the stall threshold keeps the heartbeat fresh while
-        // idle, so "stalled" can only mean stuck, not quiet.
-        let hb_deadline = if tele {
-            Some(Instant::now() + shared.telemetry.heartbeat_period())
-        } else {
-            None
-        };
-        let deadline = match (state.timers.peek().map(|t| t.at), hb_deadline) {
-            (Some(t), Some(h)) => Some(t.min(h)),
-            (Some(t), None) => Some(t),
-            (None, h) => h,
-        };
-        let first = match deadline {
+        let first = match state.timers.peek().map(|t| t.at) {
             Some(d) => match rx.recv_deadline(d) {
                 Ok(msg) => msg,
                 Err(RecvTimeoutError::Timeout) => continue,

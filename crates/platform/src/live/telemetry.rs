@@ -30,14 +30,11 @@
 //! A background aggregator thread (spawned by
 //! [`LivePlatform::with_config`](super::LivePlatform::with_config) when
 //! telemetry is on) publishes a fresh snapshot every
-//! `telemetry_interval_ms` to [`Telemetry::latest`], and node loops
-//! stamp a heartbeat every wake-up — waking at least every
-//! `stall_after_ms / 2` even when idle — so a heartbeat older than
-//! `stall_after_ms` means the node loop is genuinely stuck inside a
-//! handler, not merely quiet.
+//! [`SNAPSHOT_INTERVAL`] to [`Telemetry::latest`].
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -57,6 +54,9 @@ const HISTOGRAM_STRIPES: usize = 8;
 /// locates per second 1-in-256 still fills the histogram thousands of
 /// times per second.
 pub(crate) const LOCATE_SAMPLE_EVERY: u64 = 256;
+
+/// How often the aggregator thread publishes a snapshot.
+pub(crate) const SNAPSHOT_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Per-node monotonic counters. The delivered/failed cells are the
 /// *primary* accounting (always on — `LiveStats` sums them); the rest
@@ -79,8 +79,6 @@ pub(crate) struct NodeCells {
     /// Wake-ups that consumed the entire drain budget — sustained
     /// saturation shows up here first.
     pub(crate) drain_exhausted: AtomicU64,
-    /// Nanoseconds since platform start at the node loop's last wake-up.
-    pub(crate) heartbeat_ns: AtomicU64,
 }
 
 /// What kind of operation a [`SlowOp`] records.
@@ -232,7 +230,6 @@ pub(crate) struct Telemetry {
     pub(crate) route_hits: AtomicU64,
     pub(crate) route_misses: AtomicU64,
     pub(crate) flight: FlightRecorder,
-    stall_after_ns: u64,
     /// The aggregator thread's most recent published snapshot.
     pub(crate) latest: Mutex<Option<TelemetrySnapshot>>,
 }
@@ -262,16 +259,8 @@ impl Telemetry {
             } else {
                 0
             }),
-            stall_after_ns: config.stall_after_ms.saturating_mul(1_000_000),
             latest: Mutex::new(None),
         }
-    }
-
-    /// Half the stall threshold: the longest an idle node loop may block
-    /// before waking to refresh its heartbeat, so idle never reads as
-    /// stalled.
-    pub(crate) fn heartbeat_period(&self) -> std::time::Duration {
-        std::time::Duration::from_nanos((self.stall_after_ns / 2).max(1_000_000))
     }
 }
 
@@ -296,11 +285,6 @@ pub struct NodeHealth {
     pub wakeups: u64,
     /// Wake-ups that consumed the entire drain budget.
     pub drain_exhausted: u64,
-    /// Age of the node loop's heartbeat at snapshot time (nanoseconds).
-    pub heartbeat_age_ns: u64,
-    /// Heartbeat older than the stall threshold on a live node: the loop
-    /// is stuck inside a handler (idle loops wake to re-stamp).
-    pub stalled: bool,
     /// The node's thread died to a contained behaviour panic.
     pub dead: bool,
 }
@@ -323,8 +307,6 @@ pub struct TelemetrySnapshot {
     /// Σ `nodes[i].failed` — equals `LiveStats::messages_failed` at
     /// quiesce.
     pub failed_total: u64,
-    /// Number of nodes currently flagged stalled.
-    pub stalled_nodes: u32,
     /// Sampled locate latency (1 in 256 locate calls is stamped,
     /// `LOCATE_SAMPLE_EVERY`).
     pub locate_ns: LogHistogram,
@@ -357,7 +339,6 @@ pub(crate) fn snapshot(shared: &Shared) -> TelemetrySnapshot {
     let at_ns = shared.now_ns();
     let mut delivered_total = 0u64;
     let mut failed_total = 0u64;
-    let mut stalled_nodes = 0u32;
     let nodes: Vec<NodeHealth> = tele
         .nodes
         .iter()
@@ -367,18 +348,8 @@ pub(crate) fn snapshot(shared: &Shared) -> TelemetrySnapshot {
             let failed = cells.failed.load(Ordering::Relaxed);
             let enqueued = cells.chan_in.load(Ordering::Relaxed);
             let processed = cells.chan_out.load(Ordering::Relaxed);
-            let heartbeat = cells.heartbeat_ns.load(Ordering::Relaxed);
-            let dead = shared.dead[i].load(Ordering::Acquire);
-            let heartbeat_age_ns = at_ns.saturating_sub(heartbeat);
-            // Stall detection only means something while instrumented
-            // node loops are stamping heartbeats.
-            let stalled = tele.enabled
-                && !dead
-                && tele.stall_after_ns > 0
-                && heartbeat_age_ns > tele.stall_after_ns;
             delivered_total += delivered;
             failed_total += failed;
-            stalled_nodes += u32::from(stalled);
             NodeHealth {
                 node: i as u32,
                 delivered,
@@ -388,9 +359,7 @@ pub(crate) fn snapshot(shared: &Shared) -> TelemetrySnapshot {
                 queue_depth: enqueued.saturating_sub(processed),
                 wakeups: cells.wakeups.load(Ordering::Relaxed),
                 drain_exhausted: cells.drain_exhausted.load(Ordering::Relaxed),
-                heartbeat_age_ns,
-                stalled,
-                dead,
+                dead: shared.dead[i].load(Ordering::Acquire),
             }
         })
         .collect();
@@ -399,7 +368,6 @@ pub(crate) fn snapshot(shared: &Shared) -> TelemetrySnapshot {
         nodes,
         delivered_total,
         failed_total,
-        stalled_nodes,
         locate_ns: tele.locate_ns.snapshot(),
         deliver_ns: tele.deliver_ns.snapshot(),
         move_ns: tele.move_ns.snapshot(),

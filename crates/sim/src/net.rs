@@ -284,13 +284,6 @@ impl Topology {
         self
     }
 
-    /// Sets the local-delivery latency.
-    #[must_use]
-    pub fn with_local_latency(mut self, local: DurationDist) -> Self {
-        self.local_latency = local;
-        self
-    }
-
     /// Enables message loss with the given probability (failure injection).
     ///
     /// # Panics

@@ -37,7 +37,6 @@ pub struct Scheduler<E> {
     free: Vec<usize>,
     now: SimTime,
     seq: u64,
-    scheduled_total: u64,
 }
 
 /// Where and when an event fires. The ordering reads only `(at, seq)`,
@@ -76,7 +75,6 @@ impl<E> Scheduler<E> {
             free: Vec::new(),
             now: SimTime::ZERO,
             seq: 0,
-            scheduled_total: 0,
         }
     }
 
@@ -96,12 +94,6 @@ impl<E> Scheduler<E> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled (diagnostics).
-    #[must_use]
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
     }
 
     /// Schedules an event at an absolute instant.
@@ -128,7 +120,6 @@ impl<E> Scheduler<E> {
             slot,
         });
         self.seq += 1;
-        self.scheduled_total += 1;
     }
 
     /// Schedules an event `delay` after the current time.
@@ -175,7 +166,6 @@ impl<E> fmt::Debug for Scheduler<E> {
         f.debug_struct("Scheduler")
             .field("now", &self.now)
             .field("pending", &self.heap.len())
-            .field("scheduled_total", &self.scheduled_total)
             .finish()
     }
 }
@@ -193,7 +183,6 @@ mod tests {
         let order: Vec<u32> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![1, 2, 3]);
         assert_eq!(s.now(), SimTime::from_nanos(30));
-        assert_eq!(s.scheduled_total(), 3);
     }
 
     #[test]
