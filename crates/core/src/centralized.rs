@@ -121,7 +121,7 @@ impl Agent for CentralBehavior {
         match msg {
             Wire::Register { agent, node } => {
                 self.records.insert(agent, node);
-                ctx.send(from, node, Wire::RegisterAck { agent }.payload());
+                ctx.send(from, node, ctx.encode(&Wire::RegisterAck { agent }));
                 self.flush_mail_for(ctx, agent);
             }
             Wire::Update { agent, node } => {
@@ -137,7 +137,7 @@ impl Agent for CentralBehavior {
                 Some(&node) => ctx.send(
                     target,
                     node,
-                    Wire::MailDrop { from: origin, data }.payload(),
+                    ctx.encode(&Wire::MailDrop { from: origin, data }),
                 ),
                 None => self
                     .mailbox
@@ -270,7 +270,7 @@ impl CentralizedClient {
 
     fn send_central(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
         let (central, node) = self.scheme.central;
-        ctx.send(central, node, msg.payload());
+        ctx.send(central, node, ctx.encode(msg));
     }
 
     fn send_locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {

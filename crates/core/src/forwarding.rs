@@ -85,7 +85,7 @@ impl Agent for ForwarderBehavior {
             Wire::Register { agent, node } | Wire::Update { agent, node } => {
                 debug_assert_eq!(node, ctx.node());
                 self.pointers.insert(agent, Pointer::Here);
-                ctx.send(from, node, Wire::RegisterAck { agent }.payload());
+                ctx.send(from, node, ctx.encode(&Wire::RegisterAck { agent }));
             }
             Wire::LeavePointer { agent, to } => {
                 self.pointers.insert(agent, Pointer::MovedTo(to));
@@ -261,7 +261,7 @@ impl ForwardingClient {
                 node: here,
             }
         };
-        ctx.send(fw, node, msg.payload());
+        ctx.send(fw, node, ctx.encode(&msg));
     }
 
     fn send_locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {
@@ -311,11 +311,10 @@ impl DirectoryClient for ForwardingClient {
                 ctx.send(
                     fw,
                     node,
-                    Wire::LeavePointer {
+                    ctx.encode(&Wire::LeavePointer {
                         agent: me,
                         to: here,
-                    }
-                    .payload(),
+                    }),
                 );
             }
         }
@@ -328,11 +327,19 @@ impl DirectoryClient for ForwardingClient {
         let me = ctx.self_id();
         let here = ctx.node();
         let (fw, node) = self.forwarder_at(here);
-        ctx.send(fw, node, Wire::Deregister { agent: me, ttl: 0 }.payload());
+        ctx.send(
+            fw,
+            node,
+            ctx.encode(&Wire::Deregister { agent: me, ttl: 0 }),
+        );
         if let Some(birth) = self.birth {
             if birth != here {
                 let (fw, node) = self.forwarder_at(birth);
-                ctx.send(fw, node, Wire::Deregister { agent: me, ttl: 0 }.payload());
+                ctx.send(
+                    fw,
+                    node,
+                    ctx.encode(&Wire::Deregister { agent: me, ttl: 0 }),
+                );
             }
         }
         self.scheme.names.write().remove(&me);

@@ -94,7 +94,7 @@ impl CopyPayloads {
     /// and past `MAX_COMPILED_DEPTH`, where the view has no runs.
     ///
     /// [`MAX_COMPILED_DEPTH`]: agentrack_hashtree::MAX_COMPILED_DEPTH
-    fn install(&mut self, hf: &HashFunction, to: AgentId) -> Payload {
+    fn install(&mut self, ctx: &AgentCtx<'_>, hf: &HashFunction, to: AgentId) -> Payload {
         self.sync(hf);
         // The version's first install picks its form; a view is built only
         // for images, since cutting a fragmented tree's runs costs as much
@@ -106,19 +106,19 @@ impl CopyPayloads {
             self.view = Some(TrackerView::new(hf, None));
         }
         match self.view.as_ref().and_then(|view| view.image_for(hf, to)) {
-            Some(image) => Wire::InstallView { image }.payload(),
+            Some(image) => ctx.encode(&Wire::InstallView { image }),
             None => self
                 .install
-                .get_or_insert_with(|| Wire::InstallHashFn { hf: hf.clone() }.payload())
+                .get_or_insert_with(|| ctx.encode(&Wire::InstallHashFn { hf: hf.clone() }))
                 .clone(),
         }
     }
 
     /// `hf` as a [`Wire::HashFnCopy`] payload.
-    fn copy(&mut self, hf: &HashFunction) -> Payload {
+    fn copy(&mut self, ctx: &AgentCtx<'_>, hf: &HashFunction) -> Payload {
         self.sync(hf);
         self.copy
-            .get_or_insert_with(|| Wire::HashFnCopy { hf: hf.clone() }.payload())
+            .get_or_insert_with(|| ctx.encode(&Wire::HashFnCopy { hf: hf.clone() }))
             .clone()
     }
 }
@@ -198,7 +198,7 @@ impl Agent for StandbyHAgentBehavior {
             }
             Wire::FetchHashFn { reply_node, .. } => {
                 self.shared.update(|s| s.hf_fetches += 1);
-                ctx.send(from, reply_node, self.payloads.copy(&self.hf));
+                ctx.send(from, reply_node, self.payloads.copy(ctx, &self.hf));
             }
             Wire::SplitRequest { .. } | Wire::MergeRequest { .. } => {
                 // Read-only replica: rehashing waits for the primary. The
@@ -209,17 +209,16 @@ impl Agent for StandbyHAgentBehavior {
                     ctx.send(
                         from,
                         node,
-                        Wire::RehashDenied {
+                        ctx.encode(&Wire::RehashDenied {
                             reason: DenyReason::ReadOnly,
-                        }
-                        .payload(),
+                        }),
                     );
                 }
             }
             // Fallback buddy duty (single-leaf tree): hold the copy.
             msg @ (Wire::RecordSync { .. } | Wire::ReplicaPull { .. }) => {
                 if let Some((node, reply)) = self.replica_store.serve(from, msg, ctx.now()) {
-                    ctx.send(from, node, reply.payload());
+                    ctx.send(from, node, ctx.encode(&reply));
                 }
             }
             _ => {}
@@ -312,7 +311,7 @@ impl HAgentBehavior {
     fn deny(&self, ctx: &mut AgentCtx<'_>, to: AgentId, reason: DenyReason) {
         self.shared.update(|s| s.rehash_denied += 1);
         if let Some(node) = self.node_of_iagent(to) {
-            ctx.send(to, node, Wire::RehashDenied { reason }.payload());
+            ctx.send(to, node, ctx.encode(&Wire::RehashDenied { reason }));
         }
     }
 
@@ -388,16 +387,16 @@ impl HAgentBehavior {
             // was merged away (no directory entry any more) — the merge
             // handler passes its node explicitly instead.
             if let Some(node) = self.node_of_iagent(agent) {
-                ctx.send(agent, node, self.payloads.install(&self.hf, agent));
+                ctx.send(agent, node, self.payloads.install(ctx, &self.hf, agent));
             }
         }
         if self.config.eager_propagation {
             for &(lh, node) in &self.lhagents {
-                ctx.send(lh, node, self.payloads.copy(&self.hf));
+                ctx.send(lh, node, self.payloads.copy(ctx, &self.hf));
             }
         }
         if let Some((standby, node)) = self.standby {
-            ctx.send(standby, node, self.payloads.copy(&self.hf));
+            ctx.send(standby, node, self.payloads.copy(ctx, &self.hf));
         }
     }
 
@@ -410,10 +409,9 @@ impl HAgentBehavior {
             ctx.send(
                 to,
                 node,
-                Wire::RehashDenied {
+                ctx.encode(&Wire::RehashDenied {
                     reason: DenyReason::ReadOnly,
-                }
-                .payload(),
+                }),
             );
         }
     }
@@ -579,7 +577,7 @@ impl HAgentBehavior {
         // IAgent (whose directory entry is gone — use its last node).
         self.distribute(ctx, &absorbers);
         if let Some(node) = merged_node {
-            ctx.send(from, node, self.payloads.install(&self.hf, from));
+            ctx.send(from, node, self.payloads.install(ctx, &self.hf, from));
         }
         self.recent.push((
             self.cooldown_region(region),
@@ -623,7 +621,7 @@ impl Agent for HAgentBehavior {
             // from the bounce-triggering version and retired already (its
             // own install-or-timeout handles it).
             if let Some(node) = self.node_of_iagent(agent) {
-                ctx.send(agent, node, self.payloads.install(&self.hf, agent));
+                ctx.send(agent, node, self.payloads.install(ctx, &self.hf, agent));
             }
         }
         // Abort leases whose new IAgent never reported (lost message /
@@ -688,8 +686,8 @@ impl Agent for HAgentBehavior {
             } => {
                 self.shared.update(|s| s.hf_fetches += 1);
                 let reply = match self.log.since(have_version) {
-                    Some(delta) => delta.payload(),
-                    None => self.payloads.copy(&self.hf),
+                    Some(delta) => ctx.encode(&delta),
+                    None => self.payloads.copy(ctx, &self.hf),
                 };
                 ctx.send(from, reply_node, reply);
             }
@@ -702,7 +700,7 @@ impl Agent for HAgentBehavior {
                 let epoch = *e;
                 let buddy = self.hf.buddy_of(from).or(self.standby);
                 if let Some(node) = self.node_of_iagent(from) {
-                    ctx.send(from, node, Wire::EpochGrant { epoch, buddy }.payload());
+                    ctx.send(from, node, ctx.encode(&Wire::EpochGrant { epoch, buddy }));
                 }
             }
             _ => {}

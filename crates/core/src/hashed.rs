@@ -330,11 +330,10 @@ impl HashedClient {
             ctx.send(
                 iagent,
                 node,
-                Wire::Update {
+                ctx.encode(&Wire::Update {
                     agent: me,
                     node: here,
-                }
-                .payload(),
+                }),
             );
         }
     }
@@ -468,11 +467,10 @@ impl DirectoryClient for HashedClient {
                     ctx.send(
                         iagent,
                         node,
-                        Wire::Register {
+                        ctx.encode(&Wire::Register {
                             agent: me,
                             node: here,
-                        }
-                        .payload(),
+                        }),
                     );
                 }
                 ClientEvent::Consumed

@@ -173,7 +173,7 @@ impl HomeRegistryClient {
     fn send_home(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
         let home = self.home.expect("home set at registration");
         let (registry, node) = self.registry_at(home);
-        ctx.send(registry, node, msg.payload());
+        ctx.send(registry, node, ctx.encode(msg));
     }
 
     fn send_locate(&mut self, ctx: &mut AgentCtx<'_>, target: AgentId, token: u64) {

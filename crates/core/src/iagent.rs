@@ -178,7 +178,7 @@ impl IAgentBehavior {
     }
 
     fn send_hagent(&self, ctx: &mut AgentCtx<'_>, msg: &Wire) {
-        ctx.send(self.hagent.0, self.hagent.1, msg.payload());
+        ctx.send(self.hagent.0, self.hagent.1, ctx.encode(msg));
     }
 
     /// The record set changed: the buddy's replica is behind.
@@ -337,7 +337,11 @@ impl IAgentBehavior {
         let mut total = 0u64;
         for (owner, (owner_node, recs)) in by_owner {
             total += recs.len() as u64;
-            ctx.send(owner, owner_node, Wire::Handoff { records: recs }.payload());
+            ctx.send(
+                owner,
+                owner_node,
+                ctx.encode(&Wire::Handoff { records: recs }),
+            );
         }
         self.shared.update(|s| s.records_handed_off += total);
     }
@@ -358,7 +362,7 @@ impl IAgentBehavior {
             data,
             ttl,
         };
-        ctx.send(owner, node, mail.payload());
+        ctx.send(owner, node, ctx.encode(&mail));
     }
 
     /// Mail can flow the moment a record (re)appears for `agent`.
@@ -575,7 +579,7 @@ impl IAgentBehavior {
             Outcome::Stored | Outcome::Kept => {
                 self.records_changed();
                 if register {
-                    ctx.send(from, node, Wire::RegisterAck { agent }.payload());
+                    ctx.send(from, node, ctx.encode(&Wire::RegisterAck { agent }));
                 }
                 self.flush_pending(ctx);
                 self.flush_mail_for(ctx, agent);
@@ -591,7 +595,7 @@ impl IAgentBehavior {
                     token: None,
                     corr: None,
                 };
-                ctx.send(from, node, bounce.payload());
+                ctx.send(from, node, ctx.encode(&bounce));
             }
         }
         self.maybe_request_rehash(ctx, false);
@@ -651,7 +655,7 @@ impl IAgentBehavior {
                         Some(node) => ctx.send(
                             target,
                             node,
-                            Wire::MailDrop { from: origin, data }.payload(),
+                            ctx.encode(&Wire::MailDrop { from: origin, data }),
                         ),
                         // Unknown right now (mid-handoff or mid-flight):
                         // hold it; the next update releases it.
@@ -684,7 +688,7 @@ impl IAgentBehavior {
                             agent,
                             ttl: ttl - 1,
                         };
-                        ctx.send(owner, node, chase.payload());
+                        ctx.send(owner, node, ctx.encode(&chase));
                     }
                 }
                 self.finish_recovery_if_due(ctx);

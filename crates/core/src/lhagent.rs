@@ -173,7 +173,7 @@ impl LHAgentBehavior {
         let pending = std::mem::take(&mut self.pending_dereg);
         for (agent, ttl) in pending {
             let (iagent, node) = self.hf.resolve(agent);
-            ctx.send(iagent, node, Wire::Deregister { agent, ttl }.payload());
+            ctx.send(iagent, node, ctx.encode(&Wire::Deregister { agent, ttl }));
         }
     }
 
@@ -188,11 +188,10 @@ impl LHAgentBehavior {
         ctx.send(
             hagent,
             node,
-            Wire::FetchHashFn {
+            ctx.encode(&Wire::FetchHashFn {
                 have_version: if self.copy_wanted { 0 } else { self.hf.version },
                 reply_node: here,
-            }
-            .payload(),
+            }),
         );
         // Reply-loss watchdog: if no reply arrives, the timer clears the
         // in-flight flag and retries.
@@ -286,13 +285,12 @@ impl Agent for LHAgentBehavior {
                 ctx.send(
                     iagent,
                     node,
-                    Wire::DeliverVia {
+                    ctx.encode(&Wire::DeliverVia {
                         target,
                         from: origin,
                         data,
                         ttl,
-                    }
-                    .payload(),
+                    }),
                 );
             }
             Wire::ResolveFresh {
@@ -312,7 +310,7 @@ impl Agent for LHAgentBehavior {
                 // under the local copy (which may be stale — the trackers
                 // chase the rest of the way), and retry bounces below.
                 let (iagent, node) = self.hf.resolve(agent);
-                ctx.send(iagent, node, Wire::Deregister { agent, ttl }.payload());
+                ctx.send(iagent, node, ctx.encode(&Wire::Deregister { agent, ttl }));
             }
             // The answer to our fetch, or an eager push from the HAgent.
             Wire::HashFnCopy { hf } => self.advance(ctx, hf.version, |copy| {

@@ -165,7 +165,7 @@ impl Mailbox {
                 from: item.from,
                 data: item.data,
             };
-            ctx.send(agent, node, drop.payload());
+            ctx.send(agent, node, ctx.encode(&drop));
         }
     }
 

@@ -400,7 +400,7 @@ impl Durability {
                 rate,
                 reply_node,
             };
-            ctx.send(buddy, buddy_node, sync.payload());
+            ctx.send(buddy, buddy_node, ctx.encode(&sync));
         }
         // Retry a lost epoch request or replica pull.
         if let Some(rec) = self.recovery.as_mut().filter(|rec| {
@@ -409,7 +409,11 @@ impl Durability {
         }) {
             rec.last_request = ctx.now();
             if rec.phase == RecoveryPhase::AwaitEpoch {
-                ctx.send(self.hagent.0, self.hagent.1, Wire::EpochRequest.payload());
+                ctx.send(
+                    self.hagent.0,
+                    self.hagent.1,
+                    ctx.encode(&Wire::EpochRequest),
+                );
             } else {
                 self.pull_replica(ctx);
             }
@@ -423,7 +427,7 @@ impl Durability {
             let epoch = self.replicator.epoch;
             let reply_node = ctx.node();
             let pull = Wire::ReplicaPull { epoch, reply_node };
-            ctx.send(buddy, buddy_node, pull.payload());
+            ctx.send(buddy, buddy_node, ctx.encode(&pull));
         }
     }
 
@@ -470,7 +474,11 @@ impl Durability {
                 self.shared.update(|s| s.recoveries_started += 1);
                 ctx.trace()
                     .emit(ctx.now(), || TraceEvent::RecoveryStart { tracker: me });
-                ctx.send(self.hagent.0, self.hagent.1, Wire::EpochRequest.payload());
+                ctx.send(
+                    self.hagent.0,
+                    self.hagent.1,
+                    ctx.encode(&Wire::EpochRequest),
+                );
             }
         }
         self.replicator.mark_dirty();
@@ -493,7 +501,7 @@ impl Durability {
         match msg {
             msg @ (Wire::RecordSync { .. } | Wire::ReplicaPull { .. }) => {
                 if let Some((node, reply)) = self.store.serve(from, msg, now) {
-                    ctx.send(from, node, reply.payload());
+                    ctx.send(from, node, ctx.encode(&reply));
                 }
             }
             Wire::RecordSyncAck { epoch, seq } => self.replicator.on_ack(epoch, seq),
@@ -543,7 +551,7 @@ impl Durability {
                         // Ask the agent to reconfirm from wherever it
                         // really is. Best effort: a bounce drops the
                         // resurrected record again.
-                        ctx.send(agent, node, Wire::SolicitReregister.payload());
+                        ctx.send(agent, node, ctx.encode(&Wire::SolicitReregister));
                     }
                 }
                 rec.phase = RecoveryPhase::Converging;

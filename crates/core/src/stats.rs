@@ -57,14 +57,6 @@ impl LoadStats {
         self.maybe_decay(now);
     }
 
-    /// Records a request that concerns no particular agent (control
-    /// traffic); it still counts toward the rate.
-    pub fn record_control(&mut self, now: SimTime) {
-        self.total += 1;
-        self.rate.record(now);
-        self.maybe_decay(now);
-    }
-
     /// Current request rate in messages/second.
     #[must_use]
     pub fn rate_per_sec(&mut self, now: SimTime) -> f64 {
@@ -136,6 +128,18 @@ mod tests {
         LoadStats::new(SimDuration::from_secs(1))
     }
 
+    /// A second agent, whose requests advance the clock in tests that
+    /// assert only about the first.
+    const OTHER: AgentId = AgentId::new(99);
+
+    /// The first agent's accumulated load, if it still has one.
+    fn load_of_first(s: &LoadStats) -> Option<u64> {
+        s.loads()
+            .into_iter()
+            .find(|&(a, _)| a == AgentId::new(1))
+            .map(|(_, w)| w)
+    }
+
     #[test]
     fn records_accumulate_per_agent() {
         let mut s = stats();
@@ -148,11 +152,14 @@ mod tests {
     }
 
     #[test]
-    fn control_traffic_counts_toward_rate_only() {
+    fn the_total_survives_a_reset() {
         let mut s = stats();
-        s.record_control(SimTime::ZERO);
-        assert!(s.loads().is_empty());
-        assert!(s.rate_per_sec(SimTime::ZERO) > 0.0);
+        s.record(SimTime::ZERO, AgentId::new(1));
+        s.record(SimTime::ZERO, OTHER);
+        s.reset(SimTime::ZERO);
+        assert_eq!(s.total(), 2);
+        s.record(SimTime::ZERO, OTHER);
+        assert_eq!(s.total(), 3);
     }
 
     #[test]
@@ -198,8 +205,8 @@ mod tests {
             s.record(t0, AgentId::new(1));
         }
         // 6.5 s of silence = 3 whole intervals: 64 >> 3 = 8, not 32.
-        s.record_control(t0 + SimDuration::from_millis(6500));
-        assert_eq!(s.loads(), vec![(AgentId::new(1), 8)]);
+        s.record(t0 + SimDuration::from_millis(6500), OTHER);
+        assert_eq!(load_of_first(&s), Some(8));
     }
 
     #[test]
@@ -211,8 +218,8 @@ mod tests {
         }
         // 200 intervals elapse at once; a shift of 200 must clear the
         // counter, not overflow the shift amount.
-        s.record_control(t0 + SimDuration::from_secs(400));
-        assert!(s.loads().is_empty());
+        s.record(t0 + SimDuration::from_secs(400), OTHER);
+        assert_eq!(load_of_first(&s), None);
     }
 
     #[test]
@@ -222,10 +229,10 @@ mod tests {
         for _ in 0..8 {
             s.record(t0, AgentId::new(1));
         }
-        s.record_control(t0 + SimDuration::from_millis(1999));
-        assert_eq!(s.loads(), vec![(AgentId::new(1), 8)]);
-        s.record_control(t0 + SimDuration::from_secs(2));
-        assert_eq!(s.loads(), vec![(AgentId::new(1), 4)]);
+        s.record(t0 + SimDuration::from_millis(1999), OTHER);
+        assert_eq!(load_of_first(&s), Some(8));
+        s.record(t0 + SimDuration::from_secs(2), OTHER);
+        assert_eq!(load_of_first(&s), Some(4));
     }
 
     #[test]
@@ -233,7 +240,7 @@ mod tests {
         // Ten buckets over a 1 s window: a request's 100 ms bucket drops
         // out once all of it is more than a window old.
         let mut s = stats();
-        s.record_control(SimTime::ZERO);
+        s.record(SimTime::ZERO, AgentId::new(1));
         assert!(s.rate_per_sec(SimTime::ZERO + SimDuration::from_millis(1099)) > 0.0);
         assert_eq!(
             s.rate_per_sec(SimTime::ZERO + SimDuration::from_millis(1100)),
@@ -284,11 +291,11 @@ mod tests {
                     .collect();
                 times.sort_unstable();
                 for t in times {
-                    many.record_control(t);
+                    many.record(t, OTHER);
                 }
-                one.record_control(SimTime::ZERO + gap);
-                many.record_control(SimTime::ZERO + gap);
-                prop_assert_eq!(one.loads(), many.loads());
+                one.record(SimTime::ZERO + gap, OTHER);
+                many.record(SimTime::ZERO + gap, OTHER);
+                prop_assert_eq!(load_of_first(&one), load_of_first(&many));
             }
         }
     }

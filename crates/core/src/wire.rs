@@ -451,7 +451,9 @@ pub enum Wire {
 }
 
 impl Wire {
-    /// Encodes the message as a platform payload.
+    /// Encodes the message as a platform payload, in tree form. A handler
+    /// sends [`AgentCtx::encode`] of the message instead, which takes the
+    /// form its runtime carries.
     #[must_use]
     pub fn payload(&self) -> Payload {
         Payload::encode(self)
@@ -559,7 +561,7 @@ pub(crate) fn send_traced(ctx: &mut AgentCtx<'_>, to: AgentId, node: NodeId, msg
         to: to.raw(),
         node,
     });
-    ctx.send(to, node, msg.payload());
+    ctx.send(to, node, ctx.encode(msg));
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use agentrack_core::{
     TrackerView, ViewImage, Wire,
 };
 use agentrack_hashtree::{IAgentId, Side, SplitKind, MAX_COMPILED_DEPTH};
-use agentrack_platform::{AgentId, CorrId, NodeId};
+use agentrack_platform::{AgentId, CorrId, NodeId, Payload};
 use proptest::prelude::*;
 
 fn arb_agent() -> impl Strategy<Value = AgentId> {
@@ -265,6 +265,39 @@ fn arb_wire() -> impl Strategy<Value = Wire> {
     ]
 }
 
+/// A payload that is no [`Wire`]: prose, or a message whose rate is not a
+/// finite number (JSON has none, so it is `null` in both forms).
+fn arb_not_a_message() -> impl Strategy<Value = Payload> {
+    let odd_rate = prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)];
+    prop_oneof![
+        "[a-zA-Z0-9 .,!?]{0,80}".prop_map(|text| Payload::encode(&text)),
+        (odd_rate, any::<u8>(), arb_records()).prop_map(|(rate, pick, records)| {
+            let msg = match pick % 4 {
+                0 => Wire::SplitRequest {
+                    rate,
+                    loads: Vec::new(),
+                },
+                1 => Wire::MergeRequest { rate },
+                2 => Wire::RecordSync {
+                    epoch: 1,
+                    seq: 2,
+                    records,
+                    rate,
+                    reply_node: NodeId::new(0),
+                },
+                _ => Wire::ReplicaSet {
+                    epoch: 1,
+                    seq: 2,
+                    records,
+                    rate,
+                    age_ms: 3,
+                },
+            };
+            msg.payload()
+        }),
+    ]
+}
+
 /// The name of every [`Wire`] variant, which is its `kind()`. The names
 /// also form a match with no wildcard arm, so a new variant does not
 /// compile until it is listed here.
@@ -516,11 +549,18 @@ proptest! {
         assert_view_agrees(&hf, &probes);
     }
 
-    /// Every protocol message survives encode/decode exactly.
+    /// Every protocol message survives encode/decode exactly, from the
+    /// data-model tree the simulator carries and from the JSON text a live
+    /// node sends, and `len` is the text's length. A payload that is no
+    /// message decodes to nothing from either form.
     #[test]
-    fn wire_round_trips(msg in arb_wire()) {
-        let payload = msg.payload();
-        prop_assert_eq!(Wire::from_payload(&payload), Some(msg));
+    fn wire_round_trips(msg in arb_wire(), stranger in arb_not_a_message()) {
+        for (payload, expected) in [(msg.payload(), Some(msg)), (stranger, None)] {
+            let text = Payload::from_bytes(payload.bytes().clone());
+            prop_assert_eq!(payload.len(), text.bytes().len());
+            prop_assert_eq!(Wire::from_payload(&payload), expected.clone());
+            prop_assert_eq!(Wire::from_payload(&text), expected);
+        }
     }
 
     /// A message cut short decodes to nothing, never to a message.
@@ -528,7 +568,7 @@ proptest! {
     fn a_truncated_message_does_not_decode(msg in arb_wire(), cut in any::<usize>()) {
         let bytes = msg.payload().bytes().to_vec();
         let short = bytes[..cut % bytes.len()].to_vec();
-        let payload = agentrack_platform::Payload::from_bytes(short.into());
+        let payload = Payload::from_bytes(short.into());
         prop_assert_eq!(Wire::from_payload(&payload), None);
     }
 
@@ -543,7 +583,7 @@ proptest! {
         let mut bytes = msg.payload().bytes().to_vec();
         let at = at % bytes.len();
         bytes[at] = byte;
-        let payload = agentrack_platform::Payload::from_bytes(bytes.into());
+        let payload = Payload::from_bytes(bytes.into());
         if let Some(Wire::InstallView { image }) = Wire::from_payload(&payload) {
             let view = TrackerView::from_image(image);
             for raw in 0..64 {
@@ -596,7 +636,7 @@ proptest! {
     /// to be valid JSON for the enum, which plain prose never is).
     #[test]
     fn prose_is_not_protocol(text in "[a-zA-Z0-9 .,!?]{0,80}") {
-        let payload = agentrack_platform::Payload::encode(&text);
+        let payload = Payload::encode(&text);
         prop_assert_eq!(Wire::from_payload(&payload), None);
     }
 

@@ -13,8 +13,10 @@ use std::fmt;
 
 use agentrack_sim::{NodeId, SimDuration, SimRng, SimTime, TraceSink};
 
+use serde::Serialize;
+
 use crate::id::{AgentId, TimerId};
-use crate::payload::Payload;
+use crate::payload::{Payload, PayloadForm};
 
 /// Behaviour of a platform agent.
 ///
@@ -156,6 +158,7 @@ pub struct AgentCtx<'a> {
     pub(crate) next_timer_id: &'a mut u64,
     pub(crate) trace: &'a TraceSink,
     pub(crate) queued: SimDuration,
+    pub(crate) form: PayloadForm,
 }
 
 impl AgentCtx<'_> {
@@ -196,6 +199,16 @@ impl AgentCtx<'_> {
     #[must_use]
     pub fn queued(&self) -> SimDuration {
         self.queued
+    }
+
+    /// Encodes `value` as a payload in the form this runtime carries.
+    /// The simulator keeps the data-model tree: its messages never leave
+    /// the process, so no text is written unless something asks for it.
+    /// A live node stands for its own address space, so it writes the
+    /// JSON text here, in the sending handler.
+    #[must_use]
+    pub fn encode<T: Serialize>(&self, value: &T) -> Payload {
+        Payload::encode_in(value, self.form)
     }
 
     /// Sends `payload` to agent `to`, believed to reside at `node`.

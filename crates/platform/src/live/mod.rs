@@ -78,7 +78,7 @@ use agentrack_sim::{NodeId, SimDuration, SimRng, SimTime, TraceSink};
 use crate::agent::{Action, Agent, AgentCtx};
 use crate::config::LiveConfig;
 use crate::id::{AgentId, TimerId};
-use crate::payload::Payload;
+use crate::payload::{Payload, PayloadForm};
 
 use batch::{DeliverItem, OutBatch};
 use registry::{ShardedRegistry, Whereabouts};
@@ -502,7 +502,7 @@ impl LivePlatform {
             vec![DeliverItem {
                 to,
                 from: EXTERNAL,
-                payload,
+                payload: payload.into_text(),
                 enqueued_ns: self.shared.stamp_ns(),
             }],
         );
@@ -776,7 +776,7 @@ impl LiveHandle {
             DeliverItem {
                 to,
                 from: EXTERNAL,
-                payload,
+                payload: payload.into_text(),
                 enqueued_ns: self.shared.stamp_ns(),
             },
         );
@@ -1225,6 +1225,7 @@ where
             next_timer_id: &mut state.next_timer_id,
             trace: &shared.trace,
             queued: SimDuration::ZERO,
+            form: PayloadForm::Text,
         };
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             f(behavior.as_mut(), &mut ctx);
@@ -1262,7 +1263,7 @@ where
                     DeliverItem {
                         to,
                         from: id,
-                        payload,
+                        payload: payload.into_text(),
                         enqueued_ns: shared.stamp_ns(),
                     },
                 );
@@ -1340,6 +1341,7 @@ where
                         next_timer_id: &mut state.next_timer_id,
                         trace: &shared.trace,
                         queued: SimDuration::ZERO,
+                        form: PayloadForm::Text,
                     };
                     let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
                         behavior.on_dispose(&mut ctx);
@@ -1367,7 +1369,7 @@ where
                                     DeliverItem {
                                         to,
                                         from: id,
-                                        payload,
+                                        payload: payload.into_text(),
                                         enqueued_ns: shared.stamp_ns(),
                                     },
                                 );
@@ -1389,4 +1391,106 @@ where
         state.residents.insert(id, behavior);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Mutex;
+
+    use super::*;
+    use crate::payload::Payload;
+
+    /// Whether each payload an agent was handed was still a tree.
+    type Seen = Arc<Mutex<Vec<bool>>>;
+
+    struct Witness {
+        seen: Seen,
+    }
+
+    impl Agent for Witness {
+        fn on_message(&mut self, _ctx: &mut AgentCtx<'_>, _from: AgentId, payload: &Payload) {
+            self.seen.lock().unwrap().push(payload.is_tree());
+        }
+    }
+
+    /// Sends tree-form payloads every way a node thread can: across nodes,
+    /// on its own node, astray (bounced back to it) and in a farewell.
+    struct Sender {
+        near: AgentId,
+        far: AgentId,
+        seen: Seen,
+    }
+
+    impl Agent for Sender {
+        fn on_message(&mut self, ctx: &mut AgentCtx<'_>, _from: AgentId, payload: &Payload) {
+            let first = payload.decode::<u8>() == Ok(1);
+            self.seen.lock().unwrap().push(payload.is_tree());
+            if first {
+                ctx.send(self.far, NodeId::new(1), Payload::encode(&"across"));
+                ctx.send(self.near, NodeId::new(0), Payload::encode(&"local"));
+                ctx.send(self.far, NodeId::new(0), Payload::encode(&"astray"));
+                ctx.send(self.far, NodeId::new(1), ctx.encode(&"written here"));
+            } else {
+                ctx.dispose();
+            }
+        }
+
+        fn on_delivery_failed(
+            &mut self,
+            _ctx: &mut AgentCtx<'_>,
+            _to: AgentId,
+            _node: NodeId,
+            payload: &Payload,
+        ) {
+            self.seen.lock().unwrap().push(payload.is_tree());
+        }
+
+        fn on_dispose(&mut self, ctx: &mut AgentCtx<'_>) {
+            ctx.send(self.far, NodeId::new(1), Payload::encode(&"farewell"));
+        }
+    }
+
+    fn wait_until(mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !done() {
+            assert!(Instant::now() < deadline, "live run stalled");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// A message leaves a live node as text, whichever form its sender
+    /// built: no handler is ever handed a tree, whether the payload came
+    /// from another node, its own node, a bounce, a farewell or an outside
+    /// driver.
+    #[test]
+    fn a_live_node_never_delivers_a_tree() {
+        let platform = LivePlatform::new(2);
+        let seen = Seen::default();
+        let witness = |node| {
+            let seen = Arc::clone(&seen);
+            platform.spawn(Box::new(Witness { seen }), NodeId::new(node))
+        };
+        let (near, far) = (witness(0), witness(1));
+        let sender = platform.spawn(
+            Box::new(Sender {
+                near,
+                far,
+                seen: Arc::clone(&seen),
+            }),
+            NodeId::new(0),
+        );
+        wait_until(|| platform.stats().agents_activated == 3);
+
+        assert!(platform.post(sender, Payload::encode(&1u8)));
+        let mut handle = platform.handle();
+        assert!(handle.post(far, Payload::encode(&"handled")));
+        handle.flush();
+        wait_until(|| seen.lock().unwrap().len() == 6);
+        assert!(platform.post(sender, Payload::encode(&2u8)));
+        wait_until(|| seen.lock().unwrap().len() == 8);
+
+        let stats = platform.shutdown();
+        assert_eq!(stats.messages_failed, 1, "the astray message bounced");
+        assert_eq!(*seen.lock().unwrap(), vec![false; 8]);
+    }
 }

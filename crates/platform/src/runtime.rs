@@ -26,7 +26,7 @@ use agentrack_sim::{
 use crate::agent::{Action, Agent, AgentCtx};
 use crate::config::PlatformConfig;
 use crate::id::{AgentId, TimerId};
-use crate::payload::Payload;
+use crate::payload::{Payload, PayloadForm};
 
 /// Where an agent is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -927,6 +927,7 @@ impl SimPlatform {
                 next_timer_id: &mut self.next_timer_id,
                 trace: &self.trace,
                 queued,
+                form: PayloadForm::Tree,
             };
             f(behavior.as_mut(), &mut ctx);
         }
@@ -1001,6 +1002,7 @@ impl SimPlatform {
                                 next_timer_id: &mut self.next_timer_id,
                                 trace: &self.trace,
                                 queued: SimDuration::ZERO,
+                                form: PayloadForm::Tree,
                             };
                             behavior.on_dispose(&mut ctx);
                         }

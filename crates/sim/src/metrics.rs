@@ -583,7 +583,6 @@ pub struct WindowedRate {
     bucket_count: usize,
     /// (bucket start, events in bucket); oldest first.
     buckets: VecDeque<(SimTime, u64)>,
-    total_events: u64,
 }
 
 impl WindowedRate {
@@ -603,7 +602,6 @@ impl WindowedRate {
             bucket_width: window / buckets as u64,
             bucket_count: buckets,
             buckets: VecDeque::with_capacity(buckets + 1),
-            total_events: 0,
         }
     }
 
@@ -643,7 +641,6 @@ impl WindowedRate {
             Some((s, count)) if *s == start => *count += 1,
             _ => self.buckets.push_back((start, 1)),
         }
-        self.total_events += 1;
         self.evict(at);
     }
 
@@ -657,12 +654,6 @@ impl WindowedRate {
             return 0.0;
         }
         events as f64 / window.as_secs_f64()
-    }
-
-    /// Total events ever recorded.
-    #[must_use]
-    pub fn total_events(&self) -> u64 {
-        self.total_events
     }
 }
 
@@ -892,7 +883,6 @@ mod tests {
         }
         let est = r.rate_per_sec(t);
         assert!((450.0..=550.0).contains(&est), "rate estimate {est}");
-        assert_eq!(r.total_events(), 500);
     }
 
     #[test]
@@ -949,7 +939,11 @@ mod tests {
         r.record(SimTime::ZERO + SimDuration::from_millis(500));
         // 400 ms out of order: lands in the newest bucket, not behind it.
         r.record(SimTime::ZERO + SimDuration::from_millis(100));
-        assert_eq!(r.total_events(), 2);
+        // Both events count: two in a 1 s window.
+        assert_eq!(
+            r.rate_per_sec(SimTime::ZERO + SimDuration::from_millis(500)),
+            2.0
+        );
         // The deque must stay sorted so the window keeps rolling: after
         // ten quiet seconds both events are outside the window.
         let later = SimTime::ZERO + SimDuration::from_secs(11);

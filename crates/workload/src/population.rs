@@ -17,6 +17,10 @@ use agentrack_sim::{SimRng, Zipf};
 #[derive(Debug, Clone, Default)]
 pub struct Population {
     roster: Arc<Mutex<Vec<AgentId>>>,
+    /// Successors that are still being created: live, and in the
+    /// [`snapshot`](Population::snapshot) the audit probes, but no query
+    /// target until their own `on_create` [`add`](Population::add)s them.
+    creating: Arc<Mutex<Vec<AgentId>>>,
     frozen: Arc<AtomicBool>,
 }
 
@@ -29,10 +33,16 @@ impl Population {
 
     /// Adds an agent (idempotent).
     pub fn add(&self, agent: AgentId) {
+        self.creating.lock().unwrap().retain(|a| *a != agent);
         let mut v = self.roster.lock().unwrap();
         if !v.contains(&agent) {
             v.push(agent);
         }
+    }
+
+    /// Adds a successor as it is created, before it is active.
+    pub fn add_creating(&self, agent: AgentId) {
+        self.creating.lock().unwrap().push(agent);
     }
 
     /// Removes an agent.
@@ -40,13 +50,14 @@ impl Population {
         self.roster.lock().unwrap().retain(|a| *a != agent);
     }
 
-    /// Number of live agents.
+    /// Number of agents on the roster (successors still being created
+    /// are not, yet).
     #[must_use]
     pub fn len(&self) -> usize {
         self.roster.lock().unwrap().len()
     }
 
-    /// `true` when nobody is alive.
+    /// `true` when the roster is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.roster.lock().unwrap().is_empty()
@@ -94,10 +105,13 @@ impl Population {
         }
     }
 
-    /// The current roster, in rank order (oldest survivor first).
+    /// Every live agent: the roster in rank order (oldest survivor first),
+    /// then the successors still being created.
     #[must_use]
     pub fn snapshot(&self) -> Vec<AgentId> {
-        self.roster.lock().unwrap().clone()
+        let mut all = self.roster.lock().unwrap().clone();
+        all.extend(self.creating.lock().unwrap().iter());
+        all
     }
 }
 

@@ -110,11 +110,14 @@ impl TAgentBehavior {
     }
 
     /// Dies: deregister, leave the roster, spawn the successor, dispose.
+    /// The successor is on the population's snapshot from here on, so a
+    /// run that ends before its `on_create` still audits it.
     fn die(&mut self, ctx: &mut AgentCtx<'_>) {
         let lifecycle = self.lifecycle.clone().expect("death without lifecycle");
         self.client.deregister(ctx);
         let me = ctx.self_id();
-        lifecycle.population.remove(me);
+        let population = lifecycle.population.clone();
+        population.remove(me);
         self.metrics.record_death();
 
         let successor = TAgentBehavior::new(
@@ -126,7 +129,7 @@ impl TAgentBehavior {
         )
         .with_lifecycle(lifecycle);
         let node = NodeId::new(ctx.rng().index(self.node_count as usize) as u32);
-        ctx.create_agent(Box::new(successor), node);
+        population.add_creating(ctx.create_agent(Box::new(successor), node));
         ctx.dispose();
     }
 
@@ -221,5 +224,81 @@ impl std::fmt::Debug for TAgentBehavior {
         f.debug_struct("TAgentBehavior")
             .field("residence", &self.residence)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use agentrack_core::Freshness;
+    use agentrack_platform::{PlatformConfig, SimPlatform};
+    use agentrack_sim::{SimDuration, Topology};
+
+    use super::*;
+
+    /// A client that sends nothing: the roster needs no scheme.
+    struct Silent;
+
+    impl DirectoryClient for Silent {
+        fn register(&mut self, _ctx: &mut AgentCtx<'_>) {}
+        fn moved(&mut self, _ctx: &mut AgentCtx<'_>) {}
+        fn deregister(&mut self, _ctx: &mut AgentCtx<'_>) {}
+        fn locate_with(&mut self, _: &mut AgentCtx<'_>, _: AgentId, _: u64, _: Freshness) {}
+        fn on_message(&mut self, _: &mut AgentCtx<'_>, _: AgentId, _: &Payload) -> ClientEvent {
+            ClientEvent::NotMine
+        }
+        fn on_delivery_failed(
+            &mut self,
+            _: &mut AgentCtx<'_>,
+            _: AgentId,
+            _: NodeId,
+            _: &Payload,
+        ) -> ClientEvent {
+            ClientEvent::NotMine
+        }
+        fn on_timer(&mut self, _: &mut AgentCtx<'_>, _: TimerId) -> ClientEvent {
+            ClientEvent::NotMine
+        }
+    }
+
+    /// Regression: a successor used to join the population only in its
+    /// own `on_create`, so a run that ended while it was still being
+    /// created handed the audit a roster without it. Queriers still do
+    /// not target it until it is active.
+    #[test]
+    fn a_successor_is_on_the_roster_while_it_is_being_created() {
+        let population = Population::new();
+        let lifecycle = Lifecycle {
+            lifespan: DurationDist::Constant(SimDuration::from_millis(100)),
+            factory: Arc::new(|| Box::new(Silent)),
+            population: population.clone(),
+        };
+        let stay = DurationDist::Constant(SimDuration::from_secs(60));
+        let agent = TAgentBehavior::new(
+            Box::new(Silent),
+            stay,
+            NodeSelector::Uniform,
+            2,
+            Metrics::new(),
+        )
+        .with_lifecycle(lifecycle);
+        let topology = Topology::lan(2, DurationDist::Constant(SimDuration::from_micros(300)));
+        let mut platform = SimPlatform::new(topology, PlatformConfig::default());
+        let first = platform.spawn(Box::new(agent), NodeId::new(0));
+        while platform.is_live(first) {
+            assert!(platform.step(), "the agent never died");
+        }
+        let roster = population.snapshot();
+        assert_eq!(roster.len(), 1, "{roster:?}");
+        let successor = roster[0];
+        assert!(successor != first);
+        assert!(platform.is_live(successor) && !platform.is_active(successor));
+        assert!(population.is_empty(), "no query target yet");
+        while !platform.is_active(successor) {
+            assert!(platform.step(), "the successor never started");
+        }
+        assert_eq!(population.snapshot(), vec![successor]);
+        assert_eq!(population.len(), 1);
     }
 }
