@@ -42,9 +42,9 @@ fn main() {
         report.locates_completed,
         report.locate_failures
     );
-    // The per-tracker view (who was saturated, whose mailbox filled) and
-    // the registry's JSON export, for offline analysis.
-    let snapshot = agentrack_core::LocationScheme::registry(&scheme).snapshot();
+    // The per-tracker view (who was saturated, whose mailbox filled), also
+    // as JSON, for offline analysis.
+    let snapshot = agentrack_core::LocationScheme::shared(&scheme).tracker_rows();
     print!("{}", snapshot.to_csv());
     if std::env::args().any(|a| a == "--registry-json") {
         print!("{}", snapshot.to_json());

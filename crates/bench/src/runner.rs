@@ -14,10 +14,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use agentrack_core::{Freshness, LocationConfig};
+use agentrack_core::{Freshness, LocationConfig, TrackerRows};
 use agentrack_sim::{
-    ChaosConfig, DurationDist, FaultEvent, FaultKind, FaultPlan, NodeId, RegistrySnapshot,
-    SimDuration, SimTime, TraceEvent, TraceRecord, TraceSink,
+    ChaosConfig, DurationDist, FaultEvent, FaultKind, FaultPlan, NodeId, SimDuration, SimTime,
+    TraceEvent, TraceRecord, TraceSink,
 };
 use agentrack_trace_analysis::{
     build_spans, to_folded, to_perfetto_json, Attribution, Phase, SpanTree,
@@ -638,7 +638,7 @@ fn run_trial(
         let source = ExportSource {
             label,
             trees: &trees,
-            registry: scheme.registry().snapshot(),
+            trackers: scheme.shared().tracker_rows(),
         };
         let render = |e: &Export| (format!("{}{}", spec.name, e.suffix), (e.render)(&source));
         spec_exports.map(render).collect()
@@ -871,8 +871,8 @@ struct ExportSource<'a> {
     label: &'a str,
     /// The trial's span trees (empty unless traced).
     trees: &'a [SpanTree],
-    /// The scheme's metrics registry at the end of the run.
-    registry: RegistrySnapshot,
+    /// The scheme's per-tracker rows at the end of the run.
+    trackers: TrackerRows,
 }
 
 /// A file a spec may ask for beside its CSV.
@@ -908,20 +908,19 @@ pub(crate) const EXPORTS: &[Export] = &[
         trace: true,
         render: |s| to_folded(s.trees, s.label),
     },
-    // The metrics registry: per-tracker rows, rehash counts per
-    // hash-function version, and the locate-latency summary.
+    // The per-tracker rows as JSON.
     Export {
         name: "registry_json",
         suffix: ".json",
         trace: false,
-        render: |s| s.registry.to_json(),
+        render: |s| s.trackers.to_json(),
     },
-    // The registry's per-tracker rows.
+    // The per-tracker rows as CSV.
     Export {
         name: "registry_csv",
         suffix: ".registry.csv",
         trace: false,
-        render: |s| s.registry.to_csv(),
+        render: |s| s.trackers.to_csv(),
     },
 ];
 

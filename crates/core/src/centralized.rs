@@ -57,15 +57,14 @@ impl CentralBehavior {
     /// record and all buffered mail (accounted as lost). Records repair
     /// themselves as agents keep sending movement updates.
     pub(crate) fn drop_soft_state(&mut self, ctx: &mut AgentCtx<'_>) {
-        self.mailbox.wipe(ctx, self.shared.registry());
+        self.mailbox.wipe(ctx, &self.shared);
         self.records.clear();
     }
 
     /// Mail can flow the moment a record (re)appears for `agent`.
     fn flush_mail_for(&mut self, ctx: &mut AgentCtx<'_>, agent: AgentId) {
         if let Some(&node) = self.records.get(&agent) {
-            self.mailbox
-                .flush_for(ctx, self.shared.registry(), agent, node);
+            self.mailbox.flush_for(ctx, &self.shared, agent, node);
         }
     }
 }
@@ -85,11 +84,11 @@ impl Agent for CentralBehavior {
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _timer: agentrack_platform::TimerId) {
         let me = ctx.self_id().raw();
-        self.mailbox.expire_lost(ctx, self.shared.registry());
+        self.mailbox.expire_lost(ctx, &self.shared);
         let requests = self.requests_seen;
         let records_held = self.records.len();
         let mailbox_occupancy = self.mailbox.len();
-        self.shared.registry().update_tracker(me, |t| {
+        self.shared.update_tracker(me, |t| {
             t.requests = requests;
             t.records_held = records_held;
             t.observe_mailbox(mailbox_occupancy);
@@ -108,8 +107,7 @@ impl Agent for CentralBehavior {
         // the next update (the delivery guarantee).
         if let Some(Wire::MailDrop { from, data }) = Wire::from_payload(payload) {
             self.records.remove(&to);
-            self.mailbox
-                .buffer(ctx, self.shared.registry(), to, from, data);
+            self.mailbox.buffer(ctx, &self.shared, to, from, data);
         }
     }
 
@@ -139,9 +137,7 @@ impl Agent for CentralBehavior {
                     node,
                     ctx.encode(&Wire::MailDrop { from: origin, data }),
                 ),
-                None => self
-                    .mailbox
-                    .buffer(ctx, self.shared.registry(), target, origin, data),
+                None => self.mailbox.buffer(ctx, &self.shared, target, origin, data),
             },
             Wire::Deregister { agent, .. } => {
                 self.records.remove(&agent);
@@ -221,7 +217,8 @@ impl LocationScheme for CentralizedScheme {
         self.central = Some((id, node));
         self.shared.set_trackers(1);
         self.clients = Some(Arc::new(PerScheme {
-            retry: RetryPolicy::new(&self.config, self.shared.registry().clone()),
+            retry: RetryPolicy::new(&self.config),
+            shared: self.shared.clone(),
             central: (id, node),
         }));
     }
@@ -249,6 +246,8 @@ impl LocationScheme for CentralizedScheme {
 #[derive(Debug)]
 struct PerScheme {
     retry: RetryPolicy,
+    /// Scheme-wide counters and tracker rows; give-ups are charged here.
+    shared: SharedSchemeStats,
     central: (AgentId, NodeId),
 }
 
@@ -329,7 +328,7 @@ impl DirectoryClient for CentralizedClient {
         token: u64,
         freshness: Freshness,
     ) {
-        self.core.start(ctx, token, target, freshness);
+        self.core.start(token, target, freshness);
         self.send_locate(ctx, target, token);
     }
 
@@ -343,7 +342,7 @@ impl DirectoryClient for CentralizedClient {
             Some(Wire::MailDrop { from, data }) => ClientEvent::Mail { from, data },
             Some(msg) => self
                 .core
-                .on_answer(&self.scheme.retry, ctx, msg)
+                .on_answer(&self.scheme.retry, &self.scheme.shared, ctx, msg)
                 .then_resend(|token, target| self.send_locate(ctx, target, token)),
             None => ClientEvent::NotMine,
         }
@@ -371,7 +370,7 @@ impl DirectoryClient for CentralizedClient {
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
         self.core
-            .on_timer(&self.scheme.retry, ctx, timer)
+            .on_timer(&self.scheme.retry, &self.scheme.shared, ctx, timer)
             .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 

@@ -188,7 +188,8 @@ impl LocationScheme for ForwardingScheme {
         }
         self.shared.set_trackers(node_count as u64);
         self.clients = Some(Arc::new(PerScheme {
-            retry: RetryPolicy::new(&self.config, self.shared.registry().clone()),
+            retry: RetryPolicy::new(&self.config),
+            shared: self.shared.clone(),
             forwarders: shared_ids,
             names: Arc::clone(&self.names),
         }));
@@ -217,6 +218,8 @@ impl LocationScheme for ForwardingScheme {
 #[derive(Debug)]
 struct PerScheme {
     retry: RetryPolicy,
+    /// Scheme-wide counters and tracker rows; give-ups are charged here.
+    shared: SharedSchemeStats,
     /// Forwarder at each node (index = node id).
     forwarders: Arc<Vec<AgentId>>,
     names: NameTable,
@@ -354,7 +357,7 @@ impl DirectoryClient for ForwardingClient {
     ) {
         // A chain walk always ends at the node the target is resident on,
         // so every answer is authoritative (age 0) and any bound holds.
-        self.core.start(ctx, token, target, freshness);
+        self.core.start(token, target, freshness);
         self.send_locate(ctx, target, token);
     }
 
@@ -368,7 +371,7 @@ impl DirectoryClient for ForwardingClient {
             return ClientEvent::NotMine;
         };
         self.core
-            .on_answer(&self.scheme.retry, ctx, msg)
+            .on_answer(&self.scheme.retry, &self.scheme.shared, ctx, msg)
             .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 
@@ -391,7 +394,7 @@ impl DirectoryClient for ForwardingClient {
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
         self.core
-            .on_timer(&self.scheme.retry, ctx, timer)
+            .on_timer(&self.scheme.retry, &self.scheme.shared, ctx, timer)
             .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 }

@@ -506,7 +506,6 @@ impl HAgentBehavior {
             return;
         };
         self.shared.update(|s| s.splits += 1);
-        self.shared.registry().record_split(self.hf.version);
         let version = self.hf.version;
         let from_tracker = lease.requester.raw();
         let to_tracker = lease.new_agent.raw();
@@ -561,7 +560,6 @@ impl HAgentBehavior {
             return;
         };
         self.shared.update(|s| s.merges += 1);
-        self.shared.registry().record_merge(self.hf.version);
         let version = self.hf.version;
         let from_tracker = from.raw();
         let into_tracker = absorbers.first().map_or(0, |ia| ia.raw());

@@ -195,7 +195,7 @@ impl LocationScheme for HashedScheme {
         self.hagent = Some((hagent, home));
         self.lhagents = Arc::new(lhagents);
         self.clients = Some(Arc::new(PerScheme {
-            retry: RetryPolicy::new(&self.config, self.shared.registry().clone()),
+            retry: RetryPolicy::new(&self.config),
             lhagents: Arc::clone(&self.lhagents),
             shared: self.shared.clone(),
         }));
@@ -226,8 +226,8 @@ struct PerScheme {
     retry: RetryPolicy,
     /// LHAgent at each node (index = node id).
     lhagents: Arc<Vec<AgentId>>,
-    /// Scheme-wide counters (hedges, bound violations) shared with the
-    /// behaviours.
+    /// Scheme-wide counters (hedges, bound violations) and tracker rows
+    /// (give-ups) shared with the behaviours.
     shared: SharedSchemeStats,
 }
 
@@ -315,7 +315,9 @@ impl HashedClient {
             Some(_) => return ClientEvent::Consumed,
             None => {}
         }
-        let outcome = self.core.on_negative(&self.scheme.retry, ctx, token);
+        let outcome = self
+            .core
+            .on_negative(&self.scheme.retry, &self.scheme.shared, ctx, token);
         // A final negative proves the tracker reachable once more.
         if let (ClientEvent::Failed { .. }, Some((_, node))) = (&outcome.event, outcome.tracker) {
             self.core.reachability().on_success(node);
@@ -397,7 +399,7 @@ impl DirectoryClient for HashedClient {
         token: u64,
         freshness: Freshness,
     ) {
-        self.core.start(ctx, token, target, freshness);
+        self.core.start(token, target, freshness);
         self.resolve_for_locate(ctx, target, token, false);
     }
 
@@ -480,7 +482,9 @@ impl DirectoryClient for HashedClient {
                 self.core.on_register_ack()
             }
             Wire::Located { age_ms, .. } => {
-                let outcome = self.core.on_answer(&self.scheme.retry, ctx, msg);
+                let outcome =
+                    self.core
+                        .on_answer(&self.scheme.retry, &self.scheme.shared, ctx, msg);
                 // An answer from the tracker itself is a reachability
                 // signal for its node (a hedged buddy answering for it is
                 // not).
@@ -569,7 +573,9 @@ impl DirectoryClient for HashedClient {
             }
             return ClientEvent::Consumed;
         }
-        let outcome = self.core.on_timer(&self.scheme.retry, ctx, timer);
+        let outcome = self
+            .core
+            .on_timer(&self.scheme.retry, &self.scheme.shared, ctx, timer);
         // A live timer firing means the attempt got no answer: one
         // unreachability signal against the tracker it was sent to.
         if let Some((_, node)) = outcome.tracker {

@@ -114,7 +114,8 @@ impl LocationScheme for HomeRegistryScheme {
             .collect();
         self.shared.set_trackers(registries.len() as u64);
         self.clients = Some(Arc::new(PerScheme {
-            retry: RetryPolicy::new(&self.config, self.shared.registry().clone()),
+            retry: RetryPolicy::new(&self.config),
+            shared: self.shared.clone(),
             registries,
             names: Arc::clone(&self.names),
         }));
@@ -143,6 +144,8 @@ impl LocationScheme for HomeRegistryScheme {
 #[derive(Debug)]
 struct PerScheme {
     retry: RetryPolicy,
+    /// Scheme-wide counters and tracker rows; give-ups are charged here.
+    shared: SharedSchemeStats,
     /// Registry at each node (index = node id).
     registries: Vec<AgentId>,
     names: NameTable,
@@ -244,7 +247,7 @@ impl DirectoryClient for HomeRegistryClient {
         token: u64,
         freshness: Freshness,
     ) {
-        self.core.start(ctx, token, target, freshness);
+        self.core.start(token, target, freshness);
         self.send_locate(ctx, target, token);
     }
 
@@ -258,7 +261,7 @@ impl DirectoryClient for HomeRegistryClient {
             return ClientEvent::NotMine;
         };
         self.core
-            .on_answer(&self.scheme.retry, ctx, msg)
+            .on_answer(&self.scheme.retry, &self.scheme.shared, ctx, msg)
             .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 
@@ -283,7 +286,7 @@ impl DirectoryClient for HomeRegistryClient {
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, timer: TimerId) -> ClientEvent {
         self.core
-            .on_timer(&self.scheme.retry, ctx, timer)
+            .on_timer(&self.scheme.retry, &self.scheme.shared, ctx, timer)
             .then_resend(|token, target| self.send_locate(ctx, target, token))
     }
 }

@@ -368,8 +368,7 @@ impl IAgentBehavior {
     /// Mail can flow the moment a record (re)appears for `agent`.
     fn flush_mail_for(&mut self, ctx: &mut AgentCtx<'_>, agent: AgentId) {
         if let Some(node) = self.book.node_of(agent) {
-            self.mailbox
-                .flush_for(ctx, self.shared.registry(), agent, node);
+            self.mailbox.flush_for(ctx, &self.shared, agent, node);
         }
     }
 
@@ -417,7 +416,7 @@ impl Agent for IAgentBehavior {
             // buffered mail this tracker held. The records repair
             // themselves as agents keep sending movement updates; the
             // mail is lost for good, which must show in the metrics.
-            self.mailbox.wipe(ctx, self.shared.registry());
+            self.mailbox.wipe(ctx, &self.shared);
             self.book.wipe();
             self.pending.0.clear();
             if let Lifecycle::AwaitingInstall { early, .. } = &mut self.life {
@@ -443,19 +442,17 @@ impl Agent for IAgentBehavior {
     }
 
     fn on_timer(&mut self, ctx: &mut AgentCtx<'_>, _timer: TimerId) {
-        self.mailbox.expire_lost(ctx, self.shared.registry());
+        self.mailbox.expire_lost(ctx, &self.shared);
         self.book.expire_tombstones(ctx.now());
         // Batched gauge refresh: per-message paths touch no lock.
         let rate = self.stats.rate_per_sec(ctx.now());
-        self.shared
-            .registry()
-            .update_tracker(ctx.self_id().raw(), |t| {
-                t.requests = self.stats.total();
-                t.rate_per_sec = rate;
-                t.observe_queue_depth(self.pending.0.len());
-                t.observe_mailbox(self.mailbox.len());
-                t.records_held = self.book.len();
-            });
+        self.shared.update_tracker(ctx.self_id().raw(), |t| {
+            t.requests = self.stats.total();
+            t.rate_per_sec = rate;
+            t.observe_queue_depth(self.pending.0.len());
+            t.observe_mailbox(self.mailbox.len());
+            t.records_held = self.book.len();
+        });
         self.flush_pending(ctx);
         let view = self.serving().then_some(&self.view);
         if let Some(durability) = &mut self.durability {
@@ -533,8 +530,7 @@ impl Agent for IAgentBehavior {
         // an Update may have refreshed it while the mail was in flight,
         // and a stale record corrects itself on the next update anyway.
         if let Some(Wire::MailDrop { from, data }) = Wire::from_payload(payload) {
-            self.mailbox
-                .buffer(ctx, self.shared.registry(), _to, from, data);
+            self.mailbox.buffer(ctx, &self.shared, _to, from, data);
             return;
         }
         // A re-registration solicit bounced: the resurrected record points
@@ -660,8 +656,7 @@ impl IAgentBehavior {
                         // Unknown right now (mid-handoff or mid-flight):
                         // hold it; the next update releases it.
                         None => {
-                            self.mailbox
-                                .buffer(ctx, self.shared.registry(), target, origin, data);
+                            self.mailbox.buffer(ctx, &self.shared, target, origin, data);
                         }
                     }
                 } else if ttl > 0 {

@@ -57,6 +57,7 @@ mod replica;
 mod retry;
 mod scheme;
 mod stats;
+mod tracker_metrics;
 mod view;
 mod wire;
 
@@ -77,5 +78,6 @@ pub use scheme::{
     SharedSchemeStats,
 };
 pub use stats::LoadStats;
+pub use tracker_metrics::{TrackerMetrics, TrackerRows};
 pub use view::{TrackerView, ViewImage};
 pub use wire::{DenyReason, Freshness, Wire};

@@ -24,8 +24,9 @@
 //! bounce drops the record, where mail for a key that hashed away goes.
 
 use agentrack_platform::{AgentCtx, AgentId, NodeId};
-use agentrack_sim::{MetricsRegistry, SimDuration, SimTime, TraceEvent};
+use agentrack_sim::{SimDuration, SimTime, TraceEvent};
 
+use crate::scheme::SharedSchemeStats;
 use crate::wire::Wire;
 
 /// One buffered message awaiting its recipient's next location update.
@@ -117,7 +118,7 @@ impl Mailbox {
     pub(crate) fn buffer(
         &mut self,
         ctx: &AgentCtx<'_>,
-        registry: &MetricsRegistry,
+        stats: &SharedSchemeStats,
         target: AgentId,
         from: AgentId,
         data: Vec<u8>,
@@ -125,7 +126,7 @@ impl Mailbox {
         self.push(ctx.now(), target, from, data);
         let occupancy = self.len();
         let me = ctx.self_id().raw();
-        registry.update_tracker(me, |t| {
+        stats.update_tracker(me, |t| {
             t.mail_buffered += 1;
             t.observe_mailbox(occupancy);
         });
@@ -141,7 +142,7 @@ impl Mailbox {
     pub(crate) fn flush_for(
         &mut self,
         ctx: &mut AgentCtx<'_>,
-        registry: &MetricsRegistry,
+        stats: &SharedSchemeStats,
         agent: AgentId,
         node: NodeId,
     ) {
@@ -154,7 +155,7 @@ impl Mailbox {
         }
         let count = items.len();
         let me = ctx.self_id().raw();
-        registry.update_tracker(me, |t| t.mail_flushed += count as u64);
+        stats.update_tracker(me, |t| t.mail_flushed += count as u64);
         ctx.trace().emit(ctx.now(), || TraceEvent::MailFlushed {
             tracker: me,
             target: agent.raw(),
@@ -170,26 +171,26 @@ impl Mailbox {
     }
 
     /// Drops expired items. Guaranteed delivery just failed silently for
-    /// each of them, so the loss is made visible to the registry and the
-    /// event trace.
-    pub(crate) fn expire_lost(&mut self, ctx: &AgentCtx<'_>, registry: &MetricsRegistry) {
+    /// each of them, so the loss is made visible in the tracker's metrics
+    /// row and the event trace.
+    pub(crate) fn expire_lost(&mut self, ctx: &AgentCtx<'_>, stats: &SharedSchemeStats) {
         let lost = self.expire(ctx.now());
-        Self::account_lost(ctx, registry, lost);
+        Self::account_lost(ctx, stats, lost);
     }
 
     /// The tracker lost its soft state: everything buffered is gone for
     /// good, and counted as lost.
-    pub(crate) fn wipe(&mut self, ctx: &AgentCtx<'_>, registry: &MetricsRegistry) {
+    pub(crate) fn wipe(&mut self, ctx: &AgentCtx<'_>, stats: &SharedSchemeStats) {
         let lost = std::mem::take(&mut self.items).len();
-        Self::account_lost(ctx, registry, lost);
+        Self::account_lost(ctx, stats, lost);
     }
 
-    fn account_lost(ctx: &AgentCtx<'_>, registry: &MetricsRegistry, lost: usize) {
+    fn account_lost(ctx: &AgentCtx<'_>, stats: &SharedSchemeStats, lost: usize) {
         if lost == 0 {
             return;
         }
         let me = ctx.self_id().raw();
-        registry.update_tracker(me, |t| t.mail_lost += lost as u64);
+        stats.update_tracker(me, |t| t.mail_lost += lost as u64);
         ctx.trace()
             .emit(ctx.now(), || TraceEvent::MailExpired { tracker: me, lost });
     }

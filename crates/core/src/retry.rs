@@ -4,9 +4,8 @@
 //! system" (§5), and so do the clients: whichever scheme they talk to, they
 //! send an attempt, arm a timer, retry on a negative answer (`NotFound`,
 //! `NotResponsible`) or on a timeout, give up after a budget, charge the
-//! give-up to the tracker that failed them and record the latency of the
-//! locates that succeed. [`LocateCore`] is that discipline, once. A
-//! scheme's client supplies only what differs:
+//! give-up to the tracker that failed them. [`LocateCore`] is that
+//! discipline, once. A scheme's client supplies only what differs:
 //!
 //! * **where one attempt goes** — `Resolve`/`ResolveFresh` to the local
 //!   LHAgent (hashed), `Locate` to the central tracker or the target's
@@ -19,8 +18,9 @@
 //! owning agent, and the attempt to resend if there is one.
 //!
 //! The discipline comes in two halves, like the clients that use it. The
-//! scheme's half, [`RetryPolicy`] (budget, timeout, metrics registry), is
-//! built once at bootstrap and shared by every client. The agent's own
+//! scheme's half, [`RetryPolicy`] (budget and timeout), is built once at
+//! bootstrap and shared by every client, beside the scheme's
+//! [`SharedSchemeStats`] that give-ups are charged to. The agent's own
 //! half, [`LocateCore`], holds the registration flag and a box of
 //! in-flight tables that the first locate creates, so the many agents
 //! that are only ever located, never locating, carry no tables at all.
@@ -35,11 +35,11 @@
 use std::collections::HashMap;
 
 use agentrack_platform::{AgentCtx, AgentId, NodeId, TimerId};
-use agentrack_sim::{CorrId, GiveUpCause, MetricsRegistry, SimDuration, SimTime, TraceEvent};
+use agentrack_sim::{CorrId, GiveUpCause, SimDuration, TraceEvent};
 
 use crate::config::LocationConfig;
 use crate::geo::ReachabilityMap;
-use crate::scheme::ClientEvent;
+use crate::scheme::{ClientEvent, SharedSchemeStats};
 use crate::wire::{Freshness, Wire};
 
 /// What the op table decided about a locate after an event.
@@ -65,7 +65,6 @@ enum Retry {
 struct Op {
     target: AgentId,
     attempts: u32,
-    started: SimTime,
     /// The tracker (raw id, node) the current attempt was sent to, if known.
     tracker: Option<(u64, NodeId)>,
     /// The freshness requirement the locate was issued with; retries
@@ -110,23 +109,20 @@ impl Outcome {
 }
 
 /// The per-scheme half of the locate discipline: the retry budget and
-/// timeout, and the registry latencies and give-ups are reported into.
-/// Built once when the scheme bootstraps; every client of the scheme
-/// reads the same one.
+/// timeout. Built once when the scheme bootstraps; every client of the
+/// scheme reads the same one.
 #[derive(Debug)]
 pub(crate) struct RetryPolicy {
     max_attempts: u32,
     timeout: SimDuration,
-    registry: MetricsRegistry,
 }
 
 impl RetryPolicy {
-    /// The configured retry budget and timeout, reporting into `registry`.
-    pub(crate) fn new(config: &LocationConfig, registry: MetricsRegistry) -> Self {
+    /// The configured retry budget and timeout.
+    pub(crate) fn new(config: &LocationConfig) -> Self {
         RetryPolicy {
             max_attempts: config.max_locate_attempts,
             timeout: config.locate_retry_timeout,
-            registry,
         }
     }
 
@@ -153,7 +149,8 @@ struct InFlight {
 /// One client's own half of the locate discipline: whether its owner is
 /// registered, and the in-flight tables, created by the first locate.
 /// Every method that retries, times out or reports takes the scheme's
-/// [`RetryPolicy`].
+/// [`RetryPolicy`], and the scheme's stats handle where a locate may give
+/// up.
 #[derive(Debug, Default)]
 pub(crate) struct LocateCore {
     in_flight: Option<Box<InFlight>>,
@@ -194,20 +191,13 @@ impl LocateCore {
 
     /// Begins a locate (attempt 1) under the given freshness requirement;
     /// the client sends the attempt next.
-    pub(crate) fn start(
-        &mut self,
-        ctx: &AgentCtx<'_>,
-        token: u64,
-        target: AgentId,
-        freshness: Freshness,
-    ) {
+    pub(crate) fn start(&mut self, token: u64, target: AgentId, freshness: Freshness) {
         let in_flight = self.in_flight.get_or_insert_with(Box::default);
         in_flight.ops.insert(
             token,
             Op {
                 target,
                 attempts: 1,
-                started: ctx.now(),
                 tracker: None,
                 freshness,
             },
@@ -293,12 +283,13 @@ impl LocateCore {
     }
 
     /// The answers every scheme's client treats alike: the owner's
-    /// `RegisterAck`, `Located` (completes the locate and records its
-    /// latency; a duplicate is swallowed) and `NotFound` (a negative
-    /// answer). Anything else is `NotMine`.
+    /// `RegisterAck`, `Located` (completes the locate; a duplicate is
+    /// swallowed) and `NotFound` (a negative answer). Anything else is
+    /// `NotMine`.
     pub(crate) fn on_answer(
         &mut self,
         policy: &RetryPolicy,
+        stats: &SharedSchemeStats,
         ctx: &mut AgentCtx<'_>,
         msg: Wire,
     ) -> Outcome {
@@ -315,26 +306,21 @@ impl LocateCore {
                 token,
                 ..
             } => match self.in_flight.as_mut().and_then(|f| f.ops.remove(&token)) {
-                Some(op) => {
-                    policy
-                        .registry
-                        .record_locate(ctx.now().saturating_since(op.started));
-                    Outcome {
-                        event: ClientEvent::Located {
-                            token,
-                            target,
-                            node,
-                            stale,
-                            age_ms,
-                        },
-                        resend: None,
-                        tracker: op.tracker,
-                        declared: Some(op.freshness),
-                    }
-                }
+                Some(op) => Outcome {
+                    event: ClientEvent::Located {
+                        token,
+                        target,
+                        node,
+                        stale,
+                        age_ms,
+                    },
+                    resend: None,
+                    tracker: op.tracker,
+                    declared: Some(op.freshness),
+                },
                 None => Outcome::report(ClientEvent::Consumed),
             },
-            Wire::NotFound { token, .. } => self.on_negative(policy, ctx, token),
+            Wire::NotFound { token, .. } => self.on_negative(policy, stats, ctx, token),
             _ => Outcome::report(ClientEvent::NotMine),
         }
     }
@@ -343,11 +329,12 @@ impl LocateCore {
     pub(crate) fn on_negative(
         &mut self,
         policy: &RetryPolicy,
+        stats: &SharedSchemeStats,
         ctx: &mut AgentCtx<'_>,
         token: u64,
     ) -> Outcome {
         let decision = self.consume_attempt(policy.max_attempts, token, GiveUpCause::Negative);
-        self.act(policy, ctx, decision)
+        self.act(policy, stats, ctx, decision)
     }
 
     /// A timer fired: `NotMine` unless this core armed it; a timer whose
@@ -355,6 +342,7 @@ impl LocateCore {
     pub(crate) fn on_timer(
         &mut self,
         policy: &RetryPolicy,
+        stats: &SharedSchemeStats,
         ctx: &mut AgentCtx<'_>,
         timer: TimerId,
     ) -> Outcome {
@@ -371,11 +359,17 @@ impl LocateCore {
             }
             _ => Retry::Nothing,
         };
-        self.act(policy, ctx, decision)
+        self.act(policy, stats, ctx, decision)
     }
 
     /// Traces and accounts a retry decision.
-    fn act(&self, policy: &RetryPolicy, ctx: &mut AgentCtx<'_>, decision: Retry) -> Outcome {
+    fn act(
+        &self,
+        policy: &RetryPolicy,
+        stats: &SharedSchemeStats,
+        ctx: &mut AgentCtx<'_>,
+        decision: Retry,
+    ) -> Outcome {
         let me = ctx.self_id().raw();
         match decision {
             Retry::Again { token, target } => {
@@ -414,7 +408,7 @@ impl LocateCore {
                 // the querier.
                 if let Some((id, node)) = tracker {
                     let remote = u64::from(node != ctx.node());
-                    policy.registry.update_tracker(id, |t| match cause {
+                    stats.update_tracker(id, |t| match cause {
                         GiveUpCause::Timeout => {
                             t.giveup_timeout += 1;
                             t.giveup_timeout_remote += remote;
@@ -446,14 +440,13 @@ mod tests {
             max_locate_attempts,
             ..LocationConfig::default()
         };
-        RetryPolicy::new(&config, MetricsRegistry::new())
+        RetryPolicy::new(&config)
     }
 
     fn start(core: &mut LocateCore, token: u64, target: AgentId, freshness: Freshness) {
         let op = Op {
             target,
             attempts: 1,
-            started: SimTime::ZERO,
             tracker: None,
             freshness,
         };

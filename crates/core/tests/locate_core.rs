@@ -103,8 +103,8 @@ fn run(scheme: &mut dyn LocationScheme, latency: SimDuration, target: AgentId, m
     platform.run_for(SimDuration::from_millis(millis));
     assert_eq!(sink.dropped(), 0, "trace buffer overflowed; raise the cap");
     let charged = scheme
-        .registry()
-        .snapshot()
+        .shared()
+        .tracker_rows()
         .trackers
         .iter()
         .filter(|(_, t)| t.giveup_timeout + t.giveup_negative > 0)

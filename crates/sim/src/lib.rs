@@ -24,9 +24,6 @@
 //! * [`TraceSink`] / [`TraceEvent`] / [`CorrId`] — structured protocol
 //!   tracing: correlation ids threaded through wire messages land in a
 //!   bounded ring buffer, off by default and zero-cost when disabled;
-//! * [`MetricsRegistry`] — per-tracker gauges and counters, per-version
-//!   rehash counts, and locate-latency percentiles, exportable as
-//!   JSON/CSV;
 //! * [`FaultPlan`] / [`ChaosConfig`] — time-scheduled correlated faults
 //!   (partitions, crash/restart, latency spikes, loss bursts,
 //!   blackholes) plus a seeded chaos generator and plan shrinker.
@@ -67,7 +64,6 @@ mod faults;
 mod metrics;
 mod net;
 mod queue;
-mod registry;
 mod rng;
 mod station;
 mod time;
@@ -77,9 +73,6 @@ pub use faults::{shrink, ChaosConfig, FaultEvent, FaultKind, FaultPlan};
 pub use metrics::{AtomicLogHistogram, Counter, Histogram, LogHistogram, WindowedRate};
 pub use net::{arrival, Delivery, NodeId, RegionTopo, Topology};
 pub use queue::Scheduler;
-pub use registry::{
-    LatencySummary, MetricsRegistry, RegistrySnapshot, RehashCounts, TrackerMetrics,
-};
 pub use rng::{DurationDist, SimRng, Zipf};
 pub use station::ServiceStation;
 pub use time::{SimDuration, SimTime};

@@ -50,13 +50,10 @@ impl fmt::Display for Counter {
 /// A histogram of durations that keeps every sample, supporting exact
 /// means and percentiles.
 ///
-/// Experiments record a few thousand location times, so exact storage is
-/// cheap and avoids bucketing artefacts in the reproduced figures. A live
-/// run records one sample per locate for as long as it runs, so storage
-/// is compact until a statistic is asked for: samples below 2^32 ns
-/// (≈ 4.3 s), nearly all of them, gather as `u32`s, and every 16 384 of
-/// them are sorted and packed as varint deltas — about a byte each for
-/// dense latencies. A percentile query unpacks them again.
+/// An experiment records one location time per completed locate in its
+/// measured window, so exact storage (8 bytes a sample) stays cheap and
+/// avoids bucketing artefacts in the reproduced figures. The samples are
+/// sorted on the first percentile query after a record.
 ///
 /// # Examples
 ///
@@ -74,16 +71,9 @@ impl fmt::Display for Counter {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
-    /// Recent samples below 2^32 ns, in nanoseconds.
-    short: Vec<u32>,
-    /// Earlier short samples: sorted runs, each a varint first value
-    /// followed by varint deltas.
-    packed: Vec<Box<[u8]>>,
-    packed_len: usize,
-    /// Samples of 2^32 ns and more. Every one exceeds every short sample,
-    /// so the sorted samples are the short ones followed by these.
-    long: Vec<u64>,
-    /// `short` and `long` are sorted and nothing is packed.
+    /// Every sample, in nanoseconds.
+    samples: Vec<u64>,
+    /// `samples` is sorted.
     sorted: bool,
     sum_ns: u128,
     min_ns: u64,
@@ -91,9 +81,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Short samples gathered before they are sorted and packed.
-    const PACK_SAMPLES: usize = 1 << 14;
-
     /// Creates an empty histogram.
     #[must_use]
     pub fn new() -> Self {
@@ -109,70 +96,19 @@ impl Histogram {
         self.max_ns = self.max_ns.max(ns);
         self.sum_ns += u128::from(ns);
         self.sorted = false;
-        match u32::try_from(ns) {
-            Ok(short) => {
-                self.short.push(short);
-                if self.short.len() >= Self::PACK_SAMPLES {
-                    self.pack();
-                }
-            }
-            Err(_) => self.long.push(ns),
-        }
-    }
-
-    /// Sorts the short samples and moves them into one packed run.
-    fn pack(&mut self) {
-        self.short.sort_unstable();
-        let mut bytes = Vec::with_capacity(self.short.len() + 4);
-        let mut prev = 0;
-        for &ns in &self.short {
-            let mut delta = ns - prev;
-            prev = ns;
-            while delta >= 0x80 {
-                bytes.push((delta as u8) | 0x80);
-                delta >>= 7;
-            }
-            bytes.push(delta as u8);
-        }
-        self.packed_len += self.short.len();
-        self.packed.push(bytes.into_boxed_slice());
-        self.short.clear();
-        // A percentile query unpacked every sample into `short`: give that
-        // room back.
-        self.short.shrink_to(Self::PACK_SAMPLES);
-    }
-
-    /// Unpacks every run into `short` and sorts both sample lists.
-    fn unpack(&mut self) {
-        self.short.reserve_exact(self.packed_len);
-        for run in std::mem::take(&mut self.packed) {
-            let (mut value, mut delta, mut shift) = (0u32, 0u32, 0);
-            for &byte in run.iter() {
-                delta |= u32::from(byte & 0x7f) << shift;
-                shift += 7;
-                if byte & 0x80 == 0 {
-                    value += delta;
-                    self.short.push(value);
-                    (delta, shift) = (0, 0);
-                }
-            }
-        }
-        self.packed_len = 0;
-        self.short.sort_unstable();
-        self.long.sort_unstable();
-        self.sorted = true;
+        self.samples.push(ns);
     }
 
     /// Number of samples.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.packed_len + self.short.len() + self.long.len()
+        self.samples.len()
     }
 
     /// `true` if no samples have been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.samples.is_empty()
     }
 
     /// Arithmetic mean, or zero when empty.
@@ -196,14 +132,11 @@ impl Histogram {
             return SimDuration::ZERO;
         }
         if !self.sorted {
-            self.unpack();
+            self.samples.sort_unstable();
+            self.sorted = true;
         }
         let rank = ((p / 100.0) * self.len() as f64).ceil() as usize;
-        let index = rank.saturating_sub(1);
-        SimDuration::from_nanos(match self.short.get(index) {
-            Some(&ns) => u64::from(ns),
-            None => self.long[index - self.short.len()],
-        })
+        SimDuration::from_nanos(self.samples[rank.saturating_sub(1)])
     }
 
     /// Smallest sample, or zero when empty.
@@ -688,13 +621,13 @@ mod tests {
     }
 
     #[test]
-    fn packed_samples_answer_like_a_sorted_list() {
-        // Three packed runs plus a tail, with repeats, zeros, gaps wider
-        // than one varint byte and a few long samples.
+    fn many_samples_answer_like_a_sorted_list() {
+        // A long stream with repeats, zeros, gaps wider than one byte and
+        // a few samples of 2^32 ns and more.
         let mut h = Histogram::new();
         let mut all = Vec::new();
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for i in 0..(3 * Histogram::PACK_SAMPLES + 777) {
+        for i in 0..(3 * 16_384 + 777) {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
@@ -719,9 +652,9 @@ mod tests {
             let want = SimDuration::from_nanos(all[rank.saturating_sub(1)]);
             assert_eq!(h.percentile(p), want, "p{p}");
         }
-        // Recording after a query packs again and stays exact.
-        h.extend((0..Histogram::PACK_SAMPLES as u64).map(SimDuration::from_nanos));
-        assert_eq!(h.len(), n + Histogram::PACK_SAMPLES);
+        // Recording after a query sorts again and stays exact.
+        h.extend((0..16_384).map(SimDuration::from_nanos));
+        assert_eq!(h.len(), n + 16_384);
         assert_eq!(h.percentile(0.0), SimDuration::ZERO);
     }
 

@@ -383,8 +383,8 @@ pub(crate) fn check(
     // twice means two IAgents both believe they own it.
     let live_agents = tagents.iter().filter(|&&id| platform.is_live(id)).count();
     let records_held: u64 = scheme
-        .registry()
-        .snapshot()
+        .shared()
+        .tracker_rows()
         .trackers
         .iter()
         .filter(|&&(id, _)| platform.is_live(AgentId::new(id)))

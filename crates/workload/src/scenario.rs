@@ -540,9 +540,9 @@ impl Scenario {
 
         let scheme_stats = scheme.stats();
         let platform_stats = platform.stats();
-        let registry = scheme.registry().snapshot();
-        let sum = |f: fn(&agentrack_sim::TrackerMetrics) -> u64| -> u64 {
-            registry.trackers.iter().map(|(_, t)| f(t)).sum()
+        let rows = scheme.shared().tracker_rows();
+        let sum = |f: fn(&agentrack_core::TrackerMetrics) -> u64| -> u64 {
+            rows.trackers.iter().map(|(_, t)| f(t)).sum()
         };
         let (mail_buffered, mail_flushed, mail_lost) = (
             sum(|t| t.mail_buffered),

@@ -149,8 +149,8 @@ fn buffered_mail_expires_twice_and_is_counted() {
         "expected two single-item expiry sweeps, got {expiries:?}"
     );
     let mail_lost: u64 = scheme
-        .registry()
-        .snapshot()
+        .shared()
+        .tracker_rows()
         .trackers
         .iter()
         .map(|(_, t)| t.mail_lost)

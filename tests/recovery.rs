@@ -286,7 +286,7 @@ fn soft_state_loss_restart_accounts_mail_and_clears_records() {
         "the post-restart locate must fail: the record died with the node"
     );
 
-    let snapshot = scheme.registry().snapshot();
+    let snapshot = scheme.shared().tracker_rows();
     let (mail_lost, giveup_negative, records_held) =
         snapshot
             .trackers
@@ -392,7 +392,7 @@ fn stale_retry_timer_does_not_double_burn_a_completed_locate() {
     );
     assert_eq!(give_ups, 0, "no give-up may follow a completed locate");
 
-    let snapshot = scheme.registry().snapshot();
+    let snapshot = scheme.shared().tracker_rows();
     let (giveup_timeout, giveup_negative) = snapshot
         .trackers
         .iter()
