@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use agentrack::core::{HashedScheme, LocationConfig, LocationScheme, Wire};
+use agentrack::core::{CopyRole, HashedScheme, LocationConfig, LocationScheme, Wire};
 use agentrack::platform::{
     Agent, AgentCtx, AgentId, NodeId, Payload, PlatformConfig, SimPlatform, TimerId,
 };
@@ -77,10 +77,9 @@ impl Agent for Blaster {
     }
 }
 
-/// The adaptivity cycle the paper describes: load above `T_max` grows the
-/// tree; load vanishing below `T_min` shrinks it back.
-#[test]
-fn tree_grows_under_load_and_shrinks_when_it_stops() {
+/// Bootstraps the hashed scheme on a 4-node LAN and spawns one blaster
+/// per node: 4 × 100 req/s for 8 seconds, way over `T_max` = 50/s.
+fn blasted_hashed_scheme() -> (SimPlatform, HashedScheme) {
     let topology = Topology::lan(4, DurationDist::Constant(SimDuration::from_micros(300)));
     let mut platform = SimPlatform::new(topology, PlatformConfig::default().with_seed(3));
     let config = LocationConfig {
@@ -90,7 +89,6 @@ fn tree_grows_under_load_and_shrinks_when_it_stops() {
     let mut scheme = HashedScheme::new(config);
     scheme.bootstrap(&mut platform);
 
-    // 4 blasters × 100 req/s for 8 seconds: way over T_max = 50/s.
     let lhagents = scheme.lhagents();
     for node in 0..4u32 {
         platform.spawn(
@@ -104,6 +102,14 @@ fn tree_grows_under_load_and_shrinks_when_it_stops() {
             NodeId::new(node),
         );
     }
+    (platform, scheme)
+}
+
+/// The adaptivity cycle the paper describes: load above `T_max` grows the
+/// tree; load vanishing below `T_min` shrinks it back.
+#[test]
+fn tree_grows_under_load_and_shrinks_when_it_stops() {
+    let (mut platform, scheme) = blasted_hashed_scheme();
 
     platform.run_for(SimDuration::from_secs(10));
     let mid = scheme.stats();
@@ -115,6 +121,26 @@ fn tree_grows_under_load_and_shrinks_when_it_stops() {
     let end = scheme.stats();
     assert!(end.merges >= 2, "silence must shrink the tree: {end:?}");
     assert_eq!(end.trackers, 1, "all the way back to one IAgent: {end:?}");
+}
+
+/// Every committed rehash bumps the hash function's version by one and is
+/// counted once in the scheme-wide totals, so `splits + merges` accounts
+/// for every version the primary HAgent published after version 1.
+#[test]
+fn rehashes_are_counted_once_per_version() {
+    let (mut platform, scheme) = blasted_hashed_scheme();
+    platform.run_for(SimDuration::from_secs(40));
+
+    let stats = scheme.stats();
+    assert!(stats.splits >= 2 && stats.merges >= 2, "{stats:?}");
+    assert_eq!(stats.iagent_moves, 0, "locality migration is off");
+    let primary = scheme
+        .hash_versions()
+        .into_iter()
+        .find(|&(_, role, _)| role == CopyRole::Primary)
+        .map(|(_, _, version)| version)
+        .expect("the HAgent published a version");
+    assert_eq!(stats.splits + stats.merges, primary - 1, "{stats:?}");
 }
 
 /// Querying a nonexistent agent fails cleanly after the retry budget.
@@ -308,6 +334,26 @@ fn survives_message_loss_and_duplication() {
         "losses must be retried through: {report:#?}"
     );
     assert_eq!(report.registrations, 40);
+}
+
+/// A locate is timed once, by its first answer: while the network
+/// duplicates a fifth of all messages, a duplicate `Located` is swallowed,
+/// so no more locates complete than were issued.
+#[test]
+fn a_duplicated_answer_is_timed_once() {
+    let mut scenario = Scenario::new("duplicating")
+        .with_agents(40)
+        .with_residence_ms(400)
+        .with_queries(80)
+        .with_seconds(10.0, 5.0);
+    scenario.duplication = 0.2;
+    let mut scheme = HashedScheme::new(LocationConfig::default());
+    let report = scenario.run_with(&mut scheme, RunOptions::new()).report;
+    assert!(report.locates_completed > 0, "{report:#?}");
+    assert!(
+        report.locates_completed + report.locate_failures <= report.locates_issued,
+        "{report:#?}"
+    );
 }
 
 /// One seed, one trace: the entire stack is deterministic.
