@@ -1,30 +1,35 @@
-//! Runs declarative scenario spec files; `repro` runs the same specs,
-//! embedded, by name.
+//! Runs the declarative scenario specs: every experiment in
+//! `EXPERIMENTS.md`.
 //!
 //! ```text
-//! scenario_lab [--quick] [--jobs N] [--out DIR] [--validate-only] [SPEC.json]...
+//! scenario_lab [--quick] [--jobs N] [--out DIR] [--validate-only] [SPEC]...
 //! ```
 //!
-//! With no spec arguments, every `specs/*.json` in the repository runs.
-//! Each spec prints its rendered table and writes `<name>.csv`, the
-//! exports it names, and structured per-trial records as
-//! `<name>.trials.json` into the output directory (`results/` by
-//! default). `--validate-only` parses and validates the specs without
-//! running anything — the CI smoke job's first gate. `--jobs 0` means
-//! one worker thread per available core; every file is byte-identical
-//! at any job count (apart from the trial records' `wall_ms`) because
-//! every trial owns its simulation.
+//! A `SPEC` is a name (`exp1` runs `specs/exp1.json`) or a path to a spec
+//! file; `scenario_lab --help` lists the names. With no spec arguments,
+//! every `specs/*.json` in the repository runs. Each spec prints its
+//! rendered table and writes `<name>.csv`, the exports it names, and
+//! structured per-trial records as `<name>.trials.json` into the output
+//! directory (`results/` by default). `--quick` shrinks populations and
+//! spans for a fast smoke pass; the recorded results come from
+//! full-fidelity runs. `--validate-only` parses and validates the specs
+//! without running anything — the CI smoke job's first gate. `--jobs 0`
+//! means one worker thread per available core; every file is
+//! byte-identical at any job count (apart from the trial records'
+//! `wall_ms`) because every trial owns its simulation. The exit status
+//! is 1 if any trial's invariant audit reports a violation.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use agentrack_bench::{run_spec, Fidelity, ScenarioSpec};
+use agentrack_bench::{run_spec, spec_names, spec_path, specs_dir, Fidelity, ScenarioSpec};
 
 fn main() -> ExitCode {
     let mut fidelity = Fidelity::Full;
     let mut jobs: usize = 1;
     let mut out_dir = PathBuf::from("results");
     let mut validate_only = false;
+    let specs_dir = specs_dir();
     let mut chosen: Vec<PathBuf> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -52,7 +57,9 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: scenario_lab [--quick] [--jobs N] [--out DIR] \
-                     [--validate-only] [SPEC.json]..."
+                     [--validate-only] [SPEC]...\n\
+                     a SPEC is a path or one of: {}",
+                    spec_names(&specs_dir).join(" | ")
                 );
                 return ExitCode::SUCCESS;
             }
@@ -60,11 +67,20 @@ fn main() -> ExitCode {
                 eprintln!("unknown flag {other:?}");
                 return ExitCode::FAILURE;
             }
-            path => chosen.push(PathBuf::from(path)),
+            spec => match spec_path(spec, &specs_dir) {
+                Ok(path) => chosen.push(path),
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
+            },
         }
     }
     if chosen.is_empty() {
-        chosen = default_specs();
+        chosen = spec_names(&specs_dir)
+            .iter()
+            .map(|name| specs_dir.join(format!("{name}.json")))
+            .collect();
         if chosen.is_empty() {
             eprintln!("no specs given and none found under specs/");
             return ExitCode::FAILURE;
@@ -108,7 +124,7 @@ fn main() -> ExitCode {
         let outcome = run_spec(spec, fidelity, jobs);
         print!("{}", outcome.table.render());
         println!("[{} took {:.1?}]", spec.name, started.elapsed());
-        if let Err(e) = outcome.write(&out_dir, true) {
+        if let Err(e) = outcome.write(&out_dir) {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
@@ -127,23 +143,4 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// Every `specs/*.json`, sorted, walking up from the working directory
-/// so the binary works from the workspace root or a crate directory.
-fn default_specs() -> Vec<PathBuf> {
-    let mut dir = PathBuf::from("specs");
-    if !dir.is_dir() {
-        dir = PathBuf::from("../../specs");
-    }
-    let Ok(entries) = std::fs::read_dir(&dir) else {
-        return Vec::new();
-    };
-    let mut specs: Vec<PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .collect();
-    specs.sort();
-    specs
 }

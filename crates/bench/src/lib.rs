@@ -1,11 +1,11 @@
 //! # agentrack-bench
 //!
 //! The experiment harness: the paper's evaluation (E1, E2) and the
-//! extension experiments. Every `repro` name is a trial grid the
+//! extension experiments. Every experiment is a trial grid the
 //! declarative [`ScenarioSpec`] expresses: it lives only as
-//! `specs/<name>.json`, embedded at build time ([`experiments`]), and runs
-//! through [`run_spec`], which also renders the spec's exports. The
-//! `repro` binary runs them by name and prints the tables recorded in
+//! `specs/<name>.json`, and runs through [`run_spec`], which also renders
+//! the spec's exports. The `scenario_lab` binary runs specs by name
+//! ([`spec_path`]) or by path, and prints the tables recorded in
 //! `EXPERIMENTS.md`.
 //!
 //! Every experiment takes a [`Fidelity`]: [`Fidelity::Full`] reproduces the
@@ -18,6 +18,7 @@
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 use agentrack_core::{
     CentralizedScheme, ForwardingScheme, HashedScheme, HomeRegistryScheme, LocationConfig,
@@ -29,6 +30,55 @@ pub mod spec;
 mod runner;
 pub use runner::{run_spec, PhaseMeans, PointValue, SpecOutcome, TrialRecord};
 pub use spec::{ScenarioSpec, SpecError};
+
+/// The committed specs directory: `specs/` under the working directory,
+/// or `../../specs` from a crate directory.
+#[must_use]
+pub fn specs_dir() -> PathBuf {
+    let dir = PathBuf::from("specs");
+    if dir.is_dir() {
+        dir
+    } else {
+        PathBuf::from("../../specs")
+    }
+}
+
+/// The spec names in `dir`: the stems of its `*.json` files, sorted.
+#[must_use]
+pub fn spec_names(dir: &Path) -> Vec<String> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut names: Vec<String> = entries
+        .filter_map(|e| {
+            let file = e.ok()?.file_name().into_string().ok()?;
+            file.strip_suffix(".json").map(str::to_owned)
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+/// Where a spec argument points: a bare name (no `/`, no `.json`) is
+/// `<dir>/<name>.json`; anything else is a path, taken as given.
+///
+/// # Errors
+///
+/// A bare name with no spec in `dir`; the message lists the names there.
+pub fn spec_path(arg: &str, dir: &Path) -> Result<PathBuf, String> {
+    if arg.contains('/') || arg.ends_with(".json") {
+        return Ok(PathBuf::from(arg));
+    }
+    let path = dir.join(format!("{arg}.json"));
+    if path.is_file() {
+        return Ok(path);
+    }
+    Err(format!(
+        "unknown spec {arg:?}: no {}; known specs: {}",
+        path.display(),
+        spec_names(dir).join(", ")
+    ))
+}
 
 /// How much of the paper's scale to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,44 +232,6 @@ pub(crate) fn boxed_scheme(
     make(config, standby)
 }
 
-/// The experiments, one `specs/<name>.json` each, embedded so `repro`
-/// works from any directory. A spec's `name` is its file stem and its
-/// `repro` name; this order is the order of `repro all`.
-const SPECS: &[&str] = &[
-    include_str!("../../../specs/exp1.json"),
-    include_str!("../../../specs/exp2.json"),
-    include_str!("../../../specs/ablation-split.json"),
-    include_str!("../../../specs/ablation-propagation.json"),
-    include_str!("../../../specs/sweep-thresholds.json"),
-    include_str!("../../../specs/skew.json"),
-    include_str!("../../../specs/baselines.json"),
-    include_str!("../../../specs/churn.json"),
-    include_str!("../../../specs/locality.json"),
-    include_str!("../../../specs/ablation-planning.json"),
-    include_str!("../../../specs/trackers.json"),
-    include_str!("../../../specs/chaos.json"),
-    include_str!("../../../specs/attribution.json"),
-    include_str!("../../../specs/recovery.json"),
-    include_str!("../../../specs/rehash-spike.json"),
-];
-
-/// Every experiment `repro` runs, parsed from the embedded specs, in
-/// `repro all` order.
-///
-/// # Panics
-///
-/// Panics if an embedded spec does not load (a unit test loads them
-/// all).
-#[must_use]
-pub fn experiments() -> Vec<ScenarioSpec> {
-    SPECS
-        .iter()
-        .map(|source| {
-            ScenarioSpec::load_str(source).unwrap_or_else(|e| panic!("embedded spec: {e}"))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,19 +253,50 @@ mod tests {
         t.push_row(vec!["1".into(), "2".into()]);
     }
 
+    fn committed_specs() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs")
+    }
+
+    fn load(path: &Path) -> ScenarioSpec {
+        let source =
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        ScenarioSpec::load_str(&source).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
     #[test]
-    fn every_experiment_has_exactly_one_path() {
-        let specs = experiments();
-        for spec in &specs {
-            let name = &spec.name;
-            let twins = specs.iter().filter(|s| s.name == *name).count();
-            assert_eq!(twins, 1, "{name}: {twins} embedded specs");
-            let path = format!("{}/../../specs/{name}.json", env!("CARGO_MANIFEST_DIR"));
-            let file = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-            assert!(
-                SPECS.contains(&file.as_str()),
-                "{path} is not what repro embeds"
-            );
+    fn every_spec_is_named_for_its_file() {
+        let dir = committed_specs();
+        let names = spec_names(&dir);
+        assert!(names.contains(&"exp1".to_owned()), "{names:?}");
+        for name in &names {
+            assert_eq!(load(&dir.join(format!("{name}.json"))).name, *name);
         }
+    }
+
+    #[test]
+    fn a_name_and_its_path_load_the_same_spec() {
+        let dir = committed_specs();
+        for name in spec_names(&dir) {
+            let path = dir.join(format!("{name}.json"));
+            let given = path.to_str().expect("utf-8 path");
+            assert_eq!(spec_path(given, &dir), Ok(path.clone()), "{name}");
+            let by_name = spec_path(&name, &dir).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(load(&by_name), load(&path), "{name}");
+        }
+    }
+
+    #[test]
+    fn an_unknown_name_lists_the_known_specs() {
+        let dir = committed_specs();
+        let err = spec_path("exp9", &dir).expect_err("no such spec");
+        assert!(err.contains("\"exp9\""), "{err}");
+        for name in spec_names(&dir) {
+            assert!(err.contains(&name), "{name} missing from: {err}");
+        }
+        assert_eq!(
+            spec_path("exp9.json", &dir),
+            Ok(PathBuf::from("exp9.json")),
+            "a path is taken as given, and fails when read"
+        );
     }
 }

@@ -235,21 +235,18 @@ pub struct SpecOutcome {
 }
 
 impl SpecOutcome {
-    /// Writes `<name>.csv` and every export into `dir`, and with
-    /// `trials` also the trial records as `<name>.trials.json` (whose
-    /// `wall_ms` fields differ run to run). Returns the paths written.
+    /// Writes `<name>.csv`, every export and the trial records as
+    /// `<name>.trials.json` (whose `wall_ms` fields differ run to run)
+    /// into `dir`. Returns the paths written.
     ///
     /// # Errors
     ///
     /// The first failed write, naming its path.
-    pub fn write(&self, dir: &Path, trials: bool) -> std::io::Result<Vec<PathBuf>> {
+    pub fn write(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         let mut files = vec![(format!("{}.csv", self.name), self.table.to_csv())];
         files.extend(self.exports.iter().cloned());
-        if trials {
-            let json =
-                serde_json::to_string(&self.trials).expect("trial serialization cannot fail");
-            files.push((format!("{}.trials.json", self.name), json));
-        }
+        let json = serde_json::to_string(&self.trials).expect("trial serialization cannot fail");
+        files.push((format!("{}.trials.json", self.name), json));
         let mut written = Vec::with_capacity(files.len());
         for (file, contents) in files {
             let path = dir.join(file);
@@ -264,7 +261,7 @@ impl SpecOutcome {
 
 /// Runs every trial of a validated spec and folds the outcomes into the
 /// spec's table. `jobs` is the worker-thread count (callers resolve
-/// `0 = all cores` before calling, as the `repro` binary does).
+/// `0 = all cores` before calling, as the `scenario_lab` binary does).
 ///
 /// # Panics
 ///

@@ -231,11 +231,6 @@ impl LocationScheme for CentralizedScheme {
         Arc::new(move || Box::new(CentralizedClient::new(Arc::clone(&scheme))))
     }
 
-    fn make_client(&self) -> Box<dyn DirectoryClient> {
-        let scheme = self.clients.as_ref().expect("make_client before bootstrap");
-        Box::new(CentralizedClient::new(Arc::clone(scheme)))
-    }
-
     fn shared(&self) -> &SharedSchemeStats {
         &self.shared
     }

@@ -203,11 +203,6 @@ impl LocationScheme for ForwardingScheme {
         Arc::new(move || Box::new(ForwardingClient::new(Arc::clone(&scheme))))
     }
 
-    fn make_client(&self) -> Box<dyn DirectoryClient> {
-        let scheme = self.clients.as_ref().expect("make_client before bootstrap");
-        Box::new(ForwardingClient::new(Arc::clone(scheme)))
-    }
-
     fn shared(&self) -> &SharedSchemeStats {
         &self.shared
     }

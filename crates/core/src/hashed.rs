@@ -209,11 +209,6 @@ impl LocationScheme for HashedScheme {
         Arc::new(move || Box::new(HashedClient::new(Arc::clone(&scheme))))
     }
 
-    fn make_client(&self) -> Box<dyn DirectoryClient> {
-        let scheme = self.clients.as_ref().expect("make_client before bootstrap");
-        Box::new(HashedClient::new(Arc::clone(scheme)))
-    }
-
     fn shared(&self) -> &SharedSchemeStats {
         &self.shared
     }

@@ -129,11 +129,6 @@ impl LocationScheme for HomeRegistryScheme {
         Arc::new(move || Box::new(HomeRegistryClient::new(Arc::clone(&scheme))))
     }
 
-    fn make_client(&self) -> Box<dyn DirectoryClient> {
-        let scheme = self.clients.as_ref().expect("make_client before bootstrap");
-        Box::new(HomeRegistryClient::new(Arc::clone(scheme)))
-    }
-
     fn shared(&self) -> &SharedSchemeStats {
         &self.shared
     }

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::span::{Span, SpanTree};
+use crate::span::SpanTree;
 
 /// Microseconds with fixed three-decimal precision, the Chrome
 /// trace-event time unit.
@@ -95,46 +95,6 @@ pub fn to_folded(trees: &[SpanTree], prefix: &str) -> String {
     out
 }
 
-/// The slowest operation in a batch of trees, by end-to-end duration
-/// (ties broken by correlation id, for determinism).
-#[must_use]
-pub fn slowest(trees: &[SpanTree]) -> Option<&SpanTree> {
-    trees
-        .iter()
-        .max_by_key(|t| (t.duration(), std::cmp::Reverse(t.corr)))
-}
-
-/// Renders one tree's critical-path breakdown as aligned text lines —
-/// the root, then each child with duration and phase. Diagnostic
-/// convenience for examples and CLIs.
-#[must_use]
-pub fn render_breakdown(tree: &SpanTree) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "locate {}: {:.3} ms end-to-end, {} hops",
-        tree.corr,
-        tree.duration().as_millis_f64(),
-        tree.children
-            .iter()
-            .filter(|c| matches!(c.kind, crate::span::SpanKind::Transport))
-            .count(),
-    );
-    for child in &tree.children {
-        let _ = writeln!(
-            out,
-            "  {:>10.3} ms  {:<16} {}",
-            Span::duration(child).as_millis_f64(),
-            format!("[{}]", child.phase.name()),
-            child.label,
-        );
-    }
-    for marker in &tree.markers {
-        let _ = writeln!(out, "       *        {} at {}", marker.label, marker.at);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,25 +148,5 @@ mod tests {
         // BTreeMap ordering: queue_wait sorts before tracker_query.
         assert_eq!(lines[0], "forwarding;queue_wait;queue:Locate 1000");
         assert_eq!(lines[1], "forwarding;tracker_query;transport:Locate 2000");
-    }
-
-    #[test]
-    fn slowest_picks_the_longest_tree() {
-        let fast = sample_tree();
-        let mut slow = fast.clone();
-        slow.corr = CorrId::new(8, 1);
-        slow.end += SimDuration::from_nanos(1);
-        let trees = vec![fast, slow];
-        assert_eq!(slowest(&trees).expect("non-empty").corr, CorrId::new(8, 1));
-        assert!(slowest(&[]).is_none());
-    }
-
-    #[test]
-    fn breakdown_rendering_mentions_every_child() {
-        let tree = sample_tree();
-        let text = render_breakdown(&tree);
-        assert!(text.contains("locate 7#1"));
-        assert!(text.contains("transport:Locate"));
-        assert!(text.contains("[queue_wait]"));
     }
 }

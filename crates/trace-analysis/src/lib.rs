@@ -53,7 +53,7 @@ mod export;
 mod span;
 
 pub use agentrack_sim::CorrId;
-pub use export::{render_breakdown, slowest, to_folded, to_perfetto_json};
+pub use export::{to_folded, to_perfetto_json};
 pub use span::{
     build_span, build_spans, Attribution, Marker, Phase, PhaseBreakdown, Span, SpanKind, SpanTree,
 };

@@ -447,28 +447,29 @@ impl Scenario {
             Targets::Fixed(tagents.clone())
         };
 
-        // Queriers: split the query budget evenly, remainder to the first.
-        if self.queries_total > 0 {
-            let per = self.queries_total / self.queriers as u64;
-            let mut remainder = self.queries_total % self.queriers as u64;
-            // Space queries so the configured total spreads over the
-            // measurement span. Intervals are jittered and each querier is
-            // phase-shifted: synchronized queriers would hit trackers in
-            // lock-step bursts, measuring an artefact instead of the
-            // steady-state location time. Queriers begin during the warmup
-            // ramp (their early locates are exercised but not recorded) so
-            // switching the query load on does not perturb the measured
-            // window.
-            let ramp = (self.warmup / 2).min(SimDuration::from_secs(10));
-            let interval = self
-                .measure
-                .mul_f64(self.queriers as f64 / self.queries_total as f64);
+        // Queriers: `queriers` agents split a budget of `queries` evenly,
+        // remainder to the first, and pace it over `span` from `start`;
+        // `span_scale` stretches each count over a longer window at the
+        // same pace. Intervals are jittered and each querier is
+        // phase-shifted: synchronized queriers would hit trackers in
+        // lock-step bursts, measuring an artefact instead of the
+        // steady-state location time.
+        let mut spawn_queriers = |queriers: usize,
+                                  queries: u64,
+                                  start: SimDuration,
+                                  span: SimDuration,
+                                  span_scale: f64| {
+            if queries == 0 {
+                return;
+            }
+            let per = queries / queriers as u64;
+            let mut remainder = queries % queriers as u64;
+            let interval = span.mul_f64(queriers as f64 / queries as f64);
             let interval_dist = DurationDist::Uniform {
                 lo: interval.mul_f64(0.5),
                 hi: interval.mul_f64(1.5),
             };
-            let span_scale = (ramp + self.measure).as_secs_f64() / self.measure.as_secs_f64();
-            for i in 0..self.queriers {
+            for i in 0..queriers {
                 let mut count = per;
                 if remainder > 0 {
                     count += 1;
@@ -477,15 +478,14 @@ impl Scenario {
                 if count == 0 {
                     continue;
                 }
-                // Extra queries cover the warmup ramp at the same pace.
                 let count = (count as f64 * span_scale).ceil() as u64;
                 let node = NodeId::new((i as u32) % self.nodes);
-                let phase = interval.mul_f64(i as f64 / self.queriers as f64);
+                let phase = interval.mul_f64(i as f64 / queriers as f64);
                 let behavior = QuerierBehavior::new(
                     scheme.make_client(),
                     targets.clone(),
                     TargetSelector::new(self.agents, self.query_skew),
-                    (self.warmup - ramp) + phase,
+                    start + phase,
                     interval_dist,
                     count,
                     metrics.clone(),
@@ -493,7 +493,21 @@ impl Scenario {
                 .with_freshness(self.freshness);
                 platform.spawn(Box::new(behavior), node);
             }
-        }
+        };
+
+        // The steady queriers pace the configured total over the
+        // measurement span. They begin during the warmup ramp (their
+        // early locates are exercised but not recorded, and extra queries
+        // cover the ramp at the same pace) so switching the query load on
+        // does not perturb the measured window.
+        let ramp = (self.warmup / 2).min(SimDuration::from_secs(10));
+        spawn_queriers(
+            self.queriers,
+            self.queries_total,
+            self.warmup - ramp,
+            self.measure,
+            (ramp + self.measure).as_secs_f64() / self.measure.as_secs_f64(),
+        );
 
         // Flash crowds: dedicated queriers that sit silent until their
         // spike instant, then issue their budget paced over the spike span.
@@ -502,38 +516,7 @@ impl Scenario {
         for spike in self.spikes.iter().copied() {
             assert!(spike.queriers > 0, "a spike needs queriers");
             assert!(!spike.span.is_zero(), "a spike needs a non-zero span");
-            let per = spike.queries / spike.queriers as u64;
-            let mut remainder = spike.queries % spike.queriers as u64;
-            let interval = spike
-                .span
-                .mul_f64(spike.queriers as f64 / spike.queries.max(1) as f64);
-            let interval_dist = DurationDist::Uniform {
-                lo: interval.mul_f64(0.5),
-                hi: interval.mul_f64(1.5),
-            };
-            for i in 0..spike.queriers {
-                let mut count = per;
-                if remainder > 0 {
-                    count += 1;
-                    remainder -= 1;
-                }
-                if count == 0 {
-                    continue;
-                }
-                let node = NodeId::new((i as u32) % self.nodes);
-                let phase = interval.mul_f64(i as f64 / spike.queriers as f64);
-                let behavior = QuerierBehavior::new(
-                    scheme.make_client(),
-                    targets.clone(),
-                    TargetSelector::new(self.agents, self.query_skew),
-                    spike.at + phase,
-                    interval_dist,
-                    count,
-                    metrics.clone(),
-                )
-                .with_freshness(self.freshness);
-                platform.spawn(Box::new(behavior), node);
-            }
+            spawn_queriers(spike.queriers, spike.queries, spike.at, spike.span, 1.0);
         }
 
         platform.run_for(self.duration() + self.grace);

@@ -20,9 +20,7 @@ use agentrack::core::{
     CentralizedScheme, ForwardingScheme, HashedScheme, HomeRegistryScheme, LocationConfig,
 };
 use agentrack::sim::TraceSink;
-use agentrack::trace_analysis::{
-    build_spans, render_breakdown, slowest, to_folded, to_perfetto_json, SpanTree,
-};
+use agentrack::trace_analysis::{build_spans, to_folded, to_perfetto_json, Phase, SpanTree};
 use agentrack::workload::{RunOptions, Scenario, ScenarioReport};
 
 fn run(name: &str, scenario: &Scenario) -> (ScenarioReport, Vec<SpanTree>) {
@@ -94,8 +92,11 @@ fn main() {
             r.trackers,
             r.locate_failures,
         );
-        if let Some(worst) = slowest(&trees) {
-            slowest_per_scheme.push((name, worst.clone()));
+        if let Some(worst) = trees
+            .iter()
+            .max_by_key(|t| (t.duration(), std::cmp::Reverse(t.corr)))
+        {
+            slowest_per_scheme.push((name, worst.breakdown()));
         }
         if let Some(dir) = &export_dir {
             std::fs::write(
@@ -110,10 +111,19 @@ fn main() {
 
     println!();
     println!("slowest locate per scheme, phase by phase:");
-    for (name, tree) in &slowest_per_scheme {
+    for (name, breakdown) in &slowest_per_scheme {
         println!();
-        println!("-- {name} --");
-        print!("{}", render_breakdown(tree));
+        println!(
+            "-- {name}: locate {}, {:.3} ms end-to-end --",
+            breakdown.corr,
+            breakdown.total.as_millis_f64()
+        );
+        for phase in Phase::ALL {
+            let spent = breakdown.of(phase);
+            if !spent.is_zero() {
+                println!("  {:>10.3} ms  {phase}", spent.as_millis_f64());
+            }
+        }
     }
     if let Some(dir) = &export_dir {
         println!();

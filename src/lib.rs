@@ -55,9 +55,9 @@
 //! println!("mean location time: {:.2} ms", report.mean_locate_ms);
 //! ```
 //!
-//! Runnable examples live under `examples/`; the `repro` binary in
-//! `agentrack-bench` regenerates every figure of the paper's evaluation
-//! (see `EXPERIMENTS.md`).
+//! Runnable examples live under `examples/`; the `scenario_lab` binary
+//! in `agentrack-bench` regenerates every figure of the paper's
+//! evaluation from `specs/*.json` (see `EXPERIMENTS.md`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -4,7 +4,7 @@
 //! what grows, what stays flat — so a change that silently breaks the
 //! reproduction fails CI. The full-fidelity numbers live in
 //! `EXPERIMENTS.md` and regenerate with `cargo run -p agentrack-bench
-//! --bin repro --release`.
+//! --bin scenario_lab --release -- exp1 exp2`.
 
 use agentrack::core::{CentralizedScheme, HashedScheme, LocationConfig};
 use agentrack::workload::{RunOptions, Scenario};

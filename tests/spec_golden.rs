@@ -1,5 +1,5 @@
-//! Golden-file tests for every committed spec that `repro` or the CI
-//! smoke jobs run at quick fidelity.
+//! Golden-file tests for every committed spec that the CI smoke jobs
+//! run at quick fidelity.
 //!
 //! Each committed CSV under `tests/golden/` is the quick-fidelity table
 //! of one spec in `specs/`. The simulation is deterministic and none of
@@ -10,9 +10,9 @@
 //! with `scenario_lab --quick` only after deciding the change is
 //! intended.
 //!
-//! Every `repro` experiment (E1–E10, E12–E15, E17) is a spec. Those that
-//! began as hand-coded functions have goldens recorded from those
-//! functions' `repro --quick` tables, before the deletion. `baselines`
+//! Every experiment (E1–E10, E12–E15, E17) is a spec. Those that began
+//! as hand-coded functions have goldens recorded from those functions'
+//! quick-fidelity tables, before the deletion. `baselines`
 //! (E7) has since taken the wide layout, and `trackers` (E12) one trial
 //! row, with the same numbers. `trackers` and `attribution` (E14) run
 //! without the audit, whose probe locates would land in their exports,
