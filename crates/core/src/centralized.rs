@@ -135,7 +135,7 @@ impl Agent for CentralBehavior {
                 Some(&node) => ctx.send(
                     target,
                     node,
-                    ctx.encode(&Wire::MailDrop { from: origin, data }),
+                    ctx.encode_owned(Wire::MailDrop { from: origin, data }),
                 ),
                 None => self.mailbox.buffer(ctx, &self.shared, target, origin, data),
             },

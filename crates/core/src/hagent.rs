@@ -106,10 +106,10 @@ impl CopyPayloads {
             self.view = Some(TrackerView::new(hf, None));
         }
         match self.view.as_ref().and_then(|view| view.image_for(hf, to)) {
-            Some(image) => ctx.encode(&Wire::InstallView { image }),
+            Some(image) => ctx.encode_owned(Wire::InstallView { image }),
             None => self
                 .install
-                .get_or_insert_with(|| ctx.encode(&Wire::InstallHashFn { hf: hf.clone() }))
+                .get_or_insert_with(|| ctx.encode_owned(Wire::InstallHashFn { hf: hf.clone() }))
                 .clone(),
         }
     }
@@ -118,7 +118,7 @@ impl CopyPayloads {
     fn copy(&mut self, ctx: &AgentCtx<'_>, hf: &HashFunction) -> Payload {
         self.sync(hf);
         self.copy
-            .get_or_insert_with(|| ctx.encode(&Wire::HashFnCopy { hf: hf.clone() }))
+            .get_or_insert_with(|| ctx.encode_owned(Wire::HashFnCopy { hf: hf.clone() }))
             .clone()
     }
 }
@@ -684,7 +684,7 @@ impl Agent for HAgentBehavior {
             } => {
                 self.shared.update(|s| s.hf_fetches += 1);
                 let reply = match self.log.since(have_version) {
-                    Some(delta) => ctx.encode(&delta),
+                    Some(delta) => ctx.encode_owned(delta),
                     None => self.payloads.copy(ctx, &self.hf),
                 };
                 ctx.send(from, reply_node, reply);

@@ -225,6 +225,18 @@ impl Serialize for HashFunction {
             ),
         ])
     }
+
+    /// The version, tree and directory hold integers only, so they always
+    /// round-trip. A decoded copy compiles its table afresh, so a clone
+    /// stands for it only while this copy's table reflects its tree (or
+    /// reflects that the tree is too deep to compile).
+    fn exact(&self) -> bool {
+        self.compiled.generation() == self.tree.generation()
+    }
+
+    fn writes_null(&self) -> bool {
+        false
+    }
 }
 
 /// Deserialised copies arrive with a freshly compiled table: this is what

@@ -340,7 +340,7 @@ impl IAgentBehavior {
             ctx.send(
                 owner,
                 owner_node,
-                ctx.encode(&Wire::Handoff { records: recs }),
+                ctx.encode_owned(Wire::Handoff { records: recs }),
             );
         }
         self.shared.update(|s| s.records_handed_off += total);
@@ -362,7 +362,7 @@ impl IAgentBehavior {
             data,
             ttl,
         };
-        ctx.send(owner, node, ctx.encode(&mail));
+        ctx.send(owner, node, ctx.encode_owned(mail));
     }
 
     /// Mail can flow the moment a record (re)appears for `agent`.
@@ -651,7 +651,7 @@ impl IAgentBehavior {
                         Some(node) => ctx.send(
                             target,
                             node,
-                            ctx.encode(&Wire::MailDrop { from: origin, data }),
+                            ctx.encode_owned(Wire::MailDrop { from: origin, data }),
                         ),
                         // Unknown right now (mid-handoff or mid-flight):
                         // hold it; the next update releases it.

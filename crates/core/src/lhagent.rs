@@ -285,7 +285,7 @@ impl Agent for LHAgentBehavior {
                 ctx.send(
                     iagent,
                     node,
-                    ctx.encode(&Wire::DeliverVia {
+                    ctx.encode_owned(Wire::DeliverVia {
                         target,
                         from: origin,
                         data,

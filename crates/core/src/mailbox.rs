@@ -166,7 +166,7 @@ impl Mailbox {
                 from: item.from,
                 data: item.data,
             };
-            ctx.send(agent, node, ctx.encode(&drop));
+            ctx.send(agent, node, ctx.encode_owned(drop));
         }
     }
 

@@ -400,7 +400,7 @@ impl Durability {
                 rate,
                 reply_node,
             };
-            ctx.send(buddy, buddy_node, ctx.encode(&sync));
+            ctx.send(buddy, buddy_node, ctx.encode_owned(sync));
         }
         // Retry a lost epoch request or replica pull.
         if let Some(rec) = self.recovery.as_mut().filter(|rec| {
@@ -501,7 +501,7 @@ impl Durability {
         match msg {
             msg @ (Wire::RecordSync { .. } | Wire::ReplicaPull { .. }) => {
                 if let Some((node, reply)) = self.store.serve(from, msg, now) {
-                    ctx.send(from, node, ctx.encode(&reply));
+                    ctx.send(from, node, ctx.encode_owned(reply));
                 }
             }
             Wire::RecordSyncAck { epoch, seq } => self.replicator.on_ack(epoch, seq),

@@ -451,9 +451,10 @@ pub enum Wire {
 }
 
 impl Wire {
-    /// Encodes the message as a platform payload, in tree form. A handler
-    /// sends [`AgentCtx::encode`] of the message instead, which takes the
-    /// form its runtime carries.
+    /// Encodes the message as a platform payload, in the in-process form
+    /// (a copy of the message itself). A handler sends
+    /// [`AgentCtx::encode`] of the message instead, which takes the form
+    /// its runtime carries.
     #[must_use]
     pub fn payload(&self) -> Payload {
         Payload::encode(self)

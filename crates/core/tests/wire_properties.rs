@@ -563,6 +563,52 @@ proptest! {
         }
     }
 
+    /// A whole copy decoded in-process is a clone of the one sent, not a
+    /// rebuild, and still consistent, with a current compiled table. A
+    /// sender whose table is stale (its tree changed without a recompile)
+    /// does not hand that table on: such a copy is decoded afresh.
+    #[test]
+    fn a_whole_copy_decoded_in_process_has_a_current_table(
+        hf in arb_hash_function(),
+        stale_seed in proptest::option::of(any::<u64>()),
+        install in any::<bool>(),
+        probes in prop::collection::vec(any::<u64>(), 32..33),
+    ) {
+        let mut hf = hf;
+        if let Some(seed) = stale_seed {
+            let leaf = hf.tree.lookup(key_of(AgentId::new(seed)));
+            let cand = hf
+                .tree
+                .split_candidates(leaf)
+                .unwrap()
+                .into_iter()
+                .find(|c| matches!(c.kind, SplitKind::Simple { m: 1 }));
+            if let Some(cand) = cand {
+                let new = IAgentId::new(1_000);
+                hf.tree.apply_split(&cand, new, Side::Right).unwrap();
+                hf.locations.insert(new, NodeId::new(3));
+                hf.version += 1;
+                prop_assert!(!hf.compiled().is_current(&hf.tree));
+            }
+        }
+        let msg = if install {
+            Wire::InstallHashFn { hf: hf.clone() }
+        } else {
+            Wire::HashFnCopy { hf: hf.clone() }
+        };
+        let copy = match Wire::from_payload(&msg.payload()) {
+            Some(Wire::InstallHashFn { hf } | Wire::HashFnCopy { hf }) => hf,
+            other => panic!("the copy did not round-trip: {other:?}"),
+        };
+        prop_assert_eq!(&copy, &hf);
+        prop_assert!(copy.compiled().is_current(&copy.tree));
+        copy.validate().unwrap();
+        for raw in probes {
+            let agent = AgentId::new(raw);
+            prop_assert_eq!(copy.resolve(agent), hf.resolve(agent));
+        }
+    }
+
     /// A message cut short decodes to nothing, never to a message.
     #[test]
     fn a_truncated_message_does_not_decode(msg in arb_wire(), cut in any::<usize>()) {

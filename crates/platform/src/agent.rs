@@ -202,13 +202,20 @@ impl AgentCtx<'_> {
     }
 
     /// Encodes `value` as a payload in the form this runtime carries.
-    /// The simulator keeps the data-model tree: its messages never leave
-    /// the process, so no text is written unless something asks for it.
-    /// A live node stands for its own address space, so it writes the
-    /// JSON text here, in the sending handler.
+    /// The simulator keeps a copy of the message itself: its messages
+    /// never leave the process, so no text is written unless something
+    /// asks for it. A live node stands for its own address space, so it
+    /// writes the JSON text here, in the sending handler.
     #[must_use]
-    pub fn encode<T: Serialize>(&self, value: &T) -> Payload {
+    pub fn encode<T: Serialize + Clone + Send + Sync + 'static>(&self, value: &T) -> Payload {
         Payload::encode_in(value, self.form)
+    }
+
+    /// [`AgentCtx::encode`] of a value the caller hands over: the
+    /// simulator stores it without a copy.
+    #[must_use]
+    pub fn encode_owned<T: Serialize + Send + Sync + 'static>(&self, value: T) -> Payload {
+        Payload::encode_owned_in(value, self.form)
     }
 
     /// Sends `payload` to agent `to`, believed to reside at `node`.

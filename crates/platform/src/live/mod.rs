@@ -1400,7 +1400,8 @@ mod tests {
     use super::*;
     use crate::payload::Payload;
 
-    /// Whether each payload an agent was handed was still a tree.
+    /// Whether each payload an agent was handed was still the message
+    /// itself, not text.
     type Seen = Arc<Mutex<Vec<bool>>>;
 
     struct Witness {
@@ -1409,11 +1410,11 @@ mod tests {
 
     impl Agent for Witness {
         fn on_message(&mut self, _ctx: &mut AgentCtx<'_>, _from: AgentId, payload: &Payload) {
-            self.seen.lock().unwrap().push(payload.is_tree());
+            self.seen.lock().unwrap().push(payload.is_message());
         }
     }
 
-    /// Sends tree-form payloads every way a node thread can: across nodes,
+    /// Sends in-process payloads every way a node thread can: across nodes,
     /// on its own node, astray (bounced back to it) and in a farewell.
     struct Sender {
         near: AgentId,
@@ -1424,7 +1425,7 @@ mod tests {
     impl Agent for Sender {
         fn on_message(&mut self, ctx: &mut AgentCtx<'_>, _from: AgentId, payload: &Payload) {
             let first = payload.decode::<u8>() == Ok(1);
-            self.seen.lock().unwrap().push(payload.is_tree());
+            self.seen.lock().unwrap().push(payload.is_message());
             if first {
                 ctx.send(self.far, NodeId::new(1), Payload::encode(&"across"));
                 ctx.send(self.near, NodeId::new(0), Payload::encode(&"local"));
@@ -1442,7 +1443,7 @@ mod tests {
             _node: NodeId,
             payload: &Payload,
         ) {
-            self.seen.lock().unwrap().push(payload.is_tree());
+            self.seen.lock().unwrap().push(payload.is_message());
         }
 
         fn on_dispose(&mut self, ctx: &mut AgentCtx<'_>) {
@@ -1459,11 +1460,11 @@ mod tests {
     }
 
     /// A message leaves a live node as text, whichever form its sender
-    /// built: no handler is ever handed a tree, whether the payload came
-    /// from another node, its own node, a bounce, a farewell or an outside
-    /// driver.
+    /// built: no handler is ever handed the message itself, whether the
+    /// payload came from another node, its own node, a bounce, a farewell
+    /// or an outside driver.
     #[test]
-    fn a_live_node_never_delivers_a_tree() {
+    fn a_live_node_never_delivers_the_message_itself() {
         let platform = LivePlatform::new(2);
         let seen = Seen::default();
         let witness = |node| {

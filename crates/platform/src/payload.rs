@@ -3,26 +3,32 @@
 //! Protocols define `serde` types and use [`Payload::encode`] /
 //! [`Payload::decode`] at the boundaries. A payload has one of two forms:
 //!
-//! * the data-model tree ([`serde::Value`]) that `Serialize` builds. The
-//!   deterministic simulator carries this form from sender to receiver:
-//!   no message there leaves the process, and no simulated figure counts
-//!   codec work;
+//! * the message itself: the typed value, type-erased behind one `Arc`.
+//!   The deterministic simulator hands this form from sender to
+//!   receiver: no message there leaves the process, and no simulated
+//!   figure counts codec work. A receiver that decodes the stored type
+//!   gets a clone of it, unless the value does not round-trip exactly
+//!   ([`serde::Serialize::exact`]: a non-finite float, or `Some` of a
+//!   value written as `null`). Then, and for any other type, it decodes
+//!   the value's data-model tree, so each input decodes to what its text
+//!   decodes to;
 //! * JSON text, which is what crosses an address space. A live node
 //!   writes it in the sending handler, exactly as a real platform
 //!   marshals a message, and parses it on receipt.
 //!
 //! Text is written only where a message leaves a process, or when
 //! something asks for it: [`Payload::len`], [`Payload::bytes`], `Debug`
-//! and `==` write a tree's exact text on first demand and cache it for
+//! and `==` write a message's exact text on first demand and cache it for
 //! every clone. The byte length feeds cost models and message-size
 //! counts, so it is always the real size.
 
+use std::any::Any;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use serde::de::DeserializeOwned;
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 /// An immutable message payload.
 ///
@@ -32,7 +38,7 @@ use serde::{Serialize, Value};
 /// use agentrack_platform::Payload;
 /// use serde::{Deserialize, Serialize};
 ///
-/// #[derive(Serialize, Deserialize, PartialEq, Debug)]
+/// #[derive(Serialize, Deserialize, Clone, PartialEq, Debug)]
 /// struct Ping { seq: u32 }
 ///
 /// let p = Payload::encode(&Ping { seq: 7 });
@@ -43,10 +49,10 @@ use serde::{Serialize, Value};
 pub struct Payload(Form);
 
 /// Which form a runtime's handlers encode their payloads in: the
-/// simulator keeps the tree, a live node writes text.
+/// simulator keeps the message itself, a live node writes text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PayloadForm {
-    Tree,
+    Message,
     Text,
 }
 
@@ -54,30 +60,47 @@ pub(crate) enum PayloadForm {
 enum Form {
     Text(Bytes),
     /// Shared, so every clone reads the text one write cached.
-    Tree(Arc<Tree>),
+    Message(Arc<Held<dyn Message>>),
 }
 
-struct Tree {
-    value: Value,
+/// What the in-process form holds: any serialisable value that may be
+/// shared across threads, with its type kept for the receiver's
+/// downcast.
+trait Message: Serialize + Any + Send + Sync {}
+
+impl<T: Serialize + Any + Send + Sync> Message for T {}
+
+/// A message and its text, written on first demand. One allocation
+/// holds both.
+struct Held<M: ?Sized> {
     text: OnceLock<Bytes>,
+    message: M,
 }
 
-impl Tree {
+impl Held<dyn Message> {
     fn text(&self) -> &Bytes {
         self.text
-            .get_or_init(|| Bytes::from(serde_json::value_to_vec(&self.value)))
+            .get_or_init(|| Bytes::from(serde_json::value_to_vec(&self.message.serialize())))
     }
 }
 
 impl Payload {
-    /// Serialises a value into a payload, in tree form: no text is
-    /// written until something asks for it.
+    /// Wraps a copy of the value in a payload, in the in-process form:
+    /// no text is written until something asks for it.
     #[must_use]
     #[inline(never)]
-    pub fn encode<T: Serialize>(value: &T) -> Self {
-        Payload(Form::Tree(Arc::new(Tree {
-            value: value.serialize(),
+    pub fn encode<T: Serialize + Clone + Send + Sync + 'static>(value: &T) -> Self {
+        Payload::encode_owned(value.clone())
+    }
+
+    /// [`Payload::encode`] of a value the caller hands over, which saves
+    /// the copy.
+    #[must_use]
+    #[inline(never)]
+    pub fn encode_owned<T: Serialize + Send + Sync + 'static>(value: T) -> Self {
+        Payload(Form::Message(Arc::new(Held {
             text: OnceLock::new(),
+            message: value,
         })))
     }
 
@@ -88,13 +111,31 @@ impl Payload {
     /// Panics if the value cannot be serialised to JSON (only possible for
     /// types with non-string map keys or similar pathologies — protocol
     /// types in this workspace never are).
-    pub(crate) fn encode_in<T: Serialize>(value: &T, form: PayloadForm) -> Self {
+    pub(crate) fn encode_in<T: Serialize + Clone + Send + Sync + 'static>(
+        value: &T,
+        form: PayloadForm,
+    ) -> Self {
         match form {
-            PayloadForm::Tree => Payload::encode(value),
-            PayloadForm::Text => Payload(Form::Text(Bytes::from(
-                serde_json::to_vec(value).expect("protocol types serialise infallibly"),
-            ))),
+            PayloadForm::Message => Payload::encode(value),
+            PayloadForm::Text => Payload::text_of(value),
         }
+    }
+
+    /// [`Payload::encode_in`] of a value the caller hands over.
+    pub(crate) fn encode_owned_in<T: Serialize + Send + Sync + 'static>(
+        value: T,
+        form: PayloadForm,
+    ) -> Self {
+        match form {
+            PayloadForm::Message => Payload::encode_owned(value),
+            PayloadForm::Text => Payload::text_of(&value),
+        }
+    }
+
+    fn text_of<T: Serialize>(value: &T) -> Self {
+        Payload(Form::Text(Bytes::from(
+            serde_json::to_vec(value).expect("protocol types serialise infallibly"),
+        )))
     }
 
     /// Wraps raw bytes (JSON text).
@@ -103,19 +144,19 @@ impl Payload {
         Payload(Form::Text(bytes))
     }
 
-    /// This payload in text form, as it leaves a process: a tree's text
-    /// is written here unless a clone already wrote it.
+    /// This payload in text form, as it leaves a process: a message's
+    /// text is written here unless a clone already wrote it.
     pub(crate) fn into_text(self) -> Self {
         match &self.0 {
             Form::Text(_) => self,
-            Form::Tree(tree) => Payload(Form::Text(tree.text().clone())),
+            Form::Message(held) => Payload(Form::Text(held.text().clone())),
         }
     }
 
-    /// `true` while the payload is a data-model tree.
+    /// `true` while the payload is the message itself, not text.
     #[cfg(test)]
-    pub(crate) fn is_tree(&self) -> bool {
-        matches!(self.0, Form::Tree(_))
+    pub(crate) fn is_message(&self) -> bool {
+        matches!(self.0, Form::Message(_))
     }
 
     /// Deserialises the payload into a typed value.
@@ -124,12 +165,12 @@ impl Payload {
     ///
     /// Returns [`DecodeError`] if the payload does not encode a `T`;
     /// protocol handlers use this to recognise "not one of mine" messages.
-    pub fn decode<T: DeserializeOwned>(&self) -> Result<T, DecodeError> {
+    pub fn decode<T: DeserializeOwned + Clone + 'static>(&self) -> Result<T, DecodeError> {
         match &self.0 {
             Form::Text(bytes) => {
                 serde_json::from_slice(bytes).map_err(|e| DecodeError(e.to_string()))
             }
-            Form::Tree(tree) => from_tree(&tree.value),
+            Form::Message(held) => from_message(&held.message),
         }
     }
 
@@ -150,17 +191,23 @@ impl Payload {
     pub fn bytes(&self) -> &Bytes {
         match &self.0 {
             Form::Text(bytes) => bytes,
-            Form::Tree(tree) => tree.text(),
+            Form::Message(held) => held.text(),
         }
     }
 }
 
-// The tree arms of `decode` and `encode_in` stay out of line, so that on
-// a live node, which never takes them, both keep the size they had
-// before payloads had two forms.
+// The in-process arms of `decode` and `encode_in` stay out of line
+// (here and in `Payload::encode`), so that on a live node, which never
+// takes them, neither inlines a clone of the message type.
 #[inline(never)]
-fn from_tree<T: DeserializeOwned>(value: &Value) -> Result<T, DecodeError> {
-    T::deserialize(value).map_err(|e| DecodeError(e.to_string()))
+fn from_message<T: DeserializeOwned + Clone + 'static>(
+    message: &dyn Message,
+) -> Result<T, DecodeError> {
+    let any: &dyn Any = message;
+    match any.downcast_ref::<T>() {
+        Some(value) if message.exact() => Ok(value.clone()),
+        _ => T::deserialize(&message.serialize()).map_err(|e| DecodeError(e.to_string())),
+    }
 }
 
 impl PartialEq for Payload {
@@ -199,7 +246,7 @@ mod tests {
     use super::*;
     use serde::Deserialize;
 
-    #[derive(Serialize, Deserialize, PartialEq, Debug)]
+    #[derive(Serialize, Deserialize, Clone, PartialEq, Debug)]
     struct Msg {
         kind: String,
         value: u64,
@@ -223,20 +270,20 @@ mod tests {
             kind: "\"quoted\"\n".into(),
             value: u64::MAX,
         };
-        let tree = Payload::encode(&m);
+        let message = Payload::encode(&m);
         let text = Payload::encode_in(&m, PayloadForm::Text);
-        assert!(tree.is_tree() && !text.is_tree());
-        assert_eq!(tree.bytes()[..], text.bytes()[..]);
-        assert_eq!(tree, text);
-        assert_eq!(format!("{tree:?}"), format!("{text:?}"));
+        assert!(message.is_message() && !text.is_message());
+        assert_eq!(message.bytes()[..], text.bytes()[..]);
+        assert_eq!(message, text);
+        assert_eq!(format!("{message:?}"), format!("{text:?}"));
         assert_eq!(text.decode::<Msg>().unwrap(), m);
     }
 
-    /// A tree-form payload posted many times, or fanned out to many
-    /// receivers, is written once: every clone and every `into_text`
-    /// reads the same cached text.
+    /// A message posted many times, or fanned out to many receivers, is
+    /// written once: every clone and every `into_text` reads the same
+    /// cached text.
     #[test]
-    fn a_cloned_tree_is_written_once() {
+    fn a_cloned_message_is_written_once() {
         let p = Payload::encode(&Msg {
             kind: "fan-out".into(),
             value: 5,
@@ -245,14 +292,79 @@ mod tests {
         let first = p.bytes().as_ptr();
         assert_eq!(q.bytes().as_ptr(), first, "the clone wrote its own text");
         let sent = q.into_text();
-        assert!(!sent.is_tree());
+        assert!(!sent.is_message());
         assert_eq!(sent.bytes().as_ptr(), first, "leaving wrote the text again");
         assert_eq!(p.into_text().bytes().as_ptr(), first);
     }
 
+    /// Each in-process input decodes to what its text decodes to: the
+    /// stored type by a clone, another type through the tree, and a value
+    /// that does not round-trip exactly through the tree as well.
+    #[test]
+    fn the_message_decodes_as_its_text_does() {
+        #[derive(Serialize, Deserialize, Clone, PartialEq, Debug)]
+        struct Rate {
+            rate: f64,
+            note: Option<Option<u8>>,
+        }
+        #[derive(Serialize, Deserialize, Clone, PartialEq, Debug)]
+        struct Loose {
+            rate: Option<f64>,
+        }
+        let values = [
+            Rate {
+                rate: 2.5,
+                note: Some(Some(1)),
+            },
+            Rate {
+                rate: 2.5,
+                note: Some(None),
+            },
+            Rate {
+                rate: f64::NAN,
+                note: None,
+            },
+            Rate {
+                rate: f64::NEG_INFINITY,
+                note: None,
+            },
+        ];
+        for v in values {
+            let message = Payload::encode(&v);
+            let text = Payload::encode_in(&v, PayloadForm::Text);
+            assert_eq!(message.decode::<Rate>(), text.decode::<Rate>(), "{v:?}");
+            assert_eq!(message.decode::<Loose>(), text.decode::<Loose>(), "{v:?}");
+            assert_eq!(
+                message.decode::<u64>().is_err(),
+                text.decode::<u64>().is_err()
+            );
+        }
+        assert_eq!(
+            Payload::encode(&7u32).decode::<u64>(),
+            Ok(7),
+            "another type decodes through the tree"
+        );
+    }
+
+    /// What the caller hands over is stored as it is, not copied.
+    #[test]
+    fn an_owned_value_is_stored_without_a_copy() {
+        let kind = String::from("owned");
+        let at = kind.as_ptr();
+        let p = Payload::encode_owned(Msg { kind, value: 1 });
+        let Form::Message(held) = &p.0 else {
+            panic!("an owned value is stored in-process");
+        };
+        let any: &dyn Any = &held.message;
+        let stored = any
+            .downcast_ref::<Msg>()
+            .expect("stored as it was handed over");
+        assert_eq!(stored.kind.as_ptr(), at);
+    }
+
     #[test]
     fn wrong_type_is_an_error_not_a_panic() {
-        #[derive(Serialize, Deserialize, Debug)]
+        #[derive(Serialize, Deserialize, Clone, Debug)]
         struct Other {
             name: String,
         }

@@ -927,7 +927,7 @@ impl SimPlatform {
                 next_timer_id: &mut self.next_timer_id,
                 trace: &self.trace,
                 queued,
-                form: PayloadForm::Tree,
+                form: PayloadForm::Message,
             };
             f(behavior.as_mut(), &mut ctx);
         }
@@ -1002,7 +1002,7 @@ impl SimPlatform {
                                 next_timer_id: &mut self.next_timer_id,
                                 trace: &self.trace,
                                 queued: SimDuration::ZERO,
-                                form: PayloadForm::Tree,
+                                form: PayloadForm::Message,
                             };
                             behavior.on_dispose(&mut ctx);
                         }

@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 const NODES: u32 = 12;
 const SHOPPERS: usize = 8;
 
-#[derive(Serialize, Deserialize, Debug)]
+#[derive(Serialize, Deserialize, Clone, Debug)]
 enum Market {
     /// Buyer → shopper: "what is your best quote so far?"
     QuoteRequest { reply_node: NodeId },

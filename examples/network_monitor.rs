@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 const NODES: u32 = 10;
 const PROBES: usize = 6;
 
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize, Deserialize, Clone)]
 enum Monitor {
     ReadingsRequest {
         reply_node: NodeId,
