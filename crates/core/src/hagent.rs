@@ -39,6 +39,13 @@
 //! applied to the primary copy and kept in a bounded [`RehashLog`]. A
 //! fetch from a copy the log still covers is answered with the ops it
 //! lacks ([`Wire::HashFnDelta`]); anything older gets the whole copy.
+//!
+//! An install sends each involved IAgent its run view of the new version
+//! ([`Wire::InstallView`]) while the primary copy's compiled directory
+//! holds runs, and the whole copy ([`Wire::InstallHashFn`]) once the tree
+//! passes [`MAX_RUNS_PER_LEAF`] runs a leaf: one bound decides both.
+//!
+//! [`MAX_RUNS_PER_LEAF`]: agentrack_hashtree::MAX_RUNS_PER_LEAF
 
 use agentrack_hashtree::{IAgentId, PrefixRegion, Side, TreeError};
 use agentrack_platform::{Agent, AgentCtx, AgentId, NodeId, Payload, TimerId};
@@ -54,14 +61,6 @@ use crate::replica::ReplicaStore;
 use crate::scheme::{CopyRole, SharedSchemeStats};
 use crate::view::TrackerView;
 use crate::wire::{DenyReason, Wire};
-
-/// The most runs per leaf an install image may carry. A large image costs
-/// 28–45 encoded bytes a run and a whole copy 175–370 a leaf (measured
-/// over the spec lab's quick runs), so past this ratio the image would
-/// be the larger message. Complex splits and deep simple splits cut a
-/// leaf's keys into many runs: the spec lab's flash crowd reached 1 584
-/// runs a leaf, where an image was over 200× the copy.
-const MAX_IMAGE_RUNS_PER_LEAF: usize = 4;
 
 /// What the HAgent sends of one version, each built at most once however
 /// many recipients it has: the view every [`Wire::InstallView`] image is
@@ -90,19 +89,15 @@ impl CopyPayloads {
     }
 
     /// `hf` installed on `to`: its image of the version's view, or the
-    /// whole copy where that is smaller — past [`MAX_IMAGE_RUNS_PER_LEAF`],
-    /// and past `MAX_COMPILED_DEPTH`, where the view has no runs.
+    /// whole copy where that is smaller — where the copy's directory has
+    /// no runs, past [`MAX_RUNS_PER_LEAF`].
     ///
-    /// [`MAX_COMPILED_DEPTH`]: agentrack_hashtree::MAX_COMPILED_DEPTH
+    /// [`MAX_RUNS_PER_LEAF`]: agentrack_hashtree::MAX_RUNS_PER_LEAF
     fn install(&mut self, ctx: &AgentCtx<'_>, hf: &HashFunction, to: AgentId) -> Payload {
         self.sync(hf);
         // The version's first install picks its form; a view is built only
-        // for images, since cutting a fragmented tree's runs costs as much
-        // as the table it reads them from.
-        if self.view.is_none()
-            && self.install.is_none()
-            && hf.tree.run_count() <= (MAX_IMAGE_RUNS_PER_LEAF * hf.tree.iagent_count()) as u64
-        {
+        // for images, since a tree without runs has nothing to cut.
+        if self.view.is_none() && self.install.is_none() && hf.compiled().runs().is_some() {
             self.view = Some(TrackerView::new(hf, None));
         }
         match self.view.as_ref().and_then(|view| view.image_for(hf, to)) {

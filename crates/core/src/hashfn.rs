@@ -39,16 +39,19 @@ pub fn key_of(agent: AgentId) -> AgentKey {
 /// IAgent" and "where is it" (paper: the LHAgent returns "the id and the
 /// current location of A's IAgent").
 ///
-/// Every copy also carries a [`CompiledDirectory`]: the tree flattened
-/// into a `2^d` table so the hot [`resolve`](Self::resolve) path is one
-/// array index instead of a per-bit tree walk. The table is derived data —
-/// it is rebuilt on deserialisation rather than sent over the wire, it is
-/// excluded from equality, and it is generation-stamped so a direct
-/// mutation of [`tree`](Self::tree) can never produce a wrong answer:
-/// resolves fall back to the tree walk until [`recompile`](Self::recompile)
-/// (full) or [`refresh_compiled`](Self::refresh_compiled) (incremental,
-/// used by [`apply`](Self::apply) after each rehash op) brings the table
-/// current.
+/// Every copy also carries a [`CompiledDirectory`]: the tree's key space
+/// as sorted runs, so the hot [`resolve`](Self::resolve) path is a binary
+/// search instead of a per-bit tree walk. A tree with more than
+/// [`MAX_RUNS_PER_LEAF`] runs a leaf has no runs, and resolves walk it.
+/// The directory is derived data — it is rebuilt on deserialisation
+/// rather than sent over the wire, it is excluded from equality, and it
+/// is generation-stamped so a direct mutation of [`tree`](Self::tree) can
+/// never produce a wrong answer: resolves fall back to the tree walk until
+/// [`recompile`](Self::recompile) (full) or
+/// [`refresh_compiled`](Self::refresh_compiled) (incremental, used by
+/// [`apply`](Self::apply) after each rehash op) brings it current.
+///
+/// [`MAX_RUNS_PER_LEAF`]: agentrack_hashtree::MAX_RUNS_PER_LEAF
 #[derive(Debug, Clone)]
 pub struct HashFunction {
     /// Version counter, bumped by every [`RehashOp`]; lets copies
@@ -58,7 +61,7 @@ pub struct HashFunction {
     pub tree: HashTree,
     /// Where each IAgent lives. Keys are the tree's leaf owners.
     pub locations: HashMap<IAgentId, NodeId>,
-    /// O(1) dispatch table compiled from `tree`; lazily kept current.
+    /// The runs of `tree`; lazily kept current.
     compiled: CompiledDirectory,
 }
 
@@ -116,22 +119,22 @@ impl HashFunction {
         self.lookup(key_of(target)) == IAgentId::new(iagent.raw())
     }
 
-    /// The compiled dispatch table (possibly stale; check
+    /// The compiled runs (possibly stale; check
     /// [`CompiledDirectory::is_current`]).
     #[must_use]
     pub fn compiled(&self) -> &CompiledDirectory {
         &self.compiled
     }
 
-    /// Rebuilds the compiled directory from scratch. Call after mutating
+    /// Rebuilds the compiled runs from scratch. Call after mutating
     /// [`tree`](Self::tree) directly; until then resolves take the (safe,
     /// slower) tree walk.
     pub fn recompile(&mut self) {
         self.compiled = CompiledDirectory::build(&self.tree);
     }
 
-    /// Incrementally refreshes the compiled directory after one split or
-    /// merge: only the regions of `involved` leaves are rewritten
+    /// Incrementally refreshes the compiled runs after one split or
+    /// merge: only the runs of `involved` leaves are rebuilt
     /// ([`SplitApplied::affected`] plus the new IAgent, or
     /// [`MergeApplied::absorbers`]).
     ///
@@ -175,7 +178,8 @@ impl HashFunction {
     }
 
     /// Consistency check: every leaf has a directory entry and vice versa,
-    /// and a current compiled directory agrees with the tree slot by slot.
+    /// and a current compiled directory holds the tree's runs exactly (or
+    /// none, past the bound).
     ///
     /// # Errors
     ///
@@ -203,7 +207,7 @@ impl HashFunction {
 
 /// The compiled directory is derived data: two hash functions are equal
 /// when their versions, trees and directories agree, regardless of whether
-/// either side's table is current.
+/// either side's runs are current.
 impl PartialEq for HashFunction {
     fn eq(&self, other: &Self) -> bool {
         self.version == other.version
@@ -213,7 +217,7 @@ impl PartialEq for HashFunction {
 }
 
 /// Wire format identical to the former derived one (`version`, `tree`,
-/// `locations`); the compiled table stays local.
+/// `locations`); the compiled runs stay local.
 impl Serialize for HashFunction {
     fn serialize(&self) -> serde::Value {
         serde::Value::Map(vec![
@@ -227,11 +231,11 @@ impl Serialize for HashFunction {
     }
 
     /// The version, tree and directory hold integers only, so they always
-    /// round-trip. A decoded copy compiles its table afresh, so a clone
-    /// stands for it only while this copy's table reflects its tree (or
-    /// reflects that the tree is too deep to compile).
+    /// round-trip. A decoded copy compiles its runs afresh, so a clone
+    /// stands for it only while this copy's runs reflect its tree (or
+    /// reflect that the tree has too many to compile).
     fn exact(&self) -> bool {
-        self.compiled.generation() == self.tree.generation()
+        self.compiled.is_current(&self.tree)
     }
 
     fn writes_null(&self) -> bool {
@@ -239,7 +243,7 @@ impl Serialize for HashFunction {
     }
 }
 
-/// Deserialised copies arrive with a freshly compiled table: this is what
+/// Deserialised copies arrive with freshly compiled runs: this is what
 /// gives LHAgent secondary copies and client-held copies their
 /// per-generation compiled cache without any extra protocol.
 impl Deserialize for HashFunction {
@@ -315,7 +319,7 @@ pub enum DeltaError {
 impl HashFunction {
     /// Applies one rehash op, the one way a copy changes: bumps the
     /// version, keeps the directory in step with the tree, refreshes the
-    /// compiled table for the leaves that changed and returns them — the
+    /// compiled runs for the leaves that changed and returns them — the
     /// split leaf's affected IAgents plus the new one, a merge's
     /// absorbers, nothing for a move.
     ///

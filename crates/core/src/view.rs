@@ -4,12 +4,13 @@
 //! owns a key and where it lives, whether that IAgent is itself, and what
 //! its own leaf is — the hyper-label (for the install-time "did my
 //! partition change" test), its buddy, and whether it is still a leaf at
-//! all. A whole [`HashFunction`] answers from a node arena, two maps and an
-//! 8-byte-per-slot compiled table; with one per tracker, n leaves cost
-//! O(n²). [`TrackerView`] keeps only what those answers read:
+//! all. A whole [`HashFunction`] answers from a node arena, two maps and
+//! its compiled runs; with one per tracker, n leaves cost O(n²).
+//! [`TrackerView`] keeps only what those answers read:
 //!
 //! * the key space as runs: each run a first key and the `(IAgent, node)`
-//!   serving every key up to the next run, read off the compiled table;
+//!   serving every key up to the next run, taken from the copy's compiled
+//!   runs ([`CompiledDirectory::runs`]);
 //! * the facts about the tracker's own leaf, computed once at install.
 //!
 //! The runs are cut at 32 fixed key-space boundaries, and a chunk
@@ -23,16 +24,15 @@
 //!
 //! The HAgent installs a version on an IAgent by sending it a
 //! [`ViewImage`]: the view's runs in key order, uncut, plus the receiver's
-//! own facts. [`TrackerView::from_image`] cuts the runs back into the same
-//! chunks, so a view from an image shares them like any other. A tree
-//! whose runs far outnumber its leaves is installed as the whole copy,
-//! the smaller message then.
+//! own facts. [`TrackerView::from_image`] cuts the runs into the same
+//! chunks, so a view from an image shares them like any other.
 //!
-//! A tree whose branch depth exceeds [`MAX_COMPILED_DEPTH`] has no table;
-//! the view then keeps the tree and walks it, as the full copy does, and
-//! shares nothing. Such a view has no image: its install is the whole copy.
+//! A tree with more than [`MAX_RUNS_PER_LEAF`] runs a leaf has no
+//! compiled runs; the view then keeps the tree and walks it, as the full
+//! copy does, and shares nothing. Such a view has no image: its install is
+//! the whole copy, the smaller message then.
 //!
-//! [`MAX_COMPILED_DEPTH`]: agentrack_hashtree::MAX_COMPILED_DEPTH
+//! [`MAX_RUNS_PER_LEAF`]: agentrack_hashtree::MAX_RUNS_PER_LEAF
 
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 
@@ -66,7 +66,8 @@ enum Index {
     /// are `c`, in key order; its first run starts at the chunk's first
     /// key.
     Chunks(Box<[Arc<[Run]>]>),
-    /// Too deep to compile: walk the tree, then find the IAgent's node.
+    /// Too many runs to compile: walk the tree, then find the IAgent's
+    /// node.
     Walk {
         tree: Box<HashTree>,
         /// Ascending by IAgent.
@@ -103,44 +104,10 @@ fn intern(mut cut: impl FnMut(usize) -> Vec<Run>) -> Box<[Arc<[Run]>]> {
         .collect()
 }
 
-/// Cuts the `2^depth` compiled `slots` into runs, chunk by chunk.
-fn chunks(slots: &[IAgentId], depth: usize, hf: &HashFunction) -> Box<[Arc<[Run]>]> {
-    let node = |ia: IAgentId| {
-        *hf.locations
-            .get(&ia)
-            .expect("hash tree leaf without a directory entry")
-    };
-    intern(|chunk| {
-        // The slots overlapping this chunk: several when the table is
-        // deeper than the chunking, else the one slot spanning it.
-        let (first, count) = if depth >= CHUNK_BITS {
-            (chunk << (depth - CHUNK_BITS), 1 << (depth - CHUNK_BITS))
-        } else {
-            (chunk >> (CHUNK_BITS - depth), 1)
-        };
-        let mut runs: Vec<Run> = Vec::new();
-        for (i, &iagent) in slots[first..first + count].iter().enumerate() {
-            if runs.last().is_some_and(|run| run.iagent == iagent) {
-                continue;
-            }
-            let start = if i == 0 {
-                chunk_start(chunk)
-            } else {
-                ((first + i) as u64) << (64 - depth)
-            };
-            runs.push(Run {
-                start,
-                iagent,
-                node: node(iagent),
-            });
-        }
-        runs
-    })
-}
-
 /// Cuts runs in key order, the first starting at key 0 and each differing
-/// in IAgent from the one before, into the chunks [`chunks`] builds from
-/// the same key space.
+/// in IAgent from the one before, into chunks: chunk `c`'s first run
+/// starts at the chunk's first key, and the equal chunks of any two cuts
+/// are shared.
 fn recut(runs: &[(u64, IAgentId, NodeId)]) -> Box<[Arc<[Run]>]> {
     let run = |&(start, iagent, node): &(u64, IAgentId, NodeId)| Run {
         start,
@@ -301,8 +268,20 @@ impl TrackerView {
             rebuilt = CompiledDirectory::build(&hf.tree);
             &rebuilt
         };
-        let index = match compiled.slots() {
-            Some(slots) => Index::Chunks(chunks(slots, compiled.depth(), hf)),
+        let index = match compiled.runs() {
+            Some(runs) => {
+                let runs: Vec<(u64, IAgentId, NodeId)> = runs
+                    .iter()
+                    .map(|&(start, ia)| {
+                        let node = hf
+                            .locations
+                            .get(&ia)
+                            .expect("hash tree leaf without a directory entry");
+                        (start, ia, *node)
+                    })
+                    .collect();
+                Index::Chunks(recut(&runs))
+            }
             None => {
                 let mut locations: Vec<(IAgentId, NodeId)> =
                     hf.locations.iter().map(|(&ia, &node)| (ia, node)).collect();
@@ -452,10 +431,10 @@ mod tests {
     }
 
     #[test]
-    fn a_stale_compiled_table_is_rebuilt_not_trusted() {
+    fn stale_compiled_runs_are_rebuilt_not_trusted() {
         let mut hf = HashFunction::initial(AgentId::new(0), NodeId::new(0));
         split(&mut hf, IAgentId::new(0), 1);
-        // No recompile: the copy's own table still says "all IA0".
+        // No recompile: the copy's own runs still say "all IA0".
         let view = TrackerView::new(&hf, Some(AgentId::new(1)));
         for raw in 0..256 {
             let agent = AgentId::new(raw);

@@ -1,6 +1,6 @@
 //! Property tests of secondary-copy refresh by delta: a copy advanced by
 //! the ops of a [`RehashLog`] becomes exactly the primary copy — version,
-//! tree, directory and compiled table — from every earlier version, and
+//! tree, directory and compiled runs — from every earlier version, and
 //! the log's bound and the gap rule hold.
 
 use agentrack_core::{key_of, DeltaError, HashFunction, RehashLog, RehashOp, Wire};
@@ -71,7 +71,7 @@ fn over_the_wire(msg: &Wire) -> Wire {
 }
 
 /// `hf` as an LHAgent holds it after fetching a whole copy: decoded, with
-/// a freshly built compiled table.
+/// freshly built compiled runs.
 fn fetched_copy(hf: &HashFunction) -> HashFunction {
     match over_the_wire(&Wire::HashFnCopy { hf: hf.clone() }) {
         Wire::HashFnCopy { hf } => hf,
@@ -88,14 +88,14 @@ fn delta(log: &RehashLog, have_version: u64) -> Option<(u64, Vec<RehashOp>)> {
 }
 
 /// `copy` is the primary copy: equal (version, tree, directory), valid,
-/// its compiled table current and checked slot by slot (unless the tree
-/// is too deep to compile), and it resolves every probe the same way.
+/// its compiled runs current and checked run by run (or absent, past the
+/// bound), and it resolves every probe the same way.
 fn assert_same(copy: &HashFunction, primary: &HashFunction, probes: &[u64]) {
     assert_eq!(copy, primary);
     copy.validate().unwrap();
     assert!(
-        copy.compiled().is_current(&copy.tree) || copy.compiled().slots().is_none(),
-        "a compiled table left stale"
+        copy.compiled().is_current(&copy.tree),
+        "compiled runs left stale"
     );
     for &raw in probes {
         let agent = AgentId::new(raw);

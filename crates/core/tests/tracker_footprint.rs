@@ -112,9 +112,9 @@ fn a_tracker_view_of_600_leaves_fits_its_budget() {
     let (view, view_bytes) = held_by(|| TrackerView::new(&decoded, Some(me)));
     let (peer_view, peer_bytes) = held_by(|| TrackerView::new(&decoded, Some(peer)));
     println!(
-        "{LEAVES} leaves, compiled depth {}: decoded copy {copy_bytes} B, \
+        "{LEAVES} leaves, {} compiled runs: decoded copy {copy_bytes} B, \
          first tracker view {view_bytes} B, second {peer_bytes} B",
-        decoded.compiled().depth()
+        decoded.compiled().runs().map_or(0, <[_]>::len)
     );
     assert_eq!(view.leaf_count(), LEAVES);
     assert!(

@@ -6,7 +6,7 @@ use agentrack_core::{
     key_of, plan_split, DeltaError, DenyReason, Freshness, HashFunction, LocationConfig, RehashOp,
     TrackerView, ViewImage, Wire,
 };
-use agentrack_hashtree::{IAgentId, Side, SplitKind, MAX_COMPILED_DEPTH};
+use agentrack_hashtree::{IAgentId, Side, SplitKind};
 use agentrack_platform::{AgentId, CorrId, NodeId, Payload};
 use proptest::prelude::*;
 
@@ -82,13 +82,25 @@ fn arb_hash_function() -> impl Strategy<Value = HashFunction> {
     })
 }
 
-/// The install image of a random version, for one of its leaves or for an
-/// id that is none (ids above the history's splits).
+/// The install image of a random version that has one, for one of its
+/// leaves or for an id that is none (ids above the history's splits). The
+/// history skips each op that would leave the tree past
+/// `MAX_RUNS_PER_LEAF` runs a leaf: such a version installs whole.
 fn arb_view_image() -> impl Strategy<Value = ViewImage> {
-    (arb_hash_function(), 0u64..12).prop_map(|(hf, me)| {
+    let history = prop::collection::vec(arb_rehash(), 0..8);
+    (history, 0u64..12).prop_map(|(history, me)| {
+        let mut hf = HashFunction::initial(AgentId::new(0), NodeId::new(0));
+        let mut next = 1u64;
+        for op in history {
+            let before = hf.clone();
+            apply(&mut hf, op, &mut next);
+            if hf.compiled().runs().is_none() {
+                hf = before;
+            }
+        }
         TrackerView::new(&hf, None)
             .image_for(&hf, AgentId::new(me))
-            .expect("a short history compiles")
+            .expect("a version within the bound has an image")
     })
 }
 
@@ -437,7 +449,7 @@ fn assert_view_agrees(hf: &HashFunction, probes: &[u64]) {
     let primary = TrackerView::new(hf, None);
     for &me in &trackers {
         // The tracker's install: an image through the wire, or the whole
-        // copy for a tree too deep to have one.
+        // copy for a tree too fragmented to have one.
         let installed = match primary.image_for(hf, me) {
             Some(image) => {
                 assert_eq!(image.run_count() as u64, hf.tree.run_count());
@@ -448,14 +460,14 @@ fn assert_view_agrees(hf: &HashFunction, probes: &[u64]) {
             }
             None => {
                 assert!(
-                    hf.compiled().slots().is_none(),
+                    hf.compiled().runs().is_none(),
                     "a compiled tree has an image"
                 );
                 TrackerView::new(&decoded, Some(me))
             }
         };
-        // Built from the primary copy's (incrementally refreshed) table,
-        // from a decoded copy's freshly built one, and from the install.
+        // Built from the primary copy's (incrementally refreshed) runs,
+        // from a decoded copy's freshly built ones, and from the install.
         let views = [
             TrackerView::new(hf, Some(me)),
             TrackerView::new(&decoded, Some(me)),
@@ -476,28 +488,32 @@ fn assert_view_agrees(hf: &HashFunction, probes: &[u64]) {
     }
 }
 
-/// A tracker view answers exactly like the full copy on a tree whose
-/// branch depth is past `MAX_COMPILED_DEPTH`, where both walk the tree.
+/// A tracker view answers exactly like the full copy on a tree with more
+/// than `MAX_RUNS_PER_LEAF` runs a leaf, where both walk the tree.
 #[test]
-fn tracker_view_walks_a_tree_too_deep_to_compile() {
+fn tracker_view_walks_a_tree_too_fragmented_to_compile() {
     let mut hf = HashFunction::initial(AgentId::new(0), NodeId::new(0));
     let mut next = 1u64;
-    // Each split of the leaf holding one fixed key branches one bit
-    // deeper: go one past the cap, then add some bushiness.
-    for _ in 0..=MAX_COMPILED_DEPTH {
-        apply(&mut hf, Rehash::Simple { seed: 7, m: 1 }, &mut next);
+    // Each split of the leaf holding one fixed key branches three bits
+    // deeper and leaves the two bits above its branch free, so the runs
+    // multiply; then add some bushiness.
+    for _ in 0..8 {
+        apply(&mut hf, Rehash::Simple { seed: 7, m: 3 }, &mut next);
     }
     for seed in 0..16 {
         apply(&mut hf, Rehash::Simple { seed, m: 2 }, &mut next);
     }
     hf.validate().unwrap();
-    assert!(hf.compiled().slots().is_none(), "the tree must be too deep");
+    assert!(
+        hf.compiled().runs().is_none(),
+        "the tree must be too fragmented"
+    );
     let probes: Vec<u64> = (0..512).collect();
     assert_view_agrees(&hf, &probes);
 }
 
 /// A 512-IAgent copy survives `InstallHashFn` encode/decode exactly, and
-/// the decoded copy's compiled table is current.
+/// the decoded copy's compiled runs are current.
 #[test]
 fn install_of_a_512_iagent_tree_round_trips() {
     let mut hf = HashFunction::initial(AgentId::new(0), NodeId::new(0));
@@ -550,8 +566,8 @@ proptest! {
     }
 
     /// Every protocol message survives encode/decode exactly, from the
-    /// data-model tree the simulator carries and from the JSON text a live
-    /// node sends, and `len` is the text's length. A payload that is no
+    /// message itself, which the simulator hands over in process, and from
+    /// the JSON text a live node sends, and `len` is the text's length. A payload that is no
     /// message decodes to nothing from either form.
     #[test]
     fn wire_round_trips(msg in arb_wire(), stranger in arb_not_a_message()) {
@@ -564,9 +580,9 @@ proptest! {
     }
 
     /// A whole copy decoded in-process is a clone of the one sent, not a
-    /// rebuild, and still consistent, with a current compiled table. A
-    /// sender whose table is stale (its tree changed without a recompile)
-    /// does not hand that table on: such a copy is decoded afresh.
+    /// rebuild, and still consistent, with current compiled runs. A
+    /// sender whose runs are stale (its tree changed without a recompile)
+    /// does not hand them on: such a copy is decoded afresh.
     #[test]
     fn a_whole_copy_decoded_in_process_has_a_current_table(
         hf in arb_hash_function(),

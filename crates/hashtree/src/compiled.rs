@@ -1,28 +1,29 @@
-//! The compiled dispatch directory: O(1) lookup over a flattened tree.
+//! The compiled dispatch directory: the tree's key space as sorted runs.
 //!
 //! # Why
 //!
 //! [`HashTree::lookup`] walks from the root, one key bit per internal node
 //! — O(height) pointer chases on the hottest path in the system (every
-//! register, move and locate resolves a key). Classic extendible hashing,
-//! the paper's own ancestry, flattens the tree into a `2^d` directory so a
-//! lookup is a single array index. [`CompiledDirectory`] is that directory
-//! for the hash tree.
+//! register, move and locate resolves a key). [`CompiledDirectory`] is the
+//! tree's flat form: the key space cut into **runs**, maximal key
+//! intervals one leaf serves, each kept as its first key and its owner in
+//! one ascending array. A lookup is a binary search over the run starts.
 //!
 //! # Shape
 //!
-//! The directory holds `2^d` slots, where `d` is the number of key bits
-//! needed to reach any *branching decision* in the tree. A key's slot is
-//! its top `d` bits; the slot holds the [`IAgentId`] that
-//! [`HashTree::lookup`] would return for every key sharing those bits.
-//!
-//! `d` counts only **valid bits** (branch positions). Unused label bits and
-//! the root's skip prefix are *recorded but never constrain a lookup*
-//! (paper §3), so they need no directory depth: a leaf whose hyper-label
-//! consumes `c` key bits but constrains only `v` of them owns `2^(d-v)`
-//! slots — a non-contiguous region when unused bits sit between valid
-//! ones. [`HashTree::max_consumed_bits`] therefore bounds `d` from above;
-//! the compiled depth is usually much smaller.
+//! A leaf's hyper-label fixes the key bits at its valid-bit positions and
+//! leaves every other bit free (paper §3: unused bits and the root's skip
+//! prefix are recorded but never constrain a lookup). The free bits after
+//! its last valid bit vary within one run; each setting of the `g` free
+//! bits before it starts another, so the leaf serves `2^g` runs and
+//! [`HashTree::run_count`] sums them. Complex and deep simple splits make
+//! `g` large: a leaf's keys then scatter over many runs, and the flat
+//! form would be larger than the tree. So the directory holds runs only
+//! while the tree has at most [`MAX_RUNS_PER_LEAF`] runs a leaf, checked
+//! with [`HashTree::run_count`] before anything is allocated; past that it
+//! holds none, [`lookup`](CompiledDirectory::lookup) answers `None`, and
+//! callers walk the tree. Nothing it stores grows with the depth of the
+//! tree's deepest branch.
 //!
 //! # Maintenance
 //!
@@ -30,10 +31,10 @@
 //! [generation](HashTree::generation). After a split or merge, callers
 //! pass the IAgents the change involved ([`SplitApplied::affected`] plus
 //! the new IAgent, or [`MergeApplied::absorbers`]) to
-//! [`CompiledDirectory::refresh`], which rewrites only those leaves'
-//! regions instead of rebuilding the whole table. A directory whose stamp
-//! does not match the tree must not serve lookups; [`is_current`] makes
-//! that check explicit and cheap.
+//! [`CompiledDirectory::refresh`], which splices those leaves' runs over
+//! the old ones instead of rebuilding from every leaf. A directory whose
+//! stamp does not match the tree must not serve lookups; [`is_current`]
+//! makes that check explicit and cheap.
 //!
 //! [`SplitApplied::affected`]: crate::SplitApplied::affected
 //! [`MergeApplied::absorbers`]: crate::MergeApplied::absorbers
@@ -42,14 +43,19 @@
 use crate::key::AgentKey;
 use crate::tree::{HashTree, IAgentId};
 
-/// Deepest branching position the directory will compile. `2^24` slots of
-/// 8 bytes is 128 MiB — past that, the memory/latency trade no longer
-/// favours a flat table and [`CompiledDirectory::lookup`] reports `None`
-/// so callers fall back to the tree walk.
-pub const MAX_COMPILED_DEPTH: usize = 24;
+/// The most runs a leaf the tree's flat form may hold, on average: the
+/// one bound that decides both whether a [`CompiledDirectory`] holds runs
+/// and whether the HAgent installs a version as run images rather than as
+/// the whole copy. An install image costs 28–45 encoded bytes a run and a
+/// whole copy 175–370 a leaf (measured over the spec lab's quick runs), so
+/// past this ratio the runs are the larger form, in memory as on the wire.
+/// Complex and deep simple splits cut a leaf's keys into many runs: the
+/// spec lab's flash crowd reached 1 584 runs a leaf.
+pub const MAX_RUNS_PER_LEAF: usize = 4;
 
-/// A flattened, generation-stamped image of a [`HashTree`]: one slot per
-/// `depth`-bit key prefix, holding the leaf IAgent that serves it.
+/// The tree's key space as runs, stamped with the tree generation they
+/// reflect: every run's first key and the leaf IAgent serving it up to the
+/// next run's, ascending from key 0. Empty past [`MAX_RUNS_PER_LEAF`].
 ///
 /// # Examples
 ///
@@ -68,7 +74,7 @@ pub const MAX_COMPILED_DEPTH: usize = 24;
 /// assert_eq!(dir.lookup(AgentKey::new(0)), Some(IAgentId::new(0)));
 /// assert_eq!(dir.lookup(AgentKey::new(u64::MAX)), Some(IAgentId::new(1)));
 ///
-/// // After another change, refresh only the involved region.
+/// // After another change, refresh only the involved leaves' runs.
 /// let cand = tree
 ///     .split_candidates(IAgentId::new(1))?
 ///     .into_iter()
@@ -79,108 +85,187 @@ pub const MAX_COMPILED_DEPTH: usize = 24;
 /// involved.push(applied.new_iagent);
 /// dir.refresh(&tree, &involved);
 /// assert_eq!(dir.lookup(AgentKey::new(u64::MAX)), Some(IAgentId::new(2)));
+/// assert_eq!(dir.runs().map(<[_]>::len), Some(3));
 /// assert!(dir.is_current(&tree));
 /// # Ok::<(), agentrack_hashtree::TreeError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct CompiledDirectory {
-    /// `2^depth` slots; empty when the tree is too deep to compile.
-    slots: Vec<IAgentId>,
-    /// Number of top key bits indexing the table.
-    depth: usize,
-    /// The tree generation this image reflects.
+    /// `(first key, owner)` ascending, the first at key 0, each owner
+    /// differing from the one before; empty past the bound.
+    runs: Vec<(u64, IAgentId)>,
+    /// The tree generation this directory reflects.
     generation: u64,
-    /// `false` when the tree's branch depth exceeded
-    /// [`MAX_COMPILED_DEPTH`]: lookups must take the tree walk.
-    compiled: bool,
+}
+
+/// The most runs `tree` may have and still keep its flat form.
+fn run_bound(tree: &HashTree) -> u64 {
+    (MAX_RUNS_PER_LEAF * tree.iagent_count()) as u64
+}
+
+/// The keys one leaf serves, as masks over key bits (bit 63 is key bit 0):
+/// `value` on its valid-bit positions, anything on `free` (the bits before
+/// its last valid bit that it leaves unconstrained) and on `tail` (every
+/// bit after its last valid bit).
+struct Region {
+    value: u64,
+    free: u64,
+    tail: u64,
+}
+
+impl Region {
+    fn of(tree: &HashTree, ia: IAgentId) -> Self {
+        let hl = tree.hyper_label(ia).expect("a leaf of the tree");
+        let (mut mask, mut value, mut tail) = (0u64, 0u64, u64::MAX);
+        let mut cursor = hl.prefix_skip().len();
+        for label in hl.labels() {
+            let bit = 1u64 << (63 - cursor);
+            mask |= bit;
+            if label.valid_bit() {
+                value |= bit;
+            }
+            tail = bit - 1;
+            cursor += label.len();
+        }
+        Region {
+            value,
+            free: !(mask | tail),
+            tail,
+        }
+    }
+
+    /// How many runs the leaf serves: one per setting of its free bits.
+    fn run_count(&self) -> u64 {
+        1u64 << self.free.count_ones()
+    }
+
+    /// The leaf's runs as `(first key, last key)`, ascending: the free
+    /// bits' settings in increasing order (the submask walk).
+    fn runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        std::iter::successors(Some(0u64), move |&sub| {
+            (sub != self.free).then(|| sub.wrapping_sub(self.free) & self.free)
+        })
+        .map(move |sub| (self.value | sub, self.value | sub | self.tail))
+    }
+}
+
+/// Appends a run unless it continues the last one's owner.
+fn push(runs: &mut Vec<(u64, IAgentId)>, start: u64, owner: IAgentId) {
+    if runs.last().is_none_or(|&(_, last)| last != owner) {
+        runs.push((start, owner));
+    }
+}
+
+/// `old`'s runs with the key ranges of `fresh` — `(first key, last key,
+/// owner)`, disjoint and ascending — overwritten by their owners.
+fn splice(old: &[(u64, IAgentId)], fresh: &[(u64, u64, IAgentId)]) -> Vec<(u64, IAgentId)> {
+    let mut runs = Vec::with_capacity(old.len() + fresh.len());
+    // `old`'s runs from key `from` on, stopping before key `to`.
+    let copy_old = |runs: &mut Vec<_>, from: u64, to: Option<u64>| {
+        let first = old.partition_point(|&(start, _)| start <= from) - 1;
+        push(runs, from, old[first].1);
+        for &(start, owner) in &old[first + 1..] {
+            if to.is_some_and(|to| start >= to) {
+                break;
+            }
+            push(runs, start, owner);
+        }
+    };
+    // The first key not yet covered; `None` once the key space is.
+    let mut from = Some(0u64);
+    for &(start, last, owner) in fresh {
+        let next = from.expect("fresh runs are disjoint");
+        if next < start {
+            copy_old(&mut runs, next, Some(start));
+        }
+        push(&mut runs, start, owner);
+        from = last.checked_add(1);
+    }
+    if let Some(next) = from {
+        copy_old(&mut runs, next, None);
+    }
+    runs
 }
 
 impl CompiledDirectory {
-    /// Compiles the full directory for `tree`.
+    /// Compiles the runs of `tree`, or none when it has more than
+    /// [`MAX_RUNS_PER_LEAF`] runs a leaf.
     #[must_use]
     pub fn build(tree: &HashTree) -> Self {
-        let depth = branch_depth(tree);
-        if depth > MAX_COMPILED_DEPTH {
-            return CompiledDirectory {
-                slots: Vec::new(),
-                depth,
-                generation: tree.generation(),
-                compiled: false,
-            };
+        let count = tree.run_count();
+        let mut runs = Vec::new();
+        if count <= run_bound(tree) {
+            runs.reserve_exact(count as usize);
+            for ia in tree.iagents() {
+                let region = Region::of(tree, ia);
+                runs.extend(region.runs().map(|(start, _)| (start, ia)));
+            }
+            runs.sort_unstable_by_key(|&(start, _)| start);
         }
-        let mut dir = CompiledDirectory {
-            slots: vec![IAgentId::new(u64::MAX); 1usize << depth],
-            depth,
+        CompiledDirectory {
+            runs,
             generation: tree.generation(),
-            compiled: true,
-        };
-        for ia in tree.iagents() {
-            dir.emit_leaf(tree, ia);
         }
-        dir
     }
 
-    /// Incrementally re-compiles after one structural change: only the
-    /// regions of `involved` leaves are rewritten. Pass the IAgents the
+    /// Incrementally re-compiles after one structural change to the tree
+    /// this directory was current for: only the runs of `involved` leaves
+    /// are rebuilt and spliced over the old ones. Pass the IAgents the
     /// change reported — [`SplitApplied::affected`] plus the new IAgent
     /// for a split, [`MergeApplied::absorbers`] for a merge; their
-    /// post-change regions jointly cover every slot the change moved.
+    /// post-change regions jointly cover every key the change moved.
     /// IAgents no longer in the tree are skipped (a merged-away leaf's
-    /// region is covered by its absorbers).
+    /// keys are covered by its absorbers).
     ///
-    /// Falls back to a full [`build`](Self::build) when the table must
-    /// grow (a split branched deeper than the current depth) or when the
-    /// directory was not compiled. The table never shrinks on a merge:
-    /// extra low index bits are simply unconstrained, and keeping them
-    /// makes merge refreshes O(region) instead of O(table).
+    /// A directory that held no runs, or whose involved leaves alone pass
+    /// the bound, is rebuilt instead: [`build`](Self::build) enumerates
+    /// no run of a tree past the bound, and compiles one that came back
+    /// within it.
     ///
     /// [`SplitApplied::affected`]: crate::SplitApplied::affected
     /// [`MergeApplied::absorbers`]: crate::MergeApplied::absorbers
     pub fn refresh(&mut self, tree: &HashTree, involved: &[IAgentId]) {
-        // A rehash can only deepen the tree through the leaves it touched
-        // (`involved` is every leaf whose hyper-label changed), so the
-        // depth check needs only those — not a full-tree scan, which would
-        // cost as much as the rebuild this method exists to avoid.
-        let required = involved
+        let regions: Vec<(IAgentId, Region)> = involved
             .iter()
             .filter(|&&ia| tree.contains(ia))
-            .map(|&ia| {
-                tree.hyper_label(ia)
-                    .expect("contained leaf has a hyper-label")
-                    .valid_bit_positions()
-                    .last()
-                    .map_or(0, |&p| p + 1)
-            })
-            .max()
-            .unwrap_or(0);
-        if !self.compiled || required > self.depth {
+            .map(|&ia| (ia, Region::of(tree, ia)))
+            .collect();
+        let added = regions
+            .iter()
+            .map(|(_, region)| region.run_count())
+            .fold(0u64, u64::saturating_add);
+        if self.runs.is_empty() || added > run_bound(tree) {
             *self = CompiledDirectory::build(tree);
             return;
         }
-        for &ia in involved {
-            if tree.contains(ia) {
-                self.emit_leaf(tree, ia);
-            }
+        let mut fresh: Vec<(u64, u64, IAgentId)> = regions
+            .iter()
+            .flat_map(|(ia, region)| region.runs().map(|(first, last)| (first, last, *ia)))
+            .collect();
+        fresh.sort_unstable();
+        fresh.dedup();
+        self.runs = splice(&self.runs, &fresh);
+        if self.runs.len() as u64 > run_bound(tree) {
+            self.runs = Vec::new();
         }
         self.generation = tree.generation();
     }
 
-    /// O(1) lookup: the IAgent serving `key`, or `None` when the tree was
-    /// too deep to compile (callers fall back to [`HashTree::lookup`]).
+    /// The IAgent serving `key`, by binary search over the run starts, or
+    /// `None` when the tree has too many runs to compile (callers fall
+    /// back to [`HashTree::lookup`]).
     #[inline]
     #[must_use]
     pub fn lookup(&self, key: AgentKey) -> Option<IAgentId> {
-        if !self.compiled {
-            return None;
-        }
-        // depth == 0: a single slot serves the whole key space (shifting
-        // by 64 would be UB).
-        let index = if self.depth == 0 {
-            0
-        } else {
-            (key.raw() >> (64 - self.depth)) as usize
-        };
-        Some(self.slots[index])
+        let after = self.runs.partition_point(|&(start, _)| start <= key.raw());
+        after.checked_sub(1).map(|run| self.runs[run].1)
+    }
+
+    /// Every run's first key and owner, ascending from key 0, or `None`
+    /// when the tree has too many runs to compile.
+    #[must_use]
+    pub fn runs(&self) -> Option<&[(u64, IAgentId)]> {
+        (!self.runs.is_empty()).then_some(self.runs.as_slice())
     }
 
     /// The tree generation this directory was compiled against.
@@ -189,45 +274,28 @@ impl CompiledDirectory {
         self.generation
     }
 
-    /// `true` when the directory reflects `tree`'s current structure and
-    /// can serve lookups.
+    /// `true` when the directory reflects `tree`'s current structure: its
+    /// lookups answer for it, `None` meaning "walk the tree".
     #[must_use]
     pub fn is_current(&self, tree: &HashTree) -> bool {
-        self.compiled && self.generation == tree.generation()
+        self.generation == tree.generation()
     }
 
-    /// Number of top key bits indexing the table.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Number of slots (`2^depth`), 0 when not compiled.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The `2^depth` slots in key-prefix order, or `None` when the tree
-    /// was too deep to compile.
-    #[must_use]
-    pub fn slots(&self) -> Option<&[IAgentId]> {
-        self.compiled.then_some(self.slots.as_slice())
-    }
-
-    /// Exhaustively checks every slot against [`HashTree::lookup`].
+    /// Checks the directory against `tree`: it holds runs exactly when
+    /// the tree is within [`MAX_RUNS_PER_LEAF`], and then as many as the
+    /// tree has, ascending from key 0, each owned at its first and last key
+    /// by the leaf [`HashTree::lookup`] names. Each run boundary is then an
+    /// owner change, and there are as many as the tree has, so the runs
+    /// are exact.
     ///
-    /// O(`2^depth` · height) — intended for tests and debugging, not the
-    /// hot path.
+    /// O(runs · height) — intended for tests and debugging, not the hot
+    /// path.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first disagreeing slot, a stale
-    /// generation stamp, or a depth mismatch.
+    /// Returns a description of the first disagreement, or a stale
+    /// generation stamp.
     pub fn verify(&self, tree: &HashTree) -> Result<(), String> {
-        if !self.compiled {
-            return Ok(());
-        }
         if self.generation != tree.generation() {
             return Err(format!(
                 "directory at generation {}, tree at {}",
@@ -235,100 +303,50 @@ impl CompiledDirectory {
                 tree.generation()
             ));
         }
-        if branch_depth(tree) > self.depth {
+        let (count, bound) = (tree.run_count(), run_bound(tree));
+        if self.runs.is_empty() != (count > bound) {
             return Err(format!(
-                "directory depth {} shallower than the tree's branch depth {}",
-                self.depth,
-                branch_depth(tree)
+                "{} runs held for a tree of {count} runs, bound {bound}",
+                self.runs.len()
             ));
         }
-        for (slot, &got) in self.slots.iter().enumerate() {
-            // A key whose top bits are the slot index, rest zero; every
-            // key in the slot shares its branch bits, so one witness per
-            // slot suffices.
-            let key = if self.depth == 0 {
-                AgentKey::new(0)
-            } else {
-                AgentKey::new((slot as u64) << (64 - self.depth))
+        if self.runs.is_empty() {
+            return Ok(());
+        }
+        if self.runs.len() as u64 != count {
+            return Err(format!("{} runs, the tree has {count}", self.runs.len()));
+        }
+        if self.runs[0].0 != 0 {
+            return Err(format!("the first run starts at {:#x}", self.runs[0].0));
+        }
+        for (i, &(start, owner)) in self.runs.iter().enumerate() {
+            let last = match self.runs.get(i + 1) {
+                Some(&(next, _)) if next <= start => {
+                    return Err(format!("run {i} at {start:#x} is not below {next:#x}"));
+                }
+                Some(&(next, _)) => next - 1,
+                None => u64::MAX,
             };
-            let expect = tree.lookup(key);
-            if got != expect {
-                return Err(format!(
-                    "slot {slot:0width$b} holds {got}, tree says {expect}",
-                    width = self.depth
-                ));
+            for key in [start, last] {
+                let expect = tree.lookup(AgentKey::new(key));
+                if owner != expect {
+                    return Err(format!(
+                        "run {i} holds {owner} at {key:#x}, tree says {expect}"
+                    ));
+                }
             }
         }
         Ok(())
-    }
-
-    /// Writes `ia` into every slot its leaf owns.
-    ///
-    /// The leaf's hyper-label constrains the key bits at valid-bit
-    /// positions and leaves every other position free; its region is the
-    /// set of slot indices matching the constrained bits — enumerated by
-    /// the standard submask walk over the free positions, so the work is
-    /// exactly the region size and a full build totals exactly `2^depth`
-    /// slot writes.
-    fn emit_leaf(&mut self, tree: &HashTree, ia: IAgentId) {
-        let hl = tree
-            .hyper_label(ia)
-            .expect("emit_leaf called for an IAgent not in the tree");
-        // Constraint over slot-index bits: key bit p maps to index bit
-        // (depth - 1 - p).
-        let mut mask = 0u64;
-        let mut value = 0u64;
-        let mut cursor = hl.prefix_skip().len();
-        for label in hl.labels() {
-            debug_assert!(cursor < self.depth, "valid bit beyond table depth");
-            let bit = 1u64 << (self.depth - 1 - cursor);
-            mask |= bit;
-            if label.valid_bit() {
-                value |= bit;
-            }
-            cursor += label.len();
-        }
-        // depth == 0: one unconstrained slot.
-        if self.depth == 0 {
-            self.slots[0] = ia;
-            return;
-        }
-        let free = !mask & ((1u64 << self.depth) - 1);
-        let mut sub = 0u64;
-        loop {
-            self.slots[(value | sub) as usize] = ia;
-            if sub == free {
-                break;
-            }
-            sub = sub.wrapping_sub(free) & free;
-        }
     }
 }
 
 impl std::fmt::Debug for CompiledDirectory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledDirectory")
-            .field("depth", &self.depth)
-            .field("slots", &self.slots.len())
+            .field("runs", &self.runs.len())
             .field("generation", &self.generation)
-            .field("compiled", &self.compiled)
             .finish()
     }
-}
-
-/// Key bits needed to reach every branching decision: one past the deepest
-/// valid-bit position, 0 for a single-leaf tree. Unused bits and skip
-/// prefixes need no depth — they never constrain a lookup.
-fn branch_depth(tree: &HashTree) -> usize {
-    tree.iagents()
-        .map(|ia| {
-            let hl = tree.hyper_label(ia).expect("iagents() returned a leaf");
-            hl.valid_bit_positions()
-                .last()
-                .map_or(0, |&deepest| deepest + 1)
-        })
-        .max()
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -348,8 +366,7 @@ mod tests {
             .unwrap_or_else(|| panic!("no simple-{m} candidate for {iagent}"))
     }
 
-    /// The sample keys `verify` cannot cover: random-ish raws exercising
-    /// low bits beyond the table depth.
+    /// Random-ish raws exercising low bits and the key space's ends.
     fn sample_keys() -> Vec<AgentKey> {
         (0..512u64)
             .map(AgentKey::from_sequential)
@@ -359,6 +376,7 @@ mod tests {
 
     fn assert_agrees(dir: &CompiledDirectory, tree: &HashTree) {
         dir.verify(tree).unwrap();
+        assert_eq!(dir, &CompiledDirectory::build(tree), "refresh ≠ build");
         for key in sample_keys() {
             assert_eq!(
                 dir.lookup(key),
@@ -369,11 +387,10 @@ mod tests {
     }
 
     #[test]
-    fn single_leaf_tree_compiles_to_one_slot() {
+    fn single_leaf_tree_compiles_to_one_run() {
         let tree = HashTree::new(ia(9));
         let dir = CompiledDirectory::build(&tree);
-        assert_eq!(dir.depth(), 0);
-        assert_eq!(dir.slot_count(), 1);
+        assert_eq!(dir.runs(), Some(&[(0, ia(9))][..]));
         assert!(dir.is_current(&tree));
         assert_agrees(&dir, &tree);
     }
@@ -390,16 +407,21 @@ mod tests {
         tree.apply_split(&simple(&tree, ia(1), 2), ia(3), Side::Right)
             .unwrap();
         let dir = CompiledDirectory::build(&tree);
-        // Valid bits sit at key positions 0, 1 (left side) and 0, 2
-        // (right side, bit 1 unused): depth 3.
-        assert_eq!(dir.depth(), 3);
         assert_agrees(&dir, &tree);
-        // The unused bit leaves IA1 owning the non-contiguous slots
-        // {100, 110}.
-        assert_eq!(dir.lookup(AgentKey::new(0b100 << 61)), Some(ia(1)));
-        assert_eq!(dir.lookup(AgentKey::new(0b110 << 61)), Some(ia(1)));
-        assert_eq!(dir.lookup(AgentKey::new(0b101 << 61)), Some(ia(3)));
-        assert_eq!(dir.lookup(AgentKey::new(0b111 << 61)), Some(ia(3)));
+        // The unused bit leaves IA1 two runs, {100…, 110…}, with IA3's
+        // between and after them.
+        let top3 = |bits: u64| bits << 61;
+        assert_eq!(
+            dir.runs().unwrap(),
+            [
+                (0, ia(0)),
+                (top3(0b010), ia(2)),
+                (top3(0b100), ia(1)),
+                (top3(0b101), ia(3)),
+                (top3(0b110), ia(1)),
+                (top3(0b111), ia(3)),
+            ]
+        );
     }
 
     #[test]
@@ -408,23 +430,20 @@ mod tests {
         tree.apply_split(&simple(&tree, ia(0), 1), ia(1), Side::Right)
             .unwrap();
         tree.apply_merge(ia(1)).unwrap();
-        // Single leaf with skip prefix [0]: depth 0 again.
+        // Single leaf with skip prefix [0]: one run again.
         let dir = CompiledDirectory::build(&tree);
-        assert_eq!(dir.depth(), 0);
+        assert_eq!(dir.runs().map(<[_]>::len), Some(1));
         assert_agrees(&dir, &tree);
     }
 
     #[test]
-    fn refresh_after_split_rewrites_only_the_involved_region() {
+    fn refresh_after_split_and_merge_equals_a_fresh_build() {
         let mut tree = HashTree::new(ia(0));
         tree.apply_split(&simple(&tree, ia(0), 1), ia(1), Side::Right)
             .unwrap();
         let mut dir = CompiledDirectory::build(&tree);
         assert_agrees(&dir, &tree);
 
-        // Split IA1 at the same depth the table already covers… it does
-        // not: m=1 branches one level deeper, so this exercises the
-        // grow-and-rebuild path.
         let applied = tree
             .apply_split(&simple(&tree, ia(1), 1), ia(2), Side::Right)
             .unwrap();
@@ -433,12 +452,8 @@ mod tests {
         dir.refresh(&tree, &involved);
         assert_agrees(&dir, &tree);
 
-        // A merge keeps the table size and rewrites only the absorbers'
-        // regions.
         let merged = tree.apply_merge(ia(2)).unwrap();
-        let depth_before = dir.depth();
         dir.refresh(&tree, &merged.absorbers);
-        assert_eq!(dir.depth(), depth_before, "merge must not shrink");
         assert_agrees(&dir, &tree);
     }
 
@@ -478,49 +493,70 @@ mod tests {
     }
 
     #[test]
-    fn too_deep_trees_fall_back_to_the_walk() {
+    fn a_deep_comb_compiles_to_one_run_a_leaf() {
+        // Split the leaf holding key 0 on m = 1, forty times: branch depth
+        // 40, and still one run a leaf.
         let mut tree = HashTree::new(ia(0));
-        // One deep path: repeatedly split the same leaf on m = 1 until
-        // the branch depth passes the cap.
-        let mut next = 1u64;
-        while crate::compiled::branch_depth(&tree) <= MAX_COMPILED_DEPTH {
-            let deepest = tree
-                .iagents()
-                .max_by_key(|&ia| tree.consumed_bits(ia).unwrap())
+        let mut dir = CompiledDirectory::build(&tree);
+        for next in 1..=40 {
+            let leaf = tree.lookup(AgentKey::new(0));
+            let applied = tree
+                .apply_split(&simple(&tree, leaf, 1), ia(next), Side::Right)
                 .unwrap();
-            tree.apply_split(&simple(&tree, deepest, 1), ia(1000 + next), Side::Right)
-                .unwrap();
-            next += 1;
+            let mut involved = applied.affected;
+            involved.push(ia(next));
+            dir.refresh(&tree, &involved);
         }
-        let dir = CompiledDirectory::build(&tree);
-        assert!(!dir.is_current(&tree));
-        assert_eq!(dir.lookup(AgentKey::new(0)), None);
-        assert_eq!(dir.slot_count(), 0);
-        dir.verify(&tree).unwrap(); // vacuously fine
+        assert_eq!(dir.runs().map(<[_]>::len), Some(41));
+        assert_agrees(&dir, &tree);
     }
 
     #[test]
-    fn build_work_is_exactly_one_write_per_slot() {
-        // Regions partition the table: the sum of region sizes is 2^d, so
-        // no slot keeps its poison value.
+    fn too_fragmented_trees_fall_back_to_the_walk_and_come_back() {
+        // Branching on key bit 19 leaves 19 free bits above it: 2^20 runs
+        // for two leaves.
         let mut tree = HashTree::new(ia(0));
-        tree.apply_split(&simple(&tree, ia(0), 1), ia(1), Side::Right)
+        let mut dir = CompiledDirectory::build(&tree);
+        let applied = tree
+            .apply_split(&simple(&tree, ia(0), 20), ia(1), Side::Right)
             .unwrap();
-        tree.apply_split(&simple(&tree, ia(1), 3), ia(2), Side::Right)
-            .unwrap();
-        let dir = CompiledDirectory::build(&tree);
-        assert!(dir
-            .slots
-            .iter()
-            .all(|&slot| slot != IAgentId::new(u64::MAX)));
+        let mut involved = applied.affected;
+        involved.push(ia(1));
+        dir.refresh(&tree, &involved);
+        assert_eq!(tree.run_count(), 1 << 20);
+        assert!(dir.is_current(&tree));
+        assert_eq!(dir.runs(), None);
+        assert_eq!(dir.lookup(AgentKey::new(0)), None);
+        dir.verify(&tree).unwrap();
+        assert_eq!(dir, CompiledDirectory::build(&tree));
+
+        // Merging it away brings the runs back.
+        let merged = tree.apply_merge(ia(1)).unwrap();
+        dir.refresh(&tree, &merged.absorbers);
         assert_agrees(&dir, &tree);
+    }
+
+    #[test]
+    fn the_bound_is_four_runs_a_leaf() {
+        // Branching on key bit 2 gives two leaves eight runs: within.
+        let mut tree = HashTree::new(ia(0));
+        tree.apply_split(&simple(&tree, ia(0), 3), ia(1), Side::Right)
+            .unwrap();
+        assert_eq!(tree.run_count(), 8);
+        assert_agrees(&CompiledDirectory::build(&tree), &tree);
+        // On key bit 3, sixteen: past it.
+        let mut tree = HashTree::new(ia(0));
+        tree.apply_split(&simple(&tree, ia(0), 4), ia(1), Side::Right)
+            .unwrap();
+        assert_eq!(tree.run_count(), 16);
+        assert_eq!(CompiledDirectory::build(&tree).runs(), None);
     }
 
     #[test]
     fn debug_is_compact() {
         let dir = CompiledDirectory::build(&HashTree::new(ia(0)));
         let shown = format!("{dir:?}");
-        assert!(shown.contains("depth"));
-        assert!(!shown.contains("IA0"), "slots must not be dumped: {shown}");
+        assert!(shown.contains("runs"));
+        assert!(!shown.contains("IA0"), "runs must not be dumped: {shown}");
     }
 }

@@ -66,7 +66,7 @@ mod shape;
 pub mod tree;
 
 pub use bits::{Bits, ParseBitsError, MAX_BITS};
-pub use compiled::{CompiledDirectory, MAX_COMPILED_DEPTH};
+pub use compiled::{CompiledDirectory, MAX_RUNS_PER_LEAF};
 pub use error::TreeError;
 pub use key::{AgentKey, KEY_BITS};
 pub use label::{HyperLabel, Label, ParseLabelError};

@@ -425,20 +425,6 @@ impl HashTree {
         Ok(self.consumed_bits_of_node(leaf))
     }
 
-    /// The most key bits any traversal consumes: the maximum of
-    /// [`consumed_bits`](Self::consumed_bits) over all leaves. Unlike
-    /// [`height`](Self::height) (which counts edges) this counts *bits*,
-    /// including each label's unused bits and the root's skip prefix — an
-    /// upper bound on the depth a compiled directory could need.
-    #[must_use]
-    pub fn max_consumed_bits(&self) -> usize {
-        self.leaves
-            .values()
-            .map(|&leaf| self.consumed_bits_of_node(leaf))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// How many runs the key space falls into: maximal key intervals that
     /// one leaf serves. A leaf serves one interval for each setting of the
     /// unconstrained bits its hyper-label consumes before its last valid

@@ -1,11 +1,15 @@
-//! Property-based tests for the compiled directory: the flat `2^d` table
-//! must be observationally identical to the tree walk it replaces, no
-//! matter what rehash sequence produced the tree — including the awkward
-//! shapes (multi-bit labels whose unused bits must *not* constrain the
-//! lookup) that complex splits and merges create.
+//! Property-based tests for the compiled directory: its runs must be
+//! observationally identical to the tree walk they replace, no matter what
+//! rehash sequence produced the tree — including the awkward shapes
+//! (multi-bit labels whose unused bits must *not* constrain the lookup)
+//! that complex splits and merges create — and it must hold runs exactly
+//! while the tree has at most `MAX_RUNS_PER_LEAF` of them a leaf.
 
-use agentrack_hashtree::{AgentKey, CompiledDirectory, HashTree, IAgentId, Side, TreeError};
+use agentrack_hashtree::{
+    AgentKey, CompiledDirectory, HashTree, IAgentId, Side, TreeError, MAX_RUNS_PER_LEAF,
+};
 use proptest::prelude::*;
+use proptest::TestRng;
 
 /// One randomly-directed rehash operation (mirrors `properties.rs`).
 #[derive(Debug, Clone)]
@@ -13,6 +17,11 @@ enum Op {
     Split {
         leaf_sel: usize,
         cand_sel: usize,
+        /// How far into the paper's candidate order the pick may reach:
+        /// 2 stays near the complex and first simple candidates, which
+        /// leave a leaf few runs; 8 reaches simple splits up to eight
+        /// bits deep, which fragment the key space past the bound.
+        reach: usize,
         new_side: bool,
     },
     Merge {
@@ -22,10 +31,11 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (any::<usize>(), any::<usize>(), any::<bool>()).prop_map(
-            |(leaf_sel, cand_sel, new_side)| Op::Split {
+        3 => (any::<usize>(), any::<usize>(), 2usize..9, any::<bool>()).prop_map(
+            |(leaf_sel, cand_sel, reach, new_side)| Op::Split {
                 leaf_sel,
                 cand_sel,
+                reach,
                 new_side,
             }
         ),
@@ -43,6 +53,7 @@ fn apply(tree: &mut HashTree, op: &Op, next_id: &mut u64) -> Option<Vec<IAgentId
         Op::Split {
             leaf_sel,
             cand_sel,
+            reach,
             new_side,
         } => {
             let target = iagents[leaf_sel % iagents.len()];
@@ -50,7 +61,7 @@ fn apply(tree: &mut HashTree, op: &Op, next_id: &mut u64) -> Option<Vec<IAgentId
             if candidates.is_empty() {
                 return None;
             }
-            let cand = candidates[cand_sel % candidates.len().min(8)];
+            let cand = candidates[cand_sel % candidates.len().min(reach)];
             let new_iagent = IAgentId::new(*next_id);
             let side = if new_side { Side::Right } else { Side::Left };
             match tree.apply_split(&cand, new_iagent, side) {
@@ -75,8 +86,8 @@ fn apply(tree: &mut HashTree, op: &Op, next_id: &mut u64) -> Option<Vec<IAgentId
     }
 }
 
-/// Keys that probe every leaf and every slot boundary: one compatible
-/// witness per leaf, each also perturbed in its low (unconstrained) bits.
+/// Keys that probe every leaf: one compatible witness per leaf, each also
+/// perturbed in its low (unconstrained) bits.
 fn probe_keys(tree: &HashTree, extra: &[u64]) -> Vec<AgentKey> {
     let mut keys: Vec<AgentKey> = extra.iter().map(|&raw| AgentKey::new(raw)).collect();
     keys.extend((0..64u64).map(AgentKey::from_sequential));
@@ -100,11 +111,52 @@ fn probe_keys(tree: &HashTree, extra: &[u64]) -> Vec<AgentKey> {
     keys
 }
 
+/// `true` when `tree` has more runs than its flat form may hold.
+fn past_the_bound(tree: &HashTree) -> bool {
+    tree.run_count() > (MAX_RUNS_PER_LEAF * tree.iagent_count()) as u64
+}
+
+/// `dir` holds runs exactly when `tree` is within the bound; `lookup` is
+/// `None` everywhere past it, and within it answers like the walk at every
+/// probe key and at each run's first and last key.
+fn agrees_with_walk(
+    dir: &CompiledDirectory,
+    tree: &HashTree,
+    probes: &[AgentKey],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(dir.runs().is_none(), past_the_bound(tree));
+    let Some(runs) = dir.runs() else {
+        for &key in probes {
+            prop_assert_eq!(dir.lookup(key), None, "key {} past the bound", key);
+        }
+        return Ok(());
+    };
+    let ends = runs.iter().enumerate().flat_map(|(i, &(start, _))| {
+        let last = runs.get(i + 1).map_or(u64::MAX, |&(next, _)| next - 1);
+        [AgentKey::new(start), AgentKey::new(last)]
+    });
+    for key in probes.iter().copied().chain(ends) {
+        prop_assert_eq!(dir.lookup(key), Some(tree.lookup(key)), "key {}", key);
+    }
+    Ok(())
+}
+
+/// Grows a tree by `ops` from a single leaf.
+fn grow(ops: &[Op]) -> HashTree {
+    let mut tree = HashTree::new(IAgentId::new(0));
+    let mut next_id = 1u64;
+    for op in ops {
+        apply(&mut tree, op, &mut next_id);
+    }
+    tree
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// An incrementally-maintained directory answers every key exactly as
-    /// the tree walk does, after any rehash sequence.
+    /// the tree walk does, after any rehash sequence, and equals a fresh
+    /// build run for run.
     #[test]
     fn compiled_agrees_with_tree_walk(
         ops in prop::collection::vec(op_strategy(), 1..40),
@@ -118,26 +170,15 @@ proptest! {
                 dir.refresh(&tree, &involved);
             }
             prop_assert!(dir.is_current(&tree));
-            for key in probe_keys(&tree, &extra) {
-                prop_assert_eq!(
-                    dir.lookup(key).expect("compiled within depth cap"),
-                    tree.lookup(key),
-                    "key {} disagrees after {:?}", key, op
-                );
-            }
+            agrees_with_walk(&dir, &tree, &probe_keys(&tree, &extra))?;
         }
-        // The exhaustive slot-by-slot check. Note the maintained table may
-        // be *deeper* than a fresh build (merges never shrink it — the
-        // extra low index bits are unconstrained), so the comparison with
-        // a fresh build is observational, not structural.
-        dir.verify(&tree).expect("slot-exact directory");
+        dir.verify(&tree).expect("run-exact directory");
         let fresh = CompiledDirectory::build(&tree);
-        fresh.verify(&tree).expect("fresh build is slot-exact");
-        prop_assert!(dir.depth() >= fresh.depth(), "maintained table shrank");
-        // The tree counts the runs the table holds.
-        if let Some(slots) = fresh.slots() {
-            let runs = 1 + slots.windows(2).filter(|pair| pair[0] != pair[1]).count();
-            prop_assert_eq!(tree.run_count(), runs as u64);
+        fresh.verify(&tree).expect("fresh build is run-exact");
+        prop_assert_eq!(&dir, &fresh, "refreshed directory differs from a fresh build");
+        // The tree counts the runs the directory holds.
+        if let Some(runs) = fresh.runs() {
+            prop_assert_eq!(tree.run_count(), runs.len() as u64);
         }
     }
 
@@ -165,19 +206,16 @@ proptest! {
 
     /// Complex-split-heavy sequences produce multi-bit labels with unused
     /// bits; flipping an unused bit in a key must never change the answer,
-    /// in both the walk and the table (regression: the table must index by
+    /// in both the walk and the runs (regression: runs must be cut by
     /// *valid-bit* positions only).
     #[test]
     fn unused_bits_never_constrain_lookup(
         ops in prop::collection::vec(op_strategy(), 1..30),
         flips in prop::collection::vec(any::<u64>(), 4..5),
     ) {
-        let mut tree = HashTree::new(IAgentId::new(0));
-        let mut next_id = 1u64;
-        for op in &ops {
-            apply(&mut tree, op, &mut next_id);
-        }
+        let tree = grow(&ops);
         let dir = CompiledDirectory::build(&tree);
+        prop_assert_eq!(dir.runs().is_none(), past_the_bound(&tree));
         for (ia, hl) in tree.mapping() {
             if !hl.has_unused_bits() {
                 continue;
@@ -212,9 +250,41 @@ proptest! {
                 let key = AgentKey::new(key);
                 prop_assert_eq!(tree.lookup(key), ia,
                     "walk: unused bit constrained key {}", key);
-                prop_assert_eq!(dir.lookup(key).expect("compiled"), ia,
-                    "table: unused bit constrained key {}", key);
+                if dir.runs().is_some() {
+                    prop_assert_eq!(dir.lookup(key), Some(ia),
+                        "runs: unused bit constrained key {}", key);
+                }
             }
         }
     }
+}
+
+/// The properties above are not vacuous: replaying the cases
+/// `unused_bits_never_constrain_lookup` draws (its generator, its order),
+/// many trees whose leaves have unused bits still compile, so the runs'
+/// side of its check runs on them, and many do not, so the bound's does.
+#[test]
+fn generated_trees_with_unused_bits_do_compile() {
+    let mut rng = TestRng::from_test_name(concat!(
+        module_path!(),
+        "::unused_bits_never_constrain_lookup"
+    ));
+    let ops = prop::collection::vec(op_strategy(), 1..30);
+    let flips = prop::collection::vec(any::<u64>(), 4..5);
+    let (mut with_unused, mut compiled) = (0, 0);
+    for _ in 0..ProptestConfig::with_cases(64).cases {
+        let tree = grow(&ops.generate(&mut rng));
+        flips.generate(&mut rng);
+        if tree.mapping().iter().any(|(_, hl)| hl.has_unused_bits()) {
+            with_unused += 1;
+            if CompiledDirectory::build(&tree).runs().is_some() {
+                compiled += 1;
+            }
+        }
+    }
+    println!("{compiled} of {with_unused} trees with unused bits compile");
+    assert!(
+        compiled >= 8 && with_unused - compiled >= 8,
+        "{compiled} of {with_unused} trees with unused bits compile"
+    );
 }

@@ -6,8 +6,9 @@
 //!   and each leaf's witness key is claimed by that leaf alone;
 //! * full id-space coverage — every probed key is compatible with exactly
 //!   one leaf, and that leaf is what the tree walk returns;
-//! * compiled directory ≡ tree walk — the incrementally-refreshed flat
-//!   table agrees with the authoritative walk at each step.
+//! * compiled directory ≡ tree walk — the incrementally-refreshed runs
+//!   agree with the authoritative walk at each step, or are absent
+//!   exactly when the tree is past `MAX_RUNS_PER_LEAF` runs a leaf.
 //!
 //! `properties.rs` checks invariants after a whole sequence;
 //! this suite pins them at every intermediate tree shape, which is where
@@ -15,6 +16,7 @@
 
 use agentrack_hashtree::{
     AgentKey, CompiledDirectory, HashTree, HyperLabel, IAgentId, PrefixRegion, Side, TreeError,
+    MAX_RUNS_PER_LEAF,
 };
 use proptest::prelude::*;
 
@@ -24,6 +26,11 @@ enum Op {
     Split {
         leaf_sel: usize,
         cand_sel: usize,
+        /// How far into the paper's candidate order the pick may reach:
+        /// 2 stays near the complex and first simple candidates, which
+        /// leave a leaf few runs; 8 reaches simple splits up to eight
+        /// bits deep, which fragment the key space past the bound.
+        reach: usize,
         new_side: bool,
     },
     Merge {
@@ -33,10 +40,11 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (any::<usize>(), any::<usize>(), any::<bool>()).prop_map(
-            |(leaf_sel, cand_sel, new_side)| Op::Split {
+        3 => (any::<usize>(), any::<usize>(), 2usize..9, any::<bool>()).prop_map(
+            |(leaf_sel, cand_sel, reach, new_side)| Op::Split {
                 leaf_sel,
                 cand_sel,
+                reach,
                 new_side,
             }
         ),
@@ -53,6 +61,7 @@ fn apply(tree: &mut HashTree, op: &Op, next_id: &mut u64) -> Option<Vec<IAgentId
         Op::Split {
             leaf_sel,
             cand_sel,
+            reach,
             new_side,
         } => {
             let target = iagents[leaf_sel % iagents.len()];
@@ -60,7 +69,7 @@ fn apply(tree: &mut HashTree, op: &Op, next_id: &mut u64) -> Option<Vec<IAgentId
             if candidates.is_empty() {
                 return None;
             }
-            let cand = candidates[cand_sel % candidates.len().min(8)];
+            let cand = candidates[cand_sel % candidates.len().min(reach)];
             let new_iagent = IAgentId::new(*next_id);
             let side = if new_side { Side::Right } else { Side::Left };
             match tree.apply_split(&cand, new_iagent, side) {
@@ -97,6 +106,38 @@ fn witness(hl: &agentrack_hashtree::HyperLabel) -> AgentKey {
         cursor += label.len();
     }
     AgentKey::new(raw)
+}
+
+/// `dir` holds runs exactly when `tree` has at most `MAX_RUNS_PER_LEAF`
+/// runs a leaf; `lookup` is `None` everywhere past that, and within it
+/// answers like the walk at every probe key and at each run's first and
+/// last key.
+fn agrees_with_walk(
+    dir: &CompiledDirectory,
+    tree: &HashTree,
+    probes: impl Iterator<Item = AgentKey>,
+) -> Result<(), TestCaseError> {
+    let past = tree.run_count() > (MAX_RUNS_PER_LEAF * tree.iagent_count()) as u64;
+    prop_assert_eq!(dir.runs().is_none(), past);
+    let Some(runs) = dir.runs() else {
+        for key in probes {
+            prop_assert_eq!(dir.lookup(key), None, "key {} past the bound", key);
+        }
+        return Ok(());
+    };
+    let ends = runs.iter().enumerate().flat_map(|(i, &(start, _))| {
+        let last = runs.get(i + 1).map_or(u64::MAX, |&(next, _)| next - 1);
+        [AgentKey::new(start), AgentKey::new(last)]
+    });
+    for key in probes.chain(ends) {
+        prop_assert_eq!(
+            dir.lookup(key),
+            Some(tree.lookup(key)),
+            "compiled directory diverged from the walk at key {}",
+            key
+        );
+    }
+    Ok(())
 }
 
 /// A rehash planned against a frozen base tree, exactly as the HAgent's
@@ -249,17 +290,13 @@ proptest! {
                 commit(&mut tree, &mut dir, &op);
                 tree.validate().expect("structural invariants");
             }
-            // The incrementally-refreshed directory answers like the walk.
+            // The incrementally-refreshed directory answers like the walk,
+            // and is the directory a fresh build would hold.
             let probes = (0..64u64)
                 .map(AgentKey::from_sequential)
                 .chain(extra.iter().map(|&raw| AgentKey::new(raw)));
-            for key in probes {
-                prop_assert_eq!(
-                    dir.lookup(key).expect("compiled within depth cap"),
-                    tree.lookup(key),
-                    "compiled directory diverged from the walk at key {}", key
-                );
-            }
+            agrees_with_walk(&dir, &tree, probes)?;
+            prop_assert_eq!(&dir, &CompiledDirectory::build(&tree));
             let mapping = sorted_mapping(&tree);
             match &outcome {
                 None => outcome = Some(mapping),
@@ -318,12 +355,11 @@ proptest! {
                     .collect();
                 prop_assert_eq!(&compatible, &vec![by_walk],
                     "key {} covered by {:?} after {:?}", key, compatible, op);
-                prop_assert_eq!(
-                    dir.lookup(key).expect("compiled within depth cap"),
-                    by_walk,
-                    "compiled directory diverged from the walk at key {}", key
-                );
             }
+            let probes = (0..64u64)
+                .map(AgentKey::from_sequential)
+                .chain(extra.iter().map(|&raw| AgentKey::new(raw)));
+            agrees_with_walk(&dir, &tree, probes)?;
         }
     }
 }
