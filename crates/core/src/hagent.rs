@@ -195,7 +195,7 @@ impl Agent for StandbyHAgentBehavior {
                 self.shared.update(|s| s.hf_fetches += 1);
                 ctx.send(from, reply_node, self.payloads.copy(ctx, &self.hf));
             }
-            Wire::SplitRequest { .. } | Wire::MergeRequest { .. } => {
+            Wire::SplitRequest { .. } | Wire::MergeRequest => {
                 // Read-only replica: rehashing waits for the primary. The
                 // `ReadOnly` reason tells the requester to back off long —
                 // retrying before the primary returns is futile.
@@ -661,9 +661,9 @@ impl Agent for HAgentBehavior {
             return;
         };
         match msg {
-            Wire::SplitRequest { loads, .. } => self.handle_split_request(ctx, from, loads),
+            Wire::SplitRequest { loads } => self.handle_split_request(ctx, from, loads),
             Wire::IAgentReady { lease } => self.handle_ready(ctx, from, lease),
-            Wire::MergeRequest { .. } => self.handle_merge_request(ctx, from),
+            Wire::MergeRequest => self.handle_merge_request(ctx, from),
             Wire::IAgentMoved { node } => {
                 let iagent = IAgentId::new(from.raw());
                 // Refused for an IAgent the directory does not hold.

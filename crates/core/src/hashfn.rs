@@ -49,7 +49,9 @@ pub fn key_of(agent: AgentId) -> AgentKey {
 /// never produce a wrong answer: resolves fall back to the tree walk until
 /// [`recompile`](Self::recompile) (full) or
 /// [`refresh_compiled`](Self::refresh_compiled) (incremental, used by
-/// [`apply`](Self::apply) after each rehash op) brings it current.
+/// [`apply`](Self::apply) after each rehash op) brings it current. A copy
+/// handed over in process is a clone and carries the sender's runs, stale
+/// ones included; the stamp keeps those as safe as the sender's own.
 ///
 /// [`MAX_RUNS_PER_LEAF`]: agentrack_hashtree::MAX_RUNS_PER_LEAF
 #[derive(Debug, Clone)]
@@ -228,18 +230,6 @@ impl Serialize for HashFunction {
                 Serialize::serialize(&self.locations),
             ),
         ])
-    }
-
-    /// The version, tree and directory hold integers only, so they always
-    /// round-trip. A decoded copy compiles its runs afresh, so a clone
-    /// stands for it only while this copy's runs reflect its tree (or
-    /// reflect that the tree has too many to compile).
-    fn exact(&self) -> bool {
-        self.compiled.is_current(&self.tree)
-    }
-
-    fn writes_null(&self) -> bool {
-        false
     }
 }
 

@@ -456,7 +456,7 @@ impl Agent for IAgentBehavior {
         self.flush_pending(ctx);
         let view = self.serving().then_some(&self.view);
         if let Some(durability) = &mut self.durability {
-            if durability.on_timer(ctx, &mut self.book, view, rate) {
+            if durability.on_timer(ctx, &mut self.book, view) {
                 self.flush_pending(ctx);
             }
         }

@@ -37,18 +37,13 @@ impl RehashAsk {
             return None;
         }
         let request = match merge {
-            None => {
-                let rate = stats.rate_per_sec(now);
-                (rate > config.t_max).then(|| Wire::SplitRequest {
-                    rate,
-                    loads: stats.loads(),
-                })
-            }
+            None => (stats.rate_per_sec(now) > config.t_max).then(|| Wire::SplitRequest {
+                loads: stats.loads(),
+            }),
             Some((age, leaves))
                 if config.merge_enabled && age >= config.merge_warmup && leaves > 1 =>
             {
-                let rate = stats.rate_per_sec(now);
-                (rate < config.t_min).then_some(Wire::MergeRequest { rate })
+                (stats.rate_per_sec(now) < config.t_min).then_some(Wire::MergeRequest)
             }
             Some(_) => None,
         };

@@ -126,8 +126,6 @@ pub(crate) struct ReplicaEntry {
     pub seq: u64,
     /// The replicated `(agent, last known node)` records.
     pub records: BTreeMap<AgentId, NodeId>,
-    /// The owner's replicated rate estimate (messages/second).
-    pub rate: f64,
     /// When the last batch was applied — the age stamp freshness-bounded
     /// reads check before answering from this copy.
     pub synced_at: SimTime,
@@ -165,7 +163,6 @@ impl ReplicaStore {
         epoch: u64,
         seq: u64,
         records: Vec<(AgentId, NodeId)>,
-        rate: f64,
         now: SimTime,
     ) -> bool {
         if let Some(existing) = self.entries.get(&owner) {
@@ -179,7 +176,6 @@ impl ReplicaStore {
                 epoch,
                 seq,
                 records: records.into_iter().collect(),
-                rate,
                 synced_at: now,
             },
         );
@@ -198,10 +194,9 @@ impl ReplicaStore {
                 epoch,
                 seq,
                 records,
-                rate,
                 reply_node,
             } => {
-                self.apply_sync(owner, epoch, seq, records, rate, now);
+                self.apply_sync(owner, epoch, seq, records, now);
                 Some((reply_node, Wire::RecordSyncAck { epoch, seq }))
             }
             Wire::ReplicaPull { reply_node, .. } => {
@@ -212,7 +207,6 @@ impl ReplicaStore {
                     records: held.map_or_else(Vec::new, |e| {
                         e.records.iter().map(|(&a, &n)| (a, n)).collect()
                     }),
-                    rate: held.map_or(0.0, |e| e.rate),
                     age_ms: held.map_or(0, |e| e.age_ms(now)),
                 };
                 Some((reply_node, set))
@@ -358,15 +352,14 @@ impl Durability {
         self.store.find(target, now)
     }
 
-    /// The periodic timer: sends the book (and `rate`) to the buddy when
-    /// a batch is due, then drives recovery. `view` is `None` before the
-    /// owner's first install, with nothing to sync. `true`: recovery ended.
+    /// The periodic timer: sends the book to the buddy when a batch is
+    /// due, then drives recovery. `view` is `None` before the owner's
+    /// first install, with nothing to sync. `true`: recovery ended.
     pub(crate) fn on_timer(
         &mut self,
         ctx: &mut AgentCtx<'_>,
         book: &mut RecordStore,
         view: Option<&TrackerView>,
-        rate: f64,
     ) -> bool {
         // A recovering tracker must not sync under a not-yet-granted
         // epoch.
@@ -397,7 +390,6 @@ impl Durability {
                 epoch,
                 seq,
                 records,
-                rate,
                 reply_node,
             };
             ctx.send(buddy, buddy_node, ctx.encode_owned(sync));
@@ -626,21 +618,15 @@ mod tests {
         let mut store = ReplicaStore::default();
         let owner = AgentId::new(4);
         let rec = |n: u64| vec![(AgentId::new(100), NodeId::new(n as u32))];
-        assert!(store.apply_sync(owner, 1, 5, rec(1), 2.0, t(10)));
+        assert!(store.apply_sync(owner, 1, 5, rec(1), t(10)));
+        assert!(!store.apply_sync(owner, 1, 4, rec(2), t(20)), "older seq");
+        assert!(!store.apply_sync(owner, 0, 9, rec(3), t(30)), "older epoch");
         assert!(
-            !store.apply_sync(owner, 1, 4, rec(2), 2.0, t(20)),
-            "older seq"
-        );
-        assert!(
-            !store.apply_sync(owner, 0, 9, rec(3), 2.0, t(30)),
-            "older epoch"
-        );
-        assert!(
-            store.apply_sync(owner, 1, 5, rec(4), 2.0, t(40)),
+            store.apply_sync(owner, 1, 5, rec(4), t(40)),
             "same stamp re-applies"
         );
         assert!(
-            store.apply_sync(owner, 2, 1, rec(5), 2.0, t(50)),
+            store.apply_sync(owner, 2, 1, rec(5), t(50)),
             "newer epoch wins"
         );
         assert_eq!(
@@ -653,23 +639,16 @@ mod tests {
     fn replica_age_tracks_the_last_applied_sync() {
         let mut store = ReplicaStore::default();
         let owner = AgentId::new(4);
-        assert!(store.apply_sync(
-            owner,
-            1,
-            1,
-            vec![(AgentId::new(7), NodeId::new(2))],
-            1.0,
-            t(100)
-        ));
+        assert!(store.apply_sync(owner, 1, 1, vec![(AgentId::new(7), NodeId::new(2))], t(100)));
         let entry = store.get(owner).unwrap();
         assert_eq!(entry.synced_at, t(100));
         assert_eq!(entry.age_ms(t(100)), 0);
         assert_eq!(entry.age_ms(t(350)), 250);
         // A rejected (stale) batch leaves the stamp untouched.
-        let _ = store.apply_sync(owner, 0, 0, vec![], 1.0, t(400));
+        let _ = store.apply_sync(owner, 0, 0, vec![], t(400));
         assert_eq!(store.get(owner).unwrap().synced_at, t(100));
         // A newer batch refreshes it.
-        assert!(store.apply_sync(owner, 1, 2, vec![], 1.0, t(500)));
+        assert!(store.apply_sync(owner, 1, 2, vec![], t(500)));
         assert_eq!(store.get(owner).unwrap().age_ms(t(600)), 100);
     }
 
@@ -678,11 +657,10 @@ mod tests {
         let mut store = ReplicaStore::default();
         let (owner, node) = (AgentId::new(4), NodeId::new(3));
         let rec = vec![(AgentId::new(7), NodeId::new(2))];
-        let sync = |epoch, seq, records, rate| Wire::RecordSync {
+        let sync = |epoch, seq, records| Wire::RecordSync {
             epoch,
             seq,
             records,
-            rate,
             reply_node: node,
         };
         let pull = || Wire::ReplicaPull {
@@ -690,11 +668,11 @@ mod tests {
             reply_node: node,
         };
         assert_eq!(
-            store.serve(owner, sync(1, 2, rec.clone(), 3.0), t(100)),
+            store.serve(owner, sync(1, 2, rec.clone()), t(100)),
             Some((node, Wire::RecordSyncAck { epoch: 1, seq: 2 }))
         );
         assert_eq!(
-            store.serve(owner, sync(0, 9, Vec::new(), 1.0), t(200)),
+            store.serve(owner, sync(0, 9, Vec::new()), t(200)),
             Some((node, Wire::RecordSyncAck { epoch: 0, seq: 9 })),
             "a stale batch is acked but not applied"
         );
@@ -706,7 +684,6 @@ mod tests {
                     epoch: 1,
                     seq: 2,
                     records: rec,
-                    rate: 3.0,
                     age_ms: 250,
                 }
             ))
@@ -719,7 +696,6 @@ mod tests {
                     epoch: 0,
                     seq: 0,
                     records: Vec::new(),
-                    rate: 0.0,
                     age_ms: 0,
                 }
             )),

@@ -160,8 +160,7 @@ impl OwnLeaf {
 ///
 /// Decoding checks the runs: they start at key 0 and ascend strictly, so
 /// every key has exactly one owner. `image_for` builds only such images,
-/// so the derived `Serialize::exact` (a clone decodes as the text would)
-/// needs no check of its own.
+/// so an in-process clone is what its text decodes to.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ViewImage {
     version: u64,

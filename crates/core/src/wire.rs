@@ -248,18 +248,14 @@ pub enum Wire {
 
     // ---- IAgent ↔ HAgent (rehashing, §4) ----
     /// "My rate exceeded `T_max`": ask the HAgent to split. Carries the
-    /// requester's per-agent load statistics for even-split planning.
+    /// requester's per-agent load statistics for even-split planning; the
+    /// rate itself stays with the IAgent, which alone compares it.
     SplitRequest {
-        /// Observed request rate (messages/second).
-        rate: f64,
         /// Accumulated per-agent request counts.
         loads: Vec<(AgentId, u64)>,
     },
     /// "My rate fell below `T_min`": ask the HAgent to merge me away.
-    MergeRequest {
-        /// Observed request rate (messages/second).
-        rate: f64,
-    },
+    MergeRequest,
     /// The HAgent declined, and why — the reason picks the requester's
     /// retry backoff.
     RehashDenied {
@@ -284,9 +280,10 @@ pub enum Wire {
     /// whose leaf is gone hands off everything and disposes itself.
     ///
     /// The whole copy: sent only where it is smaller than the receiver's
-    /// view — a tree whose runs outnumber its leaves more than four to one,
-    /// or one too deep to compile, whose view has no runs. Every other
-    /// install is a [`Wire::InstallView`].
+    /// view — a tree whose runs outnumber its leaves more than
+    /// [`MAX_RUNS_PER_LEAF`](agentrack_hashtree::MAX_RUNS_PER_LEAF) to one,
+    /// so that its view holds no runs. That ratio is the only bound; depth
+    /// is not one. Every other install is a [`Wire::InstallView`].
     InstallHashFn {
         /// The new primary copy.
         hf: HashFunction,
@@ -317,9 +314,9 @@ pub enum Wire {
         /// Where the requester's replica lives, if anywhere.
         buddy: Option<(AgentId, NodeId)>,
     },
-    /// Batched replication of an IAgent's record set (and rate estimate)
-    /// to its buddy replica. Full-snapshot semantics: the buddy replaces
-    /// its copy when `(epoch, seq)` is not older than what it holds.
+    /// Batched replication of an IAgent's record set to its buddy replica.
+    /// Full-snapshot semantics: the buddy replaces its copy when
+    /// `(epoch, seq)` is not older than what it holds.
     RecordSync {
         /// The sender's current epoch.
         epoch: u64,
@@ -327,8 +324,6 @@ pub enum Wire {
         seq: u64,
         /// `(agent, last known node)` records, the full current set.
         records: Vec<(AgentId, NodeId)>,
-        /// The sender's observed request rate (messages/second).
-        rate: f64,
         /// Where the ack should be sent (the sender's node).
         reply_node: NodeId,
     },
@@ -359,8 +354,6 @@ pub enum Wire {
         seq: u64,
         /// The replicated `(agent, last known node)` records.
         records: Vec<(AgentId, NodeId)>,
-        /// The replicated rate estimate (messages/second).
-        rate: f64,
         /// Age of the replica at serve time (milliseconds since the last
         /// sync landed at the buddy). Recovered records inherit this as
         /// their staleness base, so freshness-bounded answers account for
@@ -508,7 +501,7 @@ impl Wire {
             Wire::NotFound { .. } => "NotFound",
             Wire::NotResponsible { .. } => "NotResponsible",
             Wire::SplitRequest { .. } => "SplitRequest",
-            Wire::MergeRequest { .. } => "MergeRequest",
+            Wire::MergeRequest => "MergeRequest",
             Wire::RehashDenied { .. } => "RehashDenied",
             Wire::IAgentReady { .. } => "IAgentReady",
             Wire::IAgentMoved { .. } => "IAgentMoved",
@@ -599,7 +592,6 @@ mod tests {
                 records: vec![(AgentId::new(5), NodeId::new(2))],
             },
             Wire::SplitRequest {
-                rate: 61.5,
                 loads: vec![(AgentId::new(5), 10)],
             },
             Wire::Located {
@@ -626,7 +618,6 @@ mod tests {
                 epoch: 3,
                 seq: 17,
                 records: vec![(AgentId::new(5), NodeId::new(2))],
-                rate: 4.25,
                 reply_node: NodeId::new(1),
             },
             Wire::RecordSyncAck { epoch: 3, seq: 17 },
@@ -638,7 +629,6 @@ mod tests {
                 epoch: 3,
                 seq: 17,
                 records: vec![(AgentId::new(5), NodeId::new(2))],
-                rate: 4.25,
                 age_ms: 800,
             },
             Wire::SolicitReregister,

@@ -145,7 +145,7 @@ fn arb_wire() -> impl Strategy<Value = Wire> {
             token,
             corr
         }),
-        (0.0f64..1e9).prop_map(|rate| Wire::MergeRequest { rate }),
+        Just(Wire::MergeRequest),
         arb_deny_reason().prop_map(|reason| Wire::RehashDenied { reason }),
         any::<u64>().prop_map(|lease| Wire::IAgentReady { lease }),
         arb_hash_function().prop_map(|hf| Wire::InstallHashFn { hf }),
@@ -156,37 +156,25 @@ fn arb_wire() -> impl Strategy<Value = Wire> {
             proptest::option::of((arb_agent(), arb_node()))
         )
             .prop_map(|(epoch, buddy)| Wire::EpochGrant { epoch, buddy }),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            arb_records(),
-            0.0f64..1e9,
-            arb_node()
-        )
-            .prop_map(|(epoch, seq, records, rate, reply_node)| Wire::RecordSync {
+        (any::<u64>(), any::<u64>(), arb_records(), arb_node()).prop_map(
+            |(epoch, seq, records, reply_node)| Wire::RecordSync {
                 epoch,
                 seq,
                 records,
-                rate,
                 reply_node,
-            }),
+            }
+        ),
         (any::<u64>(), any::<u64>()).prop_map(|(epoch, seq)| Wire::RecordSyncAck { epoch, seq }),
         (any::<u64>(), arb_node())
             .prop_map(|(epoch, reply_node)| Wire::ReplicaPull { epoch, reply_node }),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            arb_records(),
-            0.0f64..1e9,
-            any::<u64>()
-        )
-            .prop_map(|(epoch, seq, records, rate, age_ms)| Wire::ReplicaSet {
+        (any::<u64>(), any::<u64>(), arb_records(), any::<u64>()).prop_map(
+            |(epoch, seq, records, age_ms)| Wire::ReplicaSet {
                 epoch,
                 seq,
                 records,
-                rate,
                 age_ms,
-            }),
+            }
+        ),
         Just(Wire::SolicitReregister),
         arb_hash_function().prop_map(|hf| Wire::HashFnCopy { hf }),
         (any::<u64>(), prop::collection::vec(arb_rehash_op(), 0..8))
@@ -243,13 +231,8 @@ fn arb_wire() -> impl Strategy<Value = Wire> {
             }),
         (arb_agent(), proptest::option::of(any::<u64>()), arb_corr())
             .prop_map(|(about, token, corr)| Wire::NotResponsible { about, token, corr }),
-        // Rates are msgs/sec: non-negative, human-scale. (Extreme doubles
-        // lose bits through JSON, which the protocol never carries.)
-        (
-            0.0f64..1e9,
-            prop::collection::vec((arb_agent(), any::<u64>()), 0..20)
-        )
-            .prop_map(|(rate, loads)| Wire::SplitRequest { rate, loads }),
+        prop::collection::vec((arb_agent(), any::<u64>()), 0..20)
+            .prop_map(|loads| Wire::SplitRequest { loads }),
         arb_records().prop_map(|records| Wire::Handoff { records }),
         (any::<u64>(), arb_node()).prop_map(|(have_version, reply_node)| Wire::FetchHashFn {
             have_version,
@@ -277,37 +260,19 @@ fn arb_wire() -> impl Strategy<Value = Wire> {
     ]
 }
 
-/// A payload that is no [`Wire`]: prose, or a message whose rate is not a
-/// finite number (JSON has none, so it is `null` in both forms).
+/// A payload that is no [`Wire`]: prose.
 fn arb_not_a_message() -> impl Strategy<Value = Payload> {
-    let odd_rate = prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)];
-    prop_oneof![
-        "[a-zA-Z0-9 .,!?]{0,80}".prop_map(|text| Payload::encode(&text)),
-        (odd_rate, any::<u8>(), arb_records()).prop_map(|(rate, pick, records)| {
-            let msg = match pick % 4 {
-                0 => Wire::SplitRequest {
-                    rate,
-                    loads: Vec::new(),
-                },
-                1 => Wire::MergeRequest { rate },
-                2 => Wire::RecordSync {
-                    epoch: 1,
-                    seq: 2,
-                    records,
-                    rate,
-                    reply_node: NodeId::new(0),
-                },
-                _ => Wire::ReplicaSet {
-                    epoch: 1,
-                    seq: 2,
-                    records,
-                    rate,
-                    age_ms: 3,
-                },
-            };
-            msg.payload()
-        }),
-    ]
+    "[a-zA-Z0-9 .,!?]{0,80}".prop_map(|text| Payload::encode(&text))
+}
+
+/// `true` when a float sits anywhere in `value`.
+fn holds_a_float(value: &serde::Value) -> bool {
+    match value {
+        serde::Value::F64(_) => true,
+        serde::Value::Seq(items) => items.iter().any(holds_a_float),
+        serde::Value::Map(entries) => entries.iter().any(|(_, v)| holds_a_float(v)),
+        _ => false,
+    }
 }
 
 /// The name of every [`Wire`] variant, which is its `kind()`. The names
@@ -567,10 +532,13 @@ proptest! {
 
     /// Every protocol message survives encode/decode exactly, from the
     /// message itself, which the simulator hands over in process, and from
-    /// the JSON text a live node sends, and `len` is the text's length. A payload that is no
-    /// message decodes to nothing from either form.
+    /// the JSON text a live node sends, and `len` is the text's length. A
+    /// payload that is no message decodes to nothing from either form. No
+    /// message holds a float, so the in-process clone never differs from
+    /// what the text decodes to.
     #[test]
     fn wire_round_trips(msg in arb_wire(), stranger in arb_not_a_message()) {
+        prop_assert!(!holds_a_float(&serde::Serialize::serialize(&msg)), "{:?}", msg);
         for (payload, expected) in [(msg.payload(), Some(msg)), (stranger, None)] {
             let text = Payload::from_bytes(payload.bytes().clone());
             prop_assert_eq!(payload.len(), text.bytes().len());
@@ -580,9 +548,10 @@ proptest! {
     }
 
     /// A whole copy decoded in-process is a clone of the one sent, not a
-    /// rebuild, and still consistent, with current compiled runs. A
-    /// sender whose runs are stale (its tree changed without a recompile)
-    /// does not hand them on: such a copy is decoded afresh.
+    /// rebuild, and still consistent. A current sender's copy has current
+    /// compiled runs. A sender whose runs are stale (its tree changed
+    /// without a recompile) hands them on, and the copy fails safe as the
+    /// sender does: it walks the tree and resolves every probe alike.
     #[test]
     fn a_whole_copy_decoded_in_process_has_a_current_table(
         hf in arb_hash_function(),
@@ -617,7 +586,9 @@ proptest! {
             other => panic!("the copy did not round-trip: {other:?}"),
         };
         prop_assert_eq!(&copy, &hf);
-        prop_assert!(copy.compiled().is_current(&copy.tree));
+        if hf.compiled().is_current(&hf.tree) {
+            prop_assert!(copy.compiled().is_current(&copy.tree));
+        }
         copy.validate().unwrap();
         for raw in probes {
             let agent = AgentId::new(raw);

@@ -153,10 +153,7 @@ fn two_leaf_world(
                     at,
                     hagent,
                     hagent_node,
-                    Wire::SplitRequest {
-                        rate: 99.0,
-                        loads: loads(),
-                    },
+                    Wire::SplitRequest { loads: loads() },
                 )
             })
             .collect()
